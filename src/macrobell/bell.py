@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import minimize_scalar
+from scipy.special import roots_legendre
 
 from .errors import CapExceededError, GridTooNarrowError, NegativeDensityError, ValidationError
 from .limits import (
@@ -96,7 +97,7 @@ def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
     # sign(x) * psi_k(x) * psi_l(x) is even iff k + l is odd, so the table is
     # 2 * integral over the positive half line there and exactly 0 elsewhere.
     half_width = 12.0 + 2.0 * k_max
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = roots_legendre(nodes)
     x = 0.5 * half_width * (t + 1.0)
     w = 0.5 * half_width * w
     rows = np.stack([oscillator_wavefunction(k, x) for k in range(k_max + 1)])

@@ -564,6 +564,14 @@ def _selftest_checks():
         brute = brute_force_pmf(state8, sx, params, 0.5)
         return total_variation(exact, brute)
 
+    def oracle_pmf_mid_ladder():
+        tilted = projective_from_bloch(1.2, 0.3)
+        tilted_params = derive_params(tilted)
+        state = DickeSuperposition.from_coeffs(12, [0.6, 0.48j, -0.64], base_level=5)
+        exact = pmf_finite(state, tilted, tilted_params, 0.5)
+        brute = brute_force_pmf(state, tilted, tilted_params, 0.5)
+        return total_variation(exact, brute)
+
     def oracle_charfn():
         t = np.linspace(-4.0, 4.0, 9)
         fast = char_fn_finite(state8, sx, params, 0.5, t)
@@ -579,6 +587,10 @@ def _selftest_checks():
 
     def pmf_normalization():
         return abs(float(pmf_finite(state8, sx, params, 0.5).probs.sum()) - 1.0)
+
+    def pmf_mid_ladder_mass():
+        state = DickeSuperposition(n_particles=100, base_level=50, coeffs=paper)
+        return abs(float(pmf_finite(state, sx, params, 0.5).probs.sum()) - 1.0)
 
     def limit_normalization():
         line = limit_density_alpha_half(LimitState(coeffs=paper, phi=math.pi))
@@ -609,9 +621,11 @@ def _selftest_checks():
     return [
         ("sign-overlaps", sign_overlaps, 1e-9),
         ("oracle-pmf", oracle_pmf, 1e-10),
+        ("oracle-pmf-mid-ladder", oracle_pmf_mid_ladder, 1e-10),
         ("oracle-charfn", oracle_charfn, 1e-10),
         ("hermite-lemma", hermite_lemma, 1e-8),
         ("pmf-normalization", pmf_normalization, 1e-9),
+        ("pmf-mid-ladder-mass", pmf_mid_ladder_mass, 1e-12),
         ("limit-normalization", limit_normalization, 1e-9),
         ("chsh-paper-value", chsh_paper, 1e-9),
         ("lhv-two-routes", lhv_match, 1e-8),

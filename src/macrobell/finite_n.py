@@ -6,12 +6,18 @@ rescaled version ``X = (I - N mu) / (tau N^alpha)`` is the object of
 interest.  Everything here is exact at finite N:
 
 * matrix elements ``<N,k| M^(x)N |N,l>`` of arbitrary one-body tensor
-  powers between Dicke states, evaluated stably in log space so that
-  N up to 10^4 works,
+  powers between Dicke states, with binomials in log space,
 * the characteristic function of X,
-* the full probability mass function of X on its outcome lattice,
-  recovered by a discrete Fourier inversion of the characteristic
-  function evaluated at the conjugate lattice frequencies,
+* the full probability mass function of X on its outcome lattice.  A
+  projective POVM (every effect a 0/1 projector in one basis, which
+  covers every spin component) takes the rotation route: the state's
+  weights in the rotated Dicke basis, from one tridiagonal
+  eigenproblem, at O(N * levels) cost and for every level up to N; this
+  route works at N = 10^5 and beyond.  Any other POVM takes the
+  characteristic-function route: a discrete Fourier inversion of the
+  characteristic function at the conjugate lattice frequencies, at
+  O(N * levels^2) cost.  Its Dicke sums cancel for mid-ladder levels,
+  where its guards raise from N of about 100,
 * moments, and
 * an independent brute-force path (explicit 2^N state vectors) used as
   an oracle for small N.
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     CapExceededError,
@@ -32,7 +38,7 @@ from .errors import (
     OffLatticeError,
     ValidationError,
 )
-from .povm import DerivedParams, SingleParticlePovm
+from .povm import DerivedParams, SingleParticlePovm, projective_basis
 
 __all__ = [
     "DickeSuperposition",
@@ -65,6 +71,11 @@ class DickeSuperposition:
     ``base_level = 0`` is the natural choice for square-root coarse
     graining; linear coarse graining uses states centered on the
     half-filled ladder (even N with ``base_level = N // 2``).
+
+    Every level count and base level is valid; for projective POVMs
+    ``pmf_finite`` handles them all at N = 10^5 and beyond.  For other POVMs
+    it can raise for mid-ladder levels from N of about 100 (see the module
+    docstring).
     """
 
     n_particles: int
@@ -163,7 +174,7 @@ class Moments:
 
 
 def _log_binom(n, k):
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
 def _pow_log(base: np.ndarray, power: int) -> np.ndarray:
@@ -324,34 +335,55 @@ def _lattice_structure(outcomes, atol_rel=1e-9):
     return a_min, step, idx.astype(np.int64)
 
 
-def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
-    """Exact PMF of X by discrete Fourier inversion on the outcome lattice.
+_JZ = np.diag([-0.5, 0.5]).astype(complex)
+_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
-    The intensity of N particles with outcomes on ``a_min + j*step``
-    lives on ``N*a_min + m*step`` with ``m`` in 0..N*J; evaluating the
-    lattice characteristic function at the L = N*J+1 conjugate
-    frequencies and applying an inverse DFT recovers every lattice
-    probability exactly (up to roundoff).
 
-    Raises
-    ------
-    OffLatticeError
-        If the outcomes are not commensurate.
-    CapExceededError
-        If ``N * J`` exceeds ``lattice_cap``.
-    NegativeDensityError
-        If inversion produces negativity beyond roundoff (1e-12).
+def _rotated_weights(state, basis) -> np.ndarray:
+    """Weights ``|<N,m|_U psi>|^2``, m = 0..N, in the Dicke basis built on U.
+
+    ``|N,m>_U`` holds m particles in ``U|1>``.  Its overlap with
+    ``|N,k>`` is component m of ``D(U^dag)|N,k>``, an eigenvector of the
+    collective operator of ``h = U^dag J_z U`` with eigenvalue k - N/2.
+    Rephasing ``|N,m>`` by ``exp(i m arg h_10)`` makes that operator real
+    symmetric tridiagonal; the common phase of row m drops out of the
+    weights.  The solver fixes each vector only up to a sign, so
+    consecutive vectors are rephased until the rotated raising operator
+    maps one onto the next with the positive factor sqrt((k+1)(N-k)),
+    as J_+ does on the Dicke ladder.
     """
-    a = _check_alpha(alpha)
     n = state.n_particles
-    a_min, step, idx = _lattice_structure(povm.outcomes)
-    j_max = int(idx.max())
-    size = n * j_max + 1
-    if size - 1 > lattice_cap:
-        raise CapExceededError(
-            f"lattice size N*J = {size - 1} exceeds cap {lattice_cap}"
-        )
+    h = basis.conj().T @ _JZ @ basis
+    r = basis.conj().T @ _RAISE @ basis
+    m = np.arange(n + 1, dtype=float)
+    ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    h10 = complex(h[1, 0])
+    rephase = h10 / abs(h10) if h10 != 0 else 1.0
+    _, vectors = eigh_tridiagonal(
+        (n - m) * h[0, 0].real + m * h[1, 1].real,
+        abs(h10) * ladder,
+        select="i",
+        select_range=(state.base_level, state.base_level + state.coeffs.size - 1),
+    )
+    raise_diag = (n - m) * r[0, 0] + m * r[1, 1]
+    raise_upper = rephase * r[0, 1] * ladder
+    raise_lower = np.conj(rephase) * r[1, 0] * ladder
 
+    amplitude = state.coeffs[0] * vectors[:, 0]
+    phase = 1.0 + 0.0j
+    for k in range(1, state.coeffs.size):
+        below = vectors[:, k - 1]
+        raised = raise_diag * below
+        raised[:-1] += raise_upper * below[1:]
+        raised[1:] += raise_lower * below[:-1]
+        overlap = complex(np.dot(vectors[:, k], raised))
+        phase *= overlap / abs(overlap)
+        amplitude += state.coeffs[k] * phase * vectors[:, k]
+    return np.abs(amplitude) ** 2
+
+
+def _inverted_probs(state, povm, idx, size) -> np.ndarray:
+    """Lattice probabilities by DFT inversion of the characteristic function."""
     theta = 2.0 * np.pi * np.arange(size) / size
     phases = np.exp(1j * np.outer(theta, idx))
     entries = _povm_entry_arrays(povm, phases)
@@ -369,7 +401,62 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
         raise NegativeDensityError(
             f"inversion produced probability {worst:.3e} < -1e-12"
         )
-    p = np.clip(p, 0.0, None)
+    return np.clip(p, 0.0, None)
+
+
+def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
+    """Exact PMF of X on the outcome lattice.
+
+    The intensity of N particles with outcomes on ``a_min + j*step``
+    lives on ``N*a_min + m*step`` with ``m`` in 0..N*J.  Two routes fill
+    that lattice:
+
+    * projective POVMs (see ``povm.projective_basis``): with m particles
+      in the second basis state the intensity index is
+      ``(N-m)*j_0 + m*j_1``, and its probability is the state's weight
+      on the rotated Dicke state ``|N,m>_U``.  The weights are
+      nonnegative, so nothing cancels; cost O(N * levels).
+    * every other POVM: the lattice characteristic function at the
+      L = N*J+1 conjugate frequencies, inverted by a DFT; cost
+      O(N * levels^2) Dicke sums that cancel for mid-ladder levels.
+
+    Raises
+    ------
+    OffLatticeError
+        If the outcomes are not commensurate.
+    CapExceededError
+        If ``N * J`` exceeds ``lattice_cap``.
+    NumericError
+        If the rotated weights miss unit mass by more than 1e-10, or
+        inversion leaves an imaginary residue above 1e-10.
+    NegativeDensityError
+        If inversion produces negativity beyond roundoff (1e-12).
+    """
+    a = _check_alpha(alpha)
+    n = state.n_particles
+    a_min, step, idx = _lattice_structure(povm.outcomes)
+    j_max = int(idx.max())
+    size = n * j_max + 1
+    if size - 1 > lattice_cap:
+        raise CapExceededError(
+            f"lattice size N*J = {size - 1} exceeds cap {lattice_cap}"
+        )
+
+    projective = projective_basis(povm)
+    if projective is None:
+        p = _inverted_probs(state, povm, idx, size)
+    else:
+        basis, column_outcome = projective
+        weights = _rotated_weights(state, basis)
+        mass_defect = abs(float(weights.sum()) - 1.0)
+        if mass_defect > 1e-10:
+            raise NumericError(
+                f"rotated weights miss unit mass by {mass_defect:.3e}"
+            )
+        j0, j1 = idx[column_outcome]
+        excited = np.arange(n + 1)
+        p = np.bincount((n - excited) * j0 + excited * j1,
+                        weights=weights, minlength=size)
     p = p / p.sum()
 
     scale = params.tau * float(n) ** a
@@ -467,20 +554,13 @@ def total_variation(pmf_a: LatticePmf, pmf_b: LatticePmf, match_atol=1e-9) -> fl
     """TV distance between two lattice PMFs, matching support points.
 
     Points of one support within ``match_atol`` of a point of the other
-    are identified; unmatched points contribute their full mass.
+    are identified; unmatched points contribute their full mass.  Both
+    supports are merged in sorted order, and consecutive merged points at
+    most ``match_atol`` apart share a slot, so the cost is O(n log n).
     """
-    merged: dict[float, float] = {}
-    keys: list[float] = []
-
-    def slot(x):
-        for key in keys:
-            if abs(key - x) <= match_atol:
-                return key
-        keys.append(x)
-        return x
-
-    for v, p in zip(pmf_a.values, pmf_a.probs):
-        merged[slot(v)] = merged.get(slot(v), 0.0) + p
-    for v, p in zip(pmf_b.values, pmf_b.probs):
-        merged[slot(v)] = merged.get(slot(v), 0.0) - p
-    return 0.5 * sum(abs(delta) for delta in merged.values())
+    values = np.concatenate([pmf_a.values, pmf_b.values])
+    signed = np.concatenate([pmf_a.probs, -pmf_b.probs])
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    slot = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > match_atol)
+    return 0.5 * float(np.sum(np.abs(np.bincount(slot, weights=signed[order]))))

@@ -40,6 +40,7 @@ __all__ = [
     "SingleParticlePovm",
     "DerivedParams",
     "validate_povm",
+    "projective_basis",
     "derive_params",
     "projective_from_bloch",
     "povm_to_json",
@@ -144,6 +145,33 @@ def validate_povm(outcomes: Sequence[float], effects: Iterable) -> SingleParticl
             f"effects sum to identity only within {completeness_defect:.3e}"
         )
     return SingleParticlePovm(outcomes=tuple(out), effects=tuple(effect_list))
+
+
+def projective_basis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray] | None:
+    """Common eigenbasis of a projective POVM, or None if there is none.
+
+    A POVM is projective here when one orthonormal basis ``U`` makes every
+    effect diagonal with 0/1 entries, to 1e-12. The basis comes from
+    ``sum_a a_index * E_a``, whose eigenvalues separate the projectors.
+
+    Returns
+    -------
+    (basis, column_outcome) or None
+        ``basis`` is the unitary whose columns are the eigenvectors;
+        ``column_outcome[i]`` is the index of the outcome that column ``i``
+        always produces.
+    """
+    effects = np.stack(povm.effects)
+    labels = np.arange(len(effects), dtype=float)
+    _, basis = np.linalg.eigh(np.tensordot(labels, effects, axes=1))
+    rotated = np.einsum("ji,ajk,kl->ail", basis.conj(), effects, basis)
+    if np.max(np.abs(rotated[:, 0, 1])) > COMPLETENESS_ATOL:
+        return None
+    diagonal = np.einsum("aii->ai", rotated).real
+    ones = np.abs(diagonal - 1.0) <= COMPLETENESS_ATOL
+    if not np.all(ones | (np.abs(diagonal) <= COMPLETENESS_ATOL)):
+        return None
+    return basis, np.argmax(ones, axis=0)
 
 
 @dataclass(frozen=True)

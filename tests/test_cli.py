@@ -81,6 +81,18 @@ class TestDist:
         probs = np.array([float(r[1]) for r in rows])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("args", [
+        ["--N", "100", "--coeffs", "paper", "--base-level", "50"],
+        ["--N", "200", "--coeffs", "equal:16"],
+    ], ids=["paper-base50", "equal16"])
+    def test_mid_ladder_and_sixteen_levels(self, capsys, tmp_path, args):
+        out = tmp_path / "dist.csv"
+        summary = run_ok(capsys, ["dist", "--povm", "sx", *args, "--out", str(out)])
+        _, rows = read_csv(out.read_text())
+        probs = np.array([float(r[1]) for r in rows])
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert json.loads(summary)["total_prob"] == pytest.approx(1.0, abs=1e-12)
+
     def test_degenerate_povm_needs_overrides(self, capsys):
         payload = run_err(capsys, ["dist", "--N", "10", "--povm", "sz",
                                    "--state", "w"], 1)

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrobell.errors import CapExceededError, OffLatticeError, ValidationError
+from macrobell import finite_n
+from macrobell.errors import (
+    CapExceededError,
+    NumericError,
+    OffLatticeError,
+    ValidationError,
+)
 from macrobell.finite_n import (
     DickeSuperposition,
+    LatticePmf,
     brute_force_char_fn,
     brute_force_pmf,
     char_fn_finite,
@@ -18,7 +25,16 @@ from macrobell.finite_n import (
     pmf_finite,
     total_variation,
 )
-from macrobell.povm import PAULI_X, PAULI_Z, derive_params, validate_povm
+from macrobell.povm import (
+    PAULI_X,
+    PAULI_Z,
+    derive_params,
+    projective_basis,
+    projective_from_bloch,
+    validate_povm,
+)
+
+from conftest import PAPER_COEFFS
 
 I2 = np.eye(2, dtype=complex)
 
@@ -226,3 +242,194 @@ def test_affine_relabeling_leaves_x_invariant(scale, shift):
     pmf2 = pmf_finite(state, relabeled, params2, 0.5)
     assert total_variation(pmf1, pmf2) <= 1e-9
     np.testing.assert_allclose(pmf1.values, pmf2.values, atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Projective POVMs: the rotation route
+# --------------------------------------------------------------------------
+
+def random_projective_instance(rng, alpha, max_n=10, max_d=4):
+    """Random complex superposition anywhere on the ladder, random Bloch axis."""
+    n = int(rng.integers(2, max_n + 1))
+    d = int(rng.integers(1, min(max_d, n + 1) + 1))
+    base = int(rng.integers(0, n - d + 2))
+    coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
+    state = DickeSuperposition.from_coeffs(n, coeffs, base_level=base)
+    povm = projective_from_bloch(rng.uniform(0.15, math.pi - 0.15),
+                                 rng.uniform(0.0, 2.0 * math.pi))
+    params = derive_params(povm, mode="half" if alpha == 0.5 else "one")
+    return state, povm, params
+
+
+def inversion_pmf(state, povm, params, alpha):
+    """The characteristic-function route for a +-1 POVM, from ``char_fn_finite``.
+
+    The intensity is ``2*J - N`` with ``J`` the number of +1 outcomes, so
+    the characteristic function at ``t = theta * scale / 2`` over the
+    N+1 lattice frequencies, stripped of the centering phase, is the DFT
+    of the distribution of ``J``.
+    """
+    n = state.n_particles
+    scale = params.tau * float(n) ** alpha
+    theta = 2.0 * np.pi * np.arange(n + 1) / (n + 1)
+    char = char_fn_finite(state, povm, params, alpha, theta * scale / 2.0)
+    char = char * np.exp(-0.5j * n * theta * (-1.0 - params.mu))
+    probs = np.fft.fft(char).real / (n + 1)
+    values = (2.0 * np.arange(n + 1) - n - n * params.mu) / scale
+    return LatticePmf(values=values, probs=probs)
+
+
+def ladder_moments(state, theta, phi_bloch, params, alpha):
+    """E[X] and E[X^2] for the +-1 measurement along (theta, phi_bloch).
+
+    The intensity is ``S = sum_i n.sigma_i``, which moves a Dicke level by
+    at most one, so ``(S - N mu)|psi>`` has d + 2 components and
+    ``E[X^2] = ||(S - N mu) psi||^2 / scale^2`` costs O(d).
+    """
+    n = state.n_particles
+    k = state.levels.astype(float)
+    c = state.coeffs
+    up = math.sin(theta) * np.exp(1j * phi_bloch) * np.sqrt((k + 1.0) * (n - k))
+    down = math.sin(theta) * np.exp(-1j * phi_bloch) * np.sqrt(k * (n - k + 1.0))
+    shifted = np.zeros(c.size + 2, dtype=complex)  # levels base-1 .. base+d
+    shifted[1:-1] += (math.cos(theta) * (n - 2.0 * k) - n * params.mu) * c
+    shifted[2:] += up * c
+    shifted[:-2] += down * c
+    scale = params.tau * float(n) ** alpha
+    mean = float(np.vdot(np.concatenate([[0.0], c, [0.0]]), shifted).real) / scale
+    return mean, float(np.vdot(shifted, shifted).real) / scale**2
+
+
+def slot_scan_total_variation(pmf_a, pmf_b, match_atol=1e-9):
+    """The O(n^2) slot scan that ``total_variation`` replaced, as a reference."""
+    merged, keys = {}, []
+
+    def slot(x):
+        for key in keys:
+            if abs(key - x) <= match_atol:
+                return key
+        keys.append(x)
+        return x
+
+    for v, p in zip(pmf_a.values, pmf_a.probs):
+        key = slot(v)
+        merged[key] = merged.get(key, 0.0) + p
+    for v, p in zip(pmf_b.values, pmf_b.probs):
+        key = slot(v)
+        merged[key] = merged.get(key, 0.0) - p
+    return 0.5 * sum(abs(delta) for delta in merged.values())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_projective_pmf_matches_brute_force_randomized(alpha):
+    rng = np.random.default_rng(1729 if alpha == 0.5 else 1730)
+    for _ in range(16):
+        state, povm, params = random_projective_instance(rng, alpha)
+        assert projective_basis(povm) is not None
+        exact = pmf_finite(state, povm, params, alpha)
+        brute = brute_force_pmf(state, povm, params, alpha)
+        assert total_variation(exact, brute) <= 1e-12
+
+
+def test_projective_pmf_top_of_ladder_against_brute_force():
+    povm = projective_from_bloch(1.2, 0.3)
+    params = derive_params(povm)
+    state = DickeSuperposition.from_coeffs(12, [0.3, -1j, 0.5 + 0.2j, 1.0],
+                                           base_level=8)
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
+
+
+def test_three_outcome_projective_povm_with_empty_effect():
+    plus = 0.5 * (I2 + PAULI_X)
+    povm = validate_povm([0.0, 1.0, 2.0], [np.zeros((2, 2)), I2 - plus, plus])
+    basis, column_outcome = projective_basis(povm)
+    assert sorted(column_outcome) == [1, 2]
+    params = derive_params(povm, mu=0.0, tau=1.0)
+    state = DickeSuperposition.from_coeffs(9, [1.0, 2j, -0.5], base_level=3)
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
+
+
+def test_projective_basis_rejects_unsharp_and_noncommuting_povms():
+    unsharp = 0.3 * I2 + 0.2 * (I2 + PAULI_X)
+    assert projective_basis(validate_povm([1.0, -1.0], [unsharp, I2 - unsharp])) is None
+    trine = [(I2 + math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X) / 3.0
+             for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+    assert projective_basis(validate_povm([0.0, 1.0, 2.0], trine)) is None
+
+
+def test_rotation_route_mass_guard(monkeypatch, sigma_x, params_x):
+    solve = finite_n.eigh_tridiagonal
+
+    def stretched(*args, **kwargs):
+        values, vectors = solve(*args, **kwargs)
+        return values, 1.001 * vectors
+
+    monkeypatch.setattr(finite_n, "eigh_tridiagonal", stretched)
+    state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
+    with pytest.raises(NumericError, match="unit mass"):
+        pmf_finite(state, sigma_x, params_x, 0.5)
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    (1000, PAPER_COEFFS),
+    (10000, np.array([1.0 + 0.0j])),  # with base level 1: the W state
+    (2000, np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)),
+], ids=["paper-1000", "w-10000", "equal8-2000"])
+def test_projective_route_agrees_with_inversion_route(sigma_x, params_x, n, coeffs):
+    base = 1 if coeffs.size == 1 else 0
+    state = DickeSuperposition(n_particles=n, coeffs=coeffs, base_level=base)
+    exact = pmf_finite(state, sigma_x, params_x, 0.5)
+    assert total_variation(exact, inversion_pmf(state, sigma_x, params_x, 0.5)) <= 1e-10
+
+
+def test_sixteen_levels_moments_against_ladder(sigma_x, params_x):
+    n = 2000
+    state = DickeSuperposition.from_coeffs(n, np.ones(16))
+    pmf = pmf_finite(state, sigma_x, params_x, 0.5)
+    mean, second = ladder_moments(state, math.pi / 2.0, 0.0, params_x, 0.5)
+    assert pmf.mean() == pytest.approx(mean, abs=1e-10 * math.sqrt(second))
+    assert float(np.dot(pmf.probs, pmf.values**2)) == pytest.approx(second, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1000, 10000, 100000])
+def test_alpha_one_mid_ladder_moments_against_ladder(sigma_x, n):
+    params = derive_params(sigma_x, mode="one")
+    state = DickeSuperposition(n_particles=n, coeffs=PAPER_COEFFS, base_level=n // 2)
+    pmf = pmf_finite(state, sigma_x, params, 1.0)
+    assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    mean, second = ladder_moments(state, math.pi / 2.0, 0.0, params, 1.0)
+    assert pmf.mean() == pytest.approx(mean, abs=1e-10 * math.sqrt(second))
+    assert float(np.dot(pmf.probs, pmf.values**2)) == pytest.approx(second, rel=1e-10)
+
+
+def test_bloch_axis_with_azimuth_moments_against_ladder():
+    theta, phi_bloch = 1.2, 0.3
+    povm = projective_from_bloch(theta, phi_bloch)
+    params = derive_params(povm)
+    state = DickeSuperposition.from_coeffs(5000, [0.6, 0.48j, -0.64, 0.1 + 0.3j],
+                                           base_level=2400)
+    pmf = pmf_finite(state, povm, params, 0.5)
+    mean, second = ladder_moments(state, theta, phi_bloch, params, 0.5)
+    assert pmf.mean() == pytest.approx(mean, abs=1e-10 * math.sqrt(second))
+    assert float(np.dot(pmf.probs, pmf.values**2)) == pytest.approx(second, rel=1e-10)
+
+
+def test_total_variation_matches_slot_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        size_a, size_b = rng.integers(1, 40, size=2)
+        grid = np.arange(60) * 0.1
+        va = np.sort(rng.choice(grid, size=size_a, replace=False))
+        vb = np.sort(rng.choice(grid, size=size_b, replace=False))
+        vb = vb + rng.uniform(-5e-10, 5e-10, size=size_b)  # jitter within match_atol
+        pa = rng.dirichlet(np.ones(size_a))
+        pb = rng.dirichlet(np.ones(size_b))
+        a, b = LatticePmf(va, pa), LatticePmf(vb, pb)
+        assert total_variation(a, b) == pytest.approx(
+            slot_scan_total_variation(a, b), abs=1e-15)
+    point = LatticePmf(np.array([0.0]), np.array([1.0]))
+    moved = LatticePmf(np.array([1e-6]), np.array([1.0]))
+    assert total_variation(point, moved) == 1.0
+    assert total_variation(point, moved, match_atol=1e-5) == 0.0
