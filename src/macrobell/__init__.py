@@ -73,6 +73,7 @@ _EXPORTS = {
     # bell
     "SignOverlapTable": "bell",
     "sign_overlap_table": "bell",
+    "smoothed_sign_overlap_table": "bell",
     "BellConfig": "bell",
     "correlator": "bell",
     "chsh_value": "bell",
@@ -87,6 +88,7 @@ _EXPORTS = {
     "NoiseSpec": "noise",
     "loss_width": "noise",
     "loss_char_fn_finite": "noise",
+    "lossy_povm": "noise",
     "depolarize_povm": "noise",
     "dephase_povm": "noise",
     "NoisyLimitParams": "noise",

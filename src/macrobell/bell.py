@@ -21,16 +21,9 @@ from scipy.integrate import simpson
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_legendre
 
-from .errors import CapExceededError, GridTooNarrowError, NegativeDensityError, ValidationError
-from .limits import (
-    BOUNDARY_MASS_TOL,
-    GridDensity,
-    default_real_grid,
-    oscillator_wavefunction,
-    smeared_level_kernel,
-)
-
-_NORM_ATOL = 1e-12
+from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
+                     ValidationError, check_unit_vector)
+from .limits import BOUNDARY_MASS_TOL, GridDensity, default_real_grid, smeared_level_kernel
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -55,29 +48,13 @@ _PAIR_FLAGS = {
 }
 
 
-def _check_unit_vector(coeffs) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size < 1:
-        raise ValidationError("coefficients must form a nonempty 1-d array")
-    if not np.all(np.isfinite(c.view(float))):
-        raise ValidationError("coefficients must be finite")
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > _NORM_ATOL:
-        raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
-    if c.size > MAX_SCHMIDT_RANK:
-        raise CapExceededError(
-            f"Schmidt rank {c.size} exceeds the supported maximum {MAX_SCHMIDT_RANK}"
-        )
-    return c
-
-
 @dataclass(frozen=True)
 class SignOverlapTable:
-    """Level overlaps against the sign function.
+    """Level overlaps against the sign function or a smoothed sign.
 
-    ``values[k, l]`` holds the integral of sign(x) times the product of the
-    k-th and l-th level profiles.  Entries with k + l even vanish by parity
-    and are set to exactly zero; the odd entries come from half-line
+    ``values[k, l]`` holds the integral of sign(x) (or of a smoothed odd
+    step) times the level-(k, l) kernel.  Entries with k + l even vanish by
+    parity and are set to exactly zero; the odd entries come from half-line
     Gauss-Legendre quadrature.
     """
 
@@ -92,18 +69,33 @@ class SignOverlapTable:
         return self.values.shape[0] - 1
 
 
+_legendre = lru_cache(maxsize=4)(roots_legendre)
+
+
+def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int) -> np.ndarray:
+    # K_kl(x) * S(x) with S odd is even iff k + l is odd, so the table is
+    # 2 * integral over the positive half line there and exactly 0 elsewhere.
+    # The half line is split where S reaches 1, so each piece is smooth.
+    half_width = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + width * width)
+    t, w = _legendre(nodes)
+    knot = min(edge, half_width)
+    x, weights = [], []
+    for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
+        if hi > lo:
+            x.append(lo + 0.5 * (hi - lo) * (t + 1.0))
+            weights.append(0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x[-1])))
+    x, weights = np.concatenate(x), np.concatenate(weights)
+    table = np.zeros((k_max + 1, k_max + 1))
+    for k in range(k_max + 1):
+        for l in range(k + 1, k_max + 1, 2):
+            table[k, l] = table[l, k] = 2.0 * np.dot(smeared_level_kernel(k, l, x, width),
+                                                     weights)
+    return table
+
+
 @lru_cache(maxsize=32)
 def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
-    # sign(x) * psi_k(x) * psi_l(x) is even iff k + l is odd, so the table is
-    # 2 * integral over the positive half line there and exactly 0 elsewhere.
-    half_width = 12.0 + 2.0 * k_max
-    t, w = roots_legendre(nodes)
-    x = 0.5 * half_width * (t + 1.0)
-    w = 0.5 * half_width * w
-    rows = np.stack([oscillator_wavefunction(k, x) for k in range(k_max + 1)])
-    table = 2.0 * (rows * w) @ rows.T
-    k = np.arange(k_max + 1)
-    table[(k[:, None] + k[None, :]) % 2 == 0] = 0.0
+    table = _half_line_overlaps(k_max, 0.0, 0.0, None, nodes)
     table.flags.writeable = False
     return table
 
@@ -115,9 +107,24 @@ def sign_overlap_table(k_max: int, nodes: int = SIGN_TABLE_NODES) -> SignOverlap
     Gauss-Legendre resolution and exists mainly so convergence can be
     checked by doubling it.
     """
-    if k_max < 0:
-        raise ValidationError("k_max must be nonnegative")
-    return SignOverlapTable(_sign_overlap_values(int(k_max), int(nodes)))
+    return smoothed_sign_overlap_table(k_max, nodes=nodes)
+
+
+def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
+                                ramp=None, nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
+    """Overlaps of the width-smeared level kernels against a smoothed sign S.
+
+    S is odd, equals ``ramp(x)`` on [0, edge] and 1 beyond; for the sign
+    convolved with a noise density on [-edge, edge], this is the sign
+    integral of each kernel after that noise.  At width = edge = 0 it is
+    the cached ``sign_overlap_table``.
+    """
+    if k_max < 0 or not (0.0 <= width < math.inf and 0.0 <= edge < math.inf):
+        raise ValidationError("k_max, width and edge must be finite and nonnegative")
+    if width == 0.0 and edge == 0.0:
+        return SignOverlapTable(_sign_overlap_values(int(k_max), int(nodes)))
+    return SignOverlapTable(_half_line_overlaps(int(k_max), float(width), float(edge),
+                                                ramp, int(nodes)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,11 @@ class BellConfig:
     width_b: float = 0.0
 
     def __post_init__(self):
-        c = _check_unit_vector(self.schmidt_coeffs)
+        c = check_unit_vector(self.schmidt_coeffs)
+        if c.size > MAX_SCHMIDT_RANK:
+            raise CapExceededError(
+                f"Schmidt rank {c.size} exceeds the supported maximum {MAX_SCHMIDT_RANK}"
+            )
         for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -217,7 +228,7 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
     maximizer, which coordinate descent then refines until the value moves
     by less than ``REFINE_VALUE_TOL``.
     """
-    coeffs = _check_unit_vector(schmidt_coeffs)
+    coeffs = BellConfig(schmidt_coeffs).schmidt_coeffs
     table = sign_overlap_table(coeffs.size - 1)
     squared = table.values**2
 
@@ -408,14 +419,7 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
     them as two different discretizations and returning the maximum
     pointwise discrepancy is the consistency check.
     """
-    c = np.asarray(c_kl, dtype=complex)
-    if c.ndim != 2 or c.size < 1:
-        raise ValidationError("c_kl must be a 2-d coefficient array")
-    if not np.all(np.isfinite(c.view(float))):
-        raise ValidationError("coefficients must be finite")
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > _NORM_ATOL:
-        raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
+    c = check_unit_vector(c_kl, ndim=2)
     if max(c.shape) > MAX_SCHMIDT_RANK:
         raise CapExceededError(
             f"level count {max(c.shape)} exceeds the supported maximum {MAX_SCHMIDT_RANK}"

@@ -543,7 +543,7 @@ def _selftest_checks():
                            total_variation)
     from .limits import (LimitState, limit_density_alpha_half,
                          limit_density_alpha_one, verify_hermite_lemma)
-    from .noise import loss_width
+    from .noise import loss_width, noisy_chsh_sweep
     from .povm import derive_params, projective_from_bloch
     from .sampling import sample_outcomes
 
@@ -618,6 +618,10 @@ def _selftest_checks():
     def loss_width_unit():
         return abs(loss_width(params, 1.0) - params.s2)
 
+    def sweep_clean_cell():
+        sweep = noisy_chsh_sweep(paper, [0.0], [0.0])
+        return abs(float(sweep.chsh[0, 0]) - sweep.clean_value)
+
     return [
         ("sign-overlaps", sign_overlaps, 1e-9),
         ("oracle-pmf", oracle_pmf, 1e-10),
@@ -631,6 +635,7 @@ def _selftest_checks():
         ("lhv-two-routes", lhv_match, 1e-8),
         ("sampler-reproducible", sampler_reproducible, 0.5),
         ("loss-width-at-unit-transmission", loss_width_unit, 0.0),
+        ("sweep-clean-cell", sweep_clean_cell, 0.0),
     ]
 
 

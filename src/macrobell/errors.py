@@ -12,6 +12,8 @@ Two broad families matter for callers (and for the CLI exit codes):
 
 from __future__ import annotations
 
+UNIT_NORM_ATOL = 1e-12
+
 
 class MacrobellError(Exception):
     """Base class for every error raised by this package."""
@@ -106,3 +108,18 @@ class DivergentWidthError(NumericError):
     """Broadened width grew past any usable magnitude."""
 
     code = "divergent_width"
+
+
+def check_unit_vector(coeffs, ndim: int = 1):
+    """Coefficients as a nonempty, finite, unit-norm complex ``ndim``-d array."""
+    import numpy as np  # on call: the CLI imports this module before pinning BLAS threads
+
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != ndim or c.size < 1:
+        raise ValidationError(f"coefficients must form a nonempty {ndim}-d array")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("coefficients must be finite")
+    norm = float(np.linalg.norm(c))
+    if abs(norm - 1.0) > UNIT_NORM_ATOL:
+        raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
+    return c

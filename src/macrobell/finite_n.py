@@ -37,6 +37,7 @@ from .errors import (
     NumericError,
     OffLatticeError,
     ValidationError,
+    check_unit_vector,
 )
 from .povm import DerivedParams, SingleParticlePovm, projective_basis
 
@@ -61,8 +62,6 @@ DEFAULT_LATTICE_CAP = 1 << 22
 #: hard bound for the exponential-cost oracle
 BRUTE_FORCE_MAX_N = 14
 
-_NORM_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DickeSuperposition:
@@ -85,9 +84,7 @@ class DickeSuperposition:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValidationError("need at least one particle")
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ValidationError("coeffs must be a nonempty 1-d array")
+        c = check_unit_vector(self.coeffs)
         if self.base_level < 0:
             raise ValidationError("base_level must be nonnegative")
         if self.base_level + c.size - 1 > self.n_particles:
@@ -95,9 +92,6 @@ class DickeSuperposition:
                 f"highest level {self.base_level + c.size - 1} exceeds "
                 f"N = {self.n_particles}"
             )
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -497,19 +491,14 @@ def _full_state_vector(state: DickeSuperposition) -> np.ndarray:
     return psi
 
 
-def _effect_sqrt(effect: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(effect)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
-
-
-def _apply_single_qubit(op, qubit, n, vec):
-    v = vec.reshape(1 << qubit, 2, -1)
-    return np.einsum("ab,ibj->iaj", op, v).reshape(-1)
-
-
 def brute_force_pmf(state, povm, params, alpha) -> LatticePmf:
-    """PMF of X by explicit enumeration of all outcome strings (N <= 14)."""
+    """PMF of X by explicit 2^N state vectors (N <= 14).
+
+    Keeps one vector per partial intensity I over the first q particles,
+    the sum of ``E_a1 (x) ... (x) E_aq`` over outcome strings with total I
+    applied to psi, and ends with ``P(I) = <psi|v_I>``: O(N * L * 2^N) for
+    L intensity values.
+    """
     a = _check_alpha(alpha)
     n = state.n_particles
     if n > BRUTE_FORCE_MAX_N:
@@ -517,23 +506,18 @@ def brute_force_pmf(state, povm, params, alpha) -> LatticePmf:
             f"brute force supports N <= {BRUTE_FORCE_MAX_N}, got {n}"
         )
     psi = _full_state_vector(state)
-    sqrts = [_effect_sqrt(e) for e in povm.effects]
-    outcomes = povm.outcomes
-    buckets: dict[float, float] = {}
-
-    def recurse(qubit, vec, intensity):
-        if qubit == n:
-            weight = float(np.vdot(vec, vec).real)
-            key = round(intensity, 10)
-            buckets[key] = buckets.get(key, 0.0) + weight
-            return
-        for outcome, root in zip(outcomes, sqrts):
-            branch = _apply_single_qubit(root, qubit, n, vec)
-            recurse(qubit + 1, branch, intensity + outcome)
-
-    recurse(0, psi, 0.0)
-    intensities = np.array(sorted(buckets))
-    probs = np.array([buckets[key] for key in intensities])
+    partial = {0.0: psi}
+    for qubit in range(n):
+        advanced: dict[float, np.ndarray] = {}
+        for intensity, vec in partial.items():
+            for outcome, effect in zip(povm.outcomes, povm.effects):
+                key = round(intensity + outcome, 10)
+                branch = np.einsum("ab,ibj->iaj", effect,
+                                   vec.reshape(1 << qubit, 2, -1)).reshape(-1)
+                advanced[key] = advanced[key] + branch if key in advanced else branch
+        partial = advanced
+    intensities = np.array(sorted(partial))
+    probs = np.array([np.vdot(psi, partial[key]).real for key in intensities])
     probs = probs / probs.sum()
     scale = params.tau * float(n) ** a
     values = (intensities - n * params.mu) / scale

@@ -22,6 +22,7 @@ from .errors import (
     GridTooNarrowError,
     NegativeDensityError,
     ValidationError,
+    check_unit_vector,
 )
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "verify_hermite_lemma",
 ]
 
-_NORM_ATOL = 1e-12
 BOUNDARY_MASS_TOL = 1e-10
 
 
@@ -89,12 +89,7 @@ class LimitState:
     width: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ValidationError("coeffs must be a nonempty 1-d array")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
+        c = check_unit_vector(self.coeffs)
         if self.width < 0:
             raise ValidationError("width must be nonnegative")
         c = c.copy()
@@ -110,22 +105,8 @@ class LimitState:
         return self.coeffs * np.exp(1j * k * (self.phi + offset))
 
 
-def hermite(k: int, x):
-    """Probabilists' Hermite polynomial He_k via the three-term recurrence."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = x * h - j * h_prev, h
-    return h
-
-
 def _hermite_rows(k_max: int, x: np.ndarray) -> np.ndarray:
-    """He_0..He_k_max stacked along axis 0."""
+    """He_0..He_k_max stacked along axis 0, by the three-term recurrence."""
     rows = np.empty((k_max + 1,) + x.shape, dtype=float)
     rows[0] = 1.0
     if k_max >= 1:
@@ -133,6 +114,13 @@ def _hermite_rows(k_max: int, x: np.ndarray) -> np.ndarray:
     for j in range(1, k_max):
         rows[j + 1] = x * rows[j] - j * rows[j - 1]
     return rows
+
+
+def hermite(k: int, x):
+    """Probabilists' Hermite polynomial He_k via the three-term recurrence."""
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    return _hermite_rows(k, np.asarray(x, dtype=float))[k]
 
 
 def oscillator_wavefunction(k: int, x):
@@ -280,12 +268,7 @@ def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
     ``f(theta) = sum_k c_k e^{i k phi} e^{i k theta}``; only level
     differences matter, so any common index offset drops out.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size < 1:
-        raise ValidationError("coeffs must be a nonempty 1-d array")
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > _NORM_ATOL:
-        raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
+    c = check_unit_vector(coeffs)
     if theta_grid is None:
         theta_grid = default_rotor_grid()
     theta = np.asarray(theta_grid, dtype=float)

@@ -3,16 +3,20 @@
 Three imperfection models and how they deform the limiting statistics:
 
 * loss of particles before detection, which broadens the effective Gaussian
-  width of the limit readout and has an exact finite-size characteristic
-  function;
+  width of the limit readout; at finite size it is a third outcome ``mu``
+  of probability 1 - p (``lossy_povm``);
 * depolarizing / dephasing channels acting identically on every particle,
   absorbed into the measurement by their adjoint maps and re-derived as an
   effective (width, phase) pair;
 * bounded additive classical noise on the collective readout itself,
-  applied by convolution.
+  applied to a density by convolution.
 
 The CHSH sweep maps the violation across (smearing width, noise bound)
-cells and reports where it drops to the classical boundary.
+cells and reports where it drops to the classical boundary.  The sign of a
+noisy readout integrates like the clean readout against S, the sign
+convolved with the noise density, which has a closed form; so each cell is
+one ``bell.smoothed_sign_overlap_table`` quadrature and no density is
+convolved.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import erf
 
-from .bell import _check_unit_vector, _pair_correlation, optimize_chsh, signed_line_integral
+from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
 from .errors import (
     DivergentWidthError,
     InvalidLossError,
     SingularChannelError,
     ValidationError,
 )
-from .finite_n import _povm_entry_arrays, _superposition_expectation
-from .limits import GridDensity, smeared_level_kernel
+from .finite_n import char_fn_finite
+from .limits import GridDensity
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
 
 #: Width values above this raise DivergentWidth instead of being returned.
@@ -83,7 +88,7 @@ def loss_width(params: DerivedParams, p: float) -> float:
 
     Closed form sigma^2 / (p tau^2) - 1: the detected sum has variance
     p sigma^2 per particle and is rescaled by p tau (the intensity of
-    ``loss_char_fn_finite``).  Arranged so that p = 1 returns ``params.s2``
+    ``lossy_povm``).  Arranged so that p = 1 returns ``params.s2``
     bit-exactly.  The expression has a simple pole at p = 0; values above
     ``WIDTH_SQUARED_CAP`` raise DivergentWidth.
     """
@@ -97,27 +102,34 @@ def loss_width(params: DerivedParams, p: float) -> float:
     return float(value)
 
 
+def lossy_povm(povm: SingleParticlePovm, params: DerivedParams,
+               p: float) -> tuple[SingleParticlePovm, DerivedParams]:
+    """Three-outcome rewrite of per-particle loss: a missed particle scores mu.
+
+    The effects become ``p E_a`` plus ``(1 - p) I`` for outcome ``mu``
+    (merged into its effect if ``mu`` is an outcome); ``tau`` becomes ``p tau``.
+    """
+    if not (0.0 < p <= 1.0):
+        raise InvalidLossError(f"detection probability must lie in (0, 1], got {p!r}")
+    missed = (1.0 - p) * np.eye(2, dtype=complex)
+    outcomes, effects = list(povm.outcomes), [p * e for e in povm.effects]
+    if params.mu in outcomes:
+        effects[outcomes.index(params.mu)] += missed
+    else:
+        outcomes, effects = [params.mu, *outcomes], [missed, *effects]
+    loss_povm = validate_povm(outcomes, effects)
+    return loss_povm, derive_params(loss_povm, mode=params.mode, mu=params.mu, tau=p * params.tau)
+
+
 def loss_char_fn_finite(state, povm: SingleParticlePovm, params: DerivedParams,
                         p: float, t):
     """Exact characteristic function of the lossy rescaled intensity.
 
     Each particle independently reaches the detector with probability p; the
     intensity counts received outcomes only and is rescaled by p tau sqrt(N).
-    Per particle the transfer operator is
-    sum_a E_a (1 - p + p exp(it (a - mu) / (p tau sqrt(N)))).
+    This is ``char_fn_finite`` at alpha = 1/2 on ``lossy_povm``.
     """
-    if not (0.0 < p <= 1.0):
-        raise InvalidLossError(f"detection probability must lie in (0, 1], got {p!r}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scale = p * params.tau * math.sqrt(state.n_particles)
-    shifted = np.asarray(povm.outcomes, dtype=float) - params.mu
-    factors = 1.0 - p + p * np.exp(1j * np.outer(t_arr, shifted) / scale)
-    entries = _povm_entry_arrays(povm, factors)
-    values = _superposition_expectation(state, *entries)
-    values = np.where(t_arr == 0.0, 1.0 + 0.0j, values)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(values[0])
-    return values
+    return char_fn_finite(state, *lossy_povm(povm, params, p), 0.5, t)
 
 
 def _channel_lambda(lam: float, name: str) -> float:
@@ -180,6 +192,14 @@ def _kernel_profile(shape: str, eps: float):
     sigma = 0.5 * eps
     mass = math.erf(math.sqrt(2.0))  # integral of the untruncated core over [-eps, eps]
     return lambda r: np.exp(-0.5 * (r / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi) * mass)
+
+
+def _smoothed_sign(shape: str, eps: float):
+    """sign convolved with the noise density, on [0, eps]; it is 1 beyond eps."""
+    if shape == "uniform":
+        return lambda x: x / eps
+    # erf(x / (sigma sqrt 2)) / erf(sqrt 2) with sigma = eps / 2
+    return lambda x: erf(x * math.sqrt(2.0) / eps) / math.erf(math.sqrt(2.0))
 
 
 def classical_noise_variance(noise: NoiseSpec) -> float:
@@ -247,19 +267,6 @@ class SweepResult(NamedTuple):
     threshold_s: np.ndarray   # per eps row: s where CHSH crosses 2 (nan if none)
 
 
-def _signed_kernel_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndarray:
-    """Table of sign-integrals of the smeared level kernels after noise."""
-    half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
-    grid = np.linspace(-half, half, 4001)
-    table = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        for l in range(k, k_max + 1):
-            values = smeared_level_kernel(k, l, grid, s)
-            g, v = _convolve_values(grid, values, eps, shape)
-            table[k, l] = table[l, k] = signed_line_integral(g, v)
-    return table
-
-
 def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
                      shape: str = "uniform") -> SweepResult:
     """CHSH across a grid of smearing widths and classical noise bounds.
@@ -268,10 +275,10 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     the joint density factorizes over the level-pair kernels, so the
     sign-binned correlator reduces exactly to the squared table of noisy
     kernel sign-integrals; the sweep evaluates that reduction rather than
-    building the full 2-d density per cell.  Per noise row the result
-    records where the value crosses the classical boundary 2.
+    building the full 2-d density per cell; the (0, 0) cell equals
+    ``clean_value`` bit for bit.  Per noise row the result records where
+    the value crosses the classical boundary 2.
     """
-    coeffs = _check_unit_vector(schmidt_coeffs)
     if shape not in _SHAPES:
         raise ValidationError(f"classical_shape must be one of {_SHAPES}, got {shape!r}")
     s_grid = np.asarray(s_grid, dtype=float)
@@ -283,20 +290,14 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(eps_grid))):
         raise ValidationError("grid values must be finite")
 
-    best = optimize_chsh(coeffs)
-    a, ap, b, bp = best.angles
-    k_max = coeffs.size - 1
+    best = optimize_chsh(schmidt_coeffs)
+    config = BellConfig(schmidt_coeffs, *best.angles)
 
-    chsh = np.empty((eps_grid.size, s_grid.size))
-    for j, s in enumerate(s_grid):
-        for i, eps in enumerate(eps_grid):
-            overlaps = _signed_kernel_overlaps(k_max, float(s), float(eps), shape)
-            squared = overlaps**2
+    def cell(s: float, eps: float) -> float:
+        ramp = _smoothed_sign(shape, eps)
+        return chsh_value(config, smoothed_sign_overlap_table(config.k_max, s, eps, ramp))
 
-            def g(phase_sum, squared=squared):
-                return float(_pair_correlation(coeffs, squared, phase_sum))
-
-            chsh[i, j] = g(a + b) + g(a + bp) + g(ap + b) - g(ap + bp)
+    chsh = np.array([[cell(s, eps) for s in s_grid.tolist()] for eps in eps_grid.tolist()])
 
     threshold = np.full(eps_grid.size, np.nan)
     for i in range(eps_grid.size):

@@ -40,14 +40,14 @@ from macrobell.noise import (
     dephase_povm,
     depolarize_povm,
     loss_width,
+    lossy_povm,
     noisy_limit_params,
 )
-from macrobell.povm import derive_params, validate_povm
+from macrobell.povm import derive_params
 from macrobell.sampling import ks_distance, sample_outcomes, scaling_exponent
 
 from conftest import CHSH_OPTIMUM, PAPER_COEFFS, record_criterion
 from test_finite_n import random_instance
-from test_noise import lossy_equivalent_povm
 
 
 def single_level(n: int, k: int) -> DickeSuperposition:
@@ -194,7 +194,7 @@ def test_criterion_07_loss_formula(sigma_x, params_x):
         for p in (0.1, 0.3, 0.5, 0.8, 1.0):
             width = loss_width(params, p)
             closed_form = params.sigma2 / (p * params.tau**2) - 1.0
-            rederived = lossy_equivalent_povm(povm, params, p)[1].s2
+            rederived = lossy_povm(povm, params, p)[1].s2
             for expected in (closed_form, rederived):
                 law_gap = max(law_gap,
                               abs(width - expected) / max(abs(expected), 1.0))
@@ -206,12 +206,7 @@ def test_criterion_07_loss_formula(sigma_x, params_x):
     moments_ok = True
     n = 2000
     for p in (0.5, 0.8):
-        outcomes = (params_x.mu,) + tuple(sigma_x.outcomes)
-        effects = [(1.0 - p) * np.eye(2, dtype=complex)]
-        effects.extend(p * e for e in sigma_x.effects)
-        loss_povm = validate_povm(outcomes, effects)
-        loss_params = derive_params(loss_povm, mu=params_x.mu,
-                                    tau=p * params_x.tau)
+        loss_povm, loss_params = lossy_povm(sigma_x, params_x, p)
         m2 = moments_finite(single_level(n, 1), loss_povm, loss_params, 0.5,
                             order=2).raw[2]
         implied = 3.0 + loss_width(params_x, p)

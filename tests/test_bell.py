@@ -17,8 +17,10 @@ from macrobell.bell import (
     optimize_chsh,
     sign_overlap_table,
     signed_line_integral,
+    smoothed_sign_overlap_table,
 )
 from macrobell.errors import CapExceededError, ValidationError
+from macrobell.noise import _smoothed_sign
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -50,6 +52,18 @@ def test_sign_overlap_quadrature_stability():
     coarse = sign_overlap_table(6, nodes=600).values
     fine = sign_overlap_table(6, nodes=1200).values
     assert np.max(np.abs(coarse - fine)) <= 1e-10
+    # Smeared kernels at the 16-level cap against a truncated-Gaussian step.
+    ramp = _smoothed_sign("truncated_gaussian", 0.25)
+    coarse, fine = (smoothed_sign_overlap_table(15, 0.3, 0.25, ramp, nodes=n).values
+                    for n in (600, 1200))
+    assert np.max(np.abs(coarse - fine)) <= 1e-11
+
+
+def test_smoothed_table_reduces_to_sign_table():
+    assert smoothed_sign_overlap_table(4).values is sign_overlap_table(4).values
+    for bad in ({"width": -0.1}, {"edge": math.nan}, {"width": math.inf}):
+        with pytest.raises(ValidationError):
+            smoothed_sign_overlap_table(4, **bad)
 
 
 def test_sign_overlap_is_readonly():

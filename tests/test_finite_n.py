@@ -340,6 +340,23 @@ def test_projective_pmf_top_of_ladder_against_brute_force():
     assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
 
 
+@pytest.mark.parametrize("depol", [0.0, 0.2])
+def test_mid_ladder_against_brute_force_at_the_oracle_cap(depol):
+    # N = 14 is BRUTE_FORCE_MAX_N.  The plain Bloch POVM takes the rotation
+    # route, the depolarised one the inversion route.
+    from macrobell.noise import depolarize_povm
+
+    povm = projective_from_bloch(1.0, 0.4)
+    if depol:
+        povm = depolarize_povm(povm, depol)
+    params = derive_params(povm)
+    n = finite_n.BRUTE_FORCE_MAX_N
+    state = DickeSuperposition.from_coeffs(n, [0.6, 0.48j, -0.64], base_level=n // 2 - 1)
+    assert (projective_basis(povm) is None) == bool(depol)
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
+
+
 def test_three_outcome_projective_povm_with_empty_effect():
     plus = 0.5 * (I2 + PAULI_X)
     povm = validate_povm([0.0, 1.0, 2.0], [np.zeros((2, 2)), I2 - plus, plus])

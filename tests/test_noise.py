@@ -7,9 +7,10 @@ import pytest
 
 from macrobell.bell import (
     BellConfig,
-    _pair_correlation,
     bipartite_density_alpha_half,
+    correlator,
     signed_line_integral,
+    smoothed_sign_overlap_table,
 )
 from macrobell.errors import (
     DivergentWidthError,
@@ -19,22 +20,28 @@ from macrobell.errors import (
 )
 from macrobell.finite_n import (
     DickeSuperposition,
+    brute_force_char_fn,
     char_fn_finite,
-    moments_finite,
     pmf_finite,
 )
-from macrobell.limits import GridDensity, LimitState, limit_density_alpha_half
+from macrobell.limits import (
+    GridDensity,
+    LimitState,
+    limit_density_alpha_half,
+    smeared_level_kernel,
+)
 from macrobell.noise import (
     NoiseSpec,
     _convolve_values,
     _kernel_profile,
-    _signed_kernel_overlaps,
+    _smoothed_sign,
     classical_noise_variance,
     convolve_classical_noise,
     dephase_povm,
     depolarize_povm,
     loss_char_fn_finite,
     loss_width,
+    lossy_povm,
     noisy_chsh_sweep,
     noisy_limit_params,
 )
@@ -48,15 +55,27 @@ def w_state(n: int) -> DickeSuperposition:
                               coeffs=np.array([1.0 + 0.0j]))
 
 
-def lossy_equivalent_povm(povm, params, p: float):
-    """Three-outcome rewrite of per-particle loss: a missed particle scores mu."""
-    outcomes = (params.mu,) + tuple(povm.outcomes)
-    effects = [(1.0 - p) * np.eye(2, dtype=complex)]
-    effects.extend(p * e for e in povm.effects)
-    loss_povm = validate_povm(outcomes, effects)
-    loss_params = derive_params(loss_povm, mode="half", mu=params.mu,
-                                tau=p * params.tau)
-    return loss_povm, loss_params
+def grid_route_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndarray:
+    """Reference noisy sign-overlap table on a 4001-point grid.
+
+    Samples each smeared kernel, convolves it with the noise density
+    through a cubic spline, and integrates against sign with Simpson's
+    rule; its own error reaches ~1e-8 at k_max = 7.
+    """
+    half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
+    grid = np.linspace(-half, half, 4001)
+    table = np.zeros((k_max + 1, k_max + 1))
+    for k in range(k_max + 1):
+        for l in range(k, k_max + 1):
+            values = smeared_level_kernel(k, l, grid, s)
+            g, v = _convolve_values(grid, values, eps, shape)
+            table[k, l] = table[l, k] = signed_line_integral(g, v)
+    return table
+
+
+def noisy_table(k_max: int, s: float, eps: float, shape: str, nodes: int = 600):
+    return smoothed_sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps),
+                                       nodes=nodes).values
 
 
 class TestNoiseSpec:
@@ -121,16 +140,37 @@ class TestLoss:
     @pytest.mark.parametrize("p", [0.35, 0.8])
     def test_char_fn_against_three_outcome_rewrite(self, sigma_x, params_x, p):
         # Losing a particle is the same measurement with a third, weight-mu
-        # outcome of probability 1 - p; the characteristic functions must
-        # agree to roundoff.
+        # outcome of probability 1 - p; the Dicke-sum characteristic function
+        # must match explicit 2^N enumeration of that measurement.
         state = DickeSuperposition(
-            n_particles=10, base_level=0,
+            n_particles=8, base_level=0,
             coeffs=np.array([0.6, 0.0, 0.8j], dtype=complex))
-        loss_povm, loss_params = lossy_equivalent_povm(sigma_x, params_x, p)
+        loss_povm, loss_params = lossy_povm(sigma_x, params_x, p)
+        assert loss_povm.outcomes == (params_x.mu,) + sigma_x.outcomes
         ts = np.linspace(-5.0, 5.0, 21)
         direct = loss_char_fn_finite(state, sigma_x, params_x, p, ts)
-        rewrite = char_fn_finite(state, loss_povm, loss_params, 0.5, ts)
-        np.testing.assert_allclose(direct, rewrite, atol=1e-12)
+        brute = brute_force_char_fn(state, loss_povm, loss_params, 0.5, ts)
+        np.testing.assert_allclose(direct, brute, atol=1e-12)
+
+    def test_char_fn_when_mu_is_an_outcome(self):
+        # Unsharp x-binning with a null outcome 0 = mu: the missed-particle
+        # effect (1 - p) I merges into the effect of 0.
+        plus = 0.4 * (np.eye(2) + np.array([[0.0, 1.0], [1.0, 0.0]]))
+        povm = validate_povm([-1.0, 0.0, 1.0], [0.8 * np.eye(2) - plus,
+                                                 0.2 * np.eye(2), plus])
+        params = derive_params(povm)
+        assert params.mu == 0.0
+        p = 0.6
+        loss_povm, loss_params = lossy_povm(povm, params, p)
+        assert loss_povm.outcomes == povm.outcomes
+        np.testing.assert_allclose(loss_povm.effects[1],
+                                   (1.0 - p + 0.2 * p) * np.eye(2), atol=1e-15)
+        assert loss_params.tau == pytest.approx(p * params.tau, rel=1e-15)
+        state = DickeSuperposition.from_coeffs(7, [1.0, 0.5j, -0.3], base_level=2)
+        ts = np.linspace(-4.0, 4.0, 17)
+        direct = loss_char_fn_finite(state, povm, params, p, ts)
+        brute = brute_force_char_fn(state, loss_povm, loss_params, 0.5, ts)
+        np.testing.assert_allclose(direct, brute, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.25, 0.6, 1.0])
     def test_product_state_lossy_second_moment(self, sigma_x, params_x, p):
@@ -138,7 +178,7 @@ class TestLoss:
         # contributes an independent +-1, so E[X^2] = 1/p at every N.
         state = DickeSuperposition(n_particles=12, base_level=0,
                                    coeffs=np.array([1.0 + 0.0j]))
-        loss_povm, loss_params = lossy_equivalent_povm(sigma_x, params_x, p)
+        loss_povm, loss_params = lossy_povm(sigma_x, params_x, p)
         pmf = pmf_finite(state, loss_povm, loss_params, 0.5)
         m2 = float(np.sum(pmf.probs * pmf.values**2))
         assert m2 == pytest.approx(1.0 / p, rel=1e-12)
@@ -150,7 +190,7 @@ class TestLoss:
         # Exact finite-N law for the shared-excitation state: the detected
         # second moment is 1/p + 2 - 2/N, whose N -> infinity limit is
         # 1/p + 2, i.e. squared width 1/p + 1 on top of the Gaussian unit.
-        loss_povm, loss_params = lossy_equivalent_povm(sigma_x, params_x, p)
+        loss_povm, loss_params = lossy_povm(sigma_x, params_x, p)
         pmf = pmf_finite(w_state(n), loss_povm, loss_params, 0.5)
         m2 = float(np.sum(pmf.probs * pmf.values**2))
         assert m2 == pytest.approx(1.0 / p + 2.0 - 2.0 / n, rel=1e-11)
@@ -240,6 +280,18 @@ class TestClassicalNoise:
         assert float(w @ (kernel * r**2)) == pytest.approx(
             classical_noise_variance(spec), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", ["uniform", "truncated_gaussian"])
+    def test_smoothed_sign_is_sign_convolved_with_density(self, shape):
+        # S(x) = int sign(x - r) n(r) dr = 2 * (mass of n below x) - 1.
+        eps = 0.37
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        density = _kernel_profile(shape, eps)
+        for x in np.linspace(0.0, eps, 7):
+            r = 0.5 * (x + eps) * (nodes + 1.0) - eps
+            below = 0.5 * (x + eps) * float(weights @ density(r))
+            assert _smoothed_sign(shape, eps)(x) == pytest.approx(2.0 * below - 1.0,
+                                                                  abs=1e-13)
+
     def test_zero_eps_variance_and_identity(self):
         assert classical_noise_variance(NoiseSpec()) == 0.0
         density = limit_density_alpha_half(
@@ -317,18 +369,52 @@ class TestSweep:
             noisy_chsh_sweep(np.array([0.6, 0.6]), np.array([0.0]),
                              np.array([0.0]))
 
+    @pytest.mark.parametrize("coeffs", [
+        PAPER_COEFFS, np.full(8, 8**-0.5, dtype=complex),
+        np.full(16, 0.25, dtype=complex)], ids=["paper", "equal8", "equal16"])
+    def test_clean_cell_is_clean_value(self, coeffs):
+        result = noisy_chsh_sweep(coeffs, np.array([0.0, 0.1]),
+                                  np.array([0.0, 0.1]))
+        assert result.chsh[0, 0] == result.clean_value
+
+    @pytest.mark.parametrize("shape", ["uniform", "truncated_gaussian"])
+    @pytest.mark.parametrize("s,eps", [(0.0, 0.25), (0.3, 0.0), (0.3, 0.25)])
+    @pytest.mark.parametrize("k_max", [2, 7])
+    def test_tables_match_grid_route(self, k_max, s, eps, shape):
+        # The grid route is the looser of the two: at k_max = 7, s = 0 its
+        # (6, 7) entry is off by 1.06e-8 from adaptive quadrature (see the
+        # next test), so the bound is 2e-8 rather than 1e-8.
+        gap = np.max(np.abs(noisy_table(k_max, s, eps, shape)
+                            - grid_route_overlaps(k_max, s, eps, shape)))
+        assert gap <= 2e-8
+
+    @pytest.mark.parametrize("shape", ["uniform", "truncated_gaussian"])
+    def test_table_entries_against_adaptive_quadrature(self, shape):
+        from scipy.integrate import quad
+
+        s, eps = 0.0, 0.25
+        table = noisy_table(7, s, eps, shape)
+        ramp = _smoothed_sign(shape, eps)
+        for k, l in ((0, 7), (6, 7), (2, 5)):
+            def integrand(x, k=k, l=l):
+                kernel = smeared_level_kernel(k, l, np.array([x]), s)[0]
+                return kernel * (float(ramp(x)) if x < eps else 1.0)
+
+            exact = 2.0 * sum(quad(integrand, lo, hi, epsabs=1e-15, limit=200)[0]
+                              for lo, hi in ((0.0, eps), (eps, 40.0)))
+            assert table[k, l] == pytest.approx(exact, abs=1e-12)
+
     def test_factorized_cell_matches_two_dimensional_route(self):
         # Regression for the sweep's factorization: one noisy cell evaluated
         # through the full joint density -- smear both parties, convolve the
         # classical kernel along both axes, sign-bin -- must agree with the
         # kernel-overlap reduction the sweep actually computes.
         s, eps, shape = 0.3, 0.25, "uniform"
-        phi_sum = 0.15 + (-0.4)
         k_max = PAPER_COEFFS.size - 1
 
-        overlaps = _signed_kernel_overlaps(k_max, s, eps, shape)
-        factorized = float(_pair_correlation(PAPER_COEFFS, overlaps**2,
-                                             phi_sum))
+        overlaps = smoothed_sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps))
+        factorized = correlator(BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15,
+                                           phi_b=-0.4), "AB", table=overlaps)
 
         half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
         grid = np.linspace(-half, half, 1201)
