@@ -3,8 +3,8 @@
 Exact finite-size statistics of collective measurement records, their
 limit laws under square-root and full coarse graining, bipartite Bell
 correlations of the limit objects, noise and loss robustness, a local
-hidden-variable construction for the fully coarse-grained branch, and a
-sequential sampler.
+hidden-variable construction for the fully coarse-grained branch, and an
+exact sampler.
 
 Submodules are imported lazily: ``import macrobell`` stays cheap, and the
 command-line entry point gets to pin the BLAS thread environment before

@@ -110,6 +110,17 @@ class DivergentWidthError(NumericError):
     code = "divergent_width"
 
 
+def check_alpha(alpha) -> float:
+    """The coarse-graining exponent as a float: 0.5 or 1.0, nothing else."""
+    try:
+        a = float(alpha)
+    except (TypeError, ValueError):
+        a = None
+    if a not in (0.5, 1.0):
+        raise ValidationError(f"alpha must be 0.5 or 1.0, got {alpha!r}")
+    return a
+
+
 def check_unit_vector(coeffs, ndim: int = 1):
     """Coefficients as a nonempty, finite, unit-norm complex ``ndim``-d array."""
     import numpy as np  # on call: the CLI imports this module before pinning BLAS threads

@@ -37,9 +37,10 @@ from .errors import (
     NumericError,
     OffLatticeError,
     ValidationError,
+    check_alpha,
     check_unit_vector,
 )
-from .povm import DerivedParams, SingleParticlePovm, projective_basis
+from .povm import SingleParticlePovm, projective_basis
 
 __all__ = [
     "DickeSuperposition",
@@ -48,6 +49,7 @@ __all__ = [
     "dicke_matrix_element",
     "char_fn_finite",
     "pmf_finite",
+    "rotated_weights",
     "moments_finite",
     "brute_force_pmf",
     "brute_force_char_fn",
@@ -259,13 +261,6 @@ def _superposition_expectation(state, m00, m01, m10, m11):
     return total
 
 
-def _check_alpha(alpha) -> float:
-    a = float(alpha)
-    if a not in (0.5, 1.0):
-        raise ValidationError(f"alpha must be 0.5 or 1.0, got {alpha!r}")
-    return a
-
-
 def _povm_entry_arrays(povm: SingleParticlePovm, phases: np.ndarray):
     """Entries of sum_a E_a * phases[..., a] as four arrays."""
     e = np.stack(povm.effects)  # (n_out, 2, 2)
@@ -290,7 +285,7 @@ def char_fn_finite(state, povm, params, alpha, t):
     -------
     complex or complex ndarray, matching the shape of ``t``.
     """
-    a = _check_alpha(alpha)
+    a = check_alpha(alpha)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scale = params.tau * state.n_particles ** a
     shifted = np.asarray(povm.outcomes, dtype=float) - params.mu
@@ -333,7 +328,7 @@ _JZ = np.diag([-0.5, 0.5]).astype(complex)
 _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-def _rotated_weights(state, basis) -> np.ndarray:
+def rotated_weights(state, basis) -> np.ndarray:
     """Weights ``|<N,m|_U psi>|^2``, m = 0..N, in the Dicke basis built on U.
 
     ``|N,m>_U`` holds m particles in ``U|1>``.  Its overlap with
@@ -344,7 +339,8 @@ def _rotated_weights(state, basis) -> np.ndarray:
     weights.  The solver fixes each vector only up to a sign, so
     consecutive vectors are rephased until the rotated raising operator
     maps one onto the next with the positive factor sqrt((k+1)(N-k)),
-    as J_+ does on the Dicke ladder.
+    as J_+ does on the Dicke ladder.  Raises NumericError when the weights
+    miss unit mass by more than 1e-10.
     """
     n = state.n_particles
     h = basis.conj().T @ _JZ @ basis
@@ -373,7 +369,11 @@ def _rotated_weights(state, basis) -> np.ndarray:
         overlap = complex(np.dot(vectors[:, k], raised))
         phase *= overlap / abs(overlap)
         amplitude += state.coeffs[k] * phase * vectors[:, k]
-    return np.abs(amplitude) ** 2
+    weights = np.abs(amplitude) ** 2
+    mass_defect = abs(float(weights.sum()) - 1.0)
+    if mass_defect > 1e-10:
+        raise NumericError(f"rotated weights miss unit mass by {mass_defect:.3e}")
+    return weights
 
 
 def _inverted_probs(state, povm, idx, size) -> np.ndarray:
@@ -426,7 +426,7 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
     NegativeDensityError
         If inversion produces negativity beyond roundoff (1e-12).
     """
-    a = _check_alpha(alpha)
+    a = check_alpha(alpha)
     n = state.n_particles
     a_min, step, idx = _lattice_structure(povm.outcomes)
     j_max = int(idx.max())
@@ -441,12 +441,7 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
         p = _inverted_probs(state, povm, idx, size)
     else:
         basis, column_outcome = projective
-        weights = _rotated_weights(state, basis)
-        mass_defect = abs(float(weights.sum()) - 1.0)
-        if mass_defect > 1e-10:
-            raise NumericError(
-                f"rotated weights miss unit mass by {mass_defect:.3e}"
-            )
+        weights = rotated_weights(state, basis)
         j0, j1 = idx[column_outcome]
         excited = np.arange(n + 1)
         p = np.bincount((n - excited) * j0 + excited * j1,
@@ -499,7 +494,7 @@ def brute_force_pmf(state, povm, params, alpha) -> LatticePmf:
     applied to psi, and ends with ``P(I) = <psi|v_I>``: O(N * L * 2^N) for
     L intensity values.
     """
-    a = _check_alpha(alpha)
+    a = check_alpha(alpha)
     n = state.n_particles
     if n > BRUTE_FORCE_MAX_N:
         raise CapExceededError(

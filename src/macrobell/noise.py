@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
@@ -223,6 +222,8 @@ def _convolve_values(grid: np.ndarray, values: np.ndarray, eps: float, shape: st
     quadrature at every extended node, which preserves trapezoid-measured
     mass and variance of smooth inputs to near machine precision.
     """
+    from scipy.interpolate import CubicSpline  # on call: no CLI command needs it
+
     if eps == 0.0:
         return grid, values
     step_left = grid[1] - grid[0]

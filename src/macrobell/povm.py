@@ -40,6 +40,7 @@ __all__ = [
     "SingleParticlePovm",
     "DerivedParams",
     "validate_povm",
+    "common_eigenbasis",
     "projective_basis",
     "derive_params",
     "projective_from_bloch",
@@ -109,7 +110,10 @@ def validate_povm(outcomes: Sequence[float], effects: Iterable) -> SingleParticl
         The message names the offending outcome index.
     """
     effect_list = [_as_effect(m) for m in effects]
-    out = [float(a) for a in outcomes]
+    try:
+        out = [float(a) for a in outcomes]
+    except (TypeError, ValueError):
+        raise ValidationError(f"outcomes must be real numbers, got {outcomes!r}") from None
     if len(out) != len(effect_list):
         raise ValidationError(
             f"{len(out)} outcomes but {len(effect_list)} effects"
@@ -147,12 +151,40 @@ def validate_povm(outcomes: Sequence[float], effects: Iterable) -> SingleParticl
     return SingleParticlePovm(outcomes=tuple(out), effects=tuple(effect_list))
 
 
+def common_eigenbasis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray] | None:
+    """One orthonormal basis that diagonalizes every effect, or None.
+
+    The effects commute exactly when such a basis exists: always for two
+    outcomes (``E_1 = I - E_0``) and for the three-outcome loss rewrite,
+    never for a trine.  The basis comes from ``sum_a a_index * E_a``, whose
+    eigenvectors are the common ones; every rotated effect must then be
+    diagonal to 1e-12.  With three or more outcomes that sum can be a
+    multiple of the identity while the effects are not, and then None is
+    returned although the effects commute.
+
+    Returns
+    -------
+    (basis, column_probs) or None
+        ``basis`` is the unitary whose columns ``u_b`` are the
+        eigenvectors; ``column_probs[a, b] = <u_b|E_a|u_b>`` is the
+        probability of outcome ``a`` for a particle in ``u_b`` (clipped at
+        0, each column summing to 1).
+    """
+    effects = np.stack(povm.effects)
+    labels = np.arange(len(effects), dtype=float)
+    _, basis = np.linalg.eigh(np.tensordot(labels, effects, axes=1))
+    rotated = np.einsum("ji,ajk,kl->ail", basis.conj(), effects, basis)
+    if np.max(np.abs(rotated[:, 0, 1])) > COMPLETENESS_ATOL:
+        return None
+    column_probs = np.clip(np.einsum("aii->ai", rotated).real, 0.0, None)
+    return basis, column_probs / column_probs.sum(axis=0)
+
+
 def projective_basis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray] | None:
     """Common eigenbasis of a projective POVM, or None if there is none.
 
-    A POVM is projective here when one orthonormal basis ``U`` makes every
-    effect diagonal with 0/1 entries, to 1e-12. The basis comes from
-    ``sum_a a_index * E_a``, whose eigenvalues separate the projectors.
+    A POVM is projective here when its ``common_eigenbasis`` makes every
+    effect diagonal with 0/1 entries, to 1e-12.
 
     Returns
     -------
@@ -161,15 +193,12 @@ def projective_basis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray] 
         ``column_outcome[i]`` is the index of the outcome that column ``i``
         always produces.
     """
-    effects = np.stack(povm.effects)
-    labels = np.arange(len(effects), dtype=float)
-    _, basis = np.linalg.eigh(np.tensordot(labels, effects, axes=1))
-    rotated = np.einsum("ji,ajk,kl->ail", basis.conj(), effects, basis)
-    if np.max(np.abs(rotated[:, 0, 1])) > COMPLETENESS_ATOL:
+    common = common_eigenbasis(povm)
+    if common is None:
         return None
-    diagonal = np.einsum("aii->ai", rotated).real
-    ones = np.abs(diagonal - 1.0) <= COMPLETENESS_ATOL
-    if not np.all(ones | (np.abs(diagonal) <= COMPLETENESS_ATOL)):
+    basis, column_probs = common
+    ones = np.abs(column_probs - 1.0) <= COMPLETENESS_ATOL
+    if not np.all(ones | (column_probs <= COMPLETENESS_ATOL)):
         return None
     return basis, np.argmax(ones, axis=0)
 
@@ -302,7 +331,10 @@ def povm_to_json(povm: SingleParticlePovm) -> dict:
 def povm_from_json(data) -> SingleParticlePovm:
     """Decode and validate a POVM from a JSON dict, string, or file text."""
     if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise ValidationError(f"POVM JSON does not parse: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("POVM JSON must be an object")
     unknown = set(data) - {"outcomes", "effects"}
@@ -310,9 +342,14 @@ def povm_from_json(data) -> SingleParticlePovm:
         raise ValidationError(f"unknown POVM JSON keys: {sorted(unknown)}")
     if "outcomes" not in data or "effects" not in data:
         raise ValidationError("POVM JSON needs 'outcomes' and 'effects'")
+    if not isinstance(data["effects"], list):
+        raise ValidationError("POVM JSON 'effects' must be a list")
     effects = []
     for i, eff in enumerate(data["effects"]):
-        arr = np.asarray(eff, dtype=float)
+        try:
+            arr = np.asarray(eff, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"effect {i} is not an array of numbers") from None
         if arr.shape != (2, 2, 2):
             raise ValidationError(
                 f"effect {i} must be 2x2 entries of [re, im], got shape {arr.shape}"

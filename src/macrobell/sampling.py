@@ -1,16 +1,25 @@
-"""Sequential sampling of collective measurement records, exactly.
+"""Exact sampling of collective measurement records in the measurement eigenbasis.
 
-Measuring the particles of a Dicke superposition one at a time only ever
-needs the sesquilinear form of the unmeasured remainder on a narrow window
-of Dicke levels: the branching rule
+When the effects of the single-particle POVM commute (every two-outcome
+POVM, every preset, the three-outcome loss rewrite), one basis
+``u_0, u_1`` diagonalizes all of them, and measuring N particles is the
+Born rule on the Dicke states ``|N,m>_U`` (m particles in ``u_1``)
+followed by independent per-particle outcome noise:
 
-    |n, j>  =  sqrt((n-j)/n) |0>|n-1, j>  +  sqrt(j/n) |1>|n-1, j-1>
+    P(m) = |<N,m|_U psi>|^2,   outcome a of a particle in u_b
+                               with probability <u_b|E_a|u_b>.
 
-turns one measurement step into a 2x2-indexed update of that window, so a
-record of N outcomes costs O(N d^2) rather than 2^N.  Everything is
-vectorized across samples with one counter-based random stream per sample,
-which makes batches bit-for-bit reproducible no matter how the work is
-chunked or how many threads the host process uses.
+So a record is one occupation draw by inverse CDF on the rotated weights
+(``finite_n.rotated_weights``, O(N * levels) once per call) and the outcome
+counts of the N - m and the m particles by two multinomial draws.  A POVM
+without a common eigenbasis (three or more outcomes with non-parallel
+Bloch vectors, such as a trine) draws by inverse CDF from ``pmf_finite``,
+so it samples exactly where the exact distribution is available.
+
+Randomness comes from one counter-based Philox stream per role
+(occupation, counts in ``u_0``, counts in ``u_1``), consumed in record
+order: record i is a fixed function of (seed, i), whatever the batch size
+or the thread count of the host process.
 
 Also here: the empirical Kolmogorov-Smirnov distance and the
 variance-scaling exponent that identifies the right coarse-graining power.
@@ -23,24 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
-from .finite_n import DickeSuperposition, moments_finite
-from .povm import DerivedParams, SingleParticlePovm, derive_params
+from .errors import CapExceededError, ValidationError, check_alpha
+from .finite_n import DickeSuperposition, moments_finite, pmf_finite, rotated_weights
+from .povm import DerivedParams, SingleParticlePovm, common_eigenbasis, derive_params
 
 #: Particle-count cap for a single sampling call.
 MAX_SAMPLER_PARTICLES = 10**6
 
 #: Level-count (Schmidt dimension) cap.
 MAX_SAMPLER_LEVELS = 16
-
-#: Widest coherence window the sequential update will track.  The window
-#: only grows beyond the state's own level count when the initial occupation
-#: sits above the ground level (base_level > 0), by at most one level per
-#: measured particle.
-WINDOW_CAP = 64
-
-#: Target element count per vectorized chunk (uniform draws and matrices).
-_CHUNK_ELEMENTS = 1 << 24
 
 #: An X-variance below this is reported as exactly degenerate (beta = -inf).
 _DEGENERATE_VARIANCE = 1e-9
@@ -64,138 +64,59 @@ class SampleBatch:
         object.__setattr__(self, "values", v)
 
 
-def _sample_uniforms(seed: int, first: int, count: int, n_steps: int) -> np.ndarray:
-    """One row of uniforms per sample, each from its own counter stream.
-
-    Stream i uses a Philox counter offset of i * 2**128, so streams never
-    overlap and sample i sees the same draws regardless of batch layout.
-    """
-    rows = np.empty((count, n_steps))
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=(first + i) << 128))
-        rows[i] = gen.random(n_steps)
-    return rows
+def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Index drawn for each uniform; zero-probability entries are never drawn."""
+    cumulative = np.cumsum(probs)
+    return np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
 
 
 def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
-                    params: DerivedParams, alpha, n_samples: int, seed: int,
-                    chunk_elements: int = _CHUNK_ELEMENTS) -> SampleBatch:
-    """Draw i.i.d. records of the rescaled intensity X by sequential measurement.
+                    params: DerivedParams, alpha, n_samples: int,
+                    seed: int) -> SampleBatch:
+    """Draw i.i.d. records of the rescaled intensity X, exactly.
 
     Parameters
     ----------
     state, povm, params, alpha : as in the exact-distribution routines.
     n_samples : number of independent records.
-    seed : base key of the counter-based generator (one stream per sample).
-    chunk_elements : advisory cap on elements held per vectorized block;
-        results are identical for every value.
+    seed : key of the counter-based generator; record i depends only on
+        (seed, i).
 
     Notes
     -----
-    The per-step cost is O(w^2) per sample, where the window width w starts
-    at the state's level count and grows only while the occupation can still
-    reach lower levels (at most ``base_level`` extra levels).  Windows wider
-    than ``WINDOW_CAP`` raise CapExceeded.
+    A POVM with commuting effects costs O(N * levels) for the rotated
+    weights plus O(n_samples * outcomes) draws, at every base level.  Any
+    other POVM samples from ``pmf_finite`` and raises where it raises.
     """
-    alpha = float(alpha)
-    if alpha not in (0.5, 1.0):
-        raise ValidationError("alpha must be 0.5 or 1.0")
+    alpha = check_alpha(alpha)
     n = state.n_particles
     d = state.coeffs.size
     if n > MAX_SAMPLER_PARTICLES:
         raise CapExceededError(f"N = {n} exceeds the sampler cap {MAX_SAMPLER_PARTICLES}")
     if d > MAX_SAMPLER_LEVELS:
         raise CapExceededError(f"{d} levels exceed the sampler cap {MAX_SAMPLER_LEVELS}")
-    if state.base_level + d > WINDOW_CAP:
-        raise CapExceededError(
-            f"coherence window {state.base_level + d} exceeds {WINDOW_CAP}; "
-            "base_level is too high for sequential sampling"
-        )
     if n_samples < 1:
         raise ValidationError("n_samples must be positive")
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise ValidationError("seed must be an integer in [0, 2**64)")
     seed = int(seed)
 
-    effects = np.stack(povm.effects)                     # (n_out, 2, 2)
-    outcome_values = np.asarray(povm.outcomes, dtype=float)
-
-    max_width = min(state.base_level + d, WINDOW_CAP)
-    per_sample = max(n, max_width * max_width)
-    chunk = max(1, min(n_samples, int(chunk_elements) // per_sample))
-
-    values = np.empty(n_samples)
-    for start in range(0, n_samples, chunk):
-        count = min(chunk, n_samples - start)
-        uniforms = _sample_uniforms(seed, start, count, n)
-        values[start:start + count] = _sample_block(
-            state, effects, outcome_values, uniforms)
-
-    scale = params.tau * n**alpha
-    x = (values - n * params.mu) / scale
+    occupation, ground, excited = (
+        np.random.Generator(np.random.Philox(key=seed, counter=role << 128))
+        for role in range(3))
+    uniforms = occupation.random(n_samples)
+    common = common_eigenbasis(povm)
+    if common is None:
+        pmf = pmf_finite(state, povm, params, alpha)
+        x = pmf.values[_inverse_cdf(pmf.probs, uniforms)]
+    else:
+        basis, column_probs = common
+        m = _inverse_cdf(rotated_weights(state, basis), uniforms)
+        outcomes = np.asarray(povm.outcomes, dtype=float)
+        intensity = (ground.multinomial(n - m, column_probs[:, 0]) @ outcomes
+                     + excited.multinomial(m, column_probs[:, 1]) @ outcomes)
+        x = (intensity - n * params.mu) / (params.tau * n**alpha)
     return SampleBatch(values=x, n_particles=n, seed=seed, n_samples=n_samples)
-
-
-def _sample_block(state: DickeSuperposition, effects: np.ndarray,
-                  outcome_values: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Intensity totals for one vectorized block of samples."""
-    n_total = state.n_particles
-    count = uniforms.shape[0]
-    lo = state.base_level
-    hi = state.base_level + state.coeffs.size - 1
-
-    m = np.broadcast_to(
-        np.outer(state.coeffs, np.conj(state.coeffs)),
-        (count, hi - lo + 1, hi - lo + 1),
-    ).copy()
-    intensity = np.zeros(count)
-    n_out = effects.shape[0]
-
-    for step in range(n_total):
-        remaining = n_total - step
-        new_lo = max(0, lo - 1)
-        width = hi - new_lo + 1
-        levels = np.arange(new_lo, hi + 1)
-        # beta_b(remaining, J + b) for J in the new window; levels that can
-        # exceed the remaining particle count carry exactly zero amplitude,
-        # so their (clamped) branch weights never matter.
-        beta0 = np.sqrt(np.clip((remaining - levels) / remaining, 0.0, 1.0))
-        beta1 = np.sqrt(np.clip((levels + 1.0) / remaining, 0.0, 1.0))
-        betas = (beta0, beta1)
-
-        padded = np.zeros((count, width + 1, width + 1), dtype=complex)
-        off = lo - new_lo
-        old = hi - lo + 1
-        padded[:, off:off + old, off:off + old] = m
-
-        # Outcome probabilities via the 2x2 transfer form T[b', b].
-        t_form = np.empty((count, 2, 2), dtype=complex)
-        for b in (0, 1):
-            for bp in (0, 1):
-                diag = np.diagonal(padded[:, b:b + width, bp:bp + width],
-                                   axis1=1, axis2=2)
-                t_form[:, bp, b] = diag @ (betas[b] * betas[bp])
-        probs = np.tensordot(t_form, effects, axes=([1, 2], [1, 2])).real
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-
-        cumulative = np.cumsum(probs, axis=1)
-        drawn = np.minimum(
-            (cumulative < uniforms[:, step][:, None]).sum(axis=1), n_out - 1)
-        intensity += outcome_values[drawn]
-
-        chosen = effects[drawn]                          # (count, 2, 2)
-        updated = np.zeros((count, width, width), dtype=complex)
-        for b in (0, 1):
-            for bp in (0, 1):
-                weight = np.outer(betas[b], betas[bp])
-                updated += (chosen[:, bp, b][:, None, None]
-                            * weight[None, :, :]
-                            * padded[:, b:b + width, bp:bp + width])
-        trace = np.einsum("sjj->s", updated).real
-        m = updated / trace[:, None, None]
-        lo = new_lo
-    return intensity
 
 
 def ks_distance(batch: SampleBatch, cdf_evaluator) -> float:

@@ -225,6 +225,41 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
+def _povm_file(tmp_path, text):
+    path = tmp_path / "povm.json"
+    path.write_text(text)
+    return str(path)
+
+
+_SX_EFFECTS = [[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+               [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]]
+
+MALFORMED = {
+    "equal-coeffs": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
+                                 "--coeffs", "equal:abc"],
+    "bloch-angle": lambda tmp: ["dist", "--N", "10", "--povm", "bloch:x,1",
+                                "--state", "w"],
+    "dicke-level": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
+                                "--state", "dicke:q"],
+    "chsh-angle": lambda tmp: ["chsh", "--coeffs", "paper", "--angles", "1,2,3,x"],
+    "povm-not-json": lambda tmp: ["dist", "--N", "10", "--state", "w", "--povm",
+                                  _povm_file(tmp, "{not json")],
+    "povm-outcome-not-number": lambda tmp: [
+        "dist", "--N", "10", "--state", "w", "--povm",
+        _povm_file(tmp, json.dumps({"outcomes": ["x", -1], "effects": _SX_EFFECTS}))],
+    "povm-effect-not-number": lambda tmp: [
+        "dist", "--N", "10", "--state", "w", "--povm",
+        _povm_file(tmp, json.dumps({"outcomes": [1, -1],
+                                    "effects": [[["a", "b"], ["c", "d"]]] * 2}))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_validation_error(capsys, tmp_path, case):
+    payload = run_err(capsys, MALFORMED[case](tmp_path), 1)
+    assert payload["error"] == "validation"
+
+
 class TestPlumbing:
     def test_unknown_flag(self, capsys):
         payload = run_err(capsys, ["chsh", "--coeffs", "paper", "--optimize",

@@ -1,4 +1,4 @@
-"""The shared unit-coefficient check and the engines that apply it."""
+"""The shared unit-coefficient and alpha checks and the engines that apply them."""
 
 import math
 
@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from macrobell.bell import BellConfig, local_model_alpha_one, optimize_chsh
-from macrobell.errors import ValidationError, check_unit_vector
-from macrobell.finite_n import DickeSuperposition
+from macrobell.cli import run
+from macrobell.errors import ValidationError, check_alpha, check_unit_vector
+from macrobell.finite_n import DickeSuperposition, char_fn_finite, pmf_finite
 from macrobell.limits import LimitState, limit_density_alpha_one
+from macrobell.povm import derive_params, projective_from_bloch
+from macrobell.sampling import sample_outcomes
 
 SITES = {
     "DickeSuperposition": lambda c: DickeSuperposition(5, c),
@@ -46,3 +49,34 @@ def test_check_unit_vector_shape_and_norm():
     with pytest.raises(ValidationError, match="norm"):
         check_unit_vector([1.0, 1e-5])
     check_unit_vector([1.0, 1e-7])
+
+
+_SX = projective_from_bloch(math.pi / 2.0, 0.0)
+_W = DickeSuperposition.w_state(6)
+
+ALPHA_SITES = {
+    "pmf_finite": lambda a: pmf_finite(_W, _SX, derive_params(_SX), a),
+    "char_fn_finite": lambda a: char_fn_finite(_W, _SX, derive_params(_SX), a, 0.5),
+    "sample_outcomes": lambda a: sample_outcomes(_W, _SX, derive_params(_SX), a, 4, seed=0),
+}
+
+
+def test_check_alpha_values():
+    assert check_alpha(0.5) == 0.5 and check_alpha(1) == 1.0
+    assert isinstance(check_alpha(1), float)
+    for bad in (0.7, 0.0, math.nan, "x", None):
+        with pytest.raises(ValidationError, match="alpha must be 0.5 or 1.0"):
+            check_alpha(bad)
+
+
+@pytest.mark.parametrize("bad", [0.7, math.nan], ids=["0.7", "nan"])
+@pytest.mark.parametrize("site", sorted(ALPHA_SITES))
+def test_alpha_rejected_at_every_site(site, bad):
+    with pytest.raises(ValidationError, match="alpha must be 0.5 or 1.0"):
+        ALPHA_SITES[site](bad)
+
+
+def test_alpha_flag_rejected(capsys):
+    assert run(["dist", "--N", "6", "--povm", "sx", "--state", "w",
+                "--alpha", "0.7"]) == 1
+    assert "alpha must be 0.5 or 1.0" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from macrobell.errors import (
 from macrobell.povm import (
     PAULI_X,
     PAULI_Z,
+    common_eigenbasis,
     derive_params,
     povm_from_json,
     povm_to_json,
@@ -130,6 +131,25 @@ def test_json_rejects_unknown_keys(sigma_x):
     data["extra"] = 1
     with pytest.raises(ValidationError):
         povm_from_json(data)
+
+
+def test_common_eigenbasis_diagonalizes_commuting_effects():
+    # An unsharp two-outcome POVM along a tilted axis, and a three-outcome
+    # POVM whose Bloch vectors are parallel: both rebuild from the columns.
+    axis = math.sin(1.1) * PAULI_X + math.cos(1.1) * PAULI_Z
+    unsharp = 0.5 * (I2 + 0.7 * axis)
+    povms = [
+        validate_povm([1.0, -1.0], [unsharp, I2 - unsharp]),
+        validate_povm([0.0, 1.0, -1.0],
+                      [0.3 * I2, 0.35 * (I2 + axis), 0.35 * (I2 - axis)]),
+    ]
+    for povm in povms:
+        basis, column_probs = common_eigenbasis(povm)
+        np.testing.assert_allclose(basis.conj().T @ basis, I2, atol=1e-14)
+        np.testing.assert_allclose(column_probs.sum(axis=0), 1.0, atol=1e-15)
+        for effect, probs in zip(povm.effects, column_probs):
+            np.testing.assert_allclose(basis @ np.diag(probs) @ basis.conj().T,
+                                       effect, atol=1e-14)
 
 
 def test_bloch_directions_give_projectors():

@@ -1,14 +1,16 @@
-"""Sequential sampler, KS distance, and variance-scaling tests."""
+"""Exact sampler, KS distance, and variance-scaling tests."""
 
 import math
 
 import numpy as np
 import pytest
 
-from macrobell.errors import CapExceededError, ValidationError
-from macrobell.finite_n import DickeSuperposition, pmf_finite
+from macrobell.errors import CapExceededError, NumericError, ValidationError
+from macrobell.finite_n import DickeSuperposition, brute_force_pmf, pmf_finite
 from macrobell.limits import LimitState, limit_density_alpha_half
-from macrobell.povm import derive_params
+from macrobell.noise import depolarize_povm, lossy_povm
+from macrobell.povm import (PAULI_X, PAULI_Z, common_eigenbasis, derive_params,
+                            projective_from_bloch, validate_povm)
 from macrobell.sampling import (
     SampleBatch,
     ks_distance,
@@ -17,6 +19,7 @@ from macrobell.sampling import (
 )
 
 from conftest import PAPER_COEFFS
+from window_sampler import window_sample
 
 
 def paper_state(n: int) -> DickeSuperposition:
@@ -26,6 +29,64 @@ def paper_state(n: int) -> DickeSuperposition:
 def single_level(n: int, k: int = 0) -> DickeSuperposition:
     return DickeSuperposition(n_particles=n, base_level=k,
                               coeffs=np.array([1.0 + 0.0j]))
+
+
+def chi2_bound(dof: int) -> float:
+    """The acceptance bound of criterion 10: dof + 5 sqrt(2 dof)."""
+    return dof + 5.0 * math.sqrt(2.0 * dof)
+
+
+def lattice_pearson(pmf, values):
+    """Pearson chi-square of records against a lattice PMF.
+
+    Cells expected below 5 are pooled into one tail cell.  Returns
+    (chi2, dof, distance of the farthest record from its lattice point).
+    """
+    indices = np.clip(np.searchsorted(pmf.values, values), 0, pmf.values.size - 1)
+    left = np.maximum(indices - 1, 0)
+    use_left = (np.abs(pmf.values[left] - values)
+                < np.abs(pmf.values[indices] - values))
+    indices[use_left] = left[use_left]
+    off_lattice = float(np.max(np.abs(pmf.values[indices] - values)))
+
+    counts = np.bincount(indices, minlength=pmf.values.size)
+    expected = pmf.probs * values.size
+    keep = expected >= 5.0
+    chi2 = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    tail = float(values.size - expected[keep].sum())
+    if tail > 0:
+        chi2 += (counts[~keep].sum() - tail) ** 2 / tail
+    dof = int(keep.sum())  # lumped tail adds one cell, minus one constraint
+    return chi2, dof, off_lattice
+
+
+def two_sample_pearson(first, second):
+    """Two-sample chi-square of two record sets on a shared lattice.
+
+    Values are matched to 1e-9; values seen fewer than 10 times in total
+    are pooled into one cell.  Returns (chi2, dof).
+    """
+    support = np.unique(np.round(np.concatenate([first, second]), 9))
+    a = np.bincount(np.searchsorted(support, np.round(first, 9)),
+                    minlength=support.size)
+    b = np.bincount(np.searchsorted(support, np.round(second, 9)),
+                    minlength=support.size)
+    rare = a + b < 10
+    a = np.append(a[~rare], a[rare].sum())
+    b = np.append(b[~rare], b[rare].sum())
+    used = a + b > 0
+    a, b = a[used], b[used]
+    ratio = math.sqrt(second.size / first.size)
+    chi2 = float(np.sum((ratio * a - b / ratio) ** 2 / (a + b)))
+    return chi2, int(used.sum()) - 1
+
+
+def trine():
+    """Three outcomes with Bloch vectors 120 degrees apart: no common eigenbasis."""
+    eye = np.eye(2, dtype=complex)
+    effects = [(eye + math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X) / 3.0
+               for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+    return validate_povm([-1.0, 0.0, 1.0], effects)
 
 
 class TestSampler:
@@ -40,16 +101,6 @@ class TestSampler:
                                 n_samples=64, seed=5)
         expected = (n - 2.0 * k) / n**0.5
         np.testing.assert_allclose(batch.values, expected, rtol=1e-13)
-
-    def test_chunking_does_not_change_the_stream(self, sigma_x, params_x):
-        state = paper_state(30)
-        batches = [
-            sample_outcomes(state, sigma_x, params_x, 0.5, n_samples=150,
-                            seed=42, chunk_elements=c)
-            for c in (1, 997, 1 << 24)
-        ]
-        assert np.array_equal(batches[0].values, batches[1].values)
-        assert np.array_equal(batches[0].values, batches[2].values)
 
     def test_same_seed_reproduces_and_seeds_differ(self, sigma_x, params_x):
         state = paper_state(16)
@@ -75,25 +126,10 @@ class TestSampler:
         batch = sample_outcomes(state, sigma_x, params_x, 0.5, n_samples,
                                 seed=2026)
 
+        chi2, dof, off_lattice = lattice_pearson(pmf, batch.values)
         # Every record must sit on the exact outcome lattice.
-        indices = np.searchsorted(pmf.values, batch.values)
-        indices = np.clip(indices, 0, pmf.values.size - 1)
-        left = np.maximum(indices - 1, 0)
-        use_left = (np.abs(pmf.values[left] - batch.values)
-                    < np.abs(pmf.values[indices] - batch.values))
-        indices[use_left] = left[use_left]
-        assert np.max(np.abs(pmf.values[indices] - batch.values)) < 1e-9
-
-        counts = np.bincount(indices, minlength=pmf.values.size)
-        expected = pmf.probs * n_samples
-        keep = expected >= 5.0
-        chi2 = float(np.sum((counts[keep] - expected[keep]) ** 2
-                            / expected[keep]))
-        tail = float(n_samples - expected[keep].sum())
-        if tail > 0:
-            chi2 += (counts[~keep].sum() - tail) ** 2 / tail
-        dof = int(keep.sum())  # lumped tail adds one cell, minus one constraint
-        assert chi2 < dof + 5.0 * math.sqrt(2.0 * dof)
+        assert off_lattice < 1e-9
+        assert chi2 < chi2_bound(dof)
 
     def test_full_coarse_graining_support(self, sigma_x, params_x):
         from macrobell.finite_n import moments_finite
@@ -116,6 +152,58 @@ class TestSampler:
             LimitState(coeffs=np.array([0.0, 1.0], dtype=complex),
                        phi=params_x.phi))
         assert ks_distance(batch, limit.cdf) < 0.05
+
+
+def oracle_povm(name: str):
+    """POVM and parameters for the oracle comparisons, by route."""
+    sx = projective_from_bloch(math.pi / 2.0, 0.0)
+    if name == "tilted":
+        povm = projective_from_bloch(1.2, 0.3)
+    elif name == "depolarized":
+        povm = depolarize_povm(sx, 0.2)
+    elif name == "lossy":
+        return lossy_povm(sx, derive_params(sx), 0.7)
+    else:
+        povm = trine()
+    return povm, derive_params(povm)
+
+
+class TestSamplerOracles:
+    @pytest.mark.parametrize("name", ["tilted", "depolarized", "lossy", "trine"])
+    def test_matches_brute_force_mid_ladder(self, name):
+        # Complex coefficients at base 5 of N = 12, against explicit 2^N
+        # vectors; the trine has no common eigenbasis and samples from
+        # pmf_finite, the others draw an occupation and two multinomials.
+        povm, params = oracle_povm(name)
+        assert (common_eigenbasis(povm) is None) == (name == "trine")
+        state = DickeSuperposition.from_coeffs(12, [0.6, 0.3 + 0.4j, -0.64], base_level=5)
+        exact = brute_force_pmf(state, povm, params, 0.5)
+        batch = sample_outcomes(state, povm, params, 0.5, 20000, seed=31)
+        chi2, dof, off_lattice = lattice_pearson(exact, batch.values)
+        assert off_lattice < 1e-9
+        assert chi2 < chi2_bound(dof)
+
+    @pytest.mark.parametrize("name", ["depolarized", "lossy", "trine"])
+    def test_prefix_stability_on_every_route(self, name):
+        povm, params = oracle_povm(name)
+        state = paper_state(20)
+        short = sample_outcomes(state, povm, params, 0.5, 50, seed=3)
+        long = sample_outcomes(state, povm, params, 0.5, 120, seed=3)
+        assert np.array_equal(short.values, long.values[:50])
+
+    def test_matches_window_sampler_where_inversion_fails(self):
+        # Depolarized sx with paper coefficients at base N/2 of N = 80:
+        # pmf_finite raises, so the sequential window sampler is the only
+        # independent reference.
+        povm, params = oracle_povm("depolarized")
+        state = DickeSuperposition(n_particles=80, base_level=40, coeffs=PAPER_COEFFS)
+        with pytest.raises(NumericError):
+            pmf_finite(state, povm, params, 0.5)
+        reference = window_sample(state, povm, params, 0.5, 1600, seed=1)
+        batch = sample_outcomes(state, povm, params, 0.5, 20000, seed=2)
+        chi2, dof = two_sample_pearson(reference, batch.values)
+        assert dof >= 20
+        assert chi2 < chi2_bound(dof)
 
 
 class TestSamplerValidation:
@@ -145,11 +233,16 @@ class TestSamplerValidation:
             sample_outcomes(state, sigma_x, params_x, 0.5, 1, seed=0)
 
     def test_window_cap(self, sigma_x, params_x):
+        # No window or base-level cap: 8 levels at base 60 of N = 100
+        # sample onto the exact lattice.
         state = DickeSuperposition(
             n_particles=100, base_level=60,
             coeffs=np.full(8, 1.0 / math.sqrt(8.0), dtype=complex))
-        with pytest.raises(CapExceededError):
-            sample_outcomes(state, sigma_x, params_x, 0.5, 1, seed=0)
+        pmf = pmf_finite(state, sigma_x, params_x, 0.5)
+        batch = sample_outcomes(state, sigma_x, params_x, 0.5, 20000, seed=0)
+        chi2, dof, off_lattice = lattice_pearson(pmf, batch.values)
+        assert off_lattice < 1e-9
+        assert chi2 < chi2_bound(dof)
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValidationError):
