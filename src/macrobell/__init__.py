@@ -62,6 +62,7 @@ _EXPORTS = {
     "LimitState": "limits",
     "hermite": "limits",
     "oscillator_wavefunction": "limits",
+    "level_kernels": "limits",
     "smeared_level_kernel": "limits",
     "default_real_grid": "limits",
     "default_rotor_grid": "limits",

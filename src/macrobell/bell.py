@@ -23,7 +23,8 @@ from scipy.special import roots_legendre
 
 from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
                      ValidationError, check_unit_vector)
-from .limits import BOUNDARY_MASS_TOL, GridDensity, default_real_grid, smeared_level_kernel
+from .limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, level_kernels,
+                     real_half_width)
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -76,7 +77,7 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int)
     # K_kl(x) * S(x) with S odd is even iff k + l is odd, so the table is
     # 2 * integral over the positive half line there and exactly 0 elsewhere.
     # The half line is split where S reaches 1, so each piece is smooth.
-    half_width = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + width * width)
+    half_width = real_half_width(k_max, width)
     t, w = _legendre(nodes)
     knot = min(edge, half_width)
     x, weights = [], []
@@ -85,11 +86,9 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int)
             x.append(lo + 0.5 * (hi - lo) * (t + 1.0))
             weights.append(0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x[-1])))
     x, weights = np.concatenate(x), np.concatenate(weights)
-    table = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        for l in range(k + 1, k_max + 1, 2):
-            table[k, l] = table[l, k] = 2.0 * np.dot(smeared_level_kernel(k, l, x, width),
-                                                     weights)
+    table = 2.0 * (level_kernels(k_max, x, width) @ weights)
+    k = np.arange(k_max + 1)
+    table[(k[:, None] + k[None, :]) % 2 == 0] = 0.0
     return table
 
 
@@ -364,26 +363,22 @@ def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None) -
     widths are nonzero.  The per-party phase conventions cancel in the angle
     sum, so the phases enter exactly as written.
     """
-    coeffs = config.schmidt_coeffs
     k_max = config.k_max
     if x_grid is None:
-        x_grid = default_real_grid(k_max)
+        x_grid = default_real_grid(k_max, width=config.width_a)
     if y_grid is None:
-        y_grid = default_real_grid(k_max)
+        y_grid = default_real_grid(k_max, width=config.width_b)
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
 
-    k = np.arange(k_max + 1)
-    b = coeffs * np.exp(1j * k * (config.phi_a + config.phi_b))
+    b = config.schmidt_coeffs * np.exp(1j * np.arange(k_max + 1) * (config.phi_a + config.phi_b))
 
-    # Stack only the d(d+1)/2 distinct kernel pairs; the off-diagonal ones
+    # Contract only the d(d+1)/2 distinct kernel pairs; the off-diagonal ones
     # enter twice through the real part of the coefficient product.
-    pairs = [(i, j) for i in range(k_max + 1) for j in range(i, k_max + 1)]
-    weights = np.array(
-        [(1.0 if i == j else 2.0) * np.real(np.conj(b[i]) * b[j]) for i, j in pairs]
-    )
-    kernels_x = np.stack([smeared_level_kernel(i, j, x_grid, config.width_a) for i, j in pairs])
-    kernels_y = np.stack([smeared_level_kernel(i, j, y_grid, config.width_b) for i, j in pairs])
+    i, j = np.triu_indices(k_max + 1)
+    weights = np.where(i == j, 1.0, 2.0) * np.real(np.conj(b[i]) * b[j])
+    kernels_x = level_kernels(k_max, x_grid, config.width_a)[i, j]
+    kernels_y = level_kernels(k_max, y_grid, config.width_b)[i, j]
     density = kernels_x.T @ (weights[:, None] * kernels_y)
 
     lowest = float(density.min())

@@ -244,12 +244,8 @@ def _parse_coeffs_matrix(spec: str, seed: int, dim: int):
         if not isinstance(data, list) or not data or not isinstance(data[0], list):
             raise ValidationError("joint-coefficient JSON must be a nested list")
         rows = [_coeffs_from_json(row) for row in data]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValidationError("joint-coefficient rows must have equal length")
-        mat = np.asarray(rows, dtype=complex)
-        return _normalized(mat, "joint coefficients").reshape(mat.shape)
-    rows = [[_parse_number(complex, t) for t in row.split(",")] for row in spec.split(";")]
+    else:
+        rows = [[_parse_number(complex, t) for t in row.split(",")] for row in spec.split(";")]
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValidationError("joint-coefficient rows must have equal length")
@@ -316,6 +312,13 @@ def _derived(povm, alpha: float, mu, tau):
     return derive_params(povm, mode=mode, mu=mu, tau=tau)
 
 
+def _finite_measurement(opts: dict):
+    """(alpha, povm, params) from the finite-N options of dist, sample and converge."""
+    alpha = check_alpha(opts["alpha"])
+    povm = _load_povm(opts["povm"])
+    return alpha, povm, _derived(povm, alpha, opts["mu"], opts["tau"])
+
+
 def _limit_level_coeffs(state):
     """Pad a finite state's coefficients down to level 0 for the limit object."""
     import numpy as np
@@ -333,10 +336,8 @@ def _cmd_dist(config: RunConfig) -> None:
     from .finite_n import pmf_finite
 
     opts = config.options
-    alpha = check_alpha(opts["alpha"])
-    povm = _load_povm(opts["povm"])
+    alpha, povm, params = _finite_measurement(opts)
     state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
-    params = _derived(povm, alpha, opts["mu"], opts["tau"])
     pmf = pmf_finite(state, povm, params, alpha)
     rows = [(_fmt(x), _fmt(p)) for x, p in zip(pmf.values, pmf.probs)]
     _deliver(config, _csv_text(("x", "prob"), rows),
@@ -344,13 +345,15 @@ def _cmd_dist(config: RunConfig) -> None:
 
 
 def _cmd_limit(config: RunConfig) -> None:
-    from .limits import (LimitState, default_rotor_grid, limit_density_alpha_half,
-                         limit_density_alpha_one)
+    from .limits import (LimitState, default_real_grid, default_rotor_grid,
+                         limit_density_alpha_half, limit_density_alpha_one)
 
     opts = config.options
     alpha = check_alpha(opts["alpha"])
     coeffs = _parse_coeffs_vector(opts["coeffs"])
-    phi, width = opts["phi"], opts["width"]
+    phi, width, points = opts["phi"], opts["width"], opts["points"]
+    if points is not None and points < 2:
+        raise ValidationError("--points must be at least 2")
     if opts["povm"] is not None:
         params = _derived(_load_povm(opts["povm"]), alpha, None, None)
         if phi is None:
@@ -364,13 +367,14 @@ def _cmd_limit(config: RunConfig) -> None:
         width = 0.0
 
     if alpha == 0.5:
-        density = limit_density_alpha_half(
-            LimitState(coeffs=coeffs, phi=float(phi), width=float(width)))
+        state = LimitState(coeffs=coeffs, phi=float(phi), width=float(width))
+        grid = None if points is None else default_real_grid(state.k_max, points, state.width)
+        density = limit_density_alpha_half(state, grid)
         header = ("x", "density")
     else:
         if width:
             raise ValidationError("width applies only to alpha = 0.5")
-        grid = default_rotor_grid(opts["points"]) if opts["points"] else None
+        grid = None if points is None else default_rotor_grid(points)
         density = limit_density_alpha_one(coeffs, float(phi), theta_grid=grid)
         header = ("theta", "density")
     rows = [(_fmt(x), _fmt(p)) for x, p in zip(density.grid, density.density)]
@@ -479,10 +483,8 @@ def _cmd_sample(config: RunConfig) -> None:
     from .sampling import sample_outcomes
 
     opts = config.options
-    alpha = check_alpha(opts["alpha"])
-    povm = _load_povm(opts["povm"])
+    alpha, povm, params = _finite_measurement(opts)
     state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
-    params = _derived(povm, alpha, opts["mu"], opts["tau"])
     batch = sample_outcomes(state, povm, params, alpha, opts["n_samples"],
                             opts["seed"])
     rows = [(_fmt(x),) for x in batch.values]
@@ -504,10 +506,8 @@ def _cmd_converge(config: RunConfig) -> None:
     from .sampling import ks_distance, sample_outcomes
 
     opts = config.options
-    alpha = check_alpha(opts["alpha"])
-    povm = _load_povm(opts["povm"])
+    alpha, povm, params = _finite_measurement(opts)
     n_values = _parse_int_list(opts["n_list"])
-    params = _derived(povm, alpha, opts["mu"], opts["tau"])
     reference_state = _build_state(max(n_values), opts["state"], opts["coeffs"],
                                    opts["base_level"])
     level_coeffs = _limit_level_coeffs(reference_state)
@@ -668,20 +668,24 @@ def _build_parser() -> _Parser:
                         help="cap internal BLAS/OpenMP parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        return sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, help_text, parents=()):
+        return sub.add_parser(name, parents=[common, *parents], help=help_text)
 
-    p = add("dist", "exact finite-N PMF of the rescaled intensity -> CSV x,prob")
+    # the finite-N state and measurement, shared by dist, sample and converge
+    finite = _Parser(add_help=False)
+    finite.add_argument("--alpha", type=float, default=0.5)
+    finite.add_argument("--povm", required=True,
+                        help="sx|sy|sz, bloch:<theta>,<phi>, or a JSON file")
+    finite.add_argument("--state", default=None, help="w, paper, or dicke:<k>")
+    finite.add_argument("--coeffs", default=None,
+                        help="level coefficients: paper|w|equal:<d>, @file.json, or a comma list")
+    finite.add_argument("--base-level", dest="base_level", type=int, default=0)
+    finite.add_argument("--mu", type=float, default=None)
+    finite.add_argument("--tau", type=float, default=None)
+
+    p = add("dist", "exact finite-N PMF of the rescaled intensity -> CSV x,prob",
+            parents=[finite])
     p.add_argument("--N", dest="n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--povm", required=True,
-                   help="sx|sy|sz, bloch:<theta>,<phi>, or a JSON file")
-    p.add_argument("--state", default=None, help="w, paper, or dicke:<k>")
-    p.add_argument("--coeffs", default=None,
-                   help="level coefficients: paper|w|equal:<d>, @file.json, or a comma list")
-    p.add_argument("--base-level", dest="base_level", type=int, default=0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
 
     p = add("limit", "limit density -> CSV x,density (alpha=0.5) or theta,density (alpha=1)")
     p.add_argument("--alpha", type=float, default=0.5)
@@ -692,7 +696,8 @@ def _build_parser() -> _Parser:
                    help="smearing width s (alpha=0.5 only)")
     p.add_argument("--povm", default=None,
                    help="derive phi/width from this POVM instead")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=int, default=None,
+                   help="grid rows (default 4001 at alpha=0.5, 2001 at alpha=1)")
 
     p = add("chsh", "CHSH value and correlators -> JSON")
     p.add_argument("--coeffs", required=True)
@@ -724,26 +729,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--loss", type=float, default=1.0)
     p.add_argument("--mode", choices=("half", "one"), default="half")
 
-    p = add("sample", "exact i.i.d. records of the rescaled intensity -> CSV x plus JSON sidecar")
+    p = add("sample", "exact i.i.d. records of the rescaled intensity -> CSV x plus JSON sidecar",
+            parents=[finite])
     p.add_argument("--N", dest="n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--povm", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--base-level", dest="base_level", type=int, default=0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--n-samples", dest="n_samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("converge", "KS distance to the limit law per N -> CSV N,ks")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--povm", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--base-level", dest="base_level", type=int, default=0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p = add("converge", "KS distance to the limit law per N -> CSV N,ks", parents=[finite])
     p.add_argument("--n-list", dest="n_list", required=True,
                    help="comma list of particle counts")
     p.add_argument("--n-samples", dest="n_samples", type=int, default=20000)

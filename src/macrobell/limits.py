@@ -5,9 +5,10 @@ is an oscillator-mode density smeared by a Gaussian of width
 ``s = sqrt(sigma^2/tau^2 - 1)``; its characteristic function has a
 closed form.  For linear coarse graining the limit is a planar-rotor
 angle distribution on [0, pi].  This module provides those laws, the
-underlying Hermite/oscillator machinery, and a numerical verification
-of the Gaussian-smearing identity that connects the closed form to the
-convolution form.
+level-pair kernels that every square-root quantity contracts
+(``level_kernels``: one Hermite coefficient table, one set of Hermite
+rows), and a numerical verification of the Gaussian-smearing identity
+that connects the closed form to the convolution form.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ __all__ = [
     "LimitState",
     "hermite",
     "oscillator_wavefunction",
+    "level_kernels",
     "smeared_level_kernel",
+    "real_half_width",
     "default_real_grid",
     "default_rotor_grid",
     "limit_density_alpha_half",
@@ -123,57 +126,94 @@ def hermite(k: int, x):
     return _hermite_rows(k, np.asarray(x, dtype=float))[k]
 
 
+def _wavefunction_rows(k_max: int, x: np.ndarray) -> np.ndarray:
+    """<x|0>..<x|k_max> stacked along axis 0."""
+    norms = np.array([(2.0 * np.pi) ** -0.25 / math.sqrt(math.factorial(k))
+                      for k in range(k_max + 1)])
+    norms = norms.reshape((-1,) + (1,) * x.ndim)
+    return norms * _hermite_rows(k_max, x) * np.exp(-0.25 * x * x)
+
+
 def oscillator_wavefunction(k: int, x):
     """<x|k> = (2 pi)^(-1/4) He_k(x) exp(-x^2/4) / sqrt(k!).
 
     Normalized so |<x|0>|^2 is the standard normal density and
     <x^2> = 2k + 1 in level k.
     """
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    return _wavefunction_rows(k, np.asarray(x, dtype=float))[k]
+
+
+@lru_cache(maxsize=32)
+def _level_pair_coefficients(k_max: int) -> np.ndarray:
+    """c[k, l, n] = sqrt(k! l!) / (q! (k-q)! (l-q)!) at n = k + l - 2q, else 0.
+
+    He_k He_l / sqrt(k! l!) = sum_n c[k, l, n] He_n; the width-s kernel is
+    the same sum over alpha^-n He_n(x/alpha), under a width-alpha Gaussian.
+    """
+    c = np.zeros((k_max + 1, k_max + 1, 2 * k_max + 1))
+    f = [math.factorial(j) for j in range(k_max + 1)]
+    for k in range(k_max + 1):
+        for l in range(k_max + 1):
+            for q in range(min(k, l) + 1):
+                c[k, l, k + l - 2 * q] = math.sqrt(f[k] * f[l]) / (f[q] * f[k - q] * f[l - q])
+    c.flags.writeable = False
+    return c
+
+
+def _smeared_series(coeffs: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
+    """g_alpha(x) * sum_n coeffs[..., n] alpha^-n He_n(x / alpha), alpha = sqrt(1 + s^2)."""
+    alpha = math.sqrt(1.0 + s * s)
+    u = x / alpha
+    degree = coeffs.shape[-1] - 1
+    series = np.tensordot(coeffs * alpha ** -np.arange(degree + 1.0),
+                          _hermite_rows(degree, u), axes=1)
+    series *= np.exp(-0.5 * u * u) / (math.sqrt(2.0 * np.pi) * alpha)
+    return series
+
+
+def level_kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
+    """Every <k| e_s(x) |l> for k_min <= k, l <= k_max, shape (d, d) + x.shape.
+
+    ``d = k_max - k_min + 1``; a state supported on high levels only (a
+    padded base level) needs just that block.
+
+    At s = 0 the kernels are the products <k|x><x|l> of oscillator
+    wavefunctions.  For s > 0 the Gaussian convolution collapses to the
+    finite Hermite sum ``g_alpha(x) sum_n c_kln alpha^-n He_n(x/alpha)``
+    with alpha = sqrt(1 + s^2), one coefficient table and one set of
+    Hermite rows for all pairs; both forms agree by the smearing identity
+    (see ``verify_hermite_lemma``).  The s = 0 case keeps the product,
+    which is exact to roundoff where the series loses ~1e-10 at k_max = 15.
+    """
+    if not 0 <= k_min <= k_max or s < 0:
+        raise ValidationError("need 0 <= k_min <= k_max and s >= 0")
     x = np.asarray(x, dtype=float)
-    return (
-        (2.0 * np.pi) ** -0.25
-        / math.sqrt(math.factorial(k))
-        * hermite(k, x)
-        * np.exp(-0.25 * x * x)
-    )
+    if s == 0.0:
+        psi = _wavefunction_rows(k_max, x)[k_min:]
+        return psi[:, None] * psi[None, :]
+    return _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
 
 
 def smeared_level_kernel(k: int, l: int, x, s: float):
-    """<k| e_s(x) |l>: the level-(k,l) kernel smeared by a width-s Gaussian.
-
-    At s = 0 this is the bare product <k|x><x|l>.  For s > 0 the
-    Gaussian convolution collapses to a finite Hermite sum with
-    argument x/alpha, alpha = sqrt(1 + s^2); both routes agree by the
-    smearing identity (see ``verify_hermite_lemma``).
-    """
-    if s < 0:
-        raise ValidationError("s must be nonnegative")
+    """<k| e_s(x) |l>: entry (k, l) of ``level_kernels``, at the cost of one pair."""
+    if min(k, l) < 0 or s < 0:
+        raise ValidationError("k, l and s must be nonnegative")
     x = np.asarray(x, dtype=float)
     if s == 0.0:
-        return oscillator_wavefunction(k, x) * oscillator_wavefunction(l, x)
-    alpha = math.sqrt(1.0 + s * s)
-    u = x / alpha
-    rows = _hermite_rows(k + l, u)
-    total = np.zeros_like(u)
-    for q in range(min(k, l) + 1):
-        deg = k + l - 2 * q
-        coeff = (
-            math.comb(deg, l - q)
-            / math.factorial(q)
-            / math.factorial(deg)
-            * alpha ** (-deg)
-        )
-        total += coeff * rows[deg]
-    prefactor = (
-        math.sqrt(math.factorial(k) * math.factorial(l))
-        * np.exp(-0.5 * u * u)
-        / (math.sqrt(2.0 * np.pi) * alpha)
-    )
-    return prefactor * total
+        psi = _wavefunction_rows(max(k, l), x)
+        return psi[k] * psi[l]
+    return _smeared_series(_level_pair_coefficients(max(k, l))[k, l, :k + l + 1], x, s)
 
 
-def default_real_grid(k_max: int, points: int = 4001) -> np.ndarray:
-    half_width = 12.0 + 2.0 * k_max
+def real_half_width(k_max: int, width: float = 0.0) -> float:
+    """Half-width of a real-line grid that holds the width-smeared levels up to k_max."""
+    return (12.0 + 2.0 * k_max) * math.sqrt(1.0 + width * width)
+
+
+def default_real_grid(k_max: int, points: int = 4001, width: float = 0.0) -> np.ndarray:
+    half_width = real_half_width(k_max, width)
     return np.linspace(-half_width, half_width, points)
 
 
@@ -198,22 +238,15 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     ``limit_charfn_alpha_half``.
     """
     if grid is None:
-        grid = default_real_grid(state.k_max)
+        grid = default_real_grid(state.k_max, width=state.width)
     grid = np.asarray(grid, dtype=float)
     b = state.phased_coeffs(offset=np.pi)
-    n = b.size
-    density = np.zeros_like(grid)
-    for k in range(n):
-        if b[k] == 0:
-            continue
-        density += abs(b[k]) ** 2 * smeared_level_kernel(k, k, grid, state.width)
-        for l in range(k + 1, n):
-            if b[l] == 0:
-                continue
-            # kernel is real-symmetric in (k, l)
-            cross = 2.0 * (np.conj(b[k]) * b[l]).real
-            if cross != 0.0:
-                density += cross * smeared_level_kernel(k, l, grid, state.width)
+    # only the levels the state populates enter; the kernels are
+    # real-symmetric in (k, l), so only Re(conj(b_k) b_l) does
+    low, high = np.flatnonzero(b)[[0, -1]]
+    b = b[low:high + 1]
+    weights = np.real(np.outer(np.conj(b), b))
+    density = np.tensordot(weights, level_kernels(high, grid, state.width, low), axes=2)
     worst = float(density.min())
     if worst < -1e-10:
         raise NegativeDensityError(f"density dipped to {worst:.3e}")
@@ -236,25 +269,10 @@ def limit_charfn_alpha_half(state: LimitState, sigma_over_tau: float, t):
         raise ValidationError("sigma_over_tau must be >= 1")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     b = state.phased_coeffs()
-    n = b.size
     gauss = np.exp(-0.5 * (sigma_over_tau * t_arr) ** 2)
-    total = np.zeros_like(t_arr, dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            w = np.conj(b[k]) * b[l]
-            if w == 0:
-                continue
-            inner = np.zeros_like(t_arr, dtype=complex)
-            for q in range(min(k, l) + 1):
-                coeff = math.sqrt(
-                    math.factorial(k) * math.factorial(l)
-                ) / (
-                    math.factorial(q)
-                    * math.factorial(k - q)
-                    * math.factorial(l - q)
-                )
-                inner += coeff * (-1j * t_arr) ** (k + l - 2 * q)
-            total += w * inner
+    poly = np.tensordot(np.real(np.outer(np.conj(b), b)),
+                        _level_pair_coefficients(state.k_max), axes=2)
+    total = np.polynomial.polynomial.polyval(-1j * t_arr, poly)
     values = gauss * total
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return complex(values[0])
@@ -323,31 +341,21 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
       = integral dx' G_beta(x - x') e^{-x'^2/(2 g^2)}/(sqrt(2 pi) g)
           * He_m(x'/g) He_n(x'/g) / (m! n!)
 
-    The right side is evaluated by Gauss-Hermite quadrature after
-    completing the square, which is exact for the polynomial factor.
+    The left side is the library's kernel,
+    ``smeared_level_kernel(m, n, x/g, b/g) / (g sqrt(m! n!))``; the right
+    side is evaluated by Gauss-Hermite quadrature after completing the
+    square, which is exact for the polynomial factor.
     """
     if beta <= 0 or gamma <= 0:
         raise ValidationError("beta and gamma must be positive")
-    if m < n:
-        m, n = n, m
     alpha = math.hypot(beta, gamma)
     if x_grid is None:
-        x_grid = np.linspace(-6.0 * alpha - m, 6.0 * alpha + m, 401)
+        x_grid = np.linspace(-6.0 * alpha - max(m, n), 6.0 * alpha + max(m, n), 401)
     x = np.asarray(x_grid, dtype=float)
 
     u = x / alpha
-    rows = _hermite_rows(m + n, u)
-    closed = np.zeros_like(u)
-    for q in range(n + 1):
-        deg = m + n - 2 * q
-        closed += (
-            math.comb(deg, n - q)
-            / math.factorial(q)
-            * (gamma / alpha) ** deg
-            / math.factorial(deg)
-            * rows[deg]
-        )
-    closed *= np.exp(-0.5 * u * u) / (math.sqrt(2.0 * np.pi) * alpha)
+    closed = (smeared_level_kernel(m, n, x / gamma, beta / gamma)
+              / (gamma * math.sqrt(math.factorial(m) * math.factorial(n))))
 
     nodes, weights = _hermgauss_cached(n_nodes)
     var = (beta * gamma / alpha) ** 2

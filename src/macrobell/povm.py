@@ -159,8 +159,9 @@ def common_eigenbasis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray]
     never for a trine.  The basis comes from ``sum_a a_index * E_a``, whose
     eigenvectors are the common ones; every rotated effect must then be
     diagonal to 1e-12.  With three or more outcomes that sum can be a
-    multiple of the identity while the effects are not, and then None is
-    returned although the effects commute.
+    multiple of the identity while the effects are not; only then the
+    basis comes from the effect with the widest spectrum (the largest
+    traceless part), so every two-outcome POVM keeps its column order.
 
     Returns
     -------
@@ -172,7 +173,9 @@ def common_eigenbasis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray]
     """
     effects = np.stack(povm.effects)
     labels = np.arange(len(effects), dtype=float)
-    _, basis = np.linalg.eigh(np.tensordot(labels, effects, axes=1))
+    spectrum, basis = np.linalg.eigh(np.tensordot(labels, effects, axes=1))
+    if spectrum[1] - spectrum[0] <= COMPLETENESS_ATOL:
+        _, basis = np.linalg.eigh(effects[np.argmax(np.ptp(np.linalg.eigvalsh(effects), axis=1))])
     rotated = np.einsum("ji,ajk,kl->ail", basis.conj(), effects, basis)
     if np.max(np.abs(rotated[:, 0, 1])) > COMPLETENESS_ATOL:
         return None

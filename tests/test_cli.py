@@ -130,6 +130,18 @@ class TestLimit:
                                    "--coeffs", "paper"], 1)
         assert payload["error"] == "validation"
 
+    @pytest.mark.parametrize("width", ["3", "5"])
+    def test_default_grid_holds_wide_smearing(self, capsys, tmp_path, width):
+        summary = run_ok(capsys, ["limit", "--alpha", "0.5", "--coeffs", "paper",
+                                  "--width", width, "--out", str(tmp_path / "l.csv")])
+        assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", ["0.5", "1"])
+    def test_points_sets_the_row_count(self, capsys, alpha):
+        out = run_ok(capsys, ["limit", "--alpha", alpha, "--coeffs", "paper",
+                              "--points", "11"])
+        assert len(read_csv(out)[1]) == 11
+
 
 class TestChannel:
     def test_depolarizing_width_closed_form(self, capsys):
@@ -242,6 +254,7 @@ MALFORMED = {
     "dicke-level": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
                                 "--state", "dicke:q"],
     "chsh-angle": lambda tmp: ["chsh", "--coeffs", "paper", "--angles", "1,2,3,x"],
+    "limit-points": lambda tmp: ["limit", "--coeffs", "paper", "--points", "-3"],
     "povm-not-json": lambda tmp: ["dist", "--N", "10", "--state", "w", "--povm",
                                   _povm_file(tmp, "{not json")],
     "povm-outcome-not-number": lambda tmp: [
@@ -261,6 +274,25 @@ def test_malformed_input_is_a_validation_error(capsys, tmp_path, case):
 
 
 class TestPlumbing:
+    def test_finite_n_commands_share_one_option_block(self):
+        import argparse
+
+        from macrobell.cli import _build_parser
+
+        shared = {"--alpha", "--povm", "--state", "--coeffs", "--base-level", "--mu", "--tau"}
+        own = {"dist": {"--N"}, "sample": {"--N", "--n-samples", "--seed"},
+               "converge": {"--n-list", "--n-samples", "--seed"}}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        blocks = []
+        for name, extra in own.items():
+            actions = sub.choices[name]._actions
+            flags = {f for a in actions for f in a.option_strings}
+            assert flags == {"-h", "--help", "--out", "--threads"} | shared | extra, name
+            blocks.append(sorted((a.option_strings, a.dest, a.default, a.type, a.required)
+                                 for a in actions if shared & set(a.option_strings)))
+        assert blocks[0] == blocks[1] == blocks[2]
+
     def test_unknown_flag(self, capsys):
         payload = run_err(capsys, ["chsh", "--coeffs", "paper", "--optimize",
                                    "--frobnicate"], 1)

@@ -14,6 +14,7 @@ from macrobell.limits import (
     default_real_grid,
     default_rotor_grid,
     hermite,
+    level_kernels,
     limit_charfn_alpha_half,
     limit_density_alpha_half,
     limit_density_alpha_one,
@@ -48,6 +49,27 @@ def test_kernel_reduces_to_wavefunction_product_at_zero_width():
         direct = oscillator_wavefunction(k, x) * oscillator_wavefunction(l, x)
         np.testing.assert_allclose(
             smeared_level_kernel(k, l, x, 0.0), direct, atol=1e-12)
+
+
+def test_smeared_series_approaches_wavefunction_products():
+    # The s > 0 Hermite series, one coefficient table for every pair, at a
+    # width where it must equal the s = 0 products to O(s^2) = 1e-12; the
+    # series' own roundoff at the rank cap measured 3.6e-11.
+    x = np.linspace(-42.0, 42.0, 801)
+    gap = np.max(np.abs(level_kernels(15, x, 1e-6) - level_kernels(15, x, 0.0)))
+    assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_level_kernel_stack_entries_are_pair_kernels(s):
+    x = np.linspace(-20.0, 20.0, 201)
+    stack = level_kernels(7, x, s)
+    assert stack.shape == (8, 8, x.size)
+    np.testing.assert_array_equal(level_kernels(7, x, s, 3), stack[3:, 3:])
+    for k in range(8):
+        for l in range(8):
+            np.testing.assert_allclose(stack[k, l], smeared_level_kernel(k, l, x, s),
+                                       rtol=0.0, atol=1e-13)
 
 
 def test_kernel_integrals_are_kronecker_delta():

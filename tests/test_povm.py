@@ -134,14 +134,19 @@ def test_json_rejects_unknown_keys(sigma_x):
 
 
 def test_common_eigenbasis_diagonalizes_commuting_effects():
-    # An unsharp two-outcome POVM along a tilted axis, and a three-outcome
-    # POVM whose Bloch vectors are parallel: both rebuild from the columns.
+    # An unsharp two-outcome POVM along a tilted axis, and three-outcome
+    # POVMs whose Bloch vectors are parallel: all rebuild from the columns.
+    # The last two list (P/2, Q, P/2) and (P/2, P/2, Q), whose first sums
+    # by index to P + Q = I.
     axis = math.sin(1.1) * PAULI_X + math.cos(1.1) * PAULI_Z
     unsharp = 0.5 * (I2 + 0.7 * axis)
+    plus = 0.5 * (I2 + PAULI_X)
     povms = [
         validate_povm([1.0, -1.0], [unsharp, I2 - unsharp]),
         validate_povm([0.0, 1.0, -1.0],
                       [0.3 * I2, 0.35 * (I2 + axis), 0.35 * (I2 - axis)]),
+        validate_povm([0.0, 1.0, 3.0], [0.5 * plus, I2 - plus, 0.5 * plus]),
+        validate_povm([0.0, 3.0, 1.0], [0.5 * plus, 0.5 * plus, I2 - plus]),
     ]
     for povm in povms:
         basis, column_probs = common_eigenbasis(povm)

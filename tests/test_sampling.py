@@ -163,13 +163,18 @@ def oracle_povm(name: str):
         povm = depolarize_povm(sx, 0.2)
     elif name == "lossy":
         return lossy_povm(sx, derive_params(sx), 0.7)
+    elif name == "identity-index-sum":
+        # (P/2, Q, P/2) at outcomes 0, 1, 3: sum_a a_index E_a = P + Q = I
+        plus = 0.5 * (np.eye(2) + PAULI_X)
+        povm = validate_povm([0.0, 1.0, 3.0], [0.5 * plus, np.eye(2) - plus, 0.5 * plus])
     else:
         povm = trine()
     return povm, derive_params(povm)
 
 
 class TestSamplerOracles:
-    @pytest.mark.parametrize("name", ["tilted", "depolarized", "lossy", "trine"])
+    @pytest.mark.parametrize("name", ["tilted", "depolarized", "lossy", "identity-index-sum",
+                                      "trine"])
     def test_matches_brute_force_mid_ladder(self, name):
         # Complex coefficients at base 5 of N = 12, against explicit 2^N
         # vectors; the trine has no common eigenbasis and samples from
@@ -181,6 +186,27 @@ class TestSamplerOracles:
         batch = sample_outcomes(state, povm, params, 0.5, 20000, seed=31)
         chi2, dof, off_lattice = lattice_pearson(exact, batch.values)
         assert off_lattice < 1e-9
+        assert chi2 < chi2_bound(dof)
+
+    def test_both_listings_of_commuting_effects_sample_in_the_eigenbasis(self):
+        # The same three-outcome POVM listed (P/2, Q, P/2) and (P/2, P/2, Q):
+        # one pmf_finite where inversion works, and eigenbasis samples that
+        # agree at base N/2 of N = 100, where pmf_finite raises.
+        split, _ = oracle_povm("identity-index-sum")
+        grouped = validate_povm([0.0, 3.0, 1.0], [split.effects[i] for i in (0, 2, 1)])
+        small = DickeSuperposition.from_coeffs(12, [0.6, 0.48j, -0.64], base_level=5)
+        mid = DickeSuperposition(n_particles=100, base_level=50, coeffs=PAPER_COEFFS)
+        pmfs, records = [], []
+        for povm, seed in ((split, 4), (grouped, 5)):
+            params = derive_params(povm)
+            assert common_eigenbasis(povm) is not None
+            pmfs.append(pmf_finite(small, povm, params, 0.5))
+            with pytest.raises(NumericError):
+                pmf_finite(mid, povm, params, 0.5)
+            records.append(sample_outcomes(mid, povm, params, 0.5, 20000, seed=seed).values)
+        np.testing.assert_array_equal(pmfs[0].values, pmfs[1].values)
+        np.testing.assert_allclose(pmfs[0].probs, pmfs[1].probs, atol=1e-15)
+        chi2, dof = two_sample_pearson(*records)
         assert chi2 < chi2_bound(dof)
 
     @pytest.mark.parametrize("name", ["depolarized", "lossy", "trine"])
