@@ -16,8 +16,6 @@ into the command handlers.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -151,12 +149,16 @@ def _deliver(config: RunConfig, text: str, summary: dict | None = None) -> None:
             sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _csv_text(header, *columns) -> str:
+    """Header plus one row per index of the equal-length ``columns``, all rows
+    rendered by one ``%`` template: ``%d`` for integer columns, else the
+    ``_fmt`` text (-0.0, subnormals, inf and nan included)."""
+    import numpy as np
+
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else f"%.{_CSV_SIG_DIGITS - 1}e" for c in columns)
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    return ",".join(header) + "\n" + (row + "\n") * len(columns[0]) % values
 
 
 def _json_text(obj) -> str:
@@ -319,6 +321,14 @@ def _finite_measurement(opts: dict):
     return alpha, povm, _derived(povm, alpha, opts["mu"], opts["tau"])
 
 
+def _grid_points(opts: dict) -> int | None:
+    """The ``--points`` option of limit and local-model: None or at least 2."""
+    points = opts["points"]
+    if points is not None and points < 2:
+        raise ValidationError("--points must be at least 2")
+    return points
+
+
 def _limit_level_coeffs(state):
     """Pad a finite state's coefficients down to level 0 for the limit object."""
     import numpy as np
@@ -339,9 +349,8 @@ def _cmd_dist(config: RunConfig) -> None:
     alpha, povm, params = _finite_measurement(opts)
     state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
     pmf = pmf_finite(state, povm, params, alpha)
-    rows = [(_fmt(x), _fmt(p)) for x, p in zip(pmf.values, pmf.probs)]
-    _deliver(config, _csv_text(("x", "prob"), rows),
-             summary={"points": len(rows), "total_prob": float(pmf.probs.sum())})
+    _deliver(config, _csv_text(("x", "prob"), pmf.values, pmf.probs),
+             summary={"points": pmf.values.size, "total_prob": float(pmf.probs.sum())})
 
 
 def _cmd_limit(config: RunConfig) -> None:
@@ -351,9 +360,7 @@ def _cmd_limit(config: RunConfig) -> None:
     opts = config.options
     alpha = check_alpha(opts["alpha"])
     coeffs = _parse_coeffs_vector(opts["coeffs"])
-    phi, width, points = opts["phi"], opts["width"], opts["points"]
-    if points is not None and points < 2:
-        raise ValidationError("--points must be at least 2")
+    phi, width, points = opts["phi"], opts["width"], _grid_points(opts)
     if opts["povm"] is not None:
         params = _derived(_load_povm(opts["povm"]), alpha, None, None)
         if phi is None:
@@ -377,9 +384,8 @@ def _cmd_limit(config: RunConfig) -> None:
         grid = None if points is None else default_rotor_grid(points)
         density = limit_density_alpha_one(coeffs, float(phi), theta_grid=grid)
         header = ("theta", "density")
-    rows = [(_fmt(x), _fmt(p)) for x, p in zip(density.grid, density.density)]
-    _deliver(config, _csv_text(header, rows),
-             summary={"points": len(rows), "integral": density.integral()})
+    _deliver(config, _csv_text(header, density.grid, density.density),
+             summary={"points": density.grid.size, "integral": density.integral()})
 
 
 def _cmd_chsh(config: RunConfig) -> None:
@@ -414,31 +420,31 @@ def _cmd_chsh(config: RunConfig) -> None:
 
 
 def _cmd_local_model(config: RunConfig) -> None:
+    import numpy as np
+
     from .bell import local_model_alpha_one
 
     opts = config.options
     matrix = _parse_coeffs_matrix(opts["coeffs"], opts["seed"], opts["dim"])
+    points = _grid_points(opts)
     grids = None
-    if opts["points"]:
-        import numpy as np
-
-        axis = np.linspace(0.0, np.pi, opts["points"])
+    if points is not None:
+        axis = np.linspace(0.0, np.pi, points)
         grids = (axis, axis)
     result = local_model_alpha_one(matrix, opts["phi_a"], opts["phi_b"],
                                    theta_grids=grids)
     quantum, lhv = result.quantum_joint, result.lhv_joint
-    rows = []
-    for i, ta in enumerate(quantum.x_grid):
-        for j, tb in enumerate(quantum.y_grid):
-            q = quantum.density[i, j]
-            c = lhv.density[i, j]
-            rows.append((_fmt(ta), _fmt(tb), _fmt(q), _fmt(c), _fmt(abs(q - c))))
+    theta_a, theta_b = np.meshgrid(quantum.x_grid, quantum.y_grid, indexing="ij")
+    q, c = quantum.density.ravel(), lhv.density.ravel()
     _deliver(config,
-             _csv_text(("theta_a", "theta_b", "quantum", "lhv", "abs_diff"), rows),
+             _csv_text(("theta_a", "theta_b", "quantum", "lhv", "abs_diff"),
+                       theta_a.ravel(), theta_b.ravel(), q, c, np.abs(q - c)),
              summary={"max_discrepancy": result.max_discrepancy})
 
 
 def _cmd_noise_sweep(config: RunConfig) -> None:
+    import numpy as np
+
     from .noise import noisy_chsh_sweep
 
     opts = config.options
@@ -446,15 +452,13 @@ def _cmd_noise_sweep(config: RunConfig) -> None:
     s_grid = _parse_range(opts["s_grid"])
     eps_grid = _parse_range(opts["eps_grid"])
     result = noisy_chsh_sweep(coeffs, s_grid, eps_grid, shape=opts["shape"])
-    rows = []
-    for i, eps in enumerate(result.eps_grid):
-        for j, s in enumerate(result.s_grid):
-            rows.append((_fmt(s), _fmt(eps), _fmt(result.chsh[i, j])))
+    eps_column, s_column = np.meshgrid(result.eps_grid, result.s_grid, indexing="ij")
     thresholds = {
         _fmt(eps): (None if math.isnan(t) else t)
         for eps, t in zip(result.eps_grid, result.threshold_s)
     }
-    _deliver(config, _csv_text(("s", "eps", "chsh"), rows),
+    _deliver(config, _csv_text(("s", "eps", "chsh"), s_column.ravel(),
+                               eps_column.ravel(), result.chsh.ravel()),
              summary={"clean_value": result.clean_value,
                       "angles": list(result.angles),
                       "threshold_s": thresholds})
@@ -487,7 +491,6 @@ def _cmd_sample(config: RunConfig) -> None:
     state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
     batch = sample_outcomes(state, povm, params, alpha, opts["n_samples"],
                             opts["seed"])
-    rows = [(_fmt(x),) for x in batch.values]
     sidecar = {
         "seed": batch.seed,
         "N": batch.n_particles,
@@ -497,7 +500,7 @@ def _cmd_sample(config: RunConfig) -> None:
         "tau": params.tau,
     }
     _write_atomic(config.out + ".meta.json", _json_text(sidecar))
-    _deliver(config, _csv_text(("x",), rows), summary=sidecar)
+    _deliver(config, _csv_text(("x",), batch.values), summary=sidecar)
 
 
 def _cmd_converge(config: RunConfig) -> None:
@@ -518,13 +521,13 @@ def _cmd_converge(config: RunConfig) -> None:
     else:
         rotor = limit_density_alpha_one(level_coeffs, params.phi)
         limit = rotor_pushforward(rotor)
-    rows = []
+    ks = []
     for n in n_values:
         state = _build_state(n, opts["state"], opts["coeffs"], opts["base_level"])
         batch = sample_outcomes(state, povm, params, alpha, opts["n_samples"],
                                 opts["seed"])
-        rows.append((str(n), _fmt(ks_distance(batch, limit.cdf))))
-    _deliver(config, _csv_text(("N", "ks"), rows),
+        ks.append(ks_distance(batch, limit.cdf))
+    _deliver(config, _csv_text(("N", "ks"), n_values, ks),
              summary={"n_values": n_values, "n_samples": opts["n_samples"]})
 
 

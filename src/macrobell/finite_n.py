@@ -11,9 +11,9 @@ interest.  Everything here is exact at finite N:
 * the full probability mass function of X on its outcome lattice.  A
   projective POVM (every effect a 0/1 projector in one basis, which
   covers every spin component) takes the rotation route: the state's
-  weights in the rotated Dicke basis, from one tridiagonal
-  eigenproblem, at O(N * levels) cost and for every level up to N; this
-  route works at N = 10^5 and beyond.  Any other POVM takes the
+  weights in the rotated Dicke basis, by inverse iteration at the known
+  eigenvalues of one tridiagonal matrix, O(N * levels) for every level
+  up to N; this route works at N = 10^5 and beyond.  Any other POVM takes the
   characteristic-function route: a discrete Fourier inversion of the
   characteristic function at the conjugate lattice frequencies, at
   O(N * levels^2) cost.  Its Dicke sums cancel for mid-ladder levels,
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .errors import (
     CapExceededError,
@@ -336,11 +336,12 @@ def rotated_weights(state, basis) -> np.ndarray:
     collective operator of ``h = U^dag J_z U`` with eigenvalue k - N/2.
     Rephasing ``|N,m>`` by ``exp(i m arg h_10)`` makes that operator real
     symmetric tridiagonal; the common phase of row m drops out of the
-    weights.  The solver fixes each vector only up to a sign, so
+    weights.  LAPACK ``dstein`` finds the vectors by inverse iteration at
+    those known eigenvalues, O(N * levels), up to a sign each, so
     consecutive vectors are rephased until the rotated raising operator
-    maps one onto the next with the positive factor sqrt((k+1)(N-k)),
-    as J_+ does on the Dicke ladder.  Raises NumericError when the weights
-    miss unit mass by more than 1e-10.
+    maps one onto the next with the positive factor sqrt((k+1)(N-k)), as
+    J_+ does on the Dicke ladder.  Raises NumericError when inverse
+    iteration fails or the weights miss unit mass by more than 1e-10.
     """
     n = state.n_particles
     h = basis.conj().T @ _JZ @ basis
@@ -349,12 +350,12 @@ def rotated_weights(state, basis) -> np.ndarray:
     ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
     h10 = complex(h[1, 0])
     rephase = h10 / abs(h10) if h10 != 0 else 1.0
-    _, vectors = eigh_tridiagonal(
-        (n - m) * h[0, 0].real + m * h[1, 1].real,
-        abs(h10) * ladder,
-        select="i",
-        select_range=(state.base_level, state.base_level + state.coeffs.size - 1),
-    )
+    # one unsplit block: every eigenvalue in block 1, which ends at row N + 1
+    vectors, info = dstein(
+        (n - m) * h[0, 0].real + m * h[1, 1].real, abs(h10) * ladder,
+        state.levels - 0.5 * n, np.ones(n + 1, np.int32), np.full(n + 1, n + 1, np.int32))
+    if info > 0:
+        raise NumericError(f"inverse iteration missed {info} rotated vector(s)")
     raise_diag = (n - m) * r[0, 0] + m * r[1, 1]
     raise_upper = rephase * r[0, 1] * ladder
     raise_lower = np.conj(rephase) * r[1, 0] * ladder
@@ -421,8 +422,9 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
     CapExceededError
         If ``N * J`` exceeds ``lattice_cap``.
     NumericError
-        If the rotated weights miss unit mass by more than 1e-10, or
-        inversion leaves an imaginary residue above 1e-10.
+        If inverse iteration does not converge, the rotated weights miss
+        unit mass by more than 1e-10, or inversion leaves an imaginary
+        residue above 1e-10.
     NegativeDensityError
         If inversion produces negativity beyond roundoff (1e-12).
     """

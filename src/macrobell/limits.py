@@ -14,6 +14,7 @@ that connects the closed form to the convolution form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     GridTooNarrowError,
     NegativeDensityError,
+    NumericError,
     ValidationError,
     check_unit_vector,
 )
@@ -127,11 +129,18 @@ def hermite(k: int, x):
 
 
 def _wavefunction_rows(k_max: int, x: np.ndarray) -> np.ndarray:
-    """<x|0>..<x|k_max> stacked along axis 0."""
-    norms = np.array([(2.0 * np.pi) ** -0.25 / math.sqrt(math.factorial(k))
-                      for k in range(k_max + 1)])
-    norms = norms.reshape((-1,) + (1,) * x.ndim)
-    return norms * _hermite_rows(k_max, x) * np.exp(-0.25 * x * x)
+    """<x|0>..<x|k_max> stacked along axis 0.
+
+    The normalised recurrence ``psi_(k+1) = (x psi_k - sqrt(k) psi_(k-1)) / sqrt(k+1)``
+    never forms k! or an unscaled He_k, so no level overflows.
+    """
+    rows = np.empty((k_max + 1,) + x.shape, dtype=float)
+    rows[0] = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x)
+    if k_max >= 1:
+        rows[1] = x * rows[0]
+    for k in range(1, k_max):
+        rows[k + 1] = (x * rows[k] - math.sqrt(k) * rows[k - 1]) / math.sqrt(k + 1.0)
+    return rows
 
 
 def oscillator_wavefunction(k: int, x):
@@ -154,6 +163,8 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
     """
     c = np.zeros((k_max + 1, k_max + 1, 2 * k_max + 1))
     f = [math.factorial(j) for j in range(k_max + 1)]
+    if f[k_max] ** 2 > sys.float_info.max:
+        raise NumericError(f"width > 0 kernel coefficients overflow at level {k_max}")
     for k in range(k_max + 1):
         for l in range(k_max + 1):
             for q in range(min(k, l) + 1):
@@ -193,7 +204,11 @@ def level_kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     if s == 0.0:
         psi = _wavefunction_rows(k_max, x)[k_min:]
         return psi[:, None] * psi[None, :]
-    return _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels = _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
+    if not np.all(np.isfinite(kernels)):
+        raise NumericError(f"width {s:g} kernels up to level {k_max} are not finite")
+    return kernels
 
 
 def smeared_level_kernel(k: int, l: int, x, s: float):

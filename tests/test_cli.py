@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from macrobell.cli import run
+from macrobell.cli import _csv_text, _fmt, run
 
 from conftest import CHSH_OPTIMUM
 
@@ -37,6 +37,27 @@ def run_err(capsys, argv, expected_code):
     payload = json.loads(captured.err)
     assert set(payload) == {"error", "message"}
     return payload
+
+
+def reference_csv(header, *columns) -> str:
+    """The former writer: csv.writer over rows of ``_fmt`` fields, str for ints."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*[[str(v) if c.dtype.kind in "iu" else _fmt(v) for v in c]
+                           for c in map(np.asarray, columns)]))
+    return buffer.getvalue()
+
+
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan, 1.7e308])
+
+
+@pytest.mark.parametrize("header, columns", [
+    (("N", "ks"), (np.array([400]), np.array([-0.0]))),
+    (("a", "b", "n"), (EDGE_FLOATS, -EDGE_FLOATS[::-1], np.arange(7) * 100 - 300)),
+], ids=["single-row", "three-columns"])
+def test_csv_text_is_byte_equal_to_csv_writer(header, columns):
+    assert _csv_text(header, *columns) == reference_csv(header, *columns)
 
 
 class TestChsh:
@@ -136,6 +157,18 @@ class TestLimit:
                                   "--width", width, "--out", str(tmp_path / "l.csv")])
         assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_level_130_past_the_factorial_overflow(self, capsys, tmp_path):
+        summary = run_ok(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 130 + "1",
+                                  "--width", "0", "--out", str(tmp_path / "l.csv")])
+        assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_overflowing_wide_kernels_are_a_numeric_error(self, capsys, tmp_path):
+        out = tmp_path / "l.csv"
+        payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 75 + "1",
+                                   "--width", "0.3", "--out", str(out)], 2)
+        assert payload["error"] == "numeric" and "level 75" in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["0.5", "1"])
     def test_points_sets_the_row_count(self, capsys, alpha):
         out = run_ok(capsys, ["limit", "--alpha", alpha, "--coeffs", "paper",
@@ -172,6 +205,11 @@ class TestLocalModel:
         header, rows = read_csv(out.read_text())
         assert header == ["theta_a", "theta_b", "quantum", "lhv", "abs_diff"]
         assert len(rows) == 41 * 41
+        # row i * 41 + j holds (theta_a[i], theta_b[j])
+        grid = np.linspace(0.0, np.pi, 41)
+        theta = np.array([[float(r[0]), float(r[1])] for r in rows])
+        np.testing.assert_array_equal(theta[:, 0], np.repeat(grid, 41))
+        np.testing.assert_array_equal(theta[:, 1], np.tile(grid, 41))
 
 
 class TestNoiseSweep:
@@ -229,6 +267,15 @@ class TestConverge:
         for row in rows:
             assert 0.0 <= float(row[1]) <= 1.0
 
+    def test_limit_at_base_level_200(self, capsys):
+        # The limit law of levels 200-202 needs wavefunctions past level 170.
+        out = run_ok(capsys, ["converge", "--povm", "sx", "--coeffs", "paper",
+                              "--base-level", "200", "--n-list", "400,800",
+                              "--n-samples", "500"])
+        _, rows = read_csv(out)
+        assert [int(r[0]) for r in rows] == [400, 800]
+        assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
@@ -255,6 +302,10 @@ MALFORMED = {
                                 "--state", "dicke:q"],
     "chsh-angle": lambda tmp: ["chsh", "--coeffs", "paper", "--angles", "1,2,3,x"],
     "limit-points": lambda tmp: ["limit", "--coeffs", "paper", "--points", "-3"],
+    "local-model-points-negative": lambda tmp: ["local-model", "--coeffs", "random",
+                                                "--points", "-3"],
+    "local-model-points-zero": lambda tmp: ["local-model", "--coeffs", "random",
+                                            "--points", "0"],
     "povm-not-json": lambda tmp: ["dist", "--N", "10", "--state", "w", "--povm",
                                   _povm_file(tmp, "{not json")],
     "povm-outcome-not-number": lambda tmp: [

@@ -1,5 +1,6 @@
 """Exact finite-N statistics against brute force and structural invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -377,16 +378,71 @@ def test_projective_basis_rejects_unsharp_and_noncommuting_povms():
 
 
 def test_rotation_route_mass_guard(monkeypatch, sigma_x, params_x):
-    solve = finite_n.eigh_tridiagonal
+    solve = finite_n.dstein
 
     def stretched(*args, **kwargs):
-        values, vectors = solve(*args, **kwargs)
-        return values, 1.001 * vectors
+        vectors, info = solve(*args, **kwargs)
+        return 1.001 * vectors, info
 
-    monkeypatch.setattr(finite_n, "eigh_tridiagonal", stretched)
+    monkeypatch.setattr(finite_n, "dstein", stretched)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
     with pytest.raises(NumericError, match="unit mass"):
         pmf_finite(state, sigma_x, params_x, 0.5)
+
+
+def test_rotation_route_reports_unconverged_vectors(monkeypatch, sigma_x, params_x):
+    solve = finite_n.dstein
+
+    def unconverged(*args, **kwargs):
+        vectors, _ = solve(*args, **kwargs)
+        return vectors, 2
+
+    monkeypatch.setattr(finite_n, "dstein", unconverged)
+    state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
+    with pytest.raises(NumericError, match="inverse iteration"):
+        pmf_finite(state, sigma_x, params_x, 0.5)
+
+
+@functools.lru_cache(maxsize=2)  # the two POVMs of one (N, base) case
+def bisection_vectors(bloch, n, base):
+    """Eigenpairs base..base+15 of the collective U^dag J_z U in the rephased
+    Dicke basis, by bisection plus inverse iteration (``eigh_tridiagonal``)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    basis = projective_basis(projective_from_bloch(*bloch))[0]
+    h = basis.conj().T @ np.diag([-0.5, 0.5]) @ basis
+    m = np.arange(n + 1.0)
+    ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    return eigh_tridiagonal((n - m) * h[0, 0].real + m * h[1, 1].real, abs(h[1, 0]) * ladder,
+                            select="i", select_range=(base, base + 15))
+
+
+@pytest.mark.parametrize("bloch", [(math.pi / 2.0, 0.0), (1.2, 0.3)], ids=["sx", "bloch"])
+@pytest.mark.parametrize("levels", [3, 16])
+@pytest.mark.parametrize("n", [1000, 100000])
+@pytest.mark.parametrize("mid_ladder", [False, True], ids=["base0", "baseN/2"])
+def test_rotated_vectors_against_eigh_tridiagonal(monkeypatch, bloch, levels, n, mid_ladder):
+    # Inverse iteration at the closed-form eigenvalues k - N/2 against
+    # bisection for them.  Measured over these 16 cases: eigenvalues within
+    # 2.2e-11, vectors within 1.3e-13 up to sign.
+    base = n // 2 if mid_ladder else 0
+    values, oracle = bisection_vectors(bloch, n, base)
+    values, oracle = values[:levels], oracle[:, :levels]
+    solve = finite_n.dstein
+    found = {}
+
+    def recorded(d, e, w, iblock, isplit):
+        vectors, info = solve(d, e, w, iblock, isplit)
+        found.update(eigenvalues=w, vectors=vectors)
+        return vectors, info
+
+    monkeypatch.setattr(finite_n, "dstein", recorded)
+    state = DickeSuperposition.from_coeffs(n, np.ones(levels), base_level=base)
+    finite_n.rotated_weights(state, projective_basis(projective_from_bloch(*bloch))[0])
+    assert np.max(np.abs(values - found["eigenvalues"])) <= 1e-10
+    vectors = found["vectors"]
+    signs = np.sign(np.sum(vectors * oracle, axis=0))
+    assert np.max(np.abs(signs * vectors - oracle)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, coeffs", [
