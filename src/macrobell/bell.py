@@ -3,10 +3,12 @@
 A Schmidt-diagonal pair state sum_k c_k |k>|k>, read out party-wise through
 the coarse-grained collective variable and binned by sign, has correlators
 that reduce to a bilinear form in a fixed table of sign-weighted level
-overlaps.  This module builds that table, evaluates and maximizes the CHSH
-combination over the four analyzer angles, constructs the joint (x, y)
-density at square-root coarse graining, and cross-checks the full
-coarse-graining branch against its explicit hidden-variable construction.
+overlaps: one trigonometric polynomial of the angle sum, with closed-form
+derivatives, that every CHSH number evaluates at the four pair sums.  This
+module builds that table, evaluates and maximizes the CHSH combination over
+the four analyzer angles, constructs the joint (x, y) density at
+square-root coarse graining, and cross-checks the full coarse-graining
+branch against its separable hidden-variable construction.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import minimize_scalar
 from scipy.special import roots_legendre
 
 from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
@@ -41,12 +41,12 @@ REFINE_VALUE_TOL = 1e-10
 #: Correlator pairs, in the order they enter the CHSH combination.
 PAIR_NAMES = ("AB", "AB'", "A'B", "A'B'")
 
-_PAIR_FLAGS = {
-    "AB": (False, False),
-    "AB'": (False, True),
-    "A'B": (True, False),
-    "A'B'": (True, True),
-}
+# Row p picks pair p's angle sum from (phi_a, phi_a', phi_b, phi_b').
+_PAIR_SUMS = np.array([[1.0, 0.0, 1.0, 0.0],
+                       [1.0, 0.0, 0.0, 1.0],
+                       [0.0, 1.0, 1.0, 0.0],
+                       [0.0, 1.0, 0.0, 1.0]])
+_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,10 @@ def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.
 
 @dataclass(frozen=True)
 class BellConfig:
-    """Schmidt coefficients plus the four analyzer angles and two widths.
+    """Schmidt coefficients plus the four analyzer angles.
 
     ``phi_a``/``phi_a_prime`` are the two settings on the first party,
-    ``phi_b``/``phi_b_prime`` on the second; ``width_a``/``width_b`` are the
-    per-party Gaussian smearing widths (0 for projective binning).
+    ``phi_b``/``phi_b_prime`` on the second.
     """
 
     schmidt_coeffs: np.ndarray
@@ -140,8 +139,6 @@ class BellConfig:
     phi_a_prime: float = 0.0
     phi_b: float = 0.0
     phi_b_prime: float = 0.0
-    width_a: float = 0.0
-    width_b: float = 0.0
 
     def __post_init__(self):
         c = check_unit_vector(self.schmidt_coeffs)
@@ -152,8 +149,6 @@ class BellConfig:
         for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if self.width_a < 0 or self.width_b < 0:
-            raise ValidationError("widths must be nonnegative")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "schmidt_coeffs", c)
@@ -162,60 +157,57 @@ class BellConfig:
     def k_max(self) -> int:
         return self.schmidt_coeffs.size - 1
 
-    def angles_for(self, which_pair: str) -> tuple[float, float]:
-        try:
-            use_ap, use_bp = _PAIR_FLAGS[which_pair]
-        except KeyError:
-            raise ValidationError(
-                f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}"
-            ) from None
-        phi_1 = self.phi_a_prime if use_ap else self.phi_a
-        phi_2 = self.phi_b_prime if use_bp else self.phi_b
-        return phi_1, phi_2
+    @property
+    def angles(self) -> np.ndarray:
+        return np.array([self.phi_a, self.phi_a_prime, self.phi_b, self.phi_b_prime])
 
 
-def _pair_correlation(coeffs: np.ndarray, squared_table: np.ndarray, phase_sum) -> np.ndarray:
-    """Correlator as a function of the angle sum (vectorized over the sum)."""
+def _pair_correlation(coeffs: np.ndarray, squared_table: np.ndarray, phase_sum,
+                      order: int = 0) -> np.ndarray:
+    """Correlator, or its ``order``-th derivative, in the angle sum (vectorized over it)."""
     d = coeffs.size
-    cross = np.outer(np.conj(coeffs), coeffs) * squared_table[:d, :d]
     offsets = (np.arange(d)[None, :] - np.arange(d)[:, None]).ravel()
+    cross = (np.outer(np.conj(coeffs), coeffs) * squared_table[:d, :d]).ravel()
+    cross = cross * (1j * offsets) ** order
     phase_sum = np.asarray(phase_sum, dtype=float)
     phases = np.exp(1j * phase_sum[..., None] * offsets)
-    return np.real(phases @ cross.ravel())
+    return np.real(phases @ cross)
+
+
+def _chsh_terms(coeffs: np.ndarray, squared_table: np.ndarray, angles,
+                order: int = 0) -> np.ndarray:
+    """The four signed CHSH terms, or their ``order``-th derivatives in the pair sums."""
+    return _CHSH_SIGNS * _pair_correlation(coeffs, squared_table, _PAIR_SUMS @ angles, order)
 
 
 def correlator(config: BellConfig, which_pair: str = "AB",
                table: SignOverlapTable | None = None) -> float:
     """Sign-binned correlator for one pair of analyzer settings.
 
-    Only depends on the angles through their sum.  Requires projective
-    binning (both widths zero); smeared readout is handled by the noise
-    routines.  ``table`` overrides the level-overlap table, which is meant
-    for sanity harnesses (e.g. a deterministic diagonal table).
+    Only depends on the angles through their sum.  ``table`` overrides the
+    level-overlap table: a smoothed table gives the correlator of a smeared,
+    noisy readout, and a synthetic one serves sanity harnesses.
     """
-    if config.width_a != 0.0 or config.width_b != 0.0:
-        raise ValidationError("correlator requires projective binning (widths 0)")
+    if which_pair not in PAIR_NAMES:
+        raise ValidationError(
+            f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}"
+        )
     if table is None:
         table = sign_overlap_table(config.k_max)
-    phi_1, phi_2 = config.angles_for(which_pair)
-    value = _pair_correlation(config.schmidt_coeffs, table.values**2, phi_1 + phi_2)
-    return float(value)
+    phase_sum = _PAIR_SUMS[PAIR_NAMES.index(which_pair)] @ config.angles
+    return float(_pair_correlation(config.schmidt_coeffs, table.values**2, phase_sum))
 
 
 def chsh_value(config: BellConfig, table: SignOverlapTable | None = None) -> float:
     """CHSH combination <AB> + <AB'> + <A'B> - <A'B'>."""
-    signs = {"AB": 1.0, "AB'": 1.0, "A'B": 1.0, "A'B'": -1.0}
-    return sum(signs[p] * correlator(config, p, table=table) for p in PAIR_NAMES)
+    if table is None:
+        table = sign_overlap_table(config.k_max)
+    return float(_chsh_terms(config.schmidt_coeffs, table.values**2, config.angles).sum())
 
 
 class OptimizeResult(NamedTuple):
     angles: tuple[float, float, float, float]
     value: float
-
-
-def _chsh_from_pair_function(g, angles) -> float:
-    a, ap, b, bp = angles
-    return g(a + b) + g(a + bp) + g(ap + b) - g(ap + bp)
 
 
 def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
@@ -224,12 +216,14 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
     Deterministic: a coarse scan on the pi/36 grid (exploiting that each
     correlator depends only on an angle sum, so the 4-d scan reduces to
     separable 1-d maximizations) picks the lexicographically smallest grid
-    maximizer, which coordinate descent then refines until the value moves
-    by less than ``REFINE_VALUE_TOL``.
+    maximizer.  Newton steps on the closed-form gradient and Hessian refine
+    it, ascending: each drops the gauge null direction (a, a' up; b, b' down,
+    along which the angles stay free) and takes the other curvatures by
+    modulus, halved until the value grows, until a step gains less than
+    ``REFINE_VALUE_TOL``.
     """
     coeffs = BellConfig(schmidt_coeffs).schmidt_coeffs
-    table = sign_overlap_table(coeffs.size - 1)
-    squared = table.values**2
+    squared = sign_overlap_table(coeffs.size - 1).values**2
 
     n = COARSE_GRID_POINTS
     step = 2.0 * np.pi / n
@@ -250,28 +244,24 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
             best = (float(totals[iap]), ia, iap, int(ib_best[iap]), int(ibp_best[iap]))
 
     angles = np.array(best[1:], dtype=float) * step
-    value = best[0]
-
-    def g(phase_sum):
-        return float(_pair_correlation(coeffs, squared, phase_sum))
-
-    for _ in range(200):
-        previous = value
-        for axis in range(4):
-            lo, hi = angles[axis] - step, angles[axis] + step
-
-            def negated(t, axis=axis):
-                trial = angles.copy()
-                trial[axis] = t
-                return -_chsh_from_pair_function(g, trial)
-
-            res = minimize_scalar(negated, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            if -res.fun > value:
-                angles[axis] = float(res.x)
-                value = -res.fun
-        if value - previous < REFINE_VALUE_TOL:
-            break
+    value, gain = _chsh_terms(coeffs, squared, angles).sum(), math.inf
+    while gain >= REFINE_VALUE_TOL:
+        gradient = _PAIR_SUMS.T @ _chsh_terms(coeffs, squared, angles, 1)
+        curvature, axes = np.linalg.eigh(
+            _PAIR_SUMS.T @ (_chsh_terms(coeffs, squared, angles, 2)[:, None] * _PAIR_SUMS))
+        # Drop the gauge axis, which _PAIR_SUMS maps to zero, and every
+        # numerically flat one (the matrix_rank cut; all four at rank 1).
+        keep = np.abs(curvature) > 4.0 * np.finfo(float).eps * np.abs(curvature).max()
+        keep[np.argmin(np.linalg.norm(_PAIR_SUMS @ axes, axis=0))] = False
+        move = axes[:, keep] @ ((gradient @ axes[:, keep]) / np.abs(curvature[keep]))
+        # Halve until the step gains or its first-order gain is below the tolerance.
+        trial = _chsh_terms(coeffs, squared, angles + move).sum()
+        while trial <= value and gradient @ move >= REFINE_VALUE_TOL:
+            move = move / 2.0
+            trial = _chsh_terms(coeffs, squared, angles + move).sum()
+        gain = trial - value
+        if gain > 0.0:
+            angles, value = angles + move, trial
 
     return OptimizeResult(angles=tuple(float(a) for a in angles), value=float(value))
 
@@ -307,6 +297,8 @@ class JointGridDensity:
 
     def _integrate_axis(self, values: np.ndarray, grid: np.ndarray, axis: int) -> np.ndarray:
         if self.domain == "rotor":
+            from scipy.integrate import simpson  # on call: no CLI command needs it
+
             return simpson(values, x=grid, axis=axis)
         return np.trapezoid(values, grid, axis=axis)
 
@@ -344,6 +336,8 @@ def signed_line_integral(grid: np.ndarray, values: np.ndarray, axis: int = -1):
     Composite Simpson on each half line; the split keeps the quadrature
     error at the sign discontinuity of order h^4 instead of h^2.
     """
+    from scipy.integrate import simpson  # on call: no CLI command needs it
+
     grid = np.asarray(grid, dtype=float)
     j = int(np.argmin(np.abs(grid)))
     scale = max(abs(grid[0]), abs(grid[-1]))
@@ -355,19 +349,23 @@ def signed_line_integral(grid: np.ndarray, values: np.ndarray, axis: int = -1):
     return result
 
 
-def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None) -> JointGridDensity:
+def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *,
+                                 width_a: float = 0.0, width_b: float = 0.0) -> JointGridDensity:
     """Joint readout density of the Schmidt pair at square-root coarse graining.
 
     Uses the unprimed angle pair: the density is the squared amplitude
-    sum_k c_k exp(ik(phi_a + phi_b)) <x|k><y|k>, smeared per party when the
-    widths are nonzero.  The per-party phase conventions cancel in the angle
-    sum, so the phases enter exactly as written.
+    sum_k c_k exp(ik(phi_a + phi_b)) <x|k><y|k>, smeared per party by the
+    Gaussian widths ``width_a`` and ``width_b`` (0 for projective binning).
+    The per-party phase conventions cancel in the angle sum, so the phases
+    enter exactly as written.
     """
+    if not (width_a >= 0.0 and width_b >= 0.0):
+        raise ValidationError("widths must be nonnegative")
     k_max = config.k_max
     if x_grid is None:
-        x_grid = default_real_grid(k_max, width=config.width_a)
+        x_grid = default_real_grid(k_max, width=width_a)
     if y_grid is None:
-        y_grid = default_real_grid(k_max, width=config.width_b)
+        y_grid = default_real_grid(k_max, width=width_b)
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
 
@@ -377,8 +375,8 @@ def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None) -
     # enter twice through the real part of the coefficient product.
     i, j = np.triu_indices(k_max + 1)
     weights = np.where(i == j, 1.0, 2.0) * np.real(np.conj(b[i]) * b[j])
-    kernels_x = level_kernels(k_max, x_grid, config.width_a)[i, j]
-    kernels_y = level_kernels(k_max, y_grid, config.width_b)[i, j]
+    kernels_x = level_kernels(k_max, x_grid, width_a)[i, j]
+    kernels_y = level_kernels(k_max, y_grid, width_b)[i, j]
     density = kernels_x.T @ (weights[:, None] * kernels_y)
 
     lowest = float(density.min())
@@ -443,22 +441,15 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
             quantum += np.abs(amplitude) ** 2
     quantum /= (2.0 * np.pi) ** 2
 
-    # Hidden-variable route: real trigonometric accumulation of the latent
-    # density at the four pushforward images of each (theta_a, theta_b).
+    # Hidden-variable route: the latent density at the four pushforward
+    # images lambda = s theta - phi of each (theta_a, theta_b); the sum over
+    # (k, l) separates into one phase matrix per axis.
     lhv = np.zeros_like(quantum)
     for sa in (1.0, -1.0):
-        lam1 = sa * theta_a - phi_a
+        ea = np.exp(-1j * np.outer(sa * theta_a - phi_a, ka))
         for sb in (1.0, -1.0):
-            lam2 = sb * theta_b - phi_b
-            re = np.zeros((theta_a.size, theta_b.size))
-            im = np.zeros_like(re)
-            for i in range(d_a):
-                for j in range(d_b):
-                    arg = i * lam1[:, None] + j * lam2[None, :]
-                    cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-                    re += c[i, j].real * cos_arg + c[i, j].imag * sin_arg
-                    im += c[i, j].imag * cos_arg - c[i, j].real * sin_arg
-            lhv += re**2 + im**2
+            eb = np.exp(-1j * np.outer(kb, sb * theta_b - phi_b))
+            lhv += np.abs(ea @ c @ eb) ** 2
     lhv /= (2.0 * np.pi) ** 2
 
     discrepancy = float(np.max(np.abs(quantum - lhv)))

@@ -700,7 +700,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--povm", default=None,
                    help="derive phi/width from this POVM instead")
     p.add_argument("--points", type=int, default=None,
-                   help="grid rows (default 4001 at alpha=0.5, 2001 at alpha=1)")
+                   help="grid rows (default 2001 at alpha=1; at alpha=0.5 4001, "
+                        "or more from level 167 to resolve the top level)")
 
     p = add("chsh", "CHSH value and correlators -> JSON")
     p.add_argument("--coeffs", required=True)

@@ -284,6 +284,10 @@ def char_fn_finite(state, povm, params, alpha, t):
     Returns
     -------
     complex or complex ndarray, matching the shape of ``t``.
+
+    Raises NumericError when a value leaves the unit disc by more than
+    1e-10, which the Dicke sums do for mid-ladder states (from about
+    N = 200, base level N/2); smaller errors pass unseen.
     """
     a = check_alpha(alpha)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -293,6 +297,11 @@ def char_fn_finite(state, povm, params, alpha, t):
     entries = _povm_entry_arrays(povm, phases)
     values = _superposition_expectation(state, *entries)
     values = np.where(t_arr == 0.0, 1.0 + 0.0j, values)
+    # Every characteristic function lies in the unit disc; the Dicke sums
+    # cancel for mid-ladder states and can leave it.
+    worst = float(np.max(np.abs(values), initial=0.0))
+    if not worst <= 1.0 + 1e-10:
+        raise NumericError(f"characteristic function reached modulus {worst:.3e} > 1")
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return complex(values[0])
     return values

@@ -174,13 +174,20 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
 
 
 def _smeared_series(coeffs: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
-    """g_alpha(x) * sum_n coeffs[..., n] alpha^-n He_n(x / alpha), alpha = sqrt(1 + s^2)."""
+    """g_alpha(x) * sum_n coeffs[..., n] alpha^-n He_n(x / alpha), alpha = sqrt(1 + s^2).
+
+    Raises NumericError where the Hermite rows overflow and the series is not finite.
+    """
     alpha = math.sqrt(1.0 + s * s)
     u = x / alpha
     degree = coeffs.shape[-1] - 1
-    series = np.tensordot(coeffs * alpha ** -np.arange(degree + 1.0),
-                          _hermite_rows(degree, u), axes=1)
-    series *= np.exp(-0.5 * u * u) / (math.sqrt(2.0 * np.pi) * alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = np.tensordot(coeffs * alpha ** -np.arange(degree + 1.0),
+                              _hermite_rows(degree, u), axes=1)
+        series *= np.exp(-0.5 * u * u) / (math.sqrt(2.0 * np.pi) * alpha)
+    if not np.all(np.isfinite(series)):
+        raise NumericError(f"width {s:g} kernels of Hermite degree {degree} "
+                           f"(level {degree / 2:g}) are not finite")
     return series
 
 
@@ -204,11 +211,7 @@ def level_kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     if s == 0.0:
         psi = _wavefunction_rows(k_max, x)[k_min:]
         return psi[:, None] * psi[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernels = _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
-    if not np.all(np.isfinite(kernels)):
-        raise NumericError(f"width {s:g} kernels up to level {k_max} are not finite")
-    return kernels
+    return _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
 
 
 def smeared_level_kernel(k: int, l: int, x, s: float):
@@ -227,8 +230,18 @@ def real_half_width(k_max: int, width: float = 0.0) -> float:
     return (12.0 + 2.0 * k_max) * math.sqrt(1.0 + width * width)
 
 
-def default_real_grid(k_max: int, points: int = 4001, width: float = 0.0) -> np.ndarray:
+def default_real_grid(k_max: int, points: int | None = None, width: float = 0.0) -> np.ndarray:
+    """Uniform grid over +-``real_half_width``.
+
+    Without ``points`` it has 4001 points, or from level 167 on
+    2 (12 + 2 k_max) sqrt(2 k_max + 1) / pi + 1: sqrt(2) points per half
+    wavelength pi / sqrt(k_max + 1/2) of the top level at the origin, so the
+    trapezoid rule resolves its density.
+    """
     half_width = real_half_width(k_max, width)
+    if points is None:
+        points = max(4001, math.ceil(2.0 * real_half_width(k_max)
+                                     * math.sqrt(2.0 * k_max + 1.0) / math.pi) + 1)
     return np.linspace(-half_width, half_width, points)
 
 
@@ -252,7 +265,8 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     projective measurement is +1, not -1) and the Fourier transform of
     ``limit_charfn_alpha_half``.
     """
-    if grid is None:
+    own_grid = grid is None
+    if own_grid:
         grid = default_real_grid(state.k_max, width=state.width)
     grid = np.asarray(grid, dtype=float)
     b = state.phased_coeffs(offset=np.pi)
@@ -271,7 +285,12 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
         raise GridTooNarrowError(
             f"density {edge:.3e} at the grid boundary exceeds {BOUNDARY_MASS_TOL:.0e}"
         )
-    return GridDensity(grid=grid, density=density, domain="real_line")
+    result = GridDensity(grid=grid, density=density, domain="real_line")
+    # On its own grid the density must integrate to 1; a caller's grid
+    # (say, a coarse one) is the caller's to judge.
+    if own_grid and abs(result.integral() - 1.0) > 1e-6:
+        raise NumericError(f"density integrates to {result.integral():.6g} on its default grid")
+    return result
 
 
 def limit_charfn_alpha_half(state: LimitState, sigma_over_tau: float, t):

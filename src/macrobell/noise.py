@@ -15,8 +15,12 @@ The CHSH sweep maps the violation across (smearing width, noise bound)
 cells and reports where it drops to the classical boundary.  The sign of a
 noisy readout integrates like the clean readout against S, the sign
 convolved with the noise density, which has a closed form; so each cell is
-one ``bell.smoothed_sign_overlap_table`` quadrature and no density is
-convolved.
+one ``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
+``bell.chsh_value``, and no density is convolved.
+
+``bell``, ``finite_n`` and ``scipy`` are imported inside the one function
+that needs each, so the channel and loss-width routines load neither the
+Bell nor the finite-N stack.
 """
 
 from __future__ import annotations
@@ -26,16 +30,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
-from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
 from .errors import (
     DivergentWidthError,
     InvalidLossError,
     SingularChannelError,
     ValidationError,
 )
-from .finite_n import char_fn_finite
 from .limits import GridDensity
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
 
@@ -128,6 +129,8 @@ def loss_char_fn_finite(state, povm: SingleParticlePovm, params: DerivedParams,
     intensity counts received outcomes only and is rescaled by p tau sqrt(N).
     This is ``char_fn_finite`` at alpha = 1/2 on ``lossy_povm``.
     """
+    from .finite_n import char_fn_finite
+
     return char_fn_finite(state, *lossy_povm(povm, params, p), 0.5, t)
 
 
@@ -198,6 +201,8 @@ def _smoothed_sign(shape: str, eps: float):
     if shape == "uniform":
         return lambda x: x / eps
     # erf(x / (sigma sqrt 2)) / erf(sqrt 2) with sigma = eps / 2
+    from scipy.special import erf
+
     return lambda x: erf(x * math.sqrt(2.0) / eps) / math.erf(math.sqrt(2.0))
 
 
@@ -280,6 +285,8 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     ``clean_value`` bit for bit.  Per noise row the result records where
     the value crosses the classical boundary 2.
     """
+    from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
+
     if shape not in _SHAPES:
         raise ValidationError(f"classical_shape must be one of {_SHAPES}, got {shape!r}")
     s_grid = np.asarray(s_grid, dtype=float)

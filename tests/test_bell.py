@@ -1,6 +1,9 @@
 """Sign overlaps, CHSH machinery, bipartite densities, and the local model."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,13 +99,6 @@ def test_chsh_paper_value():
     assert chsh_value(paper_config()) == pytest.approx(CHSH_OPT, abs=1e-9)
 
 
-def test_correlator_rejects_widths():
-    config = BellConfig(schmidt_coeffs=PAPER, phi_a=0.0, phi_a_prime=0.0,
-                        phi_b=0.0, phi_b_prime=0.0, width_a=0.2)
-    with pytest.raises(ValidationError):
-        correlator(config, "AB")
-
-
 def test_correlator_rejects_unknown_pair():
     with pytest.raises(ValidationError):
         correlator(paper_config(), "BA")
@@ -139,6 +135,80 @@ def test_optimized_value_respects_tsirelson(d, seed):
     assert 0.0 <= result.value <= TSIRELSON + 1e-9
 
 
+def coordinate_descent_chsh(coeffs):
+    """The former refinement: coarse pi/36 start, then bounded line searches
+    on one angle at a time, kept as the oracle for the Newton refinement."""
+    from scipy.optimize import minimize_scalar
+
+    table = sign_overlap_table(coeffs.size - 1).values
+    d = coeffs.size
+    cross = np.outer(np.conj(coeffs), coeffs) * table[:d, :d] ** 2
+    offsets = np.arange(d)[None, :] - np.arange(d)[:, None]
+
+    def g(phase_sum):
+        return float(np.real(np.sum(cross * np.exp(1j * phase_sum * offsets))))
+
+    def chsh(x):
+        a, ap, b, bp = x
+        return g(a + b) + g(a + bp) + g(ap + b) - g(ap + bp)
+
+    n = 72
+    step = 2.0 * math.pi / n
+    grid = np.array([g(step * i) for i in range(n)])
+    shifted = grid[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
+    best = (-np.inf, 0, 0, 0, 0)
+    for ia in range(n):
+        plus = shifted[ia][None, :] + shifted
+        minus = shifted[ia][None, :] - shifted
+        ib, ibp = plus.argmax(axis=1), minus.argmax(axis=1)
+        totals = plus[np.arange(n), ib] + minus[np.arange(n), ibp]
+        iap = int(totals.argmax())
+        if totals[iap] > best[0]:
+            best = (float(totals[iap]), ia, iap, int(ib[iap]), int(ibp[iap]))
+    angles = np.array(best[1:], dtype=float) * step
+    value = best[0]
+    for _ in range(200):
+        previous = value
+        for axis in range(4):
+            def negated(t, axis=axis):
+                trial = angles.copy()
+                trial[axis] = t
+                return -chsh(trial)
+
+            res = minimize_scalar(negated, bounds=(angles[axis] - step, angles[axis] + step),
+                                  method="bounded", options={"xatol": 1e-12})
+            if -res.fun > value:
+                angles[axis], value = float(res.x), -res.fun
+        if value - previous < 1e-10:
+            break
+    return value
+
+
+def oracle_states():
+    yield "paper", PAPER
+    for d in (2, 3, 8, 16):
+        yield f"equal:{d}", np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    # Seed 107 holds five states (d = 6, 9, 12, 15, 16) on which Newton steps
+    # with signed instead of absolute curvatures stop 1e-4 to 2e-3 short.
+    rng = np.random.default_rng(107)
+    for i in range(150):
+        d = 1 + i % 16
+        c = rng.normal(size=d) + 1j * rng.normal(size=d)
+        yield f"random-{i}-d{d}", c / np.linalg.norm(c)
+
+
+def test_newton_refinement_matches_coordinate_descent():
+    # The Newton value may exceed the oracle (which stops on a small sweep
+    # gain short of the peak) but never falls below it.
+    for name, coeffs in oracle_states():
+        result = optimize_chsh(coeffs)
+        oracle = coordinate_descent_chsh(coeffs)
+        assert result.value >= oracle - 1e-10, name
+        assert abs(result.value - oracle) <= 1e-9, name
+        config = BellConfig(coeffs, *result.angles)
+        assert abs(chsh_value(config) - result.value) <= 1e-12, name
+
+
 def test_schmidt_rank_cap():
     coeffs = np.full(17, 1.0 / math.sqrt(17.0), dtype=complex)
     with pytest.raises(CapExceededError):
@@ -173,13 +243,20 @@ def test_bipartite_density_normalization_and_marginals():
 
 
 def test_bipartite_marginals_ignore_other_party_width():
-    smeared = BellConfig(schmidt_coeffs=PAPER, phi_a=0.3, phi_a_prime=0.0,
-                         phi_b=-0.2, phi_b_prime=0.0, width_b=0.8)
-    joint = bipartite_density_alpha_half(smeared)
+    config = BellConfig(schmidt_coeffs=PAPER, phi_a=0.3, phi_a_prime=0.0,
+                        phi_b=-0.2, phi_b_prime=0.0)
+    joint = bipartite_density_alpha_half(config, width_b=0.8)
     clean = paper_config()
     reference = bipartite_density_alpha_half(clean)
     np.testing.assert_allclose(joint.marginal_x().density,
                                reference.marginal_x().density, atol=1e-10)
+
+
+@pytest.mark.parametrize("widths", [{"width_a": -0.1}, {"width_b": -1e-3},
+                                    {"width_a": math.nan}])
+def test_bipartite_density_rejects_bad_widths(widths):
+    with pytest.raises(ValidationError, match="widths"):
+        bipartite_density_alpha_half(paper_config(), **widths)
 
 
 def test_sign_correlator_matches_analytic():
@@ -197,6 +274,61 @@ def test_local_model_two_routes_agree():
     assert result.max_discrepancy <= 1e-12
     assert result.quantum_joint.integral() == pytest.approx(1.0, abs=1e-9)
     assert result.lhv_joint.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def loop_lhv_density(c, phi_a, phi_b, theta_a, theta_b):
+    """The former hidden-variable route: a cos/sin accumulation per (k, l)."""
+    lhv = np.zeros((theta_a.size, theta_b.size))
+    for sa in (1.0, -1.0):
+        lam1 = sa * theta_a - phi_a
+        for sb in (1.0, -1.0):
+            lam2 = sb * theta_b - phi_b
+            re = np.zeros_like(lhv)
+            im = np.zeros_like(lhv)
+            for i in range(c.shape[0]):
+                for j in range(c.shape[1]):
+                    arg = i * lam1[:, None] + j * lam2[None, :]
+                    re += c[i, j].real * np.cos(arg) + c[i, j].imag * np.sin(arg)
+                    im += c[i, j].imag * np.cos(arg) - c[i, j].real * np.sin(arg)
+            lhv += re**2 + im**2
+    return lhv / (2.0 * np.pi) ** 2
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (8, 8)])
+def test_separable_lhv_matches_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c /= np.linalg.norm(c)
+    theta_a, theta_b = np.linspace(0.0, math.pi, 61), np.linspace(0.0, math.pi, 47)
+    result = local_model_alpha_one(c, 0.7, -1.3, theta_grids=(theta_a, theta_b))
+    expected = loop_lhv_density(c, 0.7, -1.3, theta_a, theta_b)
+    np.testing.assert_allclose(result.lhv_joint.density, expected, rtol=0.0, atol=1e-13)
+
+
+def test_bell_and_noise_imports_stay_light():
+    # bell needs only numpy and scipy.special at load; noise loads neither
+    # the Bell nor the finite-N stack until a function asks for it.
+    script = ("import sys, macrobell.bell, macrobell.noise\n"
+              "print(' '.join(sorted(m for m in sys.modules"
+              " if m.startswith(('scipy.optimize', 'scipy.integrate')))))\n")
+    first = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, check=True, env=_src_env())
+    assert first.stdout.split() == []
+    script = ("import sys, macrobell.noise\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('macrobell'))))\n")
+    second = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True, env=_src_env())
+    loaded = second.stdout.split()
+    assert "macrobell.noise" in loaded
+    assert "macrobell.bell" not in loaded and "macrobell.finite_n" not in loaded
+
+
+def _src_env():
+    import macrobell
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macrobell.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_local_model_product_state_factorizes():

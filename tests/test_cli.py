@@ -162,6 +162,21 @@ class TestLimit:
                                   "--width", "0", "--out", str(tmp_path / "l.csv")])
         assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_level_250_on_the_widened_default_grid(self, capsys, tmp_path):
+        # 4001 points undersampled this level: the integral read 0.9645.
+        summary = json.loads(run_ok(capsys, [
+            "limit", "--alpha", "0.5", "--coeffs", "0," * 250 + "1", "--width", "0",
+            "--out", str(tmp_path / "l.csv")]))
+        assert summary["points"] > 4001
+        assert summary["integral"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_level_1000_misses_unit_mass_and_fails(self, capsys, tmp_path):
+        out = tmp_path / "l.csv"
+        payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 1000 + "1",
+                                   "--width", "0", "--out", str(out)], 2)
+        assert payload["error"] == "numeric"
+        assert not out.exists()
+
     def test_overflowing_wide_kernels_are_a_numeric_error(self, capsys, tmp_path):
         out = tmp_path / "l.csv"
         payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 75 + "1",

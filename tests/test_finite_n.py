@@ -129,6 +129,15 @@ def test_char_fn_scalar_passthrough(sigma_x, params_x):
     assert isinstance(value, complex)
 
 
+@pytest.mark.parametrize("n", [200, 400, 1000])
+def test_char_fn_outside_the_unit_disc_is_a_numeric_error(sigma_x, params_x, n):
+    # The Dicke sums cancel at mid-ladder: |phi| reached 1.2e9 (N = 200),
+    # 7.7e23 (N = 400) and 6.5e53 (N = 1000) on this t grid.
+    state = DickeSuperposition(n_particles=n, base_level=n // 2, coeffs=PAPER_COEFFS)
+    with pytest.raises(NumericError, match="modulus"):
+        char_fn_finite(state, sigma_x, params_x, 0.5, np.linspace(-6.0, 6.0, 241))
+
+
 def test_pmf_matches_brute_force_randomized():
     rng = np.random.default_rng(42)
     for _ in range(12):

@@ -72,6 +72,37 @@ def test_wide_kernels_at_high_levels_raise_numeric_error():
         level_kernels(75, default_real_grid(75, width=0.3), 0.3, 75)
 
 
+def test_overflowing_pair_kernel_raises_numeric_error():
+    # The per-pair path shares the finite check: it returned 1182 NaN of
+    # 4001 entries here.
+    with pytest.raises(NumericError, match="level 75"):
+        smeared_level_kernel(75, 75, default_real_grid(75, width=0.3), 0.3)
+
+
+def test_default_grid_resolves_high_levels():
+    # 4001 points up to level 166, then sqrt(2) points per half wavelength
+    # of the top level; level 250 integrated to 0.9645 on 4001 points.
+    assert default_real_grid(166).size == 4001
+    assert default_real_grid(167).size == 4033
+    coeffs = np.zeros(251)
+    coeffs[250] = 1.0
+    density = limit_density_alpha_half(LimitState(coeffs=coeffs))
+    assert density.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_undersampled_default_grid_is_a_numeric_error():
+    # Level 1000: the wavefunction rows underflow at the grid's edge and
+    # the density integrates to 0.66 on its own grid.
+    coeffs = np.zeros(1001)
+    coeffs[1000] = 1.0
+    with pytest.raises(NumericError, match="integrates"):
+        limit_density_alpha_half(LimitState(coeffs=coeffs))
+    # A caller's grid is the caller's to judge.
+    coarse = limit_density_alpha_half(LimitState(coeffs=[0.0, 1.0]),
+                                      grid=np.linspace(-14.0, 14.0, 11))
+    assert abs(coarse.integral() - 1.0) > 1e-6
+
+
 def test_kernel_reduces_to_wavefunction_product_at_zero_width():
     x = np.linspace(-8.0, 8.0, 101)
     for k, l in [(0, 0), (1, 2), (3, 4)]:

@@ -15,6 +15,7 @@ from macrobell.bell import (
 from macrobell.errors import (
     DivergentWidthError,
     InvalidLossError,
+    NumericError,
     SingularChannelError,
     ValidationError,
 )
@@ -136,6 +137,12 @@ class TestLoss:
     def test_char_fn_rejects_bad_probability(self, sigma_x, params_x):
         with pytest.raises(InvalidLossError):
             loss_char_fn_finite(w_state(4), sigma_x, params_x, 0.0, 1.0)
+
+    def test_char_fn_outside_the_unit_disc_is_a_numeric_error(self, sigma_x, params_x):
+        # Inherited from char_fn_finite: mid-ladder Dicke sums leave the unit disc.
+        state = DickeSuperposition(n_particles=400, base_level=200, coeffs=PAPER_COEFFS)
+        with pytest.raises(NumericError, match="modulus"):
+            loss_char_fn_finite(state, sigma_x, params_x, 0.9, np.linspace(-6.0, 6.0, 241))
 
     @pytest.mark.parametrize("p", [0.35, 0.8])
     def test_char_fn_against_three_outcome_rewrite(self, sigma_x, params_x, p):
@@ -425,9 +432,8 @@ class TestSweep:
         half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
         grid = np.linspace(-half, half, 1201)
         joint = bipartite_density_alpha_half(
-            BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15, phi_b=-0.4,
-                       width_a=s, width_b=s),
-            x_grid=grid, y_grid=grid)
+            BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15, phi_b=-0.4),
+            x_grid=grid, y_grid=grid, width_a=s, width_b=s)
 
         columns = [_convolve_values(grid, joint.density[:, j], eps, shape)
                    for j in range(grid.size)]
