@@ -39,6 +39,8 @@ _EXPORTS = {
     "SingleParticlePovm": "povm",
     "DerivedParams": "povm",
     "validate_povm": "povm",
+    "common_eigenbasis": "povm",
+    "projective_basis": "povm",
     "derive_params": "povm",
     "projective_from_bloch": "povm",
     "povm_to_json": "povm",
@@ -53,10 +55,13 @@ _EXPORTS = {
     "dicke_matrix_element": "finite_n",
     "char_fn_finite": "finite_n",
     "pmf_finite": "finite_n",
+    "rotated_weights": "finite_n",
     "moments_finite": "finite_n",
     "brute_force_pmf": "finite_n",
     "brute_force_char_fn": "finite_n",
     "total_variation": "finite_n",
+    "DEFAULT_LATTICE_CAP": "finite_n",
+    "BRUTE_FORCE_MAX_N": "finite_n",
     # limits
     "GridDensity": "limits",
     "LimitState": "limits",
@@ -64,6 +69,7 @@ _EXPORTS = {
     "oscillator_wavefunction": "limits",
     "level_kernels": "limits",
     "smeared_level_kernel": "limits",
+    "real_half_width": "limits",
     "default_real_grid": "limits",
     "default_rotor_grid": "limits",
     "limit_density_alpha_half": "limits",

@@ -544,8 +544,9 @@ def _selftest_checks():
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
                            total_variation)
-    from .limits import (LimitState, limit_density_alpha_half,
-                         limit_density_alpha_one, verify_hermite_lemma)
+    from .limits import (LimitState, default_real_grid, level_kernels,
+                         limit_density_alpha_half, limit_density_alpha_one,
+                         verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
     from .povm import derive_params, projective_from_bloch
     from .sampling import sample_outcomes
@@ -600,6 +601,10 @@ def _selftest_checks():
         rotor = limit_density_alpha_one(paper, 0.0)
         return max(abs(line.integral() - 1.0), abs(rotor.integral() - 1.0))
 
+    def wide_kernel_high_level():
+        grid = default_real_grid(99, width=0.3)
+        return abs(float(np.trapezoid(level_kernels(99, grid, 0.3, 99)[0, 0], grid)) - 1.0)
+
     def chsh_paper():
         bc = BellConfig(schmidt_coeffs=paper, phi_a=0.0, phi_a_prime=math.pi / 2.0,
                         phi_b=-math.pi / 4.0, phi_b_prime=math.pi / 4.0)
@@ -634,6 +639,7 @@ def _selftest_checks():
         ("pmf-normalization", pmf_normalization, 1e-9),
         ("pmf-mid-ladder-mass", pmf_mid_ladder_mass, 1e-12),
         ("limit-normalization", limit_normalization, 1e-9),
+        ("wide-kernel-high-level", wide_kernel_high_level, 1e-9),
         ("chsh-paper-value", chsh_paper, 1e-9),
         ("lhv-two-routes", lhv_match, 1e-8),
         ("sampler-reproducible", sampler_reproducible, 0.5),
@@ -647,11 +653,10 @@ def _cmd_selftest(config: RunConfig) -> None:
     for name, check, budget in _selftest_checks():
         residual = float(check())
         if residual <= budget:
-            sys.stdout.write(f"ok   {name} (residual {residual:.3e})\n")
+            sys.stdout.write(f"ok   {name} (residual {residual:.3e} <= {budget:.0e})\n")
         else:
             failures += 1
-            sys.stdout.write(
-                f"FAIL {name} (residual {residual:.3e} > {budget:.0e})\n")
+            sys.stdout.write(f"FAIL {name} (residual {residual:.3e} > {budget:.0e})\n")
     sys.stdout.write(f"{'all checks passed' if not failures else f'{failures} check(s) failed'}\n")
     if failures:
         raise NumericError(f"selftest: {failures} check(s) failed")

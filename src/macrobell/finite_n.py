@@ -381,7 +381,7 @@ def rotated_weights(state, basis) -> np.ndarray:
         amplitude += state.coeffs[k] * phase * vectors[:, k]
     weights = np.abs(amplitude) ** 2
     mass_defect = abs(float(weights.sum()) - 1.0)
-    if mass_defect > 1e-10:
+    if not mass_defect <= 1e-10:
         raise NumericError(f"rotated weights miss unit mass by {mass_defect:.3e}")
     return weights
 
@@ -395,13 +395,13 @@ def _inverted_probs(state, povm, idx, size) -> np.ndarray:
 
     probs = np.fft.fft(char_values) / size
     imag_residue = float(np.max(np.abs(probs.imag)))
-    if imag_residue > 1e-10:
+    if not imag_residue <= 1e-10:
         raise NumericError(
             f"inversion left imaginary residue {imag_residue:.3e}"
         )
     p = probs.real
     worst = float(p.min())
-    if worst < -1e-12:
+    if not worst >= -1e-12:
         raise NegativeDensityError(
             f"inversion produced probability {worst:.3e} < -1e-12"
         )

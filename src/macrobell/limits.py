@@ -6,9 +6,9 @@ is an oscillator-mode density smeared by a Gaussian of width
 closed form.  For linear coarse graining the limit is a planar-rotor
 angle distribution on [0, pi].  This module provides those laws, the
 level-pair kernels that every square-root quantity contracts
-(``level_kernels``: one Hermite coefficient table, one set of Hermite
-rows), and a numerical verification of the Gaussian-smearing identity
-that connects the closed form to the convolution form.
+(``level_kernels``: Hermite rows at the nodes of one Gauss-Hermite rule),
+and a numerical verification of the Gaussian-smearing identity that
+connects the closed Hermite sum to the convolution form.
 """
 
 from __future__ import annotations
@@ -128,18 +128,28 @@ def hermite(k: int, x):
     return _hermite_rows(k, np.asarray(x, dtype=float))[k]
 
 
-def _wavefunction_rows(k_max: int, x: np.ndarray) -> np.ndarray:
-    """<x|0>..<x|k_max> stacked along axis 0.
+def _level_rows(k_max: int, x: np.ndarray, s: float, k_min: int) -> np.ndarray:
+    """Rows k_min..k_max of the width-s kernels, shape (d, nodes) + x.shape.
 
-    The normalised recurrence ``psi_(k+1) = (x psi_k - sqrt(k) psi_(k-1)) / sqrt(k+1)``
-    never forms k! or an unscaled He_k, so no level overflows.
+    With a^2 = 1 + s^2, <k| e_s(x) |l> is a Gaussian in x times the mean of
+    the degree-(k + l) polynomial He_k He_l / sqrt(k! l!) at
+    y ~ N(x / a^2, s^2 / a^2), so the (k_max + 1)-node Gauss-Hermite rule
+    gives it exactly as sum_j row_k[j] row_l[j].  Row k at node j is the
+    normalised recurrence at y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
+    (2 pi)^(-1/4) sqrt(w_j / (sqrt(pi) a)) e^(-x^2/(4 a^2)); squared, it is at
+    most the kernel <k| e_s(x) |k>, so nothing overflows.  At s = 0 the rule
+    is the one node t = 0, w = sqrt(pi), and row k is <x|k>.
     """
-    rows = np.empty((k_max + 1,) + x.shape, dtype=float)
-    rows[0] = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x)
-    if k_max >= 1:
-        rows[1] = x * rows[0]
-    for k in range(1, k_max):
-        rows[k + 1] = (x * rows[k] - math.sqrt(k) * rows[k - 1]) / math.sqrt(k + 1.0)
+    alpha2 = 1.0 + s * s
+    nodes, weights = _hermgauss_cached(k_max + 1 if s > 0.0 else 1)
+    y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)
+    rows = np.empty((k_max - k_min + 1,) + y.shape)
+    below, row = 0.0, np.multiply.outer(np.sqrt(weights / math.sqrt(np.pi * alpha2)),
+                                        (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x / alpha2))
+    for k in range(k_max + 1):
+        if k >= k_min:
+            rows[k - k_min] = row
+        below, row = row, (y * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
     return rows
 
 
@@ -151,20 +161,20 @@ def oscillator_wavefunction(k: int, x):
     """
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    return _wavefunction_rows(k, np.asarray(x, dtype=float))[k]
+    return _level_rows(k, np.asarray(x, dtype=float), 0.0, k)[0, 0]
 
 
 @lru_cache(maxsize=32)
 def _level_pair_coefficients(k_max: int) -> np.ndarray:
     """c[k, l, n] = sqrt(k! l!) / (q! (k-q)! (l-q)!) at n = k + l - 2q, else 0.
 
-    He_k He_l / sqrt(k! l!) = sum_n c[k, l, n] He_n; the width-s kernel is
-    the same sum over alpha^-n He_n(x/alpha), under a width-alpha Gaussian.
+    He_k He_l / sqrt(k! l!) = sum_n c[k, l, n] He_n, the level overlap
+    polynomial of the characteristic function and the Hermite lemma.
     """
     c = np.zeros((k_max + 1, k_max + 1, 2 * k_max + 1))
     f = [math.factorial(j) for j in range(k_max + 1)]
     if f[k_max] ** 2 > sys.float_info.max:
-        raise NumericError(f"width > 0 kernel coefficients overflow at level {k_max}")
+        raise NumericError(f"Hermite pair coefficients overflow at level {k_max}")
     for k in range(k_max + 1):
         for l in range(k_max + 1):
             for q in range(min(k, l) + 1):
@@ -173,56 +183,25 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
     return c
 
 
-def _smeared_series(coeffs: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
-    """g_alpha(x) * sum_n coeffs[..., n] alpha^-n He_n(x / alpha), alpha = sqrt(1 + s^2).
-
-    Raises NumericError where the Hermite rows overflow and the series is not finite.
-    """
-    alpha = math.sqrt(1.0 + s * s)
-    u = x / alpha
-    degree = coeffs.shape[-1] - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = np.tensordot(coeffs * alpha ** -np.arange(degree + 1.0),
-                              _hermite_rows(degree, u), axes=1)
-        series *= np.exp(-0.5 * u * u) / (math.sqrt(2.0 * np.pi) * alpha)
-    if not np.all(np.isfinite(series)):
-        raise NumericError(f"width {s:g} kernels of Hermite degree {degree} "
-                           f"(level {degree / 2:g}) are not finite")
-    return series
-
-
 def level_kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     """Every <k| e_s(x) |l> for k_min <= k, l <= k_max, shape (d, d) + x.shape.
 
     ``d = k_max - k_min + 1``; a state supported on high levels only (a
-    padded base level) needs just that block.
-
-    At s = 0 the kernels are the products <k|x><x|l> of oscillator
-    wavefunctions.  For s > 0 the Gaussian convolution collapses to the
-    finite Hermite sum ``g_alpha(x) sum_n c_kln alpha^-n He_n(x/alpha)``
-    with alpha = sqrt(1 + s^2), one coefficient table and one set of
-    Hermite rows for all pairs; both forms agree by the smearing identity
-    (see ``verify_hermite_lemma``).  The s = 0 case keeps the product,
-    which is exact to roundoff where the series loses ~1e-10 at k_max = 15.
+    padded base level) needs just that block, and no lower row is stored.
+    Each kernel is the Gauss-Hermite sum of ``_level_rows``, exact at every
+    width; at s = 0 it is the product <k|x><x|l>.  At s > 0 level 370 and
+    above raise NumericError, where numpy's Gauss-Hermite rule degenerates.
     """
-    if not 0 <= k_min <= k_max or s < 0:
-        raise ValidationError("need 0 <= k_min <= k_max and s >= 0")
-    x = np.asarray(x, dtype=float)
-    if s == 0.0:
-        psi = _wavefunction_rows(k_max, x)[k_min:]
-        return psi[:, None] * psi[None, :]
-    return _smeared_series(_level_pair_coefficients(k_max)[k_min:, k_min:], x, s)
+    if not (0 <= k_min <= k_max and 0.0 <= s < math.inf):
+        raise ValidationError("need 0 <= k_min <= k_max and a finite s >= 0")
+    rows = _level_rows(k_max, np.asarray(x, dtype=float), s, k_min)
+    return np.einsum("kj...,lj...->kl...", rows, rows)
 
 
 def smeared_level_kernel(k: int, l: int, x, s: float):
-    """<k| e_s(x) |l>: entry (k, l) of ``level_kernels``, at the cost of one pair."""
-    if min(k, l) < 0 or s < 0:
-        raise ValidationError("k, l and s must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if s == 0.0:
-        psi = _wavefunction_rows(max(k, l), x)
-        return psi[k] * psi[l]
-    return _smeared_series(_level_pair_coefficients(max(k, l))[k, l, :k + l + 1], x, s)
+    """<k| e_s(x) |l>: entry (k, l) of ``level_kernels``."""
+    low = min(k, l)
+    return level_kernels(max(k, l), x, s, low)[k - low, l - low]
 
 
 def real_half_width(k_max: int, width: float = 0.0) -> float:
@@ -361,7 +340,15 @@ def rotor_pushforward(rotor: GridDensity, x_grid=None) -> GridDensity:
 
 @lru_cache(maxsize=8)
 def _hermgauss_cached(n_nodes: int):
-    return np.polynomial.hermite.hermgauss(n_nodes)
+    """Gauss-Hermite nodes and weights, whose sum must be sqrt(pi) (numpy 2.4
+    returns all-zero weights at 371 nodes and non-finite ones from 372)."""
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+        total = float(weights.sum())
+    if not abs(total - math.sqrt(math.pi)) <= 1e-12:
+        raise NumericError(f"the {n_nodes}-node Gauss-Hermite rule for level {n_nodes - 1} "
+                           f"is degenerate: its weights sum to {total:.3g}")
+    return nodes, weights
 
 
 def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
@@ -375,10 +362,9 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
       = integral dx' G_beta(x - x') e^{-x'^2/(2 g^2)}/(sqrt(2 pi) g)
           * He_m(x'/g) He_n(x'/g) / (m! n!)
 
-    The left side is the library's kernel,
-    ``smeared_level_kernel(m, n, x/g, b/g) / (g sqrt(m! n!))``; the right
-    side is evaluated by Gauss-Hermite quadrature after completing the
-    square, which is exact for the polynomial factor.
+    The left side is summed from the level-pair coefficient table, the
+    right side by Gauss-Hermite quadrature after completing the square,
+    which is exact for the polynomial factor.
     """
     if beta <= 0 or gamma <= 0:
         raise ValidationError("beta and gamma must be positive")
@@ -388,8 +374,10 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
     x = np.asarray(x_grid, dtype=float)
 
     u = x / alpha
-    closed = (smeared_level_kernel(m, n, x / gamma, beta / gamma)
-              / (gamma * math.sqrt(math.factorial(m) * math.factorial(n))))
+    c = _level_pair_coefficients(max(m, n))[m, n, :m + n + 1]
+    series = (c * (gamma / alpha) ** np.arange(c.size)) @ _hermite_rows(m + n, u)
+    closed = (np.exp(-0.5 * u * u) * series / (math.sqrt(2.0 * np.pi) * alpha)
+              / math.sqrt(math.factorial(m) * math.factorial(n)))
 
     nodes, weights = _hermgauss_cached(n_nodes)
     var = (beta * gamma / alpha) ** 2

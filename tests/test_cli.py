@@ -178,10 +178,15 @@ class TestLimit:
         assert not out.exists()
 
     def test_overflowing_wide_kernels_are_a_numeric_error(self, capsys, tmp_path):
-        out = tmp_path / "l.csv"
-        payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 75 + "1",
+        # Level 75 at width 0.3 overflowed the former Hermite series; the
+        # Gauss-Hermite rows hold it.  numpy's rule degenerates at level 370.
+        summary = run_ok(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 75 + "1",
+                                  "--width", "0.3", "--out", str(tmp_path / "l.csv")])
+        assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-9)
+        out = tmp_path / "high.csv"
+        payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 370 + "1",
                                    "--width", "0.3", "--out", str(out)], 2)
-        assert payload["error"] == "numeric" and "level 75" in payload["message"]
+        assert payload["error"] == "numeric" and "level 370" in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["0.5", "1"])
@@ -297,6 +302,9 @@ class TestSelftest:
         out = run_ok(capsys, ["selftest"])
         assert "all checks passed" in out
         assert "FAIL" not in out
+        checks = out.splitlines()[:-1]
+        assert all(" <= " in line for line in checks)
+        assert any("wide-kernel-high-level" in line for line in checks)
 
 
 def _povm_file(tmp_path, text):

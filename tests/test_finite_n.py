@@ -412,6 +412,39 @@ def test_rotation_route_reports_unconverged_vectors(monkeypatch, sigma_x, params
         pmf_finite(state, sigma_x, params_x, 0.5)
 
 
+def test_rotation_route_rejects_nan_weights(monkeypatch, sigma_x, params_x):
+    # NaN fails every comparison, so a guard written as "value > bound" let
+    # NaN weights through as an all-NaN PMF.
+    solve = finite_n.dstein
+
+    def poisoned(*args, **kwargs):
+        vectors, info = solve(*args, **kwargs)
+        vectors[0, 0] = math.nan
+        return vectors, info
+
+    monkeypatch.setattr(finite_n, "dstein", poisoned)
+    state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
+    with pytest.raises(NumericError, match="unit mass"):
+        pmf_finite(state, sigma_x, params_x, 0.5)
+
+
+def test_inversion_route_rejects_nan_characteristic_function(monkeypatch):
+    from macrobell.noise import depolarize_povm
+
+    povm = depolarize_povm(projective_from_bloch(math.pi / 2.0, 0.0), 0.2)
+    evaluate = finite_n._superposition_expectation
+
+    def poisoned(*args):
+        values = evaluate(*args)
+        values[1] = math.nan
+        return values
+
+    monkeypatch.setattr(finite_n, "_superposition_expectation", poisoned)
+    state = DickeSuperposition(n_particles=20, coeffs=PAPER_COEFFS)
+    with pytest.raises(NumericError, match="imaginary residue"):
+        pmf_finite(state, povm, derive_params(povm), 0.5)
+
+
 @functools.lru_cache(maxsize=2)  # the two POVMs of one (N, base) case
 def bisection_vectors(bloch, n, base):
     """Eigenpairs base..base+15 of the collective U^dag J_z U in the rephased

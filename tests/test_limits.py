@@ -63,20 +63,63 @@ def test_wavefunctions_past_the_factorial_overflow(k):
     assert float(np.trapezoid(psi * psi, x)) == pytest.approx(1.0, abs=1e-8)
 
 
+def unit_mass(kernel, x) -> bool:
+    return bool(np.all(np.isfinite(kernel))) and abs(np.trapezoid(kernel, x) - 1.0) <= 1e-9
+
+
 def test_wide_kernels_at_high_levels_raise_numeric_error():
-    # The coefficient table overflows from level 99, the Hermite rows of
-    # level 75 at width 0.3 on its default grid.
-    with pytest.raises(NumericError, match="level 99"):
-        level_kernels(99, np.linspace(-1.0, 1.0, 5), 0.3, 99)
-    with pytest.raises(NumericError, match="level 75"):
-        level_kernels(75, default_real_grid(75, width=0.3), 0.3, 75)
+    # The Gauss-Hermite rows hold levels 75 and 99 at width 0.3, where the
+    # former Hermite series overflowed; numpy's 371-node rule (level 370)
+    # has all-zero weights and is rejected before any row is built.
+    for k in (75, 99):
+        x = default_real_grid(k, width=0.3)
+        assert unit_mass(level_kernels(k, x, 0.3, k)[0, 0], x)
+    with pytest.raises(NumericError, match="level 370"):
+        level_kernels(370, np.linspace(-1.0, 1.0, 5), 0.3, 370)
 
 
 def test_overflowing_pair_kernel_raises_numeric_error():
-    # The per-pair path shares the finite check: it returned 1182 NaN of
-    # 4001 entries here.
-    with pytest.raises(NumericError, match="level 75"):
-        smeared_level_kernel(75, 75, default_real_grid(75, width=0.3), 0.3)
+    # The per-pair path reads the same rows: it returned 1182 NaN of 4001
+    # entries here under the Hermite series.
+    x = default_real_grid(75, width=0.3)
+    assert unit_mass(smeared_level_kernel(75, 75, x, 0.3), x)
+
+
+def test_wide_kernels_match_quadrature_of_the_convolution():
+    # The former Hermite series missed this by 3.8e-9 at levels 20-22 and
+    # width 0.3; the Gauss-Hermite rule is exact up to roundoff.
+    from scipy.integrate import quad
+
+    s = 0.3
+    x = np.linspace(-60.0, 60.0, 41)
+
+    def psi(k, y):
+        return (2.0 * math.pi) ** -0.25 * float(hermite(k, y)) * math.exp(-0.25 * y * y) \
+            / math.sqrt(math.factorial(k))
+
+    for k, l in ((20, 22), (21, 21)):
+        kernel = smeared_level_kernel(k, l, x, s)
+        for xi, value in zip(x, kernel):
+            def integrand(y, xi=xi, k=k, l=l):
+                return (math.exp(-0.5 * ((xi - y) / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
+                        * psi(k, y) * psi(l, y))
+
+            centre = xi / (1.0 + s * s)
+            exact = sum(quad(integrand, centre + lo, centre + hi, epsabs=1e-17, epsrel=1e-13,
+                             limit=400)[0]
+                        for lo, hi in ((-30.0, -10.0), (-10.0, 0.0), (0.0, 10.0), (10.0, 30.0)))
+            assert abs(value - exact) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_kernels_reject_non_finite_widths(s):
+    # Without the finite check of the former series a NaN width gave NaN
+    # densities and no error.
+    with pytest.raises(ValidationError, match="finite s"):
+        level_kernels(2, np.linspace(-5.0, 5.0, 11), s)
+    with pytest.raises(ValidationError, match="finite s"):
+        limit_density_alpha_half(LimitState(coeffs=[0.6, 0.8], width=s),
+                                 grid=np.linspace(-10.0, 10.0, 101))
 
 
 def test_default_grid_resolves_high_levels():
@@ -112,12 +155,12 @@ def test_kernel_reduces_to_wavefunction_product_at_zero_width():
 
 
 def test_smeared_series_approaches_wavefunction_products():
-    # The s > 0 Hermite series, one coefficient table for every pair, at a
-    # width where it must equal the s = 0 products to O(s^2) = 1e-12; the
-    # series' own roundoff at the rank cap measured 3.6e-11.
+    # The s > 0 kernels at a width where they must equal the s = 0 products
+    # to O(s^2) = 1e-12; measured 1.4e-12 at the rank cap (the former
+    # Hermite series: 3.6e-11).
     x = np.linspace(-42.0, 42.0, 801)
     gap = np.max(np.abs(level_kernels(15, x, 1e-6) - level_kernels(15, x, 0.0)))
-    assert gap <= 1e-10
+    assert gap <= 1e-11
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])

@@ -395,12 +395,10 @@ class TestSweep:
                             - grid_route_overlaps(k_max, s, eps, shape)))
         assert gap <= 2e-8
 
-    # At the rank cap the smeared series carries ~1e-11 roundoff near its
-    # peak; entry (14, 15) then misses quadrature by 9.5e-13.
     @pytest.mark.parametrize("shape,k_max,s,pairs,bound", [
         pytest.param(shape, *case, id=prefix + shape)
         for prefix, case in (("", (7, 0.0, ((0, 7), (6, 7), (2, 5)), 1e-12)),
-                             ("rank16-", (15, 0.3, ((0, 15), (14, 15), (7, 10)), 5e-12)))
+                             ("rank16-", (15, 0.3, ((0, 15), (14, 15), (7, 10)), 1e-12)))
         for shape in ("uniform", "truncated_gaussian")])
     def test_table_entries_against_adaptive_quadrature(self, shape, k_max, s, pairs, bound):
         from scipy.integrate import quad
