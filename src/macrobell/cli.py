@@ -7,6 +7,13 @@ JSON error object goes to stderr.  Output files are written atomically
 (temp file in the target directory, then rename), so a crashed run never
 leaves a truncated artifact.
 
+Each input is parsed once, by the handler that uses it.  argparse binds
+every subcommand to its handler and passes it the namespace.  The parser
+that owns an option's grammar also reads the file the option names:
+``_load_povm`` for ``--povm``, ``_parse_coeffs_vector`` for ``--coeffs``.
+Only the output path is resolved, and ``sample``'s need for one checked,
+before the handler runs.
+
 The thread cap (``--threads`` or the MACROBELL_THREADS environment
 variable) is applied to the BLAS/OpenMP environment before numpy is first
 imported, which is why every engine import in this module is deferred
@@ -21,7 +28,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .errors import MacrobellError, NumericError, ValidationError, check_alpha
 
@@ -42,6 +48,10 @@ _POVM_PRESETS = {
 
 _PAPER_COEFFS = (2.0 / math.sqrt(10.0), 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(10.0))
 
+#: ``--state`` presets as (level coefficients, base level); ``dicke:<k>`` is
+#: ``(1,)`` at base level k.  ``w`` is |N, 1>, as ``DickeSuperposition.w_state``.
+_STATE_PRESETS = {"w": ((1.0,), 1), "paper": (_PAPER_COEFFS, 0)}
+
 _CSV_SIG_DIGITS = 18
 
 
@@ -53,15 +63,6 @@ def _fmt(x: float) -> str:
 # --------------------------------------------------------------------------
 # config plumbing
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: command, output target, options."""
-
-    command: str
-    out: str | None
-    options: dict
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad usage through the normal error channel."""
@@ -78,35 +79,6 @@ def _resolve_out(path: str | None) -> str | None:
     if not os.path.isdir(parent):
         raise ValidationError(f"output directory does not exist: {parent}")
     return resolved
-
-
-def _resolve_input(path: str) -> str:
-    resolved = os.path.abspath(path)
-    if not os.path.isfile(resolved):
-        raise ValidationError(f"input file does not exist: {resolved}")
-    return resolved
-
-
-def _is_povm_path(spec: str) -> bool:
-    return spec not in _POVM_PRESETS and not spec.startswith("bloch:")
-
-
-def _is_coeffs_path(spec: str) -> bool:
-    return spec.startswith("@") or spec.endswith(".json")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Resolve every path up front, before any computation starts."""
-    out = _resolve_out(getattr(args, "out", None))
-    povm_spec = getattr(args, "povm", None)
-    if povm_spec is not None and _is_povm_path(povm_spec):
-        args.povm = _resolve_input(povm_spec)
-    coeffs_spec = getattr(args, "coeffs", None)
-    if coeffs_spec is not None and _is_coeffs_path(coeffs_spec):
-        args.coeffs = "@" + _resolve_input(coeffs_spec.lstrip("@"))
-    if args.command == "sample" and out is None:
-        raise ValidationError("sample writes two artifacts; --out is required")
-    return RunConfig(command=args.command, out=out, options=dict(vars(args)))
 
 
 def _apply_thread_cap(threads: int | None) -> None:
@@ -139,12 +111,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _deliver(config: RunConfig, text: str, summary: dict | None = None) -> None:
+def _deliver(args: argparse.Namespace, text: str, summary: dict | None = None) -> None:
     """Write the artifact; with a file target, the summary goes to stdout."""
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(config.out, text)
+        _write_atomic(args.out, text)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
 
@@ -179,12 +151,23 @@ def _parse_number(kind, token: str):
         raise ValidationError(f"cannot parse {token!r} as {kind.__name__}") from None
 
 
+def _read_input(path: str) -> str:
+    """The text of the input file ``path``; an unreadable one is a ValidationError."""
+    try:
+        with open(path, "r") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"input file {path} is not text") from None
+
+
 def _load_json(path: str):
-    with open(path, "r") as handle:
-        try:
-            return json.load(handle)
-        except ValueError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    text = _read_input(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _coeffs_from_json(obj):
@@ -211,7 +194,8 @@ def _normalized(values, what: str):
 
 
 def _parse_coeffs_vector(spec: str):
-    """Level coefficients: preset name, @file.json, or a comma list."""
+    """Level coefficients: paper|w|equal:<d>, a JSON file (``@path``, or a
+    path ending in ``.json``), or a comma list."""
     import numpy as np
 
     if spec == "paper":
@@ -223,8 +207,8 @@ def _parse_coeffs_vector(spec: str):
         if d < 1:
             raise ValidationError("equal:<d> needs d >= 1")
         return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    if spec.startswith("@"):
-        data = _load_json(spec[1:])
+    if spec.startswith("@") or spec.endswith(".json"):
+        data = _load_json(spec.removeprefix("@"))
         if not isinstance(data, list):
             raise ValidationError("coefficient JSON must be a flat list")
         return _normalized(_coeffs_from_json(data), "coefficients")
@@ -232,7 +216,8 @@ def _parse_coeffs_vector(spec: str):
 
 
 def _parse_coeffs_matrix(spec: str, seed: int, dim: int):
-    """Joint coefficients c_kl: 'random', @file.json, or ';'-separated rows."""
+    """Joint coefficients c_kl: 'random', a JSON file (as for
+    ``_parse_coeffs_vector``), or ';'-separated rows."""
     import numpy as np
 
     if spec == "random":
@@ -241,8 +226,8 @@ def _parse_coeffs_matrix(spec: str, seed: int, dim: int):
         rng = np.random.default_rng(seed)
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return _normalized(mat, "joint coefficients").reshape(dim, dim)
-    if spec.startswith("@"):
-        data = _load_json(spec[1:])
+    if spec.startswith("@") or spec.endswith(".json"):
+        data = _load_json(spec.removeprefix("@"))
         if not isinstance(data, list) or not data or not isinstance(data[0], list):
             raise ValidationError("joint-coefficient JSON must be a nested list")
         rows = [_coeffs_from_json(row) for row in data]
@@ -276,6 +261,7 @@ def _parse_int_list(spec: str):
 
 
 def _load_povm(spec: str):
+    """A POVM: sx|sy|sz, bloch:<theta>,<phi>, or the path of a JSON file."""
     from .povm import povm_from_json, projective_from_bloch
 
     if spec in _POVM_PRESETS:
@@ -285,26 +271,26 @@ def _load_povm(spec: str):
         if len(angles) != 2:
             raise ValidationError("bloch:<theta>,<phi> needs two angles")
         return projective_from_bloch(*(_parse_number(float, a) for a in angles))
-    with open(spec, "r") as handle:
-        return povm_from_json(handle.read())
+    return povm_from_json(_read_input(spec))
 
 
-def _build_state(n: int, state_spec: str | None, coeffs_spec: str | None,
-                 base_level: int):
-    from .finite_n import DickeSuperposition
+def _state_levels(args: argparse.Namespace):
+    """(coefficients, base level) of the finite-N state: ``--coeffs`` at
+    ``--base-level``, or a ``--state`` preset at its own base level."""
+    import numpy as np
 
-    if coeffs_spec is not None:
-        coeffs = _parse_coeffs_vector(coeffs_spec)
-        return DickeSuperposition(n_particles=n, base_level=base_level, coeffs=coeffs)
-    if state_spec is None:
-        raise ValidationError("provide --state or --coeffs")
-    if state_spec == "w":
-        return DickeSuperposition.w_state(n)
-    if state_spec == "paper":
-        return _build_state(n, None, "paper", 0)
-    if state_spec.startswith("dicke:"):
-        return DickeSuperposition.dicke(n, _parse_number(int, state_spec.split(":", 1)[1]))
-    raise ValidationError(f"unknown state {state_spec!r}; use w, paper, or dicke:<k>")
+    if args.coeffs is not None:
+        return _parse_coeffs_vector(args.coeffs), args.base_level
+    if args.base_level:
+        raise ValidationError("--base-level applies to --coeffs; a --state sets its own level")
+    spec = args.state
+    if spec.startswith("dicke:"):
+        coeffs, base_level = (1.0,), _parse_number(int, spec.split(":", 1)[1])
+    elif spec in _STATE_PRESETS:
+        coeffs, base_level = _STATE_PRESETS[spec]
+    else:
+        raise ValidationError(f"unknown state {spec!r}; use w, paper, or dicke:<k>")
+    return np.asarray(coeffs, dtype=complex), base_level
 
 
 def _derived(povm, alpha: float, mu, tau):
@@ -314,67 +300,46 @@ def _derived(povm, alpha: float, mu, tau):
     return derive_params(povm, mode=mode, mu=mu, tau=tau)
 
 
-def _finite_measurement(opts: dict):
-    """(alpha, povm, params) from the finite-N options of dist, sample and converge."""
-    alpha = check_alpha(opts["alpha"])
-    povm = _load_povm(opts["povm"])
-    return alpha, povm, _derived(povm, alpha, opts["mu"], opts["tau"])
+def _finite_inputs(args: argparse.Namespace):
+    """(alpha, povm, params, (coefficients, base level)) of dist, sample and converge."""
+    alpha = check_alpha(args.alpha)
+    povm = _load_povm(args.povm)
+    return alpha, povm, _derived(povm, alpha, args.mu, args.tau), _state_levels(args)
 
 
-def _grid_points(opts: dict) -> int | None:
+def _grid_points(args: argparse.Namespace) -> int | None:
     """The ``--points`` option of limit and local-model: None or at least 2."""
-    points = opts["points"]
-    if points is not None and points < 2:
+    if args.points is not None and args.points < 2:
         raise ValidationError("--points must be at least 2")
-    return points
-
-
-def _limit_level_coeffs(state):
-    """Pad a finite state's coefficients down to level 0 for the limit object."""
-    import numpy as np
-
-    padded = np.zeros(state.base_level + state.coeffs.size, dtype=complex)
-    padded[state.base_level:] = state.coeffs
-    return padded
+    return args.points
 
 
 # --------------------------------------------------------------------------
 # command handlers
 # --------------------------------------------------------------------------
 
-def _cmd_dist(config: RunConfig) -> None:
-    from .finite_n import pmf_finite
+def _cmd_dist(args: argparse.Namespace) -> None:
+    from .finite_n import DickeSuperposition, pmf_finite
 
-    opts = config.options
-    alpha, povm, params = _finite_measurement(opts)
-    state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
-    pmf = pmf_finite(state, povm, params, alpha)
-    _deliver(config, _csv_text(("x", "prob"), pmf.values, pmf.probs),
+    alpha, povm, params, levels = _finite_inputs(args)
+    pmf = pmf_finite(DickeSuperposition(args.n, *levels), povm, params, alpha)
+    _deliver(args, _csv_text(("x", "prob"), pmf.values, pmf.probs),
              summary={"points": pmf.values.size, "total_prob": float(pmf.probs.sum())})
 
 
-def _cmd_limit(config: RunConfig) -> None:
+def _cmd_limit(args: argparse.Namespace) -> None:
     from .limits import (LimitState, default_real_grid, default_rotor_grid,
                          limit_density_alpha_half, limit_density_alpha_one)
 
-    opts = config.options
-    alpha = check_alpha(opts["alpha"])
-    coeffs = _parse_coeffs_vector(opts["coeffs"])
-    phi, width, points = opts["phi"], opts["width"], _grid_points(opts)
-    if opts["povm"] is not None:
-        params = _derived(_load_povm(opts["povm"]), alpha, None, None)
-        if phi is None:
-            phi = params.phi
-        if width is None:
-            width = math.sqrt(max(params.s2, 0.0))
-    if phi is None:
-        # a projective x measurement: off-diagonal element is -tau at alpha=1/2
-        phi = math.pi if alpha == 0.5 else 0.0
-    if width is None:
-        width = 0.0
+    alpha = check_alpha(args.alpha)
+    coeffs = _parse_coeffs_vector(args.coeffs)
+    points = _grid_points(args)
+    params = _derived(_load_povm(args.povm), alpha, None, None)
+    phi = params.phi if args.phi is None else args.phi
+    width = math.sqrt(max(params.s2, 0.0)) if args.width is None else args.width
 
     if alpha == 0.5:
-        state = LimitState(coeffs=coeffs, phi=float(phi), width=float(width))
+        state = LimitState(coeffs=coeffs, phi=phi, width=width)
         grid = None if points is None else default_real_grid(state.k_max, points, state.width)
         density = limit_density_alpha_half(state, grid)
         header = ("x", "density")
@@ -382,21 +347,20 @@ def _cmd_limit(config: RunConfig) -> None:
         if width:
             raise ValidationError("width applies only to alpha = 0.5")
         grid = None if points is None else default_rotor_grid(points)
-        density = limit_density_alpha_one(coeffs, float(phi), theta_grid=grid)
+        density = limit_density_alpha_one(coeffs, phi, theta_grid=grid)
         header = ("theta", "density")
-    _deliver(config, _csv_text(header, density.grid, density.density),
+    _deliver(args, _csv_text(header, density.grid, density.density),
              summary={"points": density.grid.size, "integral": density.integral()})
 
 
-def _cmd_chsh(config: RunConfig) -> None:
+def _cmd_chsh(args: argparse.Namespace) -> None:
     from .bell import PAIR_NAMES, BellConfig, chsh_value, correlator, optimize_chsh
 
-    opts = config.options
-    coeffs = _parse_coeffs_vector(opts["coeffs"])
-    if opts["optimize"]:
+    coeffs = _parse_coeffs_vector(args.coeffs)
+    if args.optimize:
         angles = optimize_chsh(coeffs).angles
-    elif opts["angles"] is not None:
-        values = [_parse_number(float, t) for t in opts["angles"].split(",")]
+    elif args.angles is not None:
+        values = [_parse_number(float, t) for t in args.angles.split(",")]
         if len(values) != 4:
             raise ValidationError("--angles needs phi_a,phi_a',phi_b,phi_b'")
         angles = tuple(values)
@@ -414,83 +378,79 @@ def _cmd_chsh(config: RunConfig) -> None:
             "phi_b_prime": angles[3],
         },
         "correlators": {pair: correlator(bell_config, pair) for pair in PAIR_NAMES},
-        "optimized": bool(opts["optimize"]),
+        "optimized": bool(args.optimize),
     }
-    _deliver(config, _json_text(payload), summary={"value": payload["value"]})
+    _deliver(args, _json_text(payload), summary={"value": payload["value"]})
 
 
-def _cmd_local_model(config: RunConfig) -> None:
+def _cmd_local_model(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .bell import local_model_alpha_one
 
-    opts = config.options
-    matrix = _parse_coeffs_matrix(opts["coeffs"], opts["seed"], opts["dim"])
-    points = _grid_points(opts)
+    matrix = _parse_coeffs_matrix(args.coeffs, args.seed, args.dim)
+    points = _grid_points(args)
     grids = None
     if points is not None:
         axis = np.linspace(0.0, np.pi, points)
         grids = (axis, axis)
-    result = local_model_alpha_one(matrix, opts["phi_a"], opts["phi_b"],
+    result = local_model_alpha_one(matrix, args.phi_a, args.phi_b,
                                    theta_grids=grids)
     quantum, lhv = result.quantum_joint, result.lhv_joint
     theta_a, theta_b = np.meshgrid(quantum.x_grid, quantum.y_grid, indexing="ij")
     q, c = quantum.density.ravel(), lhv.density.ravel()
-    _deliver(config,
+    _deliver(args,
              _csv_text(("theta_a", "theta_b", "quantum", "lhv", "abs_diff"),
                        theta_a.ravel(), theta_b.ravel(), q, c, np.abs(q - c)),
              summary={"max_discrepancy": result.max_discrepancy})
 
 
-def _cmd_noise_sweep(config: RunConfig) -> None:
+def _cmd_noise_sweep(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .noise import noisy_chsh_sweep
 
-    opts = config.options
-    coeffs = _parse_coeffs_vector(opts["coeffs"])
-    s_grid = _parse_range(opts["s_grid"])
-    eps_grid = _parse_range(opts["eps_grid"])
-    result = noisy_chsh_sweep(coeffs, s_grid, eps_grid, shape=opts["shape"])
+    coeffs = _parse_coeffs_vector(args.coeffs)
+    s_grid = _parse_range(args.s_grid)
+    eps_grid = _parse_range(args.eps_grid)
+    result = noisy_chsh_sweep(coeffs, s_grid, eps_grid, shape=args.shape)
     eps_column, s_column = np.meshgrid(result.eps_grid, result.s_grid, indexing="ij")
     thresholds = {
         _fmt(eps): (None if math.isnan(t) else t)
         for eps, t in zip(result.eps_grid, result.threshold_s)
     }
-    _deliver(config, _csv_text(("s", "eps", "chsh"), s_column.ravel(),
+    _deliver(args, _csv_text(("s", "eps", "chsh"), s_column.ravel(),
                                eps_column.ravel(), result.chsh.ravel()),
              summary={"clean_value": result.clean_value,
                       "angles": list(result.angles),
                       "threshold_s": thresholds})
 
 
-def _cmd_channel(config: RunConfig) -> None:
+def _cmd_channel(args: argparse.Namespace) -> None:
     from .noise import NoiseSpec, noisy_limit_params
 
-    opts = config.options
-    povm = _load_povm(opts["povm"])
-    noise = NoiseSpec(loss_p=opts["loss"], depol_lambda=opts["depol"],
-                      dephase_lambda=opts["dephase"])
-    result = noisy_limit_params(povm, noise, mode=opts["mode"])
+    povm = _load_povm(args.povm)
+    noise = NoiseSpec(loss_p=args.loss, depol_lambda=args.depol,
+                      dephase_lambda=args.dephase)
+    result = noisy_limit_params(povm, noise, mode=args.mode)
     payload = {
         "s_squared": result.s_squared,
         "s": math.sqrt(result.s_squared) if result.s_squared >= 0.0 else None,
         "phi": result.phi,
-        "mode": opts["mode"],
+        "mode": args.mode,
         "noise": {"loss_p": noise.loss_p, "depol_lambda": noise.depol_lambda,
                   "dephase_lambda": noise.dephase_lambda},
     }
-    _deliver(config, _json_text(payload), summary={"s_squared": result.s_squared})
+    _deliver(args, _json_text(payload), summary={"s_squared": result.s_squared})
 
 
-def _cmd_sample(config: RunConfig) -> None:
+def _cmd_sample(args: argparse.Namespace) -> None:
+    from .finite_n import DickeSuperposition
     from .sampling import sample_outcomes
 
-    opts = config.options
-    alpha, povm, params = _finite_measurement(opts)
-    state = _build_state(opts["n"], opts["state"], opts["coeffs"], opts["base_level"])
-    batch = sample_outcomes(state, povm, params, alpha, opts["n_samples"],
-                            opts["seed"])
+    alpha, povm, params, levels = _finite_inputs(args)
+    batch = sample_outcomes(DickeSuperposition(args.n, *levels), povm, params, alpha,
+                            args.n_samples, args.seed)
     sidecar = {
         "seed": batch.seed,
         "N": batch.n_particles,
@@ -499,21 +459,23 @@ def _cmd_sample(config: RunConfig) -> None:
         "mu": params.mu,
         "tau": params.tau,
     }
-    _write_atomic(config.out + ".meta.json", _json_text(sidecar))
-    _deliver(config, _csv_text(("x",), batch.values), summary=sidecar)
+    _write_atomic(args.out + ".meta.json", _json_text(sidecar))
+    _deliver(args, _csv_text(("x",), batch.values), summary=sidecar)
 
 
-def _cmd_converge(config: RunConfig) -> None:
+def _cmd_converge(args: argparse.Namespace) -> None:
+    import numpy as np
+
+    from .finite_n import DickeSuperposition
     from .limits import (LimitState, limit_density_alpha_half,
                          limit_density_alpha_one, rotor_pushforward)
     from .sampling import ks_distance, sample_outcomes
 
-    opts = config.options
-    alpha, povm, params = _finite_measurement(opts)
-    n_values = _parse_int_list(opts["n_list"])
-    reference_state = _build_state(max(n_values), opts["state"], opts["coeffs"],
-                                   opts["base_level"])
-    level_coeffs = _limit_level_coeffs(reference_state)
+    alpha, povm, params, (coeffs, base_level) = _finite_inputs(args)
+    n_values = _parse_int_list(args.n_list)
+    states = [DickeSuperposition(n, coeffs, base_level) for n in n_values]
+    # the limit object indexes levels from 0
+    level_coeffs = np.concatenate((np.zeros(base_level, dtype=complex), coeffs))
     if alpha == 0.5:
         limit = limit_density_alpha_half(
             LimitState(coeffs=level_coeffs, phi=params.phi,
@@ -521,14 +483,11 @@ def _cmd_converge(config: RunConfig) -> None:
     else:
         rotor = limit_density_alpha_one(level_coeffs, params.phi)
         limit = rotor_pushforward(rotor)
-    ks = []
-    for n in n_values:
-        state = _build_state(n, opts["state"], opts["coeffs"], opts["base_level"])
-        batch = sample_outcomes(state, povm, params, alpha, opts["n_samples"],
-                                opts["seed"])
-        ks.append(ks_distance(batch, limit.cdf))
-    _deliver(config, _csv_text(("N", "ks"), n_values, ks),
-             summary={"n_values": n_values, "n_samples": opts["n_samples"]})
+    ks = [ks_distance(sample_outcomes(state, povm, params, alpha, args.n_samples, args.seed),
+                      limit.cdf)
+          for state in states]
+    _deliver(args, _csv_text(("N", "ks"), n_values, ks),
+             summary={"n_values": n_values, "n_samples": args.n_samples})
 
 
 # --------------------------------------------------------------------------
@@ -648,7 +607,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(config: RunConfig) -> None:
+def _cmd_selftest(args: argparse.Namespace) -> None:
     failures = 0
     for name, check, budget in _selftest_checks():
         residual = float(check())
@@ -676,44 +635,49 @@ def _build_parser() -> _Parser:
                         help="cap internal BLAS/OpenMP parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, parents=()):
-        return sub.add_parser(name, parents=[common, *parents], help=help_text)
+    def add(name, handler, help_text, parents=()):
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
     # the finite-N state and measurement, shared by dist, sample and converge
     finite = _Parser(add_help=False)
     finite.add_argument("--alpha", type=float, default=0.5)
     finite.add_argument("--povm", required=True,
                         help="sx|sy|sz, bloch:<theta>,<phi>, or a JSON file")
-    finite.add_argument("--state", default=None, help="w, paper, or dicke:<k>")
-    finite.add_argument("--coeffs", default=None,
-                        help="level coefficients: paper|w|equal:<d>, @file.json, or a comma list")
+    state = finite.add_mutually_exclusive_group(required=True)
+    state.add_argument("--state", default=None,
+                       help="w (|N,1>), paper, or dicke:<k>, each at its own base level")
+    state.add_argument("--coeffs", default=None,
+                       help="level coefficients from --base-level on: paper|w|equal:<d>, "
+                            "@file.json, or a comma list")
     finite.add_argument("--base-level", dest="base_level", type=int, default=0)
     finite.add_argument("--mu", type=float, default=None)
     finite.add_argument("--tau", type=float, default=None)
 
-    p = add("dist", "exact finite-N PMF of the rescaled intensity -> CSV x,prob",
+    p = add("dist", _cmd_dist, "exact finite-N PMF of the rescaled intensity -> CSV x,prob",
             parents=[finite])
     p.add_argument("--N", dest="n", type=int, required=True)
 
-    p = add("limit", "limit density -> CSV x,density (alpha=0.5) or theta,density (alpha=1)")
+    p = add("limit", _cmd_limit,
+            "limit density -> CSV x,density (alpha=0.5) or theta,density (alpha=1)")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--phi", type=float, default=None,
-                   help="measurement phase (default: projective x measurement)")
+    p.add_argument("--povm", default="sx",
+                   help="POVM that sets phi and width unless they are given (default sx)")
+    p.add_argument("--phi", type=float, default=None, help="measurement phase")
     p.add_argument("--width", type=float, default=None,
                    help="smearing width s (alpha=0.5 only)")
-    p.add_argument("--povm", default=None,
-                   help="derive phi/width from this POVM instead")
     p.add_argument("--points", type=int, default=None,
                    help="grid rows (default 2001 at alpha=1; at alpha=0.5 4001, "
                         "or more from level 167 to resolve the top level)")
 
-    p = add("chsh", "CHSH value and correlators -> JSON")
+    p = add("chsh", _cmd_chsh, "CHSH value and correlators -> JSON")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--angles", default=None, help="phi_a,phi_a',phi_b,phi_b' in radians")
     p.add_argument("--optimize", action="store_true")
 
-    p = add("local-model", "quantum vs hidden-variable joint at alpha=1 -> CSV")
+    p = add("local-model", _cmd_local_model, "quantum vs hidden-variable joint at alpha=1 -> CSV")
     p.add_argument("--coeffs", required=True,
                    help="'random', @file.json, or ';'-separated comma rows")
     p.add_argument("--dim", type=int, default=3, help="size used with 'random'")
@@ -722,7 +686,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi-b", dest="phi_b", type=float, default=0.0)
     p.add_argument("--points", type=int, default=None)
 
-    p = add("noise-sweep", "CHSH over smearing x classical-noise grid -> CSV s,eps,chsh")
+    p = add("noise-sweep", _cmd_noise_sweep,
+            "CHSH over smearing x classical-noise grid -> CSV s,eps,chsh")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--s-grid", dest="s_grid", default="0:0.5:11",
                    help="start:stop:count")
@@ -731,40 +696,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--shape", choices=("uniform", "truncated_gaussian"),
                    default="uniform")
 
-    p = add("channel", "limit parameters after channel noise -> JSON")
+    p = add("channel", _cmd_channel, "limit parameters after channel noise -> JSON")
     p.add_argument("--povm", required=True)
     p.add_argument("--depol", type=float, default=0.0)
     p.add_argument("--dephase", type=float, default=0.0)
     p.add_argument("--loss", type=float, default=1.0)
     p.add_argument("--mode", choices=("half", "one"), default="half")
 
-    p = add("sample", "exact i.i.d. records of the rescaled intensity -> CSV x plus JSON sidecar",
+    p = add("sample", _cmd_sample,
+            "exact i.i.d. records of the rescaled intensity -> CSV x plus JSON sidecar",
             parents=[finite])
     p.add_argument("--N", dest="n", type=int, required=True)
     p.add_argument("--n-samples", dest="n_samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("converge", "KS distance to the limit law per N -> CSV N,ks", parents=[finite])
+    p = add("converge", _cmd_converge, "KS distance to the limit law per N -> CSV N,ks",
+            parents=[finite])
     p.add_argument("--n-list", dest="n_list", required=True,
                    help="comma list of particle counts")
     p.add_argument("--n-samples", dest="n_samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
 
-    add("selftest", "run the embedded invariant suite")
+    add("selftest", _cmd_selftest, "run the embedded invariant suite")
     return parser
-
-
-_HANDLERS = {
-    "dist": _cmd_dist,
-    "limit": _cmd_limit,
-    "chsh": _cmd_chsh,
-    "local-model": _cmd_local_model,
-    "noise-sweep": _cmd_noise_sweep,
-    "channel": _cmd_channel,
-    "sample": _cmd_sample,
-    "converge": _cmd_converge,
-    "selftest": _cmd_selftest,
-}
 
 
 def _emit_error(exc: MacrobellError) -> None:
@@ -777,8 +731,10 @@ def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _apply_thread_cap(args.threads)
-        config = _config_from_args(args)
-        _HANDLERS[config.command](config)
+        args.out = _resolve_out(args.out)
+        if args.command == "sample" and args.out is None:
+            raise ValidationError("sample writes two artifacts; --out is required")
+        args.handler(args)
     except ValidationError as exc:
         _emit_error(exc)
         return 1

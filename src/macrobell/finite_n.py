@@ -58,7 +58,7 @@ __all__ = [
     "BRUTE_FORCE_MAX_N",
 ]
 
-#: default bound on N * (lattice steps per particle), i.e. on the FFT size
+#: bound on N * (lattice steps per particle), i.e. on the lattice (and FFT) size
 DEFAULT_LATTICE_CAP = 1 << 22
 
 #: hard bound for the exponential-cost oracle
@@ -408,7 +408,7 @@ def _inverted_probs(state, povm, idx, size) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
+def pmf_finite(state, povm, params, alpha):
     """Exact PMF of X on the outcome lattice.
 
     The intensity of N particles with outcomes on ``a_min + j*step``
@@ -429,7 +429,7 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
     OffLatticeError
         If the outcomes are not commensurate.
     CapExceededError
-        If ``N * J`` exceeds ``lattice_cap``.
+        If ``N * J`` exceeds ``DEFAULT_LATTICE_CAP`` (2^22).
     NumericError
         If inverse iteration does not converge, the rotated weights miss
         unit mass by more than 1e-10, or inversion leaves an imaginary
@@ -442,9 +442,9 @@ def pmf_finite(state, povm, params, alpha, lattice_cap=DEFAULT_LATTICE_CAP):
     a_min, step, idx = _lattice_structure(povm.outcomes)
     j_max = int(idx.max())
     size = n * j_max + 1
-    if size - 1 > lattice_cap:
+    if size - 1 > DEFAULT_LATTICE_CAP:
         raise CapExceededError(
-            f"lattice size N*J = {size - 1} exceeds cap {lattice_cap}"
+            f"lattice size N*J = {size - 1} exceeds cap {DEFAULT_LATTICE_CAP}"
         )
 
     projective = projective_basis(povm)

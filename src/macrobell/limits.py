@@ -87,7 +87,8 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class LimitState:
-    """Level coefficients plus the (phi, width) pair of the measurement."""
+    """Level coefficients plus the (phi, width) pair of the measurement;
+    ``phi`` must be finite and ``width`` nonnegative."""
 
     coeffs: np.ndarray
     phi: float = 0.0
@@ -95,6 +96,8 @@ class LimitState:
 
     def __post_init__(self):
         c = check_unit_vector(self.coeffs)
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phi must be finite, got {self.phi!r}")
         if self.width < 0:
             raise ValidationError("width must be nonnegative")
         c = c.copy()
@@ -256,18 +259,18 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     weights = np.real(np.outer(np.conj(b), b))
     density = np.tensordot(weights, level_kernels(high, grid, state.width, low), axes=2)
     worst = float(density.min())
-    if worst < -1e-10:
+    if not worst >= -1e-10:
         raise NegativeDensityError(f"density dipped to {worst:.3e}")
     density = np.clip(density, 0.0, None)
     edge = max(float(density[0]), float(density[-1]))
-    if edge > BOUNDARY_MASS_TOL:
+    if not edge <= BOUNDARY_MASS_TOL:
         raise GridTooNarrowError(
             f"density {edge:.3e} at the grid boundary exceeds {BOUNDARY_MASS_TOL:.0e}"
         )
     result = GridDensity(grid=grid, density=density, domain="real_line")
     # On its own grid the density must integrate to 1; a caller's grid
     # (say, a coarse one) is the caller's to judge.
-    if own_grid and abs(result.integral() - 1.0) > 1e-6:
+    if own_grid and not abs(result.integral() - 1.0) <= 1e-6:
         raise NumericError(f"density integrates to {result.integral():.6g} on its default grid")
     return result
 
@@ -297,9 +300,12 @@ def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
 
     ``P(theta) = (|f(theta)|^2 + |f(-theta)|^2) / (2 pi)`` with
     ``f(theta) = sum_k c_k e^{i k phi} e^{i k theta}``; only level
-    differences matter, so any common index offset drops out.
+    differences matter, so any common index offset drops out.  ``phi``
+    must be finite.
     """
     c = check_unit_vector(coeffs)
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
     if theta_grid is None:
         theta_grid = default_rotor_grid()
     theta = np.asarray(theta_grid, dtype=float)
@@ -351,9 +357,9 @@ def _hermgauss_cached(n_nodes: int):
     return nodes, weights
 
 
-def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
-                         x_grid=None, n_nodes: int = 200) -> float:
-    """Max |closed Hermite sum - Gaussian convolution| over ``x_grid``.
+def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float) -> float:
+    """Max |closed Hermite sum - Gaussian convolution| on a grid of 401
+    points over [-(6a + max(m, n)), 6a + max(m, n)].
 
     The identity: with alpha^2 = beta^2 + gamma^2,
 
@@ -363,15 +369,14 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
           * He_m(x'/g) He_n(x'/g) / (m! n!)
 
     The left side is summed from the level-pair coefficient table, the
-    right side by Gauss-Hermite quadrature after completing the square,
-    which is exact for the polynomial factor.
+    right side by the (m + n + 1)-node Gauss-Hermite rule after completing
+    the square; the polynomial factor has degree m + n, so the rule is
+    exact for it.
     """
     if beta <= 0 or gamma <= 0:
         raise ValidationError("beta and gamma must be positive")
     alpha = math.hypot(beta, gamma)
-    if x_grid is None:
-        x_grid = np.linspace(-6.0 * alpha - max(m, n), 6.0 * alpha + max(m, n), 401)
-    x = np.asarray(x_grid, dtype=float)
+    x = np.linspace(-6.0 * alpha - max(m, n), 6.0 * alpha + max(m, n), 401)
 
     u = x / alpha
     c = _level_pair_coefficients(max(m, n))[m, n, :m + n + 1]
@@ -379,7 +384,7 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float,
     closed = (np.exp(-0.5 * u * u) * series / (math.sqrt(2.0 * np.pi) * alpha)
               / math.sqrt(math.factorial(m) * math.factorial(n)))
 
-    nodes, weights = _hermgauss_cached(n_nodes)
+    nodes, weights = _hermgauss_cached(m + n + 1)
     var = (beta * gamma / alpha) ** 2
     center = (gamma / alpha) ** 2 * x
     xp = center[:, None] + math.sqrt(2.0 * var) * nodes[None, :]

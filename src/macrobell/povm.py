@@ -255,6 +255,8 @@ def derive_params(
     Explicit ``mu``/``tau`` overrides are for measurements whose natural
     scale degenerates (e.g. a diagonal A, where the off-diagonal element
     vanishes); when ``tau`` is supplied the degeneracy check is skipped.
+    A non-finite ``mu``, or a ``tau`` that is not positive and finite, raises
+    ``ValidationError``.
     """
     if mode not in ("half", "one"):
         raise ValidationError(f"mode must be 'half' or 'one', got {mode!r}")
@@ -266,6 +268,8 @@ def derive_params(
 
     if mu is None:
         mu = a00 if mode == "half" else float(np.trace(a_matrix).real) / 2.0
+    elif not math.isfinite(mu):
+        raise ValidationError(f"mu override must be finite, got {mu}")
     if tau is None:
         if abs(a01) <= DEGENERATE_OFFDIAG_ATOL:
             raise DegenerateOffDiagonalError(
@@ -273,8 +277,8 @@ def derive_params(
                 "supply mu and tau explicitly"
             )
         tau = abs(a01)
-    elif tau <= 0.0:
-        raise ValidationError(f"tau override must be positive, got {tau}")
+    elif not 0.0 < tau < math.inf:
+        raise ValidationError(f"tau override must be positive and finite, got {tau}")
 
     if abs(a01) > DEGENERATE_OFFDIAG_ATOL:
         z = -a01 if mode == "half" else a01

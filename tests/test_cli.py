@@ -313,6 +313,12 @@ def _povm_file(tmp_path, text):
     return str(path)
 
 
+def _binary_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00\x81")
+    return str(path)
+
+
 _SX_EFFECTS = [[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
                [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]]
 
@@ -338,13 +344,36 @@ MALFORMED = {
         "dist", "--N", "10", "--state", "w", "--povm",
         _povm_file(tmp, json.dumps({"outcomes": [1, -1],
                                     "effects": [[["a", "b"], ["c", "d"]]] * 2}))],
+    "povm-not-text": lambda tmp: ["dist", "--N", "10", "--state", "w", "--povm",
+                                  _binary_file(tmp)],
+    "coeffs-not-text": lambda tmp: ["chsh", "--optimize", "--coeffs", _binary_file(tmp)],
+    "limit-phi-nan": lambda tmp: ["limit", "--coeffs", "paper", "--phi", "nan"],
+    "limit-phi-inf": lambda tmp: ["limit", "--coeffs", "paper", "--phi", "inf"],
+    "limit-rotor-phi-nan": lambda tmp: ["limit", "--alpha", "1", "--coeffs", "paper",
+                                        "--phi", "nan"],
+    "sample-mu-nan": lambda tmp: ["sample", "--N", "20", "--povm", "sx", "--state", "w",
+                                  "--n-samples", "5", "--mu", "nan"],
+    "sample-mu-inf": lambda tmp: ["sample", "--N", "20", "--povm", "sx", "--state", "w",
+                                  "--n-samples", "5", "--mu", "inf"],
+    "converge-tau-inf": lambda tmp: ["converge", "--povm", "sx", "--state", "w",
+                                     "--n-list", "10", "--tau", "inf", "--mu", "0"],
+    "dist-tau-nan": lambda tmp: ["dist", "--N", "10", "--povm", "sx", "--state", "w",
+                                 "--tau", "nan"],
+    "state-paper-with-base-level": lambda tmp: ["dist", "--N", "100", "--povm", "sx",
+                                                "--state", "paper", "--base-level", "50"],
+    "state-w-with-base-level": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
+                                            "--state", "w", "--base-level", "7"],
+    "state-and-coeffs": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
+                                     "--state", "w", "--coeffs", "paper"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_a_validation_error(capsys, tmp_path, case):
-    payload = run_err(capsys, MALFORMED[case](tmp_path), 1)
+    out = tmp_path / "artifact.csv"
+    payload = run_err(capsys, MALFORMED[case](tmp_path) + ["--out", str(out)], 1)
     assert payload["error"] == "validation"
+    assert not out.exists() and not (tmp_path / "artifact.csv.meta.json").exists()
 
 
 class TestPlumbing:
@@ -379,6 +408,53 @@ class TestPlumbing:
         payload = run_err(capsys, ["dist", "--N", "10", "--state", "w",
                                    "--povm", str(tmp_path / "nope.json")], 1)
         assert "nope.json" in payload["message"]
+
+    def test_unreadable_inputs_name_their_path(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        payload = run_err(capsys, ["limit", "--coeffs", missing], 1)
+        assert payload["error"] == "validation" and missing in payload["message"]
+        payload = run_err(capsys, ["dist", "--N", "10", "--state", "w",
+                                   "--povm", str(tmp_path)], 1)
+        assert payload["error"] == "validation" and str(tmp_path) in payload["message"]
+
+    @pytest.mark.parametrize("argv", [["limit"], ["dist", "--N", "30", "--povm", "sx"]],
+                             ids=["limit", "dist"])
+    def test_coefficient_file_with_and_without_at(self, capsys, tmp_path, argv):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps([0.6, [0.0, 0.48], -0.64]))
+        plain = run_ok(capsys, [*argv, "--coeffs", str(path)])
+        assert plain == run_ok(capsys, [*argv, "--coeffs", "@" + str(path)])
+        assert plain == run_ok(capsys, [*argv, "--coeffs", "0.6,0.48i,-0.64"])
+
+    def test_converge_reads_the_coefficient_file_once(self, capsys, tmp_path, monkeypatch):
+        import macrobell.cli as cli
+
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps([0.0, 1.0]))
+        read, reads = cli._read_input, []
+
+        def counting_read(name):
+            reads.append(name)
+            return read(name)
+
+        monkeypatch.setattr(cli, "_read_input", counting_read)
+        run_ok(capsys, ["converge", "--povm", "sx", "--coeffs", "@" + str(path),
+                        "--n-list", "10,20,40", "--n-samples", "50"])
+        assert reads == [str(path)]
+
+    @pytest.mark.parametrize("alpha", ["0.5", "1"])
+    def test_limit_measures_sx_by_default(self, capsys, alpha):
+        argv = ["limit", "--alpha", alpha, "--coeffs", "paper"]
+        assert run_ok(capsys, argv) == run_ok(capsys, [*argv, "--povm", "sx"])
+
+    @pytest.mark.parametrize("state, coeffs", [
+        (["--state", "w"], ["--coeffs", "1", "--base-level", "1"]),
+        (["--state", "paper"], ["--coeffs", "paper"]),
+        (["--state", "dicke:3"], ["--coeffs", "1", "--base-level", "3"]),
+    ], ids=["w", "paper", "dicke"])
+    def test_state_presets_are_coefficients_at_a_base_level(self, capsys, state, coeffs):
+        argv = ["dist", "--N", "12", "--povm", "sx"]
+        assert run_ok(capsys, [*argv, *state]) == run_ok(capsys, [*argv, *coeffs])
 
     def test_out_parent_must_exist(self, capsys, tmp_path):
         target = tmp_path / "missing" / "artifact.csv"

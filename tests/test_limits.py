@@ -225,6 +225,27 @@ def test_grid_too_narrow_raises():
                                  grid=np.linspace(-2.0, 2.0, 101))
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phases_are_rejected(phi):
+    with pytest.raises(ValidationError):
+        LimitState(coeffs=PAPER, phi=phi)
+    with pytest.raises(ValidationError):
+        limit_density_alpha_one(PAPER, phi)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(-12.0, 12.0, 401)], ids=["own", "given"])
+def test_nan_density_raises_numeric_error(monkeypatch, grid):
+    import macrobell.limits as limits
+
+    def nan_kernels(k_max, x, s, k_min=0):
+        size = k_max - k_min + 1
+        return np.full((size, size, np.size(x)), np.nan)
+
+    monkeypatch.setattr(limits, "level_kernels", nan_kernels)
+    with pytest.raises(NumericError):
+        limit_density_alpha_half(LimitState(coeffs=PAPER), grid)
+
+
 def test_charfn_matches_density_transform():
     state = LimitState(coeffs=PAPER, phi=math.pi, width=0.6)
     density = limit_density_alpha_half(state)

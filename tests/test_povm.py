@@ -106,6 +106,13 @@ def test_derive_params_rejects_nonpositive_tau(sigma_x):
         derive_params(sigma_x, tau=0.0)
 
 
+@pytest.mark.parametrize("override", [{"mu": math.nan}, {"mu": math.inf}, {"mu": -math.inf},
+                                      {"tau": math.nan}, {"tau": math.inf}])
+def test_derive_params_rejects_non_finite_overrides(sigma_x, override):
+    with pytest.raises(ValidationError):
+        derive_params(sigma_x, **override)
+
+
 def test_smeared_povm_has_positive_excess_width():
     # mix the projective x effects toward the identity: widens the kernel
     lam = 0.3
