@@ -52,7 +52,6 @@ _EXPORTS = {
     "DickeSuperposition": "finite_n",
     "LatticePmf": "finite_n",
     "Moments": "finite_n",
-    "dicke_matrix_element": "finite_n",
     "char_fn_finite": "finite_n",
     "pmf_finite": "finite_n",
     "rotated_weights": "finite_n",

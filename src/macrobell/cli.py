@@ -336,15 +336,15 @@ def _cmd_limit(args: argparse.Namespace) -> None:
     points = _grid_points(args)
     params = _derived(_load_povm(args.povm), alpha, None, None)
     phi = params.phi if args.phi is None else args.phi
-    width = math.sqrt(max(params.s2, 0.0)) if args.width is None else args.width
 
     if alpha == 0.5:
+        width = math.sqrt(max(params.s2, 0.0)) if args.width is None else args.width
         state = LimitState(coeffs=coeffs, phi=phi, width=width)
         grid = None if points is None else default_real_grid(state.k_max, points, state.width)
         density = limit_density_alpha_half(state, grid)
         header = ("x", "density")
     else:
-        if width:
+        if args.width:  # a width derived from the POVM has no alpha = 1 meaning
             raise ValidationError("width applies only to alpha = 0.5")
         grid = None if points is None else default_rotor_grid(points)
         density = limit_density_alpha_one(coeffs, phi, theta_grid=grid)

@@ -5,19 +5,18 @@ symmetric (Dicke) states produces an intensity ``I = sum_i a_i`` whose
 rescaled version ``X = (I - N mu) / (tau N^alpha)`` is the object of
 interest.  Everything here is exact at finite N:
 
-* matrix elements ``<N,k| M^(x)N |N,l>`` of arbitrary one-body tensor
-  powers between Dicke states, with binomials in log space,
-* the characteristic function of X,
 * the full probability mass function of X on its outcome lattice.  A
   projective POVM (every effect a 0/1 projector in one basis, which
   covers every spin component) takes the rotation route: the state's
   weights in the rotated Dicke basis, by inverse iteration at the known
   eigenvalues of one tridiagonal matrix, O(N * levels) for every level
   up to N; this route works at N = 10^5 and beyond.  Any other POVM takes the
-  characteristic-function route: a discrete Fourier inversion of the
-  characteristic function at the conjugate lattice frequencies, at
+  inversion route: the lattice characteristic function at the conjugate
+  frequencies, from Dicke matrix elements ``<N,k| M^(x)N |N,l>`` with
+  binomials in log space, inverted by a discrete Fourier transform at
   O(N * levels^2) cost.  Its Dicke sums cancel for mid-ladder levels,
   where its guards raise from N of about 100,
+* the characteristic function of X, as the Fourier sum of that PMF,
 * moments, and
 * an independent brute-force path (explicit 2^N state vectors) used as
   an oracle for small N.
@@ -40,13 +39,12 @@ from .errors import (
     check_alpha,
     check_unit_vector,
 )
-from .povm import SingleParticlePovm, projective_basis
+from .povm import projective_basis
 
 __all__ = [
     "DickeSuperposition",
     "LatticePmf",
     "Moments",
-    "dicke_matrix_element",
     "char_fn_finite",
     "pmf_finite",
     "rotated_weights",
@@ -226,23 +224,6 @@ def _dicke_elements_vec(m00, m01, m10, m11, n_particles, k, l):
     return total
 
 
-def dicke_matrix_element(matrix, n_particles, k, l) -> complex:
-    """Exact ``<N,k| M^(x)N |N,l>`` for a single 2x2 matrix M."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValidationError(f"matrix must be 2x2, got {m.shape}")
-    result = _dicke_elements_vec(
-        np.array([m[0, 0]]),
-        np.array([m[0, 1]]),
-        np.array([m[1, 0]]),
-        np.array([m[1, 1]]),
-        n_particles,
-        k,
-        l,
-    )
-    return complex(result[0])
-
-
 def _superposition_expectation(state, m00, m01, m10, m11):
     """sum_{k,l} conj(c_k) c_l <N,k|M^(x)N|N,l> with entries as node arrays."""
     c = state.coeffs
@@ -259,52 +240,6 @@ def _superposition_expectation(state, m00, m01, m10, m11):
                 m00, m01, m10, m11, state.n_particles, k, l
             )
     return total
-
-
-def _povm_entry_arrays(povm: SingleParticlePovm, phases: np.ndarray):
-    """Entries of sum_a E_a * phases[..., a] as four arrays."""
-    e = np.stack(povm.effects)  # (n_out, 2, 2)
-    m = np.tensordot(phases, e, axes=([-1], [0]))
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-
-
-def char_fn_finite(state, povm, params, alpha, t):
-    """Characteristic function E[exp(i t X)] of the rescaled intensity.
-
-    Parameters
-    ----------
-    state : DickeSuperposition
-    povm : SingleParticlePovm
-    params : DerivedParams
-        Supplies the centering ``mu`` and scale ``tau``.
-    alpha : float
-        Coarse-graining exponent, 0.5 or 1.0.
-    t : float or array
-
-    Returns
-    -------
-    complex or complex ndarray, matching the shape of ``t``.
-
-    Raises NumericError when a value leaves the unit disc by more than
-    1e-10, which the Dicke sums do for mid-ladder states (from about
-    N = 200, base level N/2); smaller errors pass unseen.
-    """
-    a = check_alpha(alpha)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scale = params.tau * state.n_particles ** a
-    shifted = np.asarray(povm.outcomes, dtype=float) - params.mu
-    phases = np.exp(1j * np.outer(t_arr, shifted) / scale)
-    entries = _povm_entry_arrays(povm, phases)
-    values = _superposition_expectation(state, *entries)
-    values = np.where(t_arr == 0.0, 1.0 + 0.0j, values)
-    # Every characteristic function lies in the unit disc; the Dicke sums
-    # cancel for mid-ladder states and can leave it.
-    worst = float(np.max(np.abs(values), initial=0.0))
-    if not worst <= 1.0 + 1e-10:
-        raise NumericError(f"characteristic function reached modulus {worst:.3e} > 1")
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(values[0])
-    return values
 
 
 def _lattice_structure(outcomes, atol_rel=1e-9):
@@ -389,9 +324,9 @@ def rotated_weights(state, basis) -> np.ndarray:
 def _inverted_probs(state, povm, idx, size) -> np.ndarray:
     """Lattice probabilities by DFT inversion of the characteristic function."""
     theta = 2.0 * np.pi * np.arange(size) / size
-    phases = np.exp(1j * np.outer(theta, idx))
-    entries = _povm_entry_arrays(povm, phases)
-    char_values = _superposition_expectation(state, *entries)
+    m = np.tensordot(np.exp(1j * np.outer(theta, idx)), np.stack(povm.effects), axes=1)
+    char_values = _superposition_expectation(state, m[:, 0, 0], m[:, 0, 1],
+                                             m[:, 1, 0], m[:, 1, 1])
 
     probs = np.fft.fft(char_values) / size
     imag_residue = float(np.max(np.abs(probs.imag)))
@@ -465,8 +400,39 @@ def pmf_finite(state, povm, params, alpha):
     return LatticePmf(values=values, probs=p)
 
 
+def char_fn_finite(state, povm, params, alpha, t):
+    """Characteristic function E[exp(i t X)]: the Fourier sum of ``pmf_finite``.
+
+    ``state``, ``povm``, ``params`` (centering ``mu``, scale ``tau``) and
+    ``alpha`` (0.5 or 1.0) are those of ``pmf_finite``; ``t`` is a float
+    or an array, and the result is complex with the shape of ``t``,
+    exactly 1 at ``t = 0``.  With lattice index ``m = b*B + j``,
+    ``B ~ sqrt(L)`` for L lattice points, ``exp(i t x_m)`` factors into
+    ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is one
+    (T x B) @ (B x L/B) product and a row-wise dot: O(T sqrt(L))
+    exponentials and memory for T values of t.
+
+    Raises whatever ``pmf_finite`` raises: ``OffLatticeError`` or
+    ``CapExceededError`` for incommensurate outcomes, and the inversion
+    route's ``NumericError`` or ``NegativeDensityError`` for
+    non-projective POVMs on mid-ladder states.
+    """
+    pmf = pmf_finite(state, povm, params, alpha)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    block = math.isqrt(pmf.probs.size - 1) + 1
+    probs = np.pad(pmf.probs, (0, -pmf.probs.size % block)).reshape(-1, block)
+    inner = np.exp(1j * np.outer(t_arr, pmf.values[:block] - pmf.values[0])) @ probs.T
+    values = np.sum(np.exp(1j * np.outer(t_arr, pmf.values[::block])) * inner, axis=1)
+    values = np.where(t_arr == 0.0, 1.0 + 0.0j, values)
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return complex(values[0])
+    return values
+
+
 def moments_finite(state, povm, params, alpha, order=4) -> Moments:
     """Raw and central moments of X up to ``order`` from the exact PMF."""
+    if not isinstance(order, (int, np.integer)):
+        raise ValidationError(f"order must be an integer, got {order!r}")
     if not 1 <= order <= 8:
         raise ValidationError("order must be between 1 and 8")
     pmf = pmf_finite(state, povm, params, alpha)

@@ -146,6 +146,22 @@ class TestLimit:
                                    "--phi", str(math.pi), "--width", "0"])
         assert direct == explicit
 
+    def test_alpha_one_ignores_the_width_of_the_povm(self, capsys, tmp_path):
+        # The README's 0.35-contrast POVM has s^2 > 0, which only alpha = 0.5 uses.
+        povm = _povm_file(tmp_path, json.dumps(CONTRAST_POVM))
+        argv = ["limit", "--alpha", "1", "--coeffs", "paper"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_ok(capsys, [*argv, "--povm", povm, "--out", str(a)]) == \
+            run_ok(capsys, [*argv, "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        run_ok(capsys, ["converge", "--alpha", "1", "--povm", povm, "--coeffs", "paper",
+                        "--n-list", "10,20", "--n-samples", "100"])
+
+    def test_alpha_one_rejects_an_explicit_width(self, capsys):
+        payload = run_err(capsys, ["limit", "--alpha", "1", "--coeffs", "paper",
+                                   "--width", "0.3"], 1)
+        assert payload["error"] == "validation"
+
     def test_bad_alpha_rejected(self, capsys):
         payload = run_err(capsys, ["limit", "--alpha", "0.75",
                                    "--coeffs", "paper"], 1)
@@ -318,6 +334,10 @@ def _binary_file(tmp_path):
     path.write_bytes(b"\xff\xfe\x00\x81")
     return str(path)
 
+
+CONTRAST_POVM = {"outcomes": [1.0, -1.0],
+                 "effects": [[[[0.5, 0.0], [0.35, 0.0]], [[0.35, 0.0], [0.5, 0.0]]],
+                             [[[0.5, 0.0], [-0.35, 0.0]], [[-0.35, 0.0], [0.5, 0.0]]]]}
 
 _SX_EFFECTS = [[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
                [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]]

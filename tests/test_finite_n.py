@@ -21,7 +21,6 @@ from macrobell.finite_n import (
     brute_force_char_fn,
     brute_force_pmf,
     char_fn_finite,
-    dicke_matrix_element,
     moments_finite,
     pmf_finite,
     total_variation,
@@ -87,35 +86,6 @@ def test_state_validation():
                            coeffs=np.array([1.0]))
 
 
-def test_dicke_matrix_element_against_direct_sum():
-    # N=3: <k| m^{x3} |l> summed over bitstrings, directly
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-
-    def direct(n, k, l):
-        from itertools import product
-
-        total = 0.0
-        for bits_out in product((0, 1), repeat=n):
-            if sum(bits_out) != k:
-                continue
-            for bits_in in product((0, 1), repeat=n):
-                if sum(bits_in) != l:
-                    continue
-                amp = 1.0
-                for bo, bi in zip(bits_out, bits_in):
-                    amp *= m[bo, bi]
-                total += amp
-        norm = math.sqrt(math.comb(n, k) * math.comb(n, l))
-        return total / norm
-
-    for k in range(4):
-        for l in range(4):
-            expected = direct(3, k, l)
-            got = dicke_matrix_element(m, 3, k, l)
-            assert got == pytest.approx(expected, abs=1e-12), (k, l)
-
-
 def test_char_fn_at_zero_is_one(sigma_x, params_x):
     state = DickeSuperposition.w_state(20)
     assert char_fn_finite(state, sigma_x, params_x, 0.5, 0.0) == 1.0 + 0.0j
@@ -129,13 +99,44 @@ def test_char_fn_scalar_passthrough(sigma_x, params_x):
     assert isinstance(value, complex)
 
 
-@pytest.mark.parametrize("n", [200, 400, 1000])
-def test_char_fn_outside_the_unit_disc_is_a_numeric_error(sigma_x, params_x, n):
-    # The Dicke sums cancel at mid-ladder: |phi| reached 1.2e9 (N = 200),
-    # 7.7e23 (N = 400) and 6.5e53 (N = 1000) on this t grid.
+@pytest.mark.parametrize("n", [50, 80, 100])
+def test_char_fn_is_the_fourier_sum_of_the_pmf(sigma_x, params_x, n):
+    # The Dicke-sum evaluator this replaced was off by 2e-8, 6e-4 and 0.74
+    # here; the blocked sum stays within 1.7e-14 of the direct one.
     state = DickeSuperposition(n_particles=n, base_level=n // 2, coeffs=PAPER_COEFFS)
-    with pytest.raises(NumericError, match="modulus"):
+    pmf = pmf_finite(state, sigma_x, params_x, 0.5)
+    t = np.linspace(0.0, 2.0 * np.pi / (pmf.values[1] - pmf.values[0]), 241)[1:]
+    direct = np.exp(1j * np.outer(t, pmf.values)) @ pmf.probs
+    assert np.max(np.abs(char_fn_finite(state, sigma_x, params_x, 0.5, t) - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_char_fn_over_one_period_inverts_to_the_ladder_moments(sigma_x, params_x, n):
+    # Mid-ladder, where the Dicke sums cancel: the DFT of the Dicke-sum
+    # characteristic function had probability -4.7e-2 at N = 100 and left
+    # the unit disc from N = 200.
+    state = DickeSuperposition(n_particles=n, base_level=n // 2, coeffs=PAPER_COEFFS)
+    pmf = char_fn_dft_pmf(state, sigma_x, params_x, 0.5)
+    assert pmf.probs.min() >= -1e-12
+    assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    mean, second = ladder_moments(state, math.pi / 2.0, 0.0, params_x, 0.5)
+    assert pmf.mean() == pytest.approx(mean, abs=1e-10 * math.sqrt(second))
+    assert float(np.dot(pmf.probs, pmf.values**2)) == pytest.approx(second, rel=1e-10)
+
+
+def test_char_fn_memory_stays_bounded_at_large_n(sigma_x, params_x):
+    # 10^5 + 1 lattice points and 241 t values: a dense exp(i t x) matrix
+    # would take 386 MB; the blocked sum peaked at 9.6 MB.
+    import tracemalloc
+
+    state = DickeSuperposition.w_state(100000)
+    tracemalloc.start()
+    try:
         char_fn_finite(state, sigma_x, params_x, 0.5, np.linspace(-6.0, 6.0, 241))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_pmf_matches_brute_force_randomized():
@@ -176,6 +177,12 @@ def test_moments_match_pmf_sums(sigma_x, params_x):
         assert moments.raw[order] == pytest.approx(direct, rel=1e-9, abs=1e-9)
     variance = moments.raw[2] - moments.raw[1] ** 2
     assert moments.central[2] == pytest.approx(variance, rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [0, 9, 2.5, "2"])
+def test_moments_order_is_an_integer_from_one_to_eight(sigma_x, params_x, order):
+    with pytest.raises(ValidationError, match="order must be"):
+        moments_finite(DickeSuperposition.w_state(4), sigma_x, params_x, 0.5, order=order)
 
 
 def test_w_state_variance_is_three_minus_two_over_n(sigma_x, params_x):
@@ -272,10 +279,23 @@ def random_projective_instance(rng, alpha, max_n=10, max_d=4):
 
 
 def inversion_pmf(state, povm, params, alpha):
-    """The characteristic-function route for a +-1 POVM, from ``char_fn_finite``.
+    """The Dicke-sum inversion route, ``finite_n._inverted_probs``, for a +-1 POVM.
 
     The intensity is ``2*J - N`` with ``J`` the number of +1 outcomes, so
-    the characteristic function at ``t = theta * scale / 2`` over the
+    the route's N+1 lattice probabilities are those of ``J``.
+    """
+    n = state.n_particles
+    scale = params.tau * float(n) ** alpha
+    idx = np.round((np.asarray(povm.outcomes) + 1.0) / 2.0).astype(np.int64)
+    probs = finite_n._inverted_probs(state, povm, idx, n + 1)
+    values = (2.0 * np.arange(n + 1) - n - n * params.mu) / scale
+    return LatticePmf(values=values, probs=probs)
+
+
+def char_fn_dft_pmf(state, povm, params, alpha):
+    """The PMF of a +-1 POVM from ``char_fn_finite`` over one lattice period.
+
+    The characteristic function at ``t = theta * scale / 2`` over the
     N+1 lattice frequencies, stripped of the centering phase, is the DFT
     of the distribution of ``J``.
     """

@@ -139,9 +139,10 @@ class TestLoss:
             loss_char_fn_finite(w_state(4), sigma_x, params_x, 0.0, 1.0)
 
     def test_char_fn_outside_the_unit_disc_is_a_numeric_error(self, sigma_x, params_x):
-        # Inherited from char_fn_finite: mid-ladder Dicke sums leave the unit disc.
+        # Inherited from pmf_finite: the lossy POVM is not projective, and the
+        # inversion route's mid-ladder Dicke sums cancel (residue 8.5e37).
         state = DickeSuperposition(n_particles=400, base_level=200, coeffs=PAPER_COEFFS)
-        with pytest.raises(NumericError, match="modulus"):
+        with pytest.raises(NumericError, match="imaginary residue"):
             loss_char_fn_finite(state, sigma_x, params_x, 0.9, np.linspace(-6.0, 6.0, 241))
 
     @pytest.mark.parametrize("p", [0.35, 0.8])

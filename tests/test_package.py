@@ -18,6 +18,12 @@ def test_every_public_name_resolves_from_the_package_root():
             assert name in macrobell.__all__, name
 
 
+def test_every_lazy_export_resolves():
+    for name, module_name in macrobell._EXPORTS.items():
+        module = importlib.import_module(f"macrobell.{module_name}")
+        assert getattr(macrobell, name) is getattr(module, name), name
+
+
 def test_no_module_imports_private_names_of_another():
     offenders = []
     for path in sorted(Path(macrobell.__file__).parent.glob("*.py")):
