@@ -68,6 +68,7 @@ _EXPORTS = {
     "oscillator_wavefunction": "limits",
     "level_kernels": "limits",
     "smeared_level_kernel": "limits",
+    "gauss_legendre": "limits",
     "real_half_width": "limits",
     "default_real_grid": "limits",
     "default_rotor_grid": "limits",

@@ -9,6 +9,10 @@ module builds that table, evaluates and maximizes the CHSH combination over
 the four analyzer angles, constructs the joint (x, y) density at
 square-root coarse graining, and cross-checks the full coarse-graining
 branch against its separable hidden-variable construction.
+
+The table's quadrature is ``limits.gauss_legendre``, so the module loads no
+``scipy``; only the Simpson routes of ``JointGridDensity`` and
+``signed_line_integral``, which no command calls, import it on call.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
                      ValidationError, check_unit_vector)
-from .limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, level_kernels,
-                     real_half_width)
+from .limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
+                     level_kernels, real_half_width)
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -70,15 +73,12 @@ class SignOverlapTable:
         return self.values.shape[0] - 1
 
 
-_legendre = lru_cache(maxsize=4)(roots_legendre)
-
-
 def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int) -> np.ndarray:
     # K_kl(x) * S(x) with S odd is even iff k + l is odd, so the table is
     # 2 * integral over the positive half line there and exactly 0 elsewhere.
     # The half line is split where S reaches 1, so each piece is smooth.
     half_width = real_half_width(k_max, width)
-    t, w = _legendre(nodes)
+    t, w = gauss_legendre(nodes)
     knot = min(edge, half_width)
     x, weights = [], []
     for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
@@ -92,7 +92,8 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int)
     return table
 
 
-@lru_cache(maxsize=32)
+# typed: a float node count must reach gauss_legendre's check, not an int's entry
+@lru_cache(maxsize=32, typed=True)
 def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
     table = _half_line_overlaps(k_max, 0.0, 0.0, None, nodes)
     table.flags.writeable = False
@@ -102,9 +103,9 @@ def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
 def sign_overlap_table(k_max: int, nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
     """Build the sign-weighted overlap table up to level ``k_max``.
 
-    The result is cached per (k_max, nodes); ``nodes`` controls the
-    Gauss-Legendre resolution and exists mainly so convergence can be
-    checked by doubling it.
+    The result is cached per (k_max, nodes); ``nodes``, an integer >= 1,
+    controls the Gauss-Legendre resolution and exists mainly so convergence
+    can be checked by doubling it.
     """
     return smoothed_sign_overlap_table(k_max, nodes=nodes)
 
@@ -121,9 +122,9 @@ def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.
     if k_max < 0 or not (0.0 <= width < math.inf and 0.0 <= edge < math.inf):
         raise ValidationError("k_max, width and edge must be finite and nonnegative")
     if width == 0.0 and edge == 0.0:
-        return SignOverlapTable(_sign_overlap_values(int(k_max), int(nodes)))
+        return SignOverlapTable(_sign_overlap_values(int(k_max), nodes))
     return SignOverlapTable(_half_line_overlaps(int(k_max), float(width), float(edge),
-                                                ramp, int(nodes)))
+                                                ramp, nodes))
 
 
 @dataclass(frozen=True)

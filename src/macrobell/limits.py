@@ -7,13 +7,15 @@ closed form.  For linear coarse graining the limit is a planar-rotor
 angle distribution on [0, pi].  This module provides those laws, the
 level-pair kernels that every square-root quantity contracts
 (``level_kernels``: Hermite rows at the nodes of one Gauss-Hermite rule),
-and a numerical verification of the Gaussian-smearing identity that
+the Gauss-Legendre rule that the sign tables and the noise convolution
+integrate with (``gauss_legendre``), and a numerical verification of the Gaussian-smearing identity that
 connects the closed Hermite sum to the convolution form.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +37,7 @@ __all__ = [
     "oscillator_wavefunction",
     "level_kernels",
     "smeared_level_kernel",
+    "gauss_legendre",
     "real_half_width",
     "default_real_grid",
     "default_rotor_grid",
@@ -354,6 +357,48 @@ def _hermgauss_cached(n_nodes: int):
     if not abs(total - math.sqrt(math.pi)) <= 1e-12:
         raise NumericError(f"the {n_nodes}-node Gauss-Hermite rule for level {n_nodes - 1} "
                            f"is degenerate: its weights sum to {total:.3g}")
+    return nodes, weights
+
+
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the ``nodes``-point Gauss-Legendre
+    rule on [-1, 1], cached and read-only; ``nodes`` must be an integer >= 1."""
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+        raise ValidationError(f"the node count must be an integer >= 1, got {nodes!r}")
+    return _gauss_legendre_cached(int(nodes))
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    below, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        below, p = p, ((2 * j - 1) * x * p - (j - 1) * below) / j
+    return p, below
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton in theta on P_n(cos theta) for the nodes with x >= 0, mirrored.
+
+    Tricomi's guesses theta_k = pi (k - 1/4) / (n + 1/2) are within
+    O(n^-2) of the roots, so three steps
+    theta += P_n sin(theta) / (n (P_{n-1} - x P_n)) reach rounding level
+    (Hale and Townsend, SIAM J. Sci. Comput. 35, A652, 2013).  The weights
+    2 / ((1 - x^2) P_n'^2) are formed as 2 sin^2(theta) / (n (P_{n-1} - x P_n))^2.
+    """
+    theta = np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5)
+    for _ in range(3):
+        x = np.cos(theta)
+        p, below = _legendre_pair(n, x)
+        theta = theta + p * np.sin(theta) / (n * (below - x * p))
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # an odd P_n vanishes at 0 exactly
+    p, below = _legendre_pair(n, x)
+    w = 2.0 * np.sin(theta) ** 2 / (n * (below - x * p)) ** 2
+    nodes = np.concatenate([-x, x[::-1][n % 2:]])
+    weights = np.concatenate([w, w[::-1][n % 2:]])
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

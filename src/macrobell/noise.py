@@ -18,9 +18,11 @@ convolved with the noise density, which has a closed form; so each cell is
 one ``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
 ``bell.chsh_value``, and no density is convolved.
 
-``bell``, ``finite_n`` and ``scipy`` are imported inside the one function
-that needs each, so the channel and loss-width routines load neither the
-Bell nor the finite-N stack.
+``bell`` and ``finite_n`` are imported inside the one function that needs
+each, so the channel and loss-width routines load neither the Bell nor the
+finite-N stack.  The convolution's Gauss-Legendre rule comes from
+``limits`` and the truncated-Gaussian step is ``math.erf``; only
+``convolve_classical_noise`` imports ``scipy`` (its cubic spline), on call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     SingularChannelError,
     ValidationError,
 )
-from .limits import GridDensity
+from .limits import GridDensity, gauss_legendre
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
 
 #: Width values above this raise DivergentWidth instead of being returned.
@@ -200,9 +202,9 @@ def _smoothed_sign(shape: str, eps: float):
     """sign convolved with the noise density, on [0, eps]; it is 1 beyond eps."""
     if shape == "uniform":
         return lambda x: x / eps
-    # erf(x / (sigma sqrt 2)) / erf(sqrt 2) with sigma = eps / 2
-    from scipy.special import erf
-
+    # erf(x / (sigma sqrt 2)) / erf(sqrt 2) with sigma = eps / 2, on a scalar
+    # or on the quadrature nodes
+    erf = np.vectorize(math.erf, otypes=[float])
     return lambda x: erf(x * math.sqrt(2.0) / eps) / math.erf(math.sqrt(2.0))
 
 
@@ -241,7 +243,7 @@ def _convolve_values(grid: np.ndarray, values: np.ndarray, eps: float, shape: st
         grid[-1] + step_right * np.arange(1, n_right + 1),
     ])
     spline = CubicSpline(grid, values, bc_type="natural", extrapolate=False)
-    nodes, weights = np.polynomial.legendre.leggauss(CONVOLUTION_NODES)
+    nodes, weights = gauss_legendre(CONVOLUTION_NODES)
     r = eps * nodes
     kernel = _kernel_profile(shape, eps)
     quad_weights = eps * weights * kernel(r)

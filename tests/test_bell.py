@@ -62,6 +62,26 @@ def test_sign_overlap_quadrature_stability():
     assert np.max(np.abs(coarse - fine)) <= 1e-11
 
 
+def test_sign_overlap_closed_forms_to_rounding():
+    table = sign_overlap_table(6).values
+    assert abs(table[0, 1] - math.sqrt(2.0 / math.pi)) <= 2e-15
+    assert abs(table[1, 2] - 1.0 / math.sqrt(math.pi)) <= 2e-15
+
+
+def test_optimized_chsh_is_the_closed_form_to_rounding():
+    assert abs(optimize_chsh(PAPER).value - CHSH_OPT) <= 1e-14
+
+
+@pytest.mark.parametrize("nodes", [0, -1, 2.5, 600.0])
+def test_tables_reject_bad_node_counts(nodes):
+    ramp = _smoothed_sign("uniform", 0.25)
+    sign_overlap_table(3, nodes=600)  # a cached int entry must not answer for 600.0
+    with pytest.raises(ValidationError):
+        sign_overlap_table(3, nodes=nodes)
+    with pytest.raises(ValidationError):
+        smoothed_sign_overlap_table(3, 0.3, 0.25, ramp, nodes=nodes)
+
+
 def test_smoothed_table_reduces_to_sign_table():
     assert smoothed_sign_overlap_table(4).values is sign_overlap_table(4).values
     for bad in ({"width": -0.1}, {"edge": math.nan}, {"width": math.inf}):
@@ -306,11 +326,19 @@ def test_separable_lhv_matches_loop(shape):
 
 
 def test_bell_and_noise_imports_stay_light():
-    # bell needs only numpy and scipy.special at load; noise loads neither
-    # the Bell nor the finite-N stack until a function asks for it.
-    script = ("import sys, macrobell.bell, macrobell.noise\n"
-              "print(' '.join(sorted(m for m in sys.modules"
-              " if m.startswith(('scipy.optimize', 'scipy.integrate')))))\n")
+    # bell and noise, and every call the chsh, noise-sweep, local-model and
+    # channel commands make, load no scipy; noise loads neither the Bell nor
+    # the finite-N stack until a function asks for it.
+    script = ("import sys, numpy as np, macrobell.bell, macrobell.noise\n"
+              "from macrobell.bell import local_model_alpha_one, optimize_chsh\n"
+              "from macrobell.noise import NoiseSpec, noisy_chsh_sweep, noisy_limit_params\n"
+              "from macrobell.povm import projective_from_bloch\n"
+              "paper = np.array([2, 5 ** 0.5, 1]) / 10 ** 0.5\n"
+              "optimize_chsh(paper)\n"
+              "noisy_chsh_sweep(paper, [0.0, 0.2], [0.0, 0.3], shape='truncated_gaussian')\n"
+              "local_model_alpha_one(np.eye(2) / 2 ** 0.5, 0.3, 0.1)\n"
+              "noisy_limit_params(projective_from_bloch(1.5, 0.0), NoiseSpec(depol_lambda=0.1))\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
     first = subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, check=True, env=_src_env())
     assert first.stdout.split() == []

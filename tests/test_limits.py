@@ -13,6 +13,7 @@ from macrobell.limits import (
     LimitState,
     default_real_grid,
     default_rotor_grid,
+    gauss_legendre,
     hermite,
     level_kernels,
     limit_charfn_alpha_half,
@@ -26,6 +27,37 @@ from macrobell.limits import (
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 600, 601, 1200])
+def test_gauss_legendre_integrates_every_legendre_polynomial_below_degree_2n(n):
+    from scipy.special import roots_legendre  # the reference, in this test only
+
+    x, w = gauss_legendre(n)
+    # sum_i w_i P_j(x_i) = integral of P_j over [-1, 1] = 2 delta_j0 for j < 2n
+    moments = np.empty(2 * n)
+    below, p = np.ones(n), x
+    moments[0] = w.sum()
+    for j in range(1, 2 * n):
+        moments[j] = w @ p
+        below, p = p, ((2 * j + 1) * x * p - j * below) / (j + 1)
+    moments[0] -= 2.0
+    assert np.max(np.abs(moments)) <= 2e-15
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.all(w > 0)
+    assert np.max(np.abs(x - roots_legendre(n)[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "4"])
+def test_gauss_legendre_rejects_bad_node_counts(n):
+    with pytest.raises(ValidationError):
+        gauss_legendre(n)
+
+
+def test_gauss_legendre_is_cached_and_readonly():
+    x, w = gauss_legendre(5)
+    assert gauss_legendre(np.int64(5))[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_hermite_low_orders():
