@@ -18,6 +18,7 @@ The table's quadrature is ``limits.gauss_legendre``, so the module loads no
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -119,8 +120,10 @@ def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.
     integral of each kernel after that noise.  At width = edge = 0 it is
     the cached ``sign_overlap_table``.
     """
-    if k_max < 0 or not (0.0 <= width < math.inf and 0.0 <= edge < math.inf):
-        raise ValidationError("k_max, width and edge must be finite and nonnegative")
+    if not (isinstance(k_max, numbers.Integral) and k_max >= 0):
+        raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
+    if not (0.0 <= width < math.inf and 0.0 <= edge < math.inf):
+        raise ValidationError("width and edge must be finite and nonnegative")
     if width == 0.0 and edge == 0.0:
         return SignOverlapTable(_sign_overlap_values(int(k_max), nodes))
     return SignOverlapTable(_half_line_overlaps(int(k_max), float(width), float(edge),

@@ -8,9 +8,15 @@ interest.  Everything here is exact at finite N:
 * the full probability mass function of X on its outcome lattice.  A
   projective POVM (every effect a 0/1 projector in one basis, which
   covers every spin component) takes the rotation route: the state's
-  weights in the rotated Dicke basis, by inverse iteration at the known
-  eigenvalues of one tridiagonal matrix, O(N * levels) for every level
-  up to N; this route works at N = 10^5 and beyond.  Any other POVM takes the
+  weights in the rotated Dicke basis, from eigenvectors of one symmetric
+  tridiagonal matrix at its known eigenvalues
+  ``lambda_k = N (h_00 + h_11)/2 + rho (k - N/2)``.  Each vector is a
+  twisted factorization (two pivot sweeps, each a plain Python loop) on a
+  window of the ladder: the rows where the vector oscillates, widened
+  until it has decayed by 800 nats.  The cost is O(window * levels) loop
+  steps of about 0.1 us; a base-0 window spans O(sqrt(N)) rows, a
+  mid-ladder one the whole ladder.  Only numpy is needed, and the route
+  works for every level at N = 10^5 and beyond.  Any other POVM takes the
   inversion route: the lattice characteristic function at the conjugate
   frequencies, from Dicke matrix elements ``<N,k| M^(x)N |N,l>`` with
   binomials in log space, inverted by a discrete Fourier transform at
@@ -28,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dstein
 
 from .errors import (
     CapExceededError,
@@ -271,35 +276,162 @@ def _lattice_structure(outcomes, atol_rel=1e-9):
 _JZ = np.diag([-0.5, 0.5]).astype(complex)
 _RAISE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
+#: decay, in nats, that the window of a ladder vector spans beyond its
+#: allowed interval; entries further out are below exp(-800) and stored as 0
+_WINDOW_DECAY = 800.0
+
+#: a pivot below this fraction of its coupling puts the next row of the
+#: vector near a node (see ``_toward_start``)
+_NEAR_NODE = 1e-3
+
+
+def _pivots(shift, coupling, pivmin) -> list:
+    """Pivots ``D_0 = shift_0``, ``D_i = shift_i - coupling_{i-1} / D_{i-1}``.
+
+    ``shift`` and ``coupling`` are iterables of Python floats, which the
+    loop runs on; a pivot smaller than ``pivmin`` in modulus is stored as
+    ``-pivmin``, so an exact zero cannot divide the next step by zero.
+    """
+    shift = iter(shift)
+    d = next(shift)
+    if -pivmin < d < pivmin:
+        d = -pivmin
+    pivots = [d]
+    append = pivots.append
+    for s, c in zip(shift, coupling):
+        d = s - c / d
+        if -pivmin < d < pivmin:
+            d = -pivmin
+        append(d)
+    return pivots
+
+
+def _toward_start(pivots, b, r) -> np.ndarray:
+    """``x_i / x_r`` for rows i < r of the solution x that a pivot sweep
+    builds, ``x_{i+1} / x_i = -D_i / b_i``: products of the ratios, summed
+    as logs from r, with signs by parity.
+
+    A pivot D_i far below b_i puts x_{i+1} near a node and makes D_{i+1}
+    large.  Their two logs would cancel, to an error of 1e-13 when D_i is an
+    exact zero stored as -pivmin, so the sum steps over row i+1 by the log
+    of the product ``D_i D_{i+1}``, and x_{i+1} is one ratio from x_{i+2}.
+    """
+    steps = np.log(np.abs(pivots[:r]) / b[:r])
+    near = np.flatnonzero(np.abs(pivots[:r]) < _NEAR_NODE * b[:r])
+    near = near[(near + 1 < r) & (np.diff(near, prepend=-2) > 1)]
+    chain = steps.copy()
+    chain[near] = np.log(np.abs(pivots[near] * pivots[near + 1]) / (b[near] * b[near + 1]))
+    chain[near + 1] = 0.0
+    log_size = np.cumsum(-chain[::-1])[::-1]
+    log_size[near + 1] -= steps[near + 1]
+    part = np.exp(log_size)
+    part[np.cumsum(pivots[:r][::-1] > 0)[::-1] % 2 == 1] *= -1.0
+    return part
+
+
+def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
+    """Orthonormal eigenvectors, one column per eigenvalue, of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off > 0``.
+
+    Each vector comes from a twisted factorization at its eigenvalue on one
+    window of rows shared by all of them (see ``rotated_weights``) and is
+    zero outside it.  With no coupling each vector is the unit vector of the
+    nearest diagonal entry.  Raises NumericError if a vector is not finite.
+    """
+    vectors = np.zeros((diag.size, eigenvalues.size))
+    if not np.any(off):
+        vectors[[np.argmin(np.abs(diag - lam)) for lam in eigenvalues],
+                np.arange(eigenvalues.size)] = 1.0
+        return vectors
+    # WKB: a row with |a_i - lam| <= 2 sqrt(b_{i-1} b_i) oscillates; beyond,
+    # a vector decays by arccosh of that ratio per row.  The distance from
+    # a_i to the nearest eigenvalue bounds |a_i - lam| for every one.
+    barrier = 2.0 * np.sqrt(np.concatenate([off[:1], off]) * np.concatenate([off, off[-1:]]))
+    ratio = np.maximum(eigenvalues.min() - diag, diag - eigenvalues.max()) / barrier
+    allowed = np.flatnonzero(ratio <= 1.0)
+    lo, hi = (allowed[0], allowed[-1]) if allowed.size else (np.argmin(ratio),) * 2
+    decay = np.arccosh(np.maximum(ratio, 1.0))
+    lo -= 1 + np.searchsorted(np.cumsum(decay[:lo][::-1]), _WINDOW_DECAY, side="right")
+    hi += 1 + np.searchsorted(np.cumsum(decay[hi + 1:]), _WINDOW_DECAY, side="right")
+    lo, hi = max(lo, 0), min(hi, diag.size - 1)
+
+    b = off[lo:hi]
+    coupling = (b * b).tolist()
+    pivmin = 4.0 * np.finfo(float).tiny * max(1.0, float(np.max(off)) ** 2)
+    window = np.empty((hi + 1 - lo, eigenvalues.size))
+    for j, lam in enumerate(eigenvalues):
+        rows = (diag[lo:hi + 1] - lam).tolist()
+        # f from the top has x_{i+1} / x_i = -D+_i / b_i; g from the bottom is
+        # the same in reversed row order.  Twist at the row r where f_r g_r,
+        # the Green's function's diagonal, peaks.
+        top = np.array(_pivots(rows, coupling, pivmin))
+        bottom = np.array(_pivots(reversed(rows), reversed(coupling), pivmin))
+        log_f = np.cumsum(np.log(np.r_[1.0, np.abs(top[:-1]) / b]))
+        log_g = np.cumsum(np.log(np.r_[1.0, np.abs(bottom[:-1]) / b[::-1]]))
+        r = int(np.argmax(log_f + log_g[::-1]))
+        vector = np.concatenate([_toward_start(top, b, r), [1.0],
+                                 _toward_start(bottom, b[::-1], len(rows) - 1 - r)[::-1]])
+        window[:, j] = vector / np.linalg.norm(vector)
+    if not np.all(np.isfinite(window)):
+        raise NumericError("twisted factorization left a non-finite rotated vector")
+    # Gram-Schmidt in level order, as LAPACK stein does for close eigenvalues:
+    # one Cholesky QR, exact to rounding as the columns are orthonormal to ~1e-12
+    vectors[lo:hi + 1] = window @ np.linalg.inv(np.linalg.cholesky(window.T @ window)).T
+    return vectors
+
 
 def rotated_weights(state, basis) -> np.ndarray:
     """Weights ``|<N,m|_U psi>|^2``, m = 0..N, in the Dicke basis built on U.
 
     ``|N,m>_U`` holds m particles in ``U|1>``.  Its overlap with
     ``|N,k>`` is component m of ``D(U^dag)|N,k>``, an eigenvector of the
-    collective operator of ``h = U^dag J_z U`` with eigenvalue k - N/2.
-    Rephasing ``|N,m>`` by ``exp(i m arg h_10)`` makes that operator real
-    symmetric tridiagonal; the common phase of row m drops out of the
-    weights.  LAPACK ``dstein`` finds the vectors by inverse iteration at
-    those known eigenvalues, O(N * levels), up to a sign each, so
-    consecutive vectors are rephased until the rotated raising operator
-    maps one onto the next with the positive factor sqrt((k+1)(N-k)), as
-    J_+ does on the Dicke ladder.  Raises NumericError when inverse
-    iteration fails or the weights miss unit mass by more than 1e-10.
+    collective operator of ``h = U^dag J_z U``.  Rephasing ``|N,m>`` by
+    ``exp(i m arg h_10)`` makes that operator real symmetric tridiagonal,
+    with diagonal ``a_m = (N-m) h_00 + m h_11`` and off-diagonal
+    ``b_m = |h_10| sqrt((m+1)(N-m))``; the common phase of row m drops out
+    of the weights.  Its eigenvalues are known: with
+    ``rho = sqrt((h_11 - h_00)^2 + 4|h_10|^2)`` (1 in exact arithmetic),
+    ``lambda_k = N (h_00 + h_11)/2 + rho (k - N/2)``, taken from the
+    floating-point h so that they are the stored matrix's eigenvalues to
+    rounding (``k - N/2`` misses them by up to 2e-11 at N = 10^5).
+
+    Each vector is a twisted factorization at its eigenvalue (Fernando
+    1997; Parlett and Dhillon): pivots ``D+`` of ``T - lambda`` from the
+    top and ``D-`` from the bottom, each a plain Python loop, with pivots
+    below ``4 * tiny * max(1, max b^2)`` replaced by minus that bound.  The
+    twist index r maximises ``log|f_r| + log|g_r|``, the diagonal of the
+    Green's function, for the solutions f from the top and g from the
+    bottom; the vector is the product of pivot ratios outward from r,
+    summed as logs from r, with signs by parity, and a row next to a node
+    (after a pivot below 1e-3 of its coupling, such as an exact zero) is
+    stepped over by the product of two pivots.  The sweeps run only on
+    one window of rows shared by the state's levels: the rows allowed for
+    some lambda_k, ``|a_m - lambda_k| <= 2 sqrt(b_{m-1} b_m)``, widened until
+    the WKB decay, the sum of ``arccosh(d_m / (2 sqrt(b_{m-1} b_m)))`` with
+    d_m the distance from a_m to the nearest lambda_k, passes 800 nats;
+    outside it every vector is 0.  The vectors are then orthonormalized in
+    level order (one Cholesky QR).  Cost: O(window * levels) Python-loop
+    steps (about 0.1 us each) plus O(window * levels^2); a base-0 window
+    spans O(sqrt(N)) rows (about 17 000 at N = 10^5 under ``sx``), a
+    mid-ladder one the whole ladder.  In a diagonal basis (h_10 = 0) each
+    vector is a unit vector.
+
+    Each vector is defined up to a sign, so consecutive vectors are
+    rephased until the rotated raising operator maps one onto the next
+    with the positive factor sqrt((k+1)(N-k)), as J_+ does on the Dicke
+    ladder.  Raises NumericError when a vector is not finite or the
+    weights miss unit mass by more than 1e-10.
     """
     n = state.n_particles
     h = basis.conj().T @ _JZ @ basis
     r = basis.conj().T @ _RAISE @ basis
     m = np.arange(n + 1, dtype=float)
     ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    h10 = complex(h[1, 0])
+    h00, h11, h10 = h[0, 0].real, h[1, 1].real, complex(h[1, 0])
     rephase = h10 / abs(h10) if h10 != 0 else 1.0
-    # one unsplit block: every eigenvalue in block 1, which ends at row N + 1
-    vectors, info = dstein(
-        (n - m) * h[0, 0].real + m * h[1, 1].real, abs(h10) * ladder,
-        state.levels - 0.5 * n, np.ones(n + 1, np.int32), np.full(n + 1, n + 1, np.int32))
-    if info > 0:
-        raise NumericError(f"inverse iteration missed {info} rotated vector(s)")
+    rho = math.sqrt((h11 - h00) ** 2 + 4.0 * abs(h10) ** 2)
+    vectors = _ladder_vectors((n - m) * h00 + m * h11, abs(h10) * ladder,
+                              0.5 * n * (h00 + h11) + rho * (state.levels - 0.5 * n))
     raise_diag = (n - m) * r[0, 0] + m * r[1, 1]
     raise_upper = rephase * r[0, 1] * ladder
     raise_lower = np.conj(rephase) * r[1, 0] * ladder
@@ -366,9 +498,9 @@ def pmf_finite(state, povm, params, alpha):
     CapExceededError
         If ``N * J`` exceeds ``DEFAULT_LATTICE_CAP`` (2^22).
     NumericError
-        If inverse iteration does not converge, the rotated weights miss
-        unit mass by more than 1e-10, or inversion leaves an imaginary
-        residue above 1e-10.
+        If a rotated vector is not finite, the rotated weights miss unit
+        mass by more than 1e-10, or inversion leaves an imaginary residue
+        above 1e-10.
     NegativeDensityError
         If inversion produces negativity beyond roundoff (1e-12).
     """

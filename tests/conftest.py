@@ -1,10 +1,12 @@
 """Shared fixtures and the acceptance-criteria terminal report."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import macrobell
 from macrobell.povm import projective_from_bloch, derive_params
 
 # populated by tests/test_acceptance.py, printed after the run
@@ -31,6 +33,14 @@ PAPER_COEFFS = np.array(
 )
 
 CHSH_OPTIMUM = 2.0 * math.sqrt(10.0) / math.pi
+
+
+def src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH,
+    for tests that start a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macrobell.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 @pytest.fixture(scope="session")

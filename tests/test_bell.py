@@ -1,7 +1,6 @@
 """Sign overlaps, CHSH machinery, bipartite densities, and the local model."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -24,6 +23,8 @@ from macrobell.bell import (
 )
 from macrobell.errors import CapExceededError, ValidationError
 from macrobell.noise import _smoothed_sign
+
+from conftest import src_env
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -80,6 +81,16 @@ def test_tables_reject_bad_node_counts(nodes):
         sign_overlap_table(3, nodes=nodes)
     with pytest.raises(ValidationError):
         smoothed_sign_overlap_table(3, 0.3, 0.25, ramp, nodes=nodes)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 3.0, -1, "3", math.nan])
+def test_tables_reject_k_max_that_is_not_a_nonnegative_integer(k_max):
+    # int() used to truncate 2.5 silently to the k_max = 2 table.
+    ramp = _smoothed_sign("uniform", 0.25)
+    with pytest.raises(ValidationError, match="k_max"):
+        sign_overlap_table(k_max)
+    with pytest.raises(ValidationError, match="k_max"):
+        smoothed_sign_overlap_table(k_max, 0.3, 0.25, ramp)
 
 
 def test_smoothed_table_reduces_to_sign_table():
@@ -340,23 +351,15 @@ def test_bell_and_noise_imports_stay_light():
               "noisy_limit_params(projective_from_bloch(1.5, 0.0), NoiseSpec(depol_lambda=0.1))\n"
               "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
     first = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                           text=True, check=True, env=_src_env())
+                           text=True, check=True, env=src_env())
     assert first.stdout.split() == []
     script = ("import sys, macrobell.noise\n"
               "print(' '.join(sorted(m for m in sys.modules if m.startswith('macrobell'))))\n")
     second = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, check=True, env=_src_env())
+                            text=True, check=True, env=src_env())
     loaded = second.stdout.split()
     assert "macrobell.noise" in loaded
     assert "macrobell.bell" not in loaded and "macrobell.finite_n" not in loaded
-
-
-def _src_env():
-    import macrobell
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(macrobell.__file__)))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_local_model_product_state_factorizes():

@@ -407,42 +407,43 @@ def test_projective_basis_rejects_unsharp_and_noncommuting_povms():
 
 
 def test_rotation_route_mass_guard(monkeypatch, sigma_x, params_x):
-    solve = finite_n.dstein
+    solve = finite_n._ladder_vectors
 
-    def stretched(*args, **kwargs):
-        vectors, info = solve(*args, **kwargs)
-        return 1.001 * vectors, info
+    def stretched(*args):
+        return 1.001 * solve(*args)
 
-    monkeypatch.setattr(finite_n, "dstein", stretched)
+    monkeypatch.setattr(finite_n, "_ladder_vectors", stretched)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
     with pytest.raises(NumericError, match="unit mass"):
         pmf_finite(state, sigma_x, params_x, 0.5)
 
 
-def test_rotation_route_reports_unconverged_vectors(monkeypatch, sigma_x, params_x):
-    solve = finite_n.dstein
+def test_rotation_route_reports_non_finite_vectors(monkeypatch, sigma_x, params_x):
+    # A pivot that breaks down to NaN poisons the vector built from it.
+    pivots = finite_n._pivots
 
-    def unconverged(*args, **kwargs):
-        vectors, _ = solve(*args, **kwargs)
-        return vectors, 2
+    def broken(*args):
+        values = pivots(*args)
+        values[len(values) // 2] = math.nan
+        return values
 
-    monkeypatch.setattr(finite_n, "dstein", unconverged)
+    monkeypatch.setattr(finite_n, "_pivots", broken)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
-    with pytest.raises(NumericError, match="inverse iteration"):
+    with pytest.raises(NumericError, match="non-finite rotated vector"):
         pmf_finite(state, sigma_x, params_x, 0.5)
 
 
 def test_rotation_route_rejects_nan_weights(monkeypatch, sigma_x, params_x):
     # NaN fails every comparison, so a guard written as "value > bound" let
     # NaN weights through as an all-NaN PMF.
-    solve = finite_n.dstein
+    solve = finite_n._ladder_vectors
 
-    def poisoned(*args, **kwargs):
-        vectors, info = solve(*args, **kwargs)
+    def poisoned(*args):
+        vectors = solve(*args)
         vectors[0, 0] = math.nan
-        return vectors, info
+        return vectors
 
-    monkeypatch.setattr(finite_n, "dstein", poisoned)
+    monkeypatch.setattr(finite_n, "_ladder_vectors", poisoned)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
     with pytest.raises(NumericError, match="unit mass"):
         pmf_finite(state, sigma_x, params_x, 0.5)
@@ -466,9 +467,10 @@ def test_inversion_route_rejects_nan_characteristic_function(monkeypatch):
 
 
 @functools.lru_cache(maxsize=2)  # the two POVMs of one (N, base) case
-def bisection_vectors(bloch, n, base):
-    """Eigenpairs base..base+15 of the collective U^dag J_z U in the rephased
-    Dicke basis, by bisection plus inverse iteration (``eigh_tridiagonal``)."""
+def bisection_vectors(bloch, n, base, levels=16):
+    """Eigenpairs base..base+levels-1 of the collective U^dag J_z U in the
+    rephased Dicke basis, by bisection plus inverse iteration
+    (``eigh_tridiagonal``)."""
     from scipy.linalg import eigh_tridiagonal
 
     basis = projective_basis(projective_from_bloch(*bloch))[0]
@@ -476,7 +478,31 @@ def bisection_vectors(bloch, n, base):
     m = np.arange(n + 1.0)
     ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
     return eigh_tridiagonal((n - m) * h[0, 0].real + m * h[1, 1].real, abs(h[1, 0]) * ladder,
-                            select="i", select_range=(base, base + 15))
+                            select="i", select_range=(base, base + levels - 1))
+
+
+def recorded_rotation(monkeypatch, state, bloch):
+    """Eigenvalues and vectors that ``rotated_weights`` computes for ``state``."""
+    solve = finite_n._ladder_vectors
+    found = {}
+
+    def recorded(diag, off, eigenvalues):
+        vectors = solve(diag, off, eigenvalues)
+        found.update(eigenvalues=eigenvalues, vectors=vectors)
+        return vectors
+
+    monkeypatch.setattr(finite_n, "_ladder_vectors", recorded)
+    finite_n.rotated_weights(state, projective_basis(projective_from_bloch(*bloch))[0])
+    return found["eigenvalues"], found["vectors"]
+
+
+def assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values, oracle):
+    state = DickeSuperposition.from_coeffs(n, np.ones(values.size), base_level=base)
+    eigenvalues, vectors = recorded_rotation(monkeypatch, state, bloch)
+    assert np.max(np.abs(values - eigenvalues)) <= 1e-10
+    signs = np.sign(np.sum(vectors * oracle, axis=0))
+    assert np.max(np.abs(signs * vectors - oracle)) <= 1e-12
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(values.size))) <= 1e-12
 
 
 @pytest.mark.parametrize("bloch", [(math.pi / 2.0, 0.0), (1.2, 0.3)], ids=["sx", "bloch"])
@@ -484,27 +510,76 @@ def bisection_vectors(bloch, n, base):
 @pytest.mark.parametrize("n", [1000, 100000])
 @pytest.mark.parametrize("mid_ladder", [False, True], ids=["base0", "baseN/2"])
 def test_rotated_vectors_against_eigh_tridiagonal(monkeypatch, bloch, levels, n, mid_ladder):
-    # Inverse iteration at the closed-form eigenvalues k - N/2 against
-    # bisection for them.  Measured over these 16 cases: eigenvalues within
-    # 2.2e-11, vectors within 1.3e-13 up to sign.
+    # The twisted factorization at the eigenvalues of the floating-point h
+    # against bisection for them.  Measured over these 16 cases: eigenvalues
+    # within 7.3e-12, vectors within 1.9e-13 up to sign, orthonormal to 1.5e-15.
     base = n // 2 if mid_ladder else 0
     values, oracle = bisection_vectors(bloch, n, base)
-    values, oracle = values[:levels], oracle[:, :levels]
-    solve = finite_n.dstein
-    found = {}
+    assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values[:levels],
+                                      oracle[:, :levels])
 
-    def recorded(d, e, w, iblock, isplit):
-        vectors, info = solve(d, e, w, iblock, isplit)
-        found.update(eigenvalues=w, vectors=vectors)
-        return vectors, info
 
-    monkeypatch.setattr(finite_n, "dstein", recorded)
-    state = DickeSuperposition.from_coeffs(n, np.ones(levels), base_level=base)
-    finite_n.rotated_weights(state, projective_basis(projective_from_bloch(*bloch))[0])
-    assert np.max(np.abs(values - found["eigenvalues"])) <= 1e-10
-    vectors = found["vectors"]
-    signs = np.sign(np.sum(vectors * oracle, axis=0))
-    assert np.max(np.abs(signs * vectors - oracle)) <= 1e-12
+# Inputs on which a twisted factorization breaks without its safeguards:
+# sx at even N puts exact zero pivots and exact nodes at level N/2, a z
+# measurement (and its flip) has no coupling at all, and a tilt of 1e-9
+# couples the ladder by 5e-10.
+Z_FLIP = validate_povm([1.0, -1.0], [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+EDGE_POVMS = {"sx": projective_from_bloch(math.pi / 2.0, 0.0),
+              "sz": projective_from_bloch(0.0, 0.0), "sz-flip": Z_FLIP,
+              "bloch-pi": projective_from_bloch(math.pi, 0.0),
+              "bloch-1e-9": projective_from_bloch(1e-9, 0.0)}
+
+
+@pytest.mark.parametrize("povm", EDGE_POVMS.values(), ids=EDGE_POVMS.keys())
+@pytest.mark.parametrize("n, base, coeffs", [
+    (2, 0, [0.6, 0.48j, -0.64]), (2, 1, [1.0]), (10, 5, [1.0]),
+    (10, 4, [0.6, 0.48j, -0.64]), (10, 0, [0.6, 0.48j, -0.64]),
+    (14, 5, [1.0, -0.5, 0.3j, 0.2]),
+], ids=["N2-all", "N2-half", "N10-half", "N10-mid", "N10-base0", "N14-mid"])
+def test_rotation_route_edge_cases_against_brute_force(povm, n, base, coeffs):
+    params = derive_params(povm, mu=0.0, tau=1.0)  # a z measurement has no <0|A|1>
+    state = DickeSuperposition.from_coeffs(n, coeffs, base_level=base)
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("bloch, n, base, levels", [
+    ((math.pi / 2.0, 0.0), 100, 46, 9),   # exact zero pivots at level N/2 = 50
+    ((math.pi / 2.0, 0.0), 2, 0, 3),
+    ((math.pi / 2.0, 0.0), 10, 3, 5),
+    ((0.0, 0.0), 1000, 0, 3), ((0.0, 0.0), 1000, 500, 3),
+    ((math.pi, 0.0), 1000, 0, 3), ((math.pi, 0.0), 1000, 500, 3),
+    ((1e-9, 0.0), 1000, 0, 3), ((1e-9, 0.0), 1000, 500, 3),
+], ids=["sx-100", "sx-2", "sx-10", "sz-base0", "sz-mid", "bloch-pi-base0", "bloch-pi-mid",
+        "bloch-1e-9-base0", "bloch-1e-9-mid"])
+def test_rotated_vectors_edge_cases_against_eigh_tridiagonal(monkeypatch, bloch, n, base,
+                                                             levels):
+    assert_rotation_matches_bisection(monkeypatch, bloch, n, base,
+                                      *bisection_vectors(bloch, n, base, levels))
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_exact_zero_pivots_give_the_null_vector_to_rounding(monkeypatch, n):
+    # Under sx the diagonal is constant and level N/2 sits exactly on it, so
+    # every other pivot is an exact zero.  The vector is then the null vector
+    # of the off-diagonal: v_{i+2} = -(b_i / b_{i+1}) v_i, odd rows 0, here in
+    # exact rational arithmetic.  Summing the +-700 logs of the tiny and huge
+    # pivots one by one put it 5.8e-14 off at N = 100.
+    from fractions import Fraction
+
+    state = DickeSuperposition.dicke(n, n // 2)
+    _, vectors = recorded_rotation(monkeypatch, state, (math.pi / 2.0, 0.0))
+    basis = projective_basis(projective_from_bloch(math.pi / 2.0, 0.0))[0]
+    m = np.arange(n)
+    off = abs(complex((basis.conj().T @ np.diag([-0.5, 0.5]) @ basis)[1, 0])) \
+        * np.sqrt((m + 1.0) * (n - m))
+    exact = [Fraction(1)]
+    for i in range(0, n, 2):
+        exact += [Fraction(0), -exact[-1] * Fraction(off[i]) / Fraction(off[i + 1])]
+    norm = math.sqrt(sum(x * x for x in exact))
+    exact = np.array([float(x) for x in exact]) / norm
+    vector = vectors[:, 0] * np.sign(vectors[0, 0])
+    assert np.max(np.abs(vector - exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("n, coeffs", [

@@ -1,12 +1,16 @@
 """The package root re-exports every public engine name, no module
-reaches into another module's private helpers, and only ``finite_n``
-loads scipy at import."""
+reaches into another module's private helpers, and no module, command
+or finite-N call loads scipy."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import macrobell
+
+from conftest import src_env
 
 MODULES = ("errors", "povm", "finite_n", "limits", "bell", "noise", "sampling")
 
@@ -37,9 +41,8 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
-def test_only_finite_n_imports_scipy_at_module_level():
-    # finite_n needs scipy.linalg's dstein; every other module either needs no
-    # scipy or imports it inside the one function that does.
+def test_no_module_imports_scipy_at_module_level():
+    # convolve_classical_noise and the Simpson routes import it on call.
     def import_time_nodes(node):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -56,5 +59,36 @@ def test_only_finite_n_imports_scipy_at_module_level():
             else:
                 continue
             offenders += [f"{path.name}: {name}" for name in names
-                          if name.split(".")[0] == "scipy" and path.name != "finite_n.py"]
+                          if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_finite_n_calls_and_commands_load_no_scipy(tmp_path):
+    script = f"""
+import runpy, sys
+from macrobell.finite_n import DickeSuperposition, pmf_finite
+from macrobell.povm import derive_params, projective_from_bloch
+from macrobell.sampling import sample_outcomes
+
+povm = projective_from_bloch(1.2, 0.3)
+state = DickeSuperposition.from_coeffs(200, [2.0, 5 ** 0.5, 1.0], base_level=100)
+pmf_finite(state, povm, derive_params(povm), 0.5)
+sample_outcomes(state, povm, derive_params(povm), 0.5, 50, seed=1)
+out = {str(tmp_path)!r}
+for argv in (["dist", "--N", "400", "--povm", "sx", "--coeffs", "paper"],
+             ["sample", "--N", "100", "--povm", "sx", "--state", "w", "--n-samples", "50",
+              "--seed", "3"],
+             ["converge", "--povm", "sx", "--state", "w", "--n-list", "10,20",
+              "--n-samples", "50", "--seed", "3"],
+             ["selftest"]):
+    sys.argv = ["macrobell", *argv, *(["--out", f"{{out}}/{{argv[0]}}.csv"]
+                                      if argv[0] != "selftest" else [])]
+    try:
+        runpy.run_module("macrobell.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env=src_env())
+    assert result.stdout.splitlines()[-1].split() == []
