@@ -40,7 +40,6 @@ _EXPORTS = {
     "DerivedParams": "povm",
     "validate_povm": "povm",
     "common_eigenbasis": "povm",
-    "projective_basis": "povm",
     "derive_params": "povm",
     "projective_from_bloch": "povm",
     "povm_to_json": "povm",

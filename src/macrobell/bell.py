@@ -42,6 +42,10 @@ COARSE_GRID_POINTS = 72
 #: Convergence tolerance (in CHSH value) of the local refinement.
 REFINE_VALUE_TOL = 1e-10
 
+#: Coarse-scan values within this of the maximum count as ties, so that
+#: rounding noise in the sign table cannot reorder them.
+SCAN_TIE_TOL = 1e-12
+
 #: Correlator pairs, in the order they enter the CHSH combination.
 PAIR_NAMES = ("AB", "AB'", "A'B", "A'B'")
 
@@ -214,14 +218,20 @@ class OptimizeResult(NamedTuple):
     value: float
 
 
+def _first_near_max(values) -> int:
+    """First index of the 1-d ``values`` within ``SCAN_TIE_TOL`` of their maximum."""
+    return int(np.argmax(values >= values.max() - SCAN_TIE_TOL))
+
+
 def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
     """Maximize the CHSH value over the four analyzer angles.
 
     Deterministic: a coarse scan on the pi/36 grid (exploiting that each
     correlator depends only on an angle sum, so the 4-d scan reduces to
     separable 1-d maximizations) picks the lexicographically smallest grid
-    maximizer.  Newton steps on the closed-form gradient and Hessian refine
-    it, ascending: each drops the gauge null direction (a, a' up; b, b' down,
+    point within ``SCAN_TIE_TOL`` of the maximum: first (a, a') over the
+    best totals, then b and b' for that pair.  Newton steps on the
+    closed-form gradient and Hessian refine it, ascending: each drops the gauge null direction (a, a' up; b, b' down,
     along which the angles stay free) and takes the other curvatures by
     modulus, halved until the value grows, until a step gains less than
     ``REFINE_VALUE_TOL``.
@@ -236,18 +246,12 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
     # shifted[j, i] = g(theta_j + theta_i) on the periodic grid
     shifted = grid_values[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
 
-    best = (-np.inf, 0, 0, 0, 0)
-    for ia in range(n):
-        plus = shifted[ia][None, :] + shifted     # [iap, ib]
-        minus = shifted[ia][None, :] - shifted    # [iap, ibp]
-        ib_best = plus.argmax(axis=1)
-        ibp_best = minus.argmax(axis=1)
-        totals = plus[np.arange(n), ib_best] + minus[np.arange(n), ibp_best]
-        iap = int(totals.argmax())
-        if totals[iap] > best[0]:
-            best = (float(totals[iap]), ia, iap, int(ib_best[iap]), int(ibp_best[iap]))
-
-    angles = np.array(best[1:], dtype=float) * step
+    plus = shifted[:, None, :] + shifted[None, :, :]     # [ia, iap, ib]
+    minus = shifted[:, None, :] - shifted[None, :, :]    # [ia, iap, ibp]
+    totals = plus.max(axis=2) + minus.max(axis=2)
+    ia, iap = np.unravel_index(_first_near_max(totals.ravel()), totals.shape)
+    angles = step * np.array([ia, iap, _first_near_max(plus[ia, iap]),
+                              _first_near_max(minus[ia, iap])], dtype=float)
     value, gain = _chsh_terms(coeffs, squared, angles).sum(), math.inf
     while gain >= REFINE_VALUE_TOL:
         gradient = _PAIR_SUMS.T @ _chsh_terms(coeffs, squared, angles, 1)

@@ -10,8 +10,10 @@ interest.  Everything here is exact at finite N:
   covers every spin component) takes the rotation route: the state's
   weights in the rotated Dicke basis, from eigenvectors of one symmetric
   tridiagonal matrix at its known eigenvalues
-  ``lambda_k = N (h_00 + h_11)/2 + rho (k - N/2)``.  Each vector is a
-  twisted factorization (two pivot sweeps, each a plain Python loop) on a
+  ``lambda_k = N (h_00 + h_11)/2 + rho (k - N/2)``, each signed
+  positive in row 0 so that level k carries the closed-form phase
+  ``exp(i k (arg U_00 - arg U_10))``.  Each vector is a twisted
+  factorization (two pivot sweeps, each a plain Python loop) on a
   window of the ladder: the rows where the vector oscillates, widened
   until it has decayed by 800 nats.  The cost is O(window * levels) loop
   steps of about 0.1 us; a base-0 window spans O(sqrt(N)) rows, a
@@ -31,6 +33,7 @@ interest.  Everything here is exact at finite N:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +47,7 @@ from .errors import (
     check_alpha,
     check_unit_vector,
 )
-from .povm import projective_basis
+from .povm import common_eigenbasis
 
 __all__ = [
     "DickeSuperposition",
@@ -67,6 +70,10 @@ DEFAULT_LATTICE_CAP = 1 << 22
 #: hard bound for the exponential-cost oracle
 BRUTE_FORCE_MAX_N = 14
 
+#: a POVM is projective when every outcome probability in its common
+#: eigenbasis is within this of 0 or 1
+_SHARP_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DickeSuperposition:
@@ -87,11 +94,12 @@ class DickeSuperposition:
     base_level: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValidationError("need at least one particle")
+        if not (isinstance(self.n_particles, numbers.Integral) and self.n_particles >= 1):
+            raise ValidationError(f"need an integer number of particles >= 1, "
+                                  f"got {self.n_particles!r}")
         c = check_unit_vector(self.coeffs)
-        if self.base_level < 0:
-            raise ValidationError("base_level must be nonnegative")
+        if not (isinstance(self.base_level, numbers.Integral) and self.base_level >= 0):
+            raise ValidationError(f"base_level must be an integer >= 0, got {self.base_level!r}")
         if self.base_level + c.size - 1 > self.n_particles:
             raise ValidationError(
                 f"highest level {self.base_level + c.size - 1} exceeds "
@@ -116,7 +124,7 @@ class DickeSuperposition:
     @classmethod
     def dicke(cls, n_particles, k) -> "DickeSuperposition":
         """The single Dicke state |N, k>."""
-        return cls(n_particles, np.array([1.0 + 0.0j]), base_level=int(k))
+        return cls(n_particles, np.array([1.0 + 0.0j]), base_level=k)
 
     @classmethod
     def w_state(cls, n_particles) -> "DickeSuperposition":
@@ -274,7 +282,6 @@ def _lattice_structure(outcomes, atol_rel=1e-9):
 
 
 _JZ = np.diag([-0.5, 0.5]).astype(complex)
-_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 #: decay, in nats, that the window of a ladder vector spans beyond its
 #: allowed interval; entries further out are below exp(-800) and stored as 0
@@ -337,6 +344,20 @@ def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
     window of rows shared by all of them (see ``rotated_weights``) and is
     zero outside it.  With no coupling each vector is the unit vector of the
     nearest diagonal entry.  Raises NumericError if a vector is not finite.
+
+    Each vector is signed so that its row-0 entry is positive: the Jacobi
+    convention, in which entry m is the row-0 entry times an orthogonal
+    polynomial of degree m in the eigenvalue with positive leading
+    coefficient.  With every b positive that entry is never 0 in exact
+    arithmetic, but when the window starts past row 0 it underflows to 0,
+    so its sign comes from the pivots.  The vector is +1 at the twist row r
+    and changes sign after each positive pivot on the way up, as
+    ``x_i / x_{i+1} = -b_i / D_i``: the window's pivots above r count those
+    changes up to its first row lo.  The lo rows above the window lie on
+    one side of the allowed interval, where every pivot has the sign of
+    ``a_0 - lambda``, so they add lo changes when that is positive.  The
+    Cholesky QR keeps the signs, as its triangular factor has a positive
+    diagonal.
     """
     vectors = np.zeros((diag.size, eigenvalues.size))
     if not np.any(off):
@@ -371,7 +392,10 @@ def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
         r = int(np.argmax(log_f + log_g[::-1]))
         vector = np.concatenate([_toward_start(top, b, r), [1.0],
                                  _toward_start(bottom, b[::-1], len(rows) - 1 - r)[::-1]])
-        window[:, j] = vector / np.linalg.norm(vector)
+        # Row 0 positive: one sign change per positive pivot from r up to lo,
+        # and lo more above the window when a_0 - lam is positive.
+        flips = np.count_nonzero(top[:r] > 0) + (lo if diag[0] > lam else 0)
+        window[:, j] = (-1.0) ** flips * vector / np.linalg.norm(vector)
     if not np.all(np.isfinite(window)):
         raise NumericError("twisted factorization left a non-finite rotated vector")
     # Gram-Schmidt in level order, as LAPACK stein does for close eigenvalues:
@@ -416,37 +440,28 @@ def rotated_weights(state, basis) -> np.ndarray:
     mid-ladder one the whole ladder.  In a diagonal basis (h_10 = 0) each
     vector is a unit vector.
 
-    Each vector is defined up to a sign, so consecutive vectors are
-    rephased until the rotated raising operator maps one onto the next
-    with the positive factor sqrt((k+1)(N-k)), as J_+ does on the Dicke
-    ladder.  Raises NumericError when a vector is not finite or the
+    Row 0 fixes the phase of each level: ``<N,0|_U |N,k>`` is
+    ``sqrt(C(N,k)) conj(U_00)^(N-k) conj(U_10)^k``, and the rephasing leaves
+    row 0 alone.  With every vector positive in row 0 (see
+    ``_ladder_vectors``), level k therefore carries the phase
+    ``exp(-i N arg U_00) exp(i k chi)`` with ``chi = arg U_00 - arg U_10``.
+    The first factor is global and drops out of the weights, so up to the
+    phase of each row the amplitudes are ``vectors @ (c_k exp(i k chi))``.
+    In a diagonal basis the vectors have disjoint supports and no phase
+    matters.  Raises NumericError when a vector is not finite or the
     weights miss unit mass by more than 1e-10.
     """
     n = state.n_particles
     h = basis.conj().T @ _JZ @ basis
-    r = basis.conj().T @ _RAISE @ basis
     m = np.arange(n + 1, dtype=float)
+    h00, h11, h10 = h[0, 0].real, h[1, 1].real, abs(h[1, 0])
+    rho = math.sqrt((h11 - h00) ** 2 + 4.0 * h10 ** 2)
     ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    h00, h11, h10 = h[0, 0].real, h[1, 1].real, complex(h[1, 0])
-    rephase = h10 / abs(h10) if h10 != 0 else 1.0
-    rho = math.sqrt((h11 - h00) ** 2 + 4.0 * abs(h10) ** 2)
-    vectors = _ladder_vectors((n - m) * h00 + m * h11, abs(h10) * ladder,
+    vectors = _ladder_vectors((n - m) * h00 + m * h11, h10 * ladder,
                               0.5 * n * (h00 + h11) + rho * (state.levels - 0.5 * n))
-    raise_diag = (n - m) * r[0, 0] + m * r[1, 1]
-    raise_upper = rephase * r[0, 1] * ladder
-    raise_lower = np.conj(rephase) * r[1, 0] * ladder
-
-    amplitude = state.coeffs[0] * vectors[:, 0]
-    phase = 1.0 + 0.0j
-    for k in range(1, state.coeffs.size):
-        below = vectors[:, k - 1]
-        raised = raise_diag * below
-        raised[:-1] += raise_upper * below[1:]
-        raised[1:] += raise_lower * below[:-1]
-        overlap = complex(np.dot(vectors[:, k], raised))
-        phase *= overlap / abs(overlap)
-        amplitude += state.coeffs[k] * phase * vectors[:, k]
-    weights = np.abs(amplitude) ** 2
+    chi = np.angle(basis[0, 0]) - np.angle(basis[1, 0])
+    phased = state.coeffs * np.exp(1j * chi * state.levels)
+    weights = np.sum((vectors @ np.column_stack([phased.real, phased.imag])) ** 2, axis=1)
     mass_defect = abs(float(weights.sum()) - 1.0)
     if not mass_defect <= 1e-10:
         raise NumericError(f"rotated weights miss unit mass by {mass_defect:.3e}")
@@ -482,11 +497,13 @@ def pmf_finite(state, povm, params, alpha):
     lives on ``N*a_min + m*step`` with ``m`` in 0..N*J.  Two routes fill
     that lattice:
 
-    * projective POVMs (see ``povm.projective_basis``): with m particles
-      in the second basis state the intensity index is
+    * projective POVMs: those whose ``povm.common_eigenbasis`` gives every
+      outcome probability within 1e-12 of 0 or 1, so that column b of the
+      basis always yields outcome ``j_b``, the one of probability 1.  With m
+      particles in the second basis state the intensity index is
       ``(N-m)*j_0 + m*j_1``, and its probability is the state's weight
-      on the rotated Dicke state ``|N,m>_U``.  The weights are
-      nonnegative, so nothing cancels; cost O(N * levels).
+      on the rotated Dicke state ``|N,m>_U`` (see ``rotated_weights``).
+      The weights are nonnegative, so nothing cancels; cost O(N * levels).
     * every other POVM: the lattice characteristic function at the
       L = N*J+1 conjugate frequencies, inverted by a DFT; cost
       O(N * levels^2) Dicke sums that cancel for mid-ladder levels.
@@ -514,13 +531,13 @@ def pmf_finite(state, povm, params, alpha):
             f"lattice size N*J = {size - 1} exceeds cap {DEFAULT_LATTICE_CAP}"
         )
 
-    projective = projective_basis(povm)
-    if projective is None:
+    common = common_eigenbasis(povm)
+    if common is None or np.any(np.minimum(common[1], 1.0 - common[1]) > _SHARP_ATOL):
         p = _inverted_probs(state, povm, idx, size)
     else:
-        basis, column_outcome = projective
+        basis, column_probs = common
         weights = rotated_weights(state, basis)
-        j0, j1 = idx[column_outcome]
+        j0, j1 = idx[np.argmax(column_probs, axis=0)]
         excited = np.arange(n + 1)
         p = np.bincount((n - excited) * j0 + excited * j1,
                         weights=weights, minlength=size)

@@ -41,7 +41,6 @@ __all__ = [
     "DerivedParams",
     "validate_povm",
     "common_eigenbasis",
-    "projective_basis",
     "derive_params",
     "projective_from_bloch",
     "povm_to_json",
@@ -181,29 +180,6 @@ def common_eigenbasis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray]
         return None
     column_probs = np.clip(np.einsum("aii->ai", rotated).real, 0.0, None)
     return basis, column_probs / column_probs.sum(axis=0)
-
-
-def projective_basis(povm: SingleParticlePovm) -> tuple[np.ndarray, np.ndarray] | None:
-    """Common eigenbasis of a projective POVM, or None if there is none.
-
-    A POVM is projective here when its ``common_eigenbasis`` makes every
-    effect diagonal with 0/1 entries, to 1e-12.
-
-    Returns
-    -------
-    (basis, column_outcome) or None
-        ``basis`` is the unitary whose columns are the eigenvectors;
-        ``column_outcome[i]`` is the index of the outcome that column ``i``
-        always produces.
-    """
-    common = common_eigenbasis(povm)
-    if common is None:
-        return None
-    basis, column_probs = common
-    ones = np.abs(column_probs - 1.0) <= COMPLETENESS_ATOL
-    if not np.all(ones | (column_probs <= COMPLETENESS_ATOL)):
-        return None
-    return basis, np.argmax(ones, axis=0)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ variance-scaling exponent that identifies the right coarse-graining power.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
         raise CapExceededError(f"N = {n} exceeds the sampler cap {MAX_SAMPLER_PARTICLES}")
     if d > MAX_SAMPLER_LEVELS:
         raise CapExceededError(f"{d} levels exceed the sampler cap {MAX_SAMPLER_LEVELS}")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be positive")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise ValidationError("seed must be an integer in [0, 2**64)")
     seed = int(seed)
@@ -151,11 +152,13 @@ def scaling_exponent(state_family, povm: SingleParticlePovm, n_list,
     ``mu``/``tau`` pass through to the parameter derivation for measurements
     whose off-diagonal scale is degenerate.
     """
-    n_values = [int(v) for v in n_list]
+    n_values = list(n_list)
     if len(n_values) < 4:
         raise ValidationError("need at least 4 particle counts to fit a slope")
-    if len(set(n_values)) != len(n_values) or any(v < 1 for v in n_values):
-        raise ValidationError("particle counts must be distinct positive integers")
+    if (not all(isinstance(v, numbers.Integral) and v >= 1 for v in n_values)
+            or len(set(n_values)) != len(n_values)):
+        raise ValidationError(f"particle counts must be distinct positive integers, "
+                              f"got {n_values!r}")
     params = derive_params(povm, mode=mode, mu=mu, tau=tau)
     log_n, log_var = [], []
     for n in n_values:

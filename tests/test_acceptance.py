@@ -5,7 +5,6 @@ then asserts with the measured numbers in the failure message.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -46,7 +45,7 @@ from macrobell.noise import (
 from macrobell.povm import derive_params
 from macrobell.sampling import ks_distance, sample_outcomes, scaling_exponent
 
-from conftest import CHSH_OPTIMUM, PAPER_COEFFS, record_criterion
+from conftest import CHSH_OPTIMUM, PAPER_COEFFS, record_criterion, src_env
 from test_finite_n import random_instance
 
 
@@ -358,7 +357,7 @@ def test_criterion_10_sampler_fidelity(sigma_x, params_x, tmp_path):
                 "--N", "800", "--povm", "sx", "--state", "w",
                 "--n-samples", "2000", "--seed", "7",
                 "--threads", str(threads), "--out", str(out)]
-        env = dict(os.environ)
+        env = src_env()
         env.pop("MACROBELL_THREADS", None)
         subprocess.run(argv, check=True, capture_output=True, env=env)
         return out.read_bytes()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrobell import bell
 from macrobell.bell import (
     BellConfig,
     JointGridDensity,
@@ -149,6 +150,20 @@ def test_optimizer_two_level_equal_superposition():
     result = optimize_chsh(coeffs)
     assert result.value == pytest.approx(4.0 * math.sqrt(2.0) / math.pi,
                                          abs=1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [PAPER, np.full(8, 1.0 / math.sqrt(8.0)),
+                                    np.full(16, 0.25)], ids=["paper", "equal8", "equal16"])
+def test_optimizer_ignores_last_bit_noise_in_the_sign_table(monkeypatch, coeffs):
+    # The equal:8 and equal:16 scans have maxima that agree to the last bit;
+    # relative noise of 1e-14 in the table used to move their angles by up to 5 rad.
+    reference = np.array(optimize_chsh(coeffs).angles)
+    clean = sign_overlap_table(coeffs.size - 1).values
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        noisy = bell.SignOverlapTable(clean * (1.0 + 1e-14 * rng.normal(size=clean.shape)))
+        monkeypatch.setattr(bell, "sign_overlap_table", lambda k_max: noisy)
+        assert np.max(np.abs(np.array(optimize_chsh(coeffs).angles) - reference)) <= 1e-6
 
 
 def test_single_level_state_has_zero_correlation():

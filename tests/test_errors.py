@@ -1,4 +1,4 @@
-"""The shared unit-coefficient and alpha checks and the engines that apply them."""
+"""The shared unit-coefficient, alpha and integer checks and the engines that apply them."""
 
 import math
 
@@ -11,7 +11,7 @@ from macrobell.errors import ValidationError, check_alpha, check_unit_vector
 from macrobell.finite_n import DickeSuperposition, char_fn_finite, pmf_finite
 from macrobell.limits import LimitState, limit_density_alpha_one
 from macrobell.povm import derive_params, projective_from_bloch
-from macrobell.sampling import sample_outcomes
+from macrobell.sampling import sample_outcomes, scaling_exponent
 
 SITES = {
     "DickeSuperposition": lambda c: DickeSuperposition(5, c),
@@ -74,6 +74,25 @@ def test_check_alpha_values():
 def test_alpha_rejected_at_every_site(site, bad):
     with pytest.raises(ValidationError, match="alpha must be 0.5 or 1.0"):
         ALPHA_SITES[site](bad)
+
+
+# A count or level that is not an integer used to be truncated, misused or
+# left to fail inside numpy.
+INTEGER_SITES = {
+    "N-10.5": lambda: DickeSuperposition(10.5, np.array([1.0])),
+    "N-10.0": lambda: DickeSuperposition(10.0, np.array([1.0])),
+    "base_level": lambda: DickeSuperposition(10, np.array([1.0]), base_level=1.5),
+    "dicke-level": lambda: DickeSuperposition.dicke(10, 2.7),
+    "n_samples": lambda: sample_outcomes(_W, _SX, derive_params(_SX), 0.5, 2.5, seed=0),
+    "n_list": lambda: scaling_exponent(lambda n: DickeSuperposition.dicke(n, 0), _SX,
+                                       [10, 20.5, 40, 80]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_non_integer_counts_rejected(site):
+    with pytest.raises(ValidationError, match="integer"):
+        INTEGER_SITES[site]()
 
 
 def test_alpha_flag_rejected(capsys):

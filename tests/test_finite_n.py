@@ -28,8 +28,8 @@ from macrobell.finite_n import (
 from macrobell.povm import (
     PAULI_X,
     PAULI_Z,
+    common_eigenbasis,
     derive_params,
-    projective_basis,
     projective_from_bloch,
     validate_povm,
 )
@@ -265,6 +265,13 @@ def test_affine_relabeling_leaves_x_invariant(scale, shift):
 # Projective POVMs: the rotation route
 # --------------------------------------------------------------------------
 
+def sharp(povm):
+    """Whether ``povm`` takes the rotation route: a common eigenbasis in
+    which every outcome probability is within 1e-12 of 0 or 1."""
+    common = common_eigenbasis(povm)
+    return common is not None and bool(np.all(np.minimum(common[1], 1.0 - common[1]) <= 1e-12))
+
+
 def random_projective_instance(rng, alpha, max_n=10, max_d=4):
     """Random complex superposition anywhere on the ladder, random Bloch axis."""
     n = int(rng.integers(2, max_n + 1))
@@ -355,7 +362,7 @@ def test_projective_pmf_matches_brute_force_randomized(alpha):
     rng = np.random.default_rng(1729 if alpha == 0.5 else 1730)
     for _ in range(16):
         state, povm, params = random_projective_instance(rng, alpha)
-        assert projective_basis(povm) is not None
+        assert sharp(povm)
         exact = pmf_finite(state, povm, params, alpha)
         brute = brute_force_pmf(state, povm, params, alpha)
         assert total_variation(exact, brute) <= 1e-12
@@ -382,7 +389,7 @@ def test_mid_ladder_against_brute_force_at_the_oracle_cap(depol):
     params = derive_params(povm)
     n = finite_n.BRUTE_FORCE_MAX_N
     state = DickeSuperposition.from_coeffs(n, [0.6, 0.48j, -0.64], base_level=n // 2 - 1)
-    assert (projective_basis(povm) is None) == bool(depol)
+    assert sharp(povm) != bool(depol)
     exact = pmf_finite(state, povm, params, 0.5)
     assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
 
@@ -390,20 +397,31 @@ def test_mid_ladder_against_brute_force_at_the_oracle_cap(depol):
 def test_three_outcome_projective_povm_with_empty_effect():
     plus = 0.5 * (I2 + PAULI_X)
     povm = validate_povm([0.0, 1.0, 2.0], [np.zeros((2, 2)), I2 - plus, plus])
-    basis, column_outcome = projective_basis(povm)
-    assert sorted(column_outcome) == [1, 2]
+    column_probs = common_eigenbasis(povm)[1]
+    assert sorted(np.argmax(column_probs, axis=0)) == [1, 2]
     params = derive_params(povm, mu=0.0, tau=1.0)
     state = DickeSuperposition.from_coeffs(9, [1.0, 2j, -0.5], base_level=3)
     exact = pmf_finite(state, povm, params, 0.5)
     assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
 
 
-def test_projective_basis_rejects_unsharp_and_noncommuting_povms():
-    unsharp = 0.3 * I2 + 0.2 * (I2 + PAULI_X)
-    assert projective_basis(validate_povm([1.0, -1.0], [unsharp, I2 - unsharp])) is None
-    trine = [(I2 + math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X) / 3.0
-             for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
-    assert projective_basis(validate_povm([0.0, 1.0, 2.0], trine)) is None
+UNSHARP = 0.3 * I2 + 0.2 * (I2 + PAULI_X)
+TRINE = [(I2 + math.cos(a) * PAULI_Z + math.sin(a) * PAULI_X) / 3.0
+         for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+
+
+@pytest.mark.parametrize("povm", [validate_povm([1.0, -1.0], [UNSHARP, I2 - UNSHARP]),
+                                  validate_povm([0.0, 1.0, 2.0], TRINE)],
+                         ids=["unsharp", "trine"])
+@pytest.mark.parametrize("n, base", [(6, 0), (10, 4), (14, 6)])
+def test_unsharp_and_noncommuting_povms_against_brute_force(povm, n, base):
+    # Neither POVM is projective (the trine has no common eigenbasis), so
+    # both take the inversion route.
+    assert not sharp(povm)
+    params = derive_params(povm, mu=0.0, tau=1.0)
+    state = DickeSuperposition.from_coeffs(n, [0.6, 0.48j, -0.64], base_level=base)
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
 
 
 def test_rotation_route_mass_guard(monkeypatch, sigma_x, params_x):
@@ -473,7 +491,7 @@ def bisection_vectors(bloch, n, base, levels=16):
     (``eigh_tridiagonal``)."""
     from scipy.linalg import eigh_tridiagonal
 
-    basis = projective_basis(projective_from_bloch(*bloch))[0]
+    basis = common_eigenbasis(projective_from_bloch(*bloch))[0]
     h = basis.conj().T @ np.diag([-0.5, 0.5]) @ basis
     m = np.arange(n + 1.0)
     ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
@@ -481,19 +499,25 @@ def bisection_vectors(bloch, n, base, levels=16):
                             select="i", select_range=(base, base + levels - 1))
 
 
-def recorded_rotation(monkeypatch, state, bloch):
-    """Eigenvalues and vectors that ``rotated_weights`` computes for ``state``."""
+def recorded_ladders(monkeypatch):
+    """Every (diag, off, eigenvalues, vectors) that ``_ladder_vectors`` sees."""
     solve = finite_n._ladder_vectors
-    found = {}
+    calls = []
 
-    def recorded(diag, off, eigenvalues):
-        vectors = solve(diag, off, eigenvalues)
-        found.update(eigenvalues=eigenvalues, vectors=vectors)
+    def recorded(*args):
+        vectors = solve(*args)
+        calls.append((*args, vectors))
         return vectors
 
     monkeypatch.setattr(finite_n, "_ladder_vectors", recorded)
-    finite_n.rotated_weights(state, projective_basis(projective_from_bloch(*bloch))[0])
-    return found["eigenvalues"], found["vectors"]
+    return calls
+
+
+def recorded_rotation(monkeypatch, state, bloch):
+    """Eigenvalues and vectors that ``rotated_weights`` computes for ``state``."""
+    calls = recorded_ladders(monkeypatch)
+    finite_n.rotated_weights(state, common_eigenbasis(projective_from_bloch(*bloch))[0])
+    return calls[-1][2:]
 
 
 def assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values, oracle):
@@ -569,7 +593,7 @@ def test_exact_zero_pivots_give_the_null_vector_to_rounding(monkeypatch, n):
 
     state = DickeSuperposition.dicke(n, n // 2)
     _, vectors = recorded_rotation(monkeypatch, state, (math.pi / 2.0, 0.0))
-    basis = projective_basis(projective_from_bloch(math.pi / 2.0, 0.0))[0]
+    basis = common_eigenbasis(projective_from_bloch(math.pi / 2.0, 0.0))[0]
     m = np.arange(n)
     off = abs(complex((basis.conj().T @ np.diag([-0.5, 0.5]) @ basis)[1, 0])) \
         * np.sqrt((m + 1.0) * (n - m))
@@ -580,6 +604,69 @@ def test_exact_zero_pivots_give_the_null_vector_to_rounding(monkeypatch, n):
     exact = np.array([float(x) for x in exact]) / norm
     vector = vectors[:, 0] * np.sign(vectors[0, 0])
     assert np.max(np.abs(vector - exact)) <= 1e-15
+
+
+def phased_haar_basis(rng):
+    """A Haar-random unitary times diag(e^{i alpha}, e^{i beta}): unlike a
+    basis from ``eigh``, its column phases are arbitrary."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r))) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
+
+
+def basis_povm(basis):
+    """The projective POVM {|u_0><u_0|, |u_1><u_1|} with outcomes (0, 1)."""
+    return validate_povm([0.0, 1.0], [np.outer(u, u.conj()) for u in basis.T])
+
+
+@pytest.mark.parametrize("place", ["base0", "mid-ladder", "top"])
+def test_rotated_weights_of_bases_with_arbitrary_column_phases(monkeypatch, place):
+    # The level phase exp(i k chi), chi = arg U_00 - arg U_10, against 2^N
+    # state vectors.  At these sizes every window starts at row 0, where each
+    # vector must be positive.
+    rng = np.random.default_rng(["base0", "mid-ladder", "top"].index(place) + 41)
+    calls = recorded_ladders(monkeypatch)
+    for n in (1, 2, 5, 9, 12):
+        for _ in range(3):
+            d = int(rng.integers(1, min(4, n + 1) + 1))
+            base = {"base0": 0, "mid-ladder": (n + 1 - d) // 2, "top": n + 1 - d}[place]
+            state = DickeSuperposition.from_coeffs(
+                n, rng.normal(size=d) + 1j * rng.normal(size=d), base_level=base)
+            basis = phased_haar_basis(rng)
+            povm = basis_povm(basis)
+            brute = brute_force_pmf(state, povm, derive_params(povm, mu=0.0, tau=1.0), 0.5)
+            assert np.max(np.abs(finite_n.rotated_weights(state, basis) - brute.probs)) <= 1e-13
+            assert np.all(calls[-1][-1][0] > 0.0)
+
+
+def test_rotated_weights_past_row_zero_against_inversion(monkeypatch):
+    # At N = 5000 the row-0 entries underflow, so the signs come from pivot
+    # parity.  The weights are checked against the inversion route, exact at
+    # base 0, and each sign against the pivots of the whole ladder from row
+    # 0: a vector positive in row 0 has the sign (-1)^(positive pivots above
+    # row r) at its largest entry r.
+    rng = np.random.default_rng(47)
+    calls = recorded_ladders(monkeypatch)
+    n = 5000
+    for ground in (0.3, 0.5, 0.7):  # |U_00|^2
+        c, s = math.sqrt(ground), math.sqrt(1.0 - ground)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
+        basis = np.diag([1.0, phases[0]]) @ np.array([[c, -s], [s, c]]) @ np.diag(phases[1:])
+        state = DickeSuperposition.from_coeffs(
+            n, rng.normal(size=4) + 1j * rng.normal(size=4))
+        weights = finite_n.rotated_weights(state, basis)
+        oracle = finite_n._inverted_probs(state, basis_povm(basis), np.array([0, 1]), n + 1)
+        assert np.max(np.abs(weights - oracle)) <= 1e-12
+
+        diag, off, eigenvalues, vectors = calls[-1]
+        assert np.all(vectors[0] == 0.0)
+        for lam, vector in zip(eigenvalues, vectors.T):
+            r = int(np.argmax(np.abs(vector)))
+            pivot, positive = diag[0] - lam, 0
+            for i in range(r):
+                positive += pivot > 0.0
+                pivot = diag[i + 1] - lam - off[i] ** 2 / pivot
+            assert np.sign(vector[r]) == (-1.0) ** positive
 
 
 @pytest.mark.parametrize("n, coeffs", [
