@@ -18,7 +18,6 @@ The table's quadrature is ``limits.gauss_legendre``, so the module loads no
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
-                     ValidationError, check_unit_vector)
+                     ValidationError, check_integer, check_real, check_unit_vector)
 from .limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
                      level_kernels, real_half_width)
 
@@ -97,8 +96,7 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int)
     return table
 
 
-# typed: a float node count must reach gauss_legendre's check, not an int's entry
-@lru_cache(maxsize=32, typed=True)
+@lru_cache(maxsize=32)
 def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
     table = _half_line_overlaps(k_max, 0.0, 0.0, None, nodes)
     table.flags.writeable = False
@@ -124,14 +122,11 @@ def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.
     integral of each kernel after that noise.  At width = edge = 0 it is
     the cached ``sign_overlap_table``.
     """
-    if not (isinstance(k_max, numbers.Integral) and k_max >= 0):
-        raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if not (0.0 <= width < math.inf and 0.0 <= edge < math.inf):
-        raise ValidationError("width and edge must be finite and nonnegative")
+    k_max, nodes = check_integer(k_max, "k_max", 0), check_integer(nodes, "nodes", 1)
+    width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)
     if width == 0.0 and edge == 0.0:
-        return SignOverlapTable(_sign_overlap_values(int(k_max), nodes))
-    return SignOverlapTable(_half_line_overlaps(int(k_max), float(width), float(edge),
-                                                ramp, nodes))
+        return SignOverlapTable(_sign_overlap_values(k_max, nodes))
+    return SignOverlapTable(_half_line_overlaps(k_max, width, edge, ramp, nodes))
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,7 @@ class BellConfig:
                 f"Schmidt rank {c.size} exceeds the supported maximum {MAX_SCHMIDT_RANK}"
             )
         for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+            check_real(getattr(self, name), name)
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "schmidt_coeffs", c)
@@ -367,8 +361,7 @@ def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *
     The per-party phase conventions cancel in the angle sum, so the phases
     enter exactly as written.
     """
-    if not (width_a >= 0.0 and width_b >= 0.0):
-        raise ValidationError("widths must be nonnegative")
+    width_a, width_b = (check_real(w, "widths", 0) for w in (width_a, width_b))
     k_max = config.k_max
     if x_grid is None:
         x_grid = default_real_grid(k_max, width=width_a)
@@ -421,6 +414,7 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
     pointwise discrepancy is the consistency check.
     """
     c = check_unit_vector(c_kl, ndim=2)
+    phi_a, phi_b = check_real(phi_a, "phi_a"), check_real(phi_b, "phi_b")
     if max(c.shape) > MAX_SCHMIDT_RANK:
         raise CapExceededError(
             f"level count {max(c.shape)} exceeds the supported maximum {MAX_SCHMIDT_RANK}"

@@ -307,13 +307,6 @@ def _finite_inputs(args: argparse.Namespace):
     return alpha, povm, _derived(povm, alpha, args.mu, args.tau), _state_levels(args)
 
 
-def _grid_points(args: argparse.Namespace) -> int | None:
-    """The ``--points`` option of limit and local-model: None or at least 2."""
-    if args.points is not None and args.points < 2:
-        raise ValidationError("--points must be at least 2")
-    return args.points
-
-
 # --------------------------------------------------------------------------
 # command handlers
 # --------------------------------------------------------------------------
@@ -333,20 +326,20 @@ def _cmd_limit(args: argparse.Namespace) -> None:
 
     alpha = check_alpha(args.alpha)
     coeffs = _parse_coeffs_vector(args.coeffs)
-    points = _grid_points(args)
     params = _derived(_load_povm(args.povm), alpha, None, None)
     phi = params.phi if args.phi is None else args.phi
 
     if alpha == 0.5:
         width = math.sqrt(max(params.s2, 0.0)) if args.width is None else args.width
         state = LimitState(coeffs=coeffs, phi=phi, width=width)
-        grid = None if points is None else default_real_grid(state.k_max, points, state.width)
+        grid = (None if args.points is None
+                else default_real_grid(state.k_max, args.points, state.width))
         density = limit_density_alpha_half(state, grid)
         header = ("x", "density")
     else:
         if args.width:  # a width derived from the POVM has no alpha = 1 meaning
             raise ValidationError("width applies only to alpha = 0.5")
-        grid = None if points is None else default_rotor_grid(points)
+        grid = None if args.points is None else default_rotor_grid(args.points)
         density = limit_density_alpha_one(coeffs, phi, theta_grid=grid)
         header = ("theta", "density")
     _deliver(args, _csv_text(header, density.grid, density.density),
@@ -387,13 +380,10 @@ def _cmd_local_model(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .bell import local_model_alpha_one
+    from .limits import default_rotor_grid
 
     matrix = _parse_coeffs_matrix(args.coeffs, args.seed, args.dim)
-    points = _grid_points(args)
-    grids = None
-    if points is not None:
-        axis = np.linspace(0.0, np.pi, points)
-        grids = (axis, axis)
+    grids = None if args.points is None else (default_rotor_grid(args.points),) * 2
     result = local_model_alpha_one(matrix, args.phi_a, args.phi_b,
                                    theta_grids=grids)
     quantum, lhv = result.quantum_joint, result.lhv_joint
@@ -471,6 +461,9 @@ def _cmd_converge(args: argparse.Namespace) -> None:
                          limit_density_alpha_one, rotor_pushforward)
     from .sampling import ks_distance, sample_outcomes
 
+    if args.mu is not None or args.tau is not None:
+        raise ValidationError("converge compares with the limit law of the POVM's own mu "
+                              "and tau; --mu and --tau apply to dist and sample")
     alpha, povm, params, (coeffs, base_level) = _finite_inputs(args)
     n_values = _parse_int_list(args.n_list)
     states = [DickeSuperposition(n, coeffs, base_level) for n in n_values]

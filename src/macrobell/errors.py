@@ -8,9 +8,17 @@ Two broad families matter for callers (and for the CLI exit codes):
 * ``NumericError`` -- the inputs were admissible but the computation
   detected an inconsistency (negative density, truncated grid, ...).
   The CLI maps these to exit code 2.
+
+The input checks every engine shares live here too, one per kind of input:
+``check_integer`` (counts, levels, orders, seeds), ``check_real`` (finite
+angles, widths, ratios, probabilities), ``check_alpha`` and
+``check_unit_vector``.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 UNIT_NORM_ATOL = 1e-12
 
@@ -119,6 +127,41 @@ def check_alpha(alpha) -> float:
     if a not in (0.5, 1.0):
         raise ValidationError(f"alpha must be 0.5 or 1.0, got {alpha!r}")
     return a
+
+
+def _range_text(low, high, open_low: bool = False) -> str:
+    """' >= low', ' <= high', ' in [low, high]' or '' for the error messages."""
+    if high is None:
+        return "" if low is None else f" {'>' if open_low else '>='} {low}"
+    if low is None:
+        return f" <= {high}"
+    return f" in {'(' if open_low else '['}{low}, {high}]"
+
+
+def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int: a ``numbers.Integral`` other than a bool, in
+    [low, high]; a None bound is no bound.  The message names ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low) or (high is not None and value > high)):
+        raise ValidationError(f"{name} must be an integer{_range_text(low, high)}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str, low: float | None = None, high: float | None = None, *,
+               open_low: bool = False, error: type[ValidationError] = ValidationError) -> float:
+    """``value`` as a float: a finite ``numbers.Real`` other than a bool, in
+    [low, high], or in (low, high] with ``open_low``; a None bound is no
+    bound.  Raises ``error`` (a ValidationError) naming ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = math.inf
+    if (not math.isfinite(x) or (low is not None and (x <= low if open_low else x < low))
+            or (high is not None and x > high)):
+        raise error(f"{name} must be a finite scalar{_range_text(low, high, open_low)}, "
+                    f"got {value!r}")
+    return x
 
 
 def check_unit_vector(coeffs, ndim: int = 1):

@@ -33,7 +33,6 @@ interest.  Everything here is exact at finite N:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
     OffLatticeError,
     ValidationError,
     check_alpha,
+    check_integer,
     check_unit_vector,
 )
 from .povm import common_eigenbasis
@@ -94,12 +94,9 @@ class DickeSuperposition:
     base_level: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_particles, numbers.Integral) and self.n_particles >= 1):
-            raise ValidationError(f"need an integer number of particles >= 1, "
-                                  f"got {self.n_particles!r}")
+        check_integer(self.n_particles, "n_particles", 1)
+        check_integer(self.base_level, "base_level", 0)
         c = check_unit_vector(self.coeffs)
-        if not (isinstance(self.base_level, numbers.Integral) and self.base_level >= 0):
-            raise ValidationError(f"base_level must be an integer >= 0, got {self.base_level!r}")
         if self.base_level + c.size - 1 > self.n_particles:
             raise ValidationError(
                 f"highest level {self.base_level + c.size - 1} exceeds "
@@ -197,17 +194,13 @@ def _pow_log(base: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def _dicke_elements_vec(m00, m01, m10, m11, n_particles, k, l):
+def _dicke_elements_vec(m00, m01, m10, m11, n, k, l):
     """<N,k| M^(x)N |N,l> for matrix entries given as equal-shape arrays.
 
     Implements the combinatorial sum over how many of the l (k) raised
-    sites of the ket (bra) coincide, with binomials in log space.
+    sites of the ket (bra) coincide, with binomials in log space.  The
+    levels are those of a validated state, so 0 <= k, l <= N.
     """
-    n = int(n_particles)
-    k = int(k)
-    l = int(l)
-    if not (0 <= k <= n and 0 <= l <= n):
-        raise ValidationError(f"need 0 <= k,l <= N, got k={k}, l={l}, N={n}")
     m00 = np.asarray(m00, dtype=complex)
     hi, lo = (k, l) if k >= l else (l, k)
     # bra has `hi` raised sites when k >= l; otherwise swap roles, which
@@ -580,10 +573,7 @@ def char_fn_finite(state, povm, params, alpha, t):
 
 def moments_finite(state, povm, params, alpha, order=4) -> Moments:
     """Raw and central moments of X up to ``order`` from the exact PMF."""
-    if not isinstance(order, (int, np.integer)):
-        raise ValidationError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= 8:
-        raise ValidationError("order must be between 1 and 8")
+    order = check_integer(order, "order", 1, 8)
     pmf = pmf_finite(state, povm, params, alpha)
     raw = np.array([np.dot(pmf.probs, pmf.values**j) for j in range(order + 1)])
     mean = raw[1]

@@ -38,6 +38,7 @@ from .errors import (
     InvalidLossError,
     SingularChannelError,
     ValidationError,
+    check_real,
 )
 from .limits import GridDensity, gauss_legendre
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
@@ -66,14 +67,10 @@ class NoiseSpec:
     classical_shape: str = "uniform"
 
     def __post_init__(self):
-        if not (0.0 < self.loss_p <= 1.0):
-            raise InvalidLossError(f"loss_p must lie in (0, 1], got {self.loss_p!r}")
+        check_real(self.loss_p, "loss_p", 0, 1, open_low=True, error=InvalidLossError)
         for name in ("depol_lambda", "dephase_lambda"):
-            lam = getattr(self, name)
-            if not (0.0 <= lam <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {lam!r}")
-        if not (self.classical_eps >= 0.0 and math.isfinite(self.classical_eps)):
-            raise ValidationError("classical_eps must be finite and nonnegative")
+            check_real(getattr(self, name), name, 0, 1)
+        check_real(self.classical_eps, "classical_eps", 0)
         if self.classical_shape not in _SHAPES:
             raise ValidationError(
                 f"classical_shape must be one of {_SHAPES}, got {self.classical_shape!r}"
@@ -94,8 +91,7 @@ def loss_width(params: DerivedParams, p: float) -> float:
     bit-exactly.  The expression has a simple pole at p = 0; values above
     ``WIDTH_SQUARED_CAP`` raise DivergentWidth.
     """
-    if not (0.0 < p <= 1.0):
-        raise InvalidLossError(f"detection probability must lie in (0, 1], got {p!r}")
+    p = check_real(p, "detection probability p", 0, 1, open_low=True, error=InvalidLossError)
     value = params.s2 + params.sigma2 * (1.0 / p - 1.0) / params.tau**2
     if value > WIDTH_SQUARED_CAP:
         raise DivergentWidthError(
@@ -111,8 +107,7 @@ def lossy_povm(povm: SingleParticlePovm, params: DerivedParams,
     The effects become ``p E_a`` plus ``(1 - p) I`` for outcome ``mu``
     (merged into its effect if ``mu`` is an outcome); ``tau`` becomes ``p tau``.
     """
-    if not (0.0 < p <= 1.0):
-        raise InvalidLossError(f"detection probability must lie in (0, 1], got {p!r}")
+    p = check_real(p, "detection probability p", 0, 1, open_low=True, error=InvalidLossError)
     missed = (1.0 - p) * np.eye(2, dtype=complex)
     outcomes, effects = list(povm.outcomes), [p * e for e in povm.effects]
     if params.mu in outcomes:
@@ -136,15 +131,9 @@ def loss_char_fn_finite(state, povm: SingleParticlePovm, params: DerivedParams,
     return char_fn_finite(state, *lossy_povm(povm, params, p), 0.5, t)
 
 
-def _channel_lambda(lam: float, name: str) -> float:
-    if not (0.0 <= lam <= 1.0):
-        raise ValidationError(f"{name} strength must lie in [0, 1], got {lam!r}")
-    return float(lam)
-
-
 def depolarize_povm(povm: SingleParticlePovm, lam: float) -> SingleParticlePovm:
     """Adjoint depolarizing map on every effect: (1-l) E + (l/2) tr(E) I."""
-    lam = _channel_lambda(lam, "depolarizing")
+    lam = check_real(lam, "depolarizing strength", 0, 1)
     eye = np.eye(2, dtype=complex)
     effects = [
         (1.0 - lam) * e + 0.5 * lam * np.trace(e) * eye for e in povm.effects
@@ -154,7 +143,7 @@ def depolarize_povm(povm: SingleParticlePovm, lam: float) -> SingleParticlePovm:
 
 def dephase_povm(povm: SingleParticlePovm, lam: float) -> SingleParticlePovm:
     """Adjoint dephasing map on every effect: (1-l) E + l Z E Z."""
-    lam = _channel_lambda(lam, "dephasing")
+    lam = check_real(lam, "dephasing strength", 0, 1)
     z = np.diag([1.0, -1.0]).astype(complex)
     effects = [(1.0 - lam) * e + lam * (z @ e @ z) for e in povm.effects]
     return validate_povm(povm.outcomes, effects)

@@ -34,6 +34,7 @@ from .errors import (
     NotHermitianError,
     NotPositiveError,
     ValidationError,
+    check_real,
 )
 
 __all__ = [
@@ -110,18 +111,15 @@ def validate_povm(outcomes: Sequence[float], effects: Iterable) -> SingleParticl
     """
     effect_list = [_as_effect(m) for m in effects]
     try:
-        out = [float(a) for a in outcomes]
-    except (TypeError, ValueError):
-        raise ValidationError(f"outcomes must be real numbers, got {outcomes!r}") from None
+        out = [check_real(a, f"outcome {i}") for i, a in enumerate(outcomes)]
+    except TypeError:
+        raise ValidationError(f"outcomes must be a sequence, got {outcomes!r}") from None
     if len(out) != len(effect_list):
         raise ValidationError(
             f"{len(out)} outcomes but {len(effect_list)} effects"
         )
     if len(out) < 2:
         raise ValidationError("need at least 2 outcomes")
-    for i, a in enumerate(out):
-        if not math.isfinite(a):
-            raise ValidationError(f"outcome {i} is not finite: {a!r}")
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i] == out[j]:
@@ -244,8 +242,8 @@ def derive_params(
 
     if mu is None:
         mu = a00 if mode == "half" else float(np.trace(a_matrix).real) / 2.0
-    elif not math.isfinite(mu):
-        raise ValidationError(f"mu override must be finite, got {mu}")
+    else:
+        mu = check_real(mu, "mu override")
     if tau is None:
         if abs(a01) <= DEGENERATE_OFFDIAG_ATOL:
             raise DegenerateOffDiagonalError(
@@ -253,8 +251,8 @@ def derive_params(
                 "supply mu and tau explicitly"
             )
         tau = abs(a01)
-    elif not 0.0 < tau < math.inf:
-        raise ValidationError(f"tau override must be positive and finite, got {tau}")
+    else:
+        tau = check_real(tau, "tau override", 0, open_low=True)
 
     if abs(a01) > DEGENERATE_OFFDIAG_ATOL:
         z = -a01 if mode == "half" else a01
@@ -274,10 +272,10 @@ def derive_params(
     return DerivedParams(
         a_matrix=a_matrix,
         a2_matrix=a2_matrix,
-        mu=float(mu),
-        tau=float(tau),
+        mu=mu,
+        tau=tau,
         sigma2=sigma2,
-        phi=float(phi),
+        phi=phi,
         s2=s2,
         mode=mode,
     )
@@ -285,6 +283,7 @@ def derive_params(
 
 def projective_from_bloch(theta: float, phi_bloch: float) -> SingleParticlePovm:
     """Projective +-1 measurement along the Bloch direction (theta, phi_bloch)."""
+    theta, phi_bloch = check_real(theta, "theta"), check_real(phi_bloch, "phi_bloch")
     n_op = (
         math.sin(theta) * math.cos(phi_bloch) * PAULI_X
         + math.sin(theta) * math.sin(phi_bloch) * PAULI_Y

@@ -28,12 +28,11 @@ variance-scaling exponent that identifies the right coarse-graining power.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, check_alpha
+from .errors import CapExceededError, ValidationError, check_alpha, check_integer
 from .finite_n import DickeSuperposition, moments_finite, pmf_finite, rotated_weights
 from .povm import DerivedParams, SingleParticlePovm, common_eigenbasis, derive_params
 
@@ -96,11 +95,8 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
         raise CapExceededError(f"N = {n} exceeds the sampler cap {MAX_SAMPLER_PARTICLES}")
     if d > MAX_SAMPLER_LEVELS:
         raise CapExceededError(f"{d} levels exceed the sampler cap {MAX_SAMPLER_LEVELS}")
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
-        raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
-        raise ValidationError("seed must be an integer in [0, 2**64)")
-    seed = int(seed)
+    n_samples = check_integer(n_samples, "n_samples", 1)
+    seed = check_integer(seed, "seed", 0, 2**64 - 1)
 
     occupation, ground, excited = (
         np.random.Generator(np.random.Philox(key=seed, counter=role << 128))
@@ -152,12 +148,9 @@ def scaling_exponent(state_family, povm: SingleParticlePovm, n_list,
     ``mu``/``tau`` pass through to the parameter derivation for measurements
     whose off-diagonal scale is degenerate.
     """
-    n_values = list(n_list)
-    if len(n_values) < 4:
-        raise ValidationError("need at least 4 particle counts to fit a slope")
-    if (not all(isinstance(v, numbers.Integral) and v >= 1 for v in n_values)
-            or len(set(n_values)) != len(n_values)):
-        raise ValidationError(f"particle counts must be distinct positive integers, "
+    n_values = [check_integer(v, "particle count", 1) for v in n_list]
+    if len(n_values) < 4 or len(set(n_values)) != len(n_values):
+        raise ValidationError(f"need at least 4 distinct particle counts to fit a slope, "
                               f"got {n_values!r}")
     params = derive_params(povm, mode=mode, mu=mu, tau=tau)
     log_n, log_var = [], []

@@ -385,6 +385,14 @@ MALFORMED = {
                                             "--state", "w", "--base-level", "7"],
     "state-and-coeffs": lambda tmp: ["dist", "--N", "10", "--povm", "sx",
                                      "--state", "w", "--coeffs", "paper"],
+    # the limit law follows the POVM's own mu and tau, so the KS distances
+    # against records scaled by others came out near 0.3 and 1 with exit 0
+    "converge-mu": lambda tmp: ["converge", "--povm", "sx", "--state", "w",
+                                "--n-list", "200,800", "--n-samples", "4000", "--seed", "3",
+                                "--mu", "0.5"],
+    "converge-tau": lambda tmp: ["converge", "--povm", "sx", "--state", "w",
+                                 "--n-list", "200,800", "--n-samples", "4000", "--seed", "3",
+                                 "--tau", "2"],
 }
 
 

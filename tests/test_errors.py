@@ -1,16 +1,25 @@
-"""The shared unit-coefficient, alpha and integer checks and the engines that apply them."""
+"""The shared unit-coefficient, alpha, integer and real-parameter checks
+and the engines that apply them."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from macrobell.bell import BellConfig, local_model_alpha_one, optimize_chsh
+from macrobell.bell import (BellConfig, bipartite_density_alpha_half, local_model_alpha_one,
+                            optimize_chsh, sign_overlap_table, smoothed_sign_overlap_table)
 from macrobell.cli import run
-from macrobell.errors import ValidationError, check_alpha, check_unit_vector
-from macrobell.finite_n import DickeSuperposition, char_fn_finite, pmf_finite
-from macrobell.limits import LimitState, limit_density_alpha_one
-from macrobell.povm import derive_params, projective_from_bloch
+from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_integer,
+                              check_real, check_unit_vector)
+from macrobell.finite_n import DickeSuperposition, char_fn_finite, moments_finite, pmf_finite
+from macrobell.limits import (LimitState, default_real_grid, default_rotor_grid, gauss_legendre,
+                              hermite, level_kernels, limit_charfn_alpha_half,
+                              limit_density_alpha_one, oscillator_wavefunction, real_half_width,
+                              smeared_level_kernel, verify_hermite_lemma)
+from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_width,
+                             lossy_povm)
+from macrobell.povm import derive_params, projective_from_bloch, validate_povm
 from macrobell.sampling import sample_outcomes, scaling_exponent
 
 SITES = {
@@ -52,7 +61,10 @@ def test_check_unit_vector_shape_and_norm():
 
 
 _SX = projective_from_bloch(math.pi / 2.0, 0.0)
+_PARAMS = derive_params(_SX)
 _W = DickeSuperposition.w_state(6)
+_X = np.linspace(-3.0, 3.0, 7)
+_PAPER = np.array([2.0, math.sqrt(5.0), 1.0]) / math.sqrt(10.0)
 
 ALPHA_SITES = {
     "pmf_finite": lambda a: pmf_finite(_W, _SX, derive_params(_SX), a),
@@ -76,23 +88,145 @@ def test_alpha_rejected_at_every_site(site, bad):
         ALPHA_SITES[site](bad)
 
 
-# A count or level that is not an integer used to be truncated, misused or
-# left to fail inside numpy.
+# site -> (parameter named in the message, call with the value, a valid value)
 INTEGER_SITES = {
-    "N-10.5": lambda: DickeSuperposition(10.5, np.array([1.0])),
-    "N-10.0": lambda: DickeSuperposition(10.0, np.array([1.0])),
-    "base_level": lambda: DickeSuperposition(10, np.array([1.0]), base_level=1.5),
-    "dicke-level": lambda: DickeSuperposition.dicke(10, 2.7),
-    "n_samples": lambda: sample_outcomes(_W, _SX, derive_params(_SX), 0.5, 2.5, seed=0),
-    "n_list": lambda: scaling_exponent(lambda n: DickeSuperposition.dicke(n, 0), _SX,
-                                       [10, 20.5, 40, 80]),
+    "N": ("n_particles", lambda v: DickeSuperposition(v, np.array([1.0])), 10),
+    "base_level": ("base_level",
+                   lambda v: DickeSuperposition(10, np.array([1.0]), base_level=v), 1),
+    "dicke-level": ("base_level", lambda v: DickeSuperposition.dicke(10, v), 2),
+    "n_samples": ("n_samples", lambda v: sample_outcomes(_W, _SX, _PARAMS, 0.5, v, seed=0), 4),
+    "seed": ("seed", lambda v: sample_outcomes(_W, _SX, _PARAMS, 0.5, 4, seed=v), 3),
+    "n_list": ("particle count",
+               lambda v: scaling_exponent(lambda n: DickeSuperposition.dicke(n, 0), _SX,
+                                          [10, v, 40, 80]), 20),
+    "order": ("order", lambda v: moments_finite(_W, _SX, _PARAMS, 0.5, order=v), 2),
+    "hermite": ("k", lambda v: hermite(v, _X), 3),
+    "oscillator_wavefunction": ("k", lambda v: oscillator_wavefunction(v, _X), 3),
+    "level_kernels-k_max": ("k_max", lambda v: level_kernels(v, _X, 0.0), 3),
+    "level_kernels-k_min": ("k_min", lambda v: level_kernels(3, _X, 0.3, v), 1),
+    "smeared_level_kernel-k": ("k", lambda v: smeared_level_kernel(v, 2, _X, 0.1), 1),
+    "smeared_level_kernel-l": ("l", lambda v: smeared_level_kernel(1, v, _X, 0.1), 2),
+    "real_half_width": ("k_max", real_half_width, 3),
+    "default_real_grid-k_max": ("k_max", default_real_grid, 3),
+    "default_real_grid-points": ("points", lambda v: default_real_grid(3, v), 11),
+    "default_rotor_grid": ("points", default_rotor_grid, 11),
+    "gauss_legendre": ("nodes", gauss_legendre, 5),
+    "verify_hermite_lemma-m": ("m", lambda v: verify_hermite_lemma(v, 2, 0.5, 1.0), 1),
+    "verify_hermite_lemma-n": ("n", lambda v: verify_hermite_lemma(1, v, 0.5, 1.0), 2),
+    "sign_overlap_table-k_max": ("k_max", sign_overlap_table, 3),
+    "sign_overlap_table-nodes": ("nodes", lambda v: sign_overlap_table(3, nodes=v), 50),
+    "smoothed_sign_overlap_table-k_max": (
+        "k_max", lambda v: smoothed_sign_overlap_table(v, 0.3, 0.25), 3),
+    "smoothed_sign_overlap_table-nodes": (
+        "nodes", lambda v: smoothed_sign_overlap_table(3, 0.3, 0.25, nodes=v), 50),
 }
 
 
-@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
-def test_non_integer_counts_rejected(site):
+# The values each count or level used to be truncated at, misused as or
+# left to fail inside numpy.
+@pytest.mark.parametrize("site, value", [("N", 10.5), ("N", 10.0), ("base_level", 1.5),
+                                         ("dicke-level", 2.7), ("n_samples", 2.5),
+                                         ("n_list", 20.5)],
+                         ids=["N-10.5", "N-10.0", "base_level", "dicke-level", "n_samples",
+                              "n_list"])
+def test_non_integer_counts_rejected(site, value):
     with pytest.raises(ValidationError, match="integer"):
-        INTEGER_SITES[site]()
+        INTEGER_SITES[site][1](value)
+
+
+# 2.5 and "3" reached numpy as a raw TypeError or IndexError at several
+# sites, and True passed as 1 at most.
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_every_count_is_an_integer_other_than_a_bool(site, bad):
+    name, call, _ = INTEGER_SITES[site]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be an integer")):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_every_count_accepts_python_and_numpy_integers(site):
+    _, call, good = INTEGER_SITES[site]
+    call(good)
+    call(np.int64(good))
+
+
+def _ramp(x):
+    """The sign smoothed by uniform noise on [-0.25, 0.25], on [0, 0.25]."""
+    return x / 0.25
+
+
+# site -> (parameter named in the message, call with the value, a value
+# outside its range or None for an unbounded one)
+REAL_SITES = {
+    "LimitState-phi": ("phi", lambda v: LimitState(_PAPER, phi=v), None),
+    "LimitState-width": ("width", lambda v: LimitState(_PAPER, width=v), -0.1),
+    "limit_density_alpha_one": ("phi", lambda v: limit_density_alpha_one(_PAPER, v), None),
+    "level_kernels": ("s", lambda v: level_kernels(2, _X, v), -0.1),
+    "real_half_width": ("width", lambda v: real_half_width(3, v), -0.1),
+    "limit_charfn_alpha_half": (
+        "sigma_over_tau", lambda v: limit_charfn_alpha_half(LimitState(_PAPER), v, 0.5), 0.5),
+    "verify_hermite_lemma-beta": ("beta", lambda v: verify_hermite_lemma(1, 2, v, 1.0), 0.0),
+    "verify_hermite_lemma-gamma": ("gamma", lambda v: verify_hermite_lemma(1, 2, 0.5, v), 0.0),
+    "smoothed_sign_overlap_table-width": (
+        "width", lambda v: smoothed_sign_overlap_table(3, v, 0.25, _ramp), -0.1),
+    "smoothed_sign_overlap_table-edge": (
+        "edge", lambda v: smoothed_sign_overlap_table(3, 0.3, v, _ramp), -0.1),
+    **{f"BellConfig-{name}": (name, lambda v, name=name: BellConfig(_PAPER, **{name: v}), None)
+       for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime")},
+    **{f"bipartite_density_alpha_half-{name}": (
+        "widths", lambda v, name=name: bipartite_density_alpha_half(BellConfig(_PAPER),
+                                                                    **{name: v}), -0.1)
+       for name in ("width_a", "width_b")},
+    "local_model_alpha_one-phi_a": (
+        "phi_a", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), v, 0.0), None),
+    "local_model_alpha_one-phi_b": (
+        "phi_b", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, v), None),
+    "derive_params-mu": ("mu override", lambda v: derive_params(_SX, mu=v), None),
+    "derive_params-tau": ("tau override", lambda v: derive_params(_SX, tau=v), 0.0),
+    "projective_from_bloch-theta": ("theta", lambda v: projective_from_bloch(v, 0.0), None),
+    "projective_from_bloch-phi_bloch": (
+        "phi_bloch", lambda v: projective_from_bloch(1.0, v), None),
+    "validate_povm": ("outcome 1", lambda v: validate_povm([1.0, v], _SX.effects), None),
+    "NoiseSpec-loss_p": ("loss_p", lambda v: NoiseSpec(loss_p=v), 1.5),
+    "NoiseSpec-depol_lambda": ("depol_lambda", lambda v: NoiseSpec(depol_lambda=v), 1.2),
+    "NoiseSpec-dephase_lambda": ("dephase_lambda", lambda v: NoiseSpec(dephase_lambda=v), -0.1),
+    "NoiseSpec-classical_eps": ("classical_eps", lambda v: NoiseSpec(classical_eps=v), -1.0),
+    "loss_width": ("detection probability p", lambda v: loss_width(_PARAMS, v), 0.0),
+    "lossy_povm": ("detection probability p", lambda v: lossy_povm(_SX, _PARAMS, v), 1.5),
+    "depolarize_povm": ("depolarizing strength", lambda v: depolarize_povm(_SX, v), 1.0001),
+    "dephase_povm": ("dephasing strength", lambda v: dephase_povm(_SX, v), -0.1),
+}
+
+#: detection probabilities keep their own error class (CLI code invalid_loss)
+_LOSS_SITES = {"NoiseSpec-loss_p", "loss_width", "lossy_povm"}
+
+_REAL_CASES = [(site, bad) for site in sorted(REAL_SITES)
+               for bad in (math.nan, math.inf, -math.inf, True)
+               + ((REAL_SITES[site][2],) if REAL_SITES[site][2] is not None else ())]
+
+
+@pytest.mark.parametrize("site, bad", _REAL_CASES,
+                         ids=[f"{site}-{bad!r}" for site, bad in _REAL_CASES])
+def test_every_real_parameter_is_finite_and_in_range(site, bad):
+    name, call, _ = REAL_SITES[site]
+    error = InvalidLossError if site in _LOSS_SITES else ValidationError
+    with pytest.raises(error, match=re.escape(f"{name} must be a finite scalar")):
+        call(bad)
+
+
+def test_check_integer_and_check_real_values():
+    assert type(check_integer(np.int64(7), "n", 1, 7)) is int
+    assert type(check_real(3, "x")) is float and check_real(np.float32(0.5), "x", 0, 1) == 0.5
+    assert check_real(1, "p", 0, 1, open_low=True) == 1.0
+    for bad in (0, 8, True, 2.0, "2", None):
+        with pytest.raises(ValidationError, match=r"n must be an integer in \[1, 7\], got"):
+            check_integer(bad, "n", 1, 7)
+    for bad in (0, 1.5, math.nan, True, "0.5", None, 1j, 10**400):
+        with pytest.raises(InvalidLossError, match=r"p must be a finite scalar in \(0, 1\]"):
+            check_real(bad, "p", 0, 1, open_low=True, error=InvalidLossError)
+    with pytest.raises(ValidationError, match="x must be a finite scalar >= 0, got -1"):
+        check_real(-1, "x", 0)
 
 
 def test_alpha_flag_rejected(capsys):

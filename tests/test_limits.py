@@ -302,6 +302,21 @@ def test_charfn_rejects_subunit_width_ratio():
         limit_charfn_alpha_half(LimitState(coeffs=PAPER), 0.5, 0.0)
 
 
+def test_charfn_raises_where_its_level_sum_loses_the_digits():
+    # Against a 60-digit evaluation, random 40-level states were off by 0.2
+    # to 1.1 on |t| <= 12 while |chi| stayed near 1, and 60-level ones
+    # reached |chi| of 1e8 to 1e9; all returned without an error.
+    t = np.linspace(-12.0, 12.0, 481)
+    rng = np.random.default_rng(0)
+    for d in (40, 60):
+        c = rng.normal(size=d) + 1j * rng.normal(size=d)
+        with pytest.raises(NumericError, match="level overlap sum"):
+            limit_charfn_alpha_half(LimitState(coeffs=c / np.linalg.norm(c)), 1.0, t)
+    for coeffs in (PAPER, np.full(16, 0.25)):
+        chi = limit_charfn_alpha_half(LimitState(coeffs=coeffs), 1.0, t)
+        assert np.max(np.abs(chi)) <= 1.0 + 1e-10
+
+
 def test_rotor_density_single_level_is_uniform():
     density = limit_density_alpha_one(np.array([1.0 + 0.0j]), 0.3)
     np.testing.assert_allclose(density.density, 1.0 / math.pi, atol=1e-12)

@@ -1,6 +1,7 @@
 """The package root re-exports every public engine name, no module
-reaches into another module's private helpers, and no module, command
-or finite-N call loads scipy."""
+reaches into another module's private helpers or checks integers and
+finite reals outside ``errors``, and no module, command or finite-N call
+loads scipy."""
 
 import ast
 import importlib
@@ -38,6 +39,32 @@ def test_no_module_imports_private_names_of_another():
                 offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_only_errors_checks_integers_and_finite_reals():
+    # check_integer and check_real in errors.py are the one place for both rules.
+    banned = {("math", "isfinite"), ("np", "integer"), ("numpy", "integer")}
+
+    def offence(node):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "numbers" for alias in node.names):
+                return "import numbers"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "numbers" or any((node.module, alias.name) in banned
+                                               for alias in node.names):
+                return f"from {node.module} import"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in banned:
+                return f"{node.value.id}.{node.attr}"
+        return None
+
+    offenders = []
+    for path in sorted(Path(macrobell.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            offenders += [f"{path.name}:{node.lineno}: {offence(node)}"
+                          for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                          if offence(node)]
     assert offenders == []
 
 
