@@ -52,6 +52,7 @@ _EXPORTS = {
     "LatticePmf": "finite_n",
     "Moments": "finite_n",
     "char_fn_finite": "finite_n",
+    "lattice_char_fn": "finite_n",
     "pmf_finite": "finite_n",
     "rotated_weights": "finite_n",
     "moments_finite": "finite_n",

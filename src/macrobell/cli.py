@@ -497,8 +497,8 @@ def _selftest_checks():
                            brute_force_pmf, char_fn_finite, pmf_finite,
                            total_variation)
     from .limits import (LimitState, default_real_grid, level_kernels,
-                         limit_density_alpha_half, limit_density_alpha_one,
-                         verify_hermite_lemma)
+                         limit_charfn_alpha_half, limit_density_alpha_half,
+                         limit_density_alpha_one, verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
     from .povm import derive_params, projective_from_bloch
     from .sampling import sample_outcomes
@@ -553,6 +553,15 @@ def _selftest_checks():
         rotor = limit_density_alpha_one(paper, 0.0)
         return max(abs(line.integral() - 1.0), abs(rotor.integral() - 1.0))
 
+    def limit_charfn_high_level():
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        state = LimitState(coeffs=coeffs / np.linalg.norm(coeffs))
+        line = limit_density_alpha_half(state)
+        t = np.linspace(-12.0, 12.0, 49)
+        direct = np.trapezoid(np.exp(1j * np.outer(t, line.grid)) * line.density, line.grid)
+        return float(np.max(np.abs(limit_charfn_alpha_half(state, t) - direct)))
+
     def wide_kernel_high_level():
         grid = default_real_grid(99, width=0.3)
         return abs(float(np.trapezoid(level_kernels(99, grid, 0.3, 99)[0, 0], grid)) - 1.0)
@@ -591,6 +600,7 @@ def _selftest_checks():
         ("pmf-normalization", pmf_normalization, 1e-9),
         ("pmf-mid-ladder-mass", pmf_mid_ladder_mass, 1e-12),
         ("limit-normalization", limit_normalization, 1e-9),
+        ("limit-charfn-high-level", limit_charfn_high_level, 1e-12),
         ("wide-kernel-high-level", wide_kernel_high_level, 1e-9),
         ("chsh-paper-value", chsh_paper, 1e-9),
         ("lhv-two-routes", lhv_match, 1e-8),

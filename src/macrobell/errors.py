@@ -11,7 +11,8 @@ Two broad families matter for callers (and for the CLI exit codes):
 
 The input checks every engine shares live here too, one per kind of input:
 ``check_integer`` (counts, levels, orders, seeds), ``check_real`` (finite
-angles, widths, ratios, probabilities), ``check_alpha`` and
+angles, widths, ratios, probabilities) with its elementwise form
+``check_real_array`` (frequencies), ``check_alpha`` and
 ``check_unit_vector``.
 """
 
@@ -162,6 +163,18 @@ def check_real(value, name: str, low: float | None = None, high: float | None = 
         raise error(f"{name} must be a finite scalar{_range_text(low, high, open_low)}, "
                     f"got {value!r}")
     return x
+
+
+def check_real_array(values, name: str):
+    """``values`` (a scalar or an array) as a float array of finite reals,
+    without bools; raises ValidationError naming ``name``."""
+    import numpy as np  # on call, as in check_unit_vector
+
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be a finite scalar or an array of them, "
+                              f"got {(values if arr.ndim == 0 else arr)!r}")
+    return arr.astype(float)
 
 
 def check_unit_vector(coeffs, ndim: int = 1):

@@ -24,7 +24,7 @@ interest.  Everything here is exact at finite N:
   binomials in log space, inverted by a discrete Fourier transform at
   O(N * levels^2) cost.  Its Dicke sums cancel for mid-ladder levels,
   where its guards raise from N of about 100,
-* the characteristic function of X, as the Fourier sum of that PMF,
+* the characteristic function of X (``lattice_char_fn`` of that PMF),
 * moments, and
 * an independent brute-force path (explicit 2^N state vectors) used as
   an oracle for small N.
@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     check_alpha,
     check_integer,
+    check_real_array,
     check_unit_vector,
 )
 from .povm import common_eigenbasis
@@ -54,6 +55,7 @@ __all__ = [
     "LatticePmf",
     "Moments",
     "char_fn_finite",
+    "lattice_char_fn",
     "pmf_finite",
     "rotated_weights",
     "moments_finite",
@@ -542,17 +544,30 @@ def pmf_finite(state, povm, params, alpha):
     return LatticePmf(values=values, probs=p)
 
 
-def char_fn_finite(state, povm, params, alpha, t):
-    """Characteristic function E[exp(i t X)]: the Fourier sum of ``pmf_finite``.
+def lattice_char_fn(values, weights, t):
+    """Fourier sum ``sum_m weights[m] exp(i t values[m])`` of a law on the
+    equally spaced points ``values``.
 
-    ``state``, ``povm``, ``params`` (centering ``mu``, scale ``tau``) and
-    ``alpha`` (0.5 or 1.0) are those of ``pmf_finite``; ``t`` is a float
-    or an array, and the result is complex with the shape of ``t``,
-    exactly 1 at ``t = 0``.  With lattice index ``m = b*B + j``,
-    ``B ~ sqrt(L)`` for L lattice points, ``exp(i t x_m)`` factors into
-    ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is one
+    ``weights`` are the masses of the points (they sum to 1), so the value
+    at ``t = 0`` is exactly 1; ``t`` is a finite real or an array of them,
+    and the result is complex with the shape of ``t``.  With point index
+    ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, ``exp(i t x_m)`` factors
+    into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is one
     (T x B) @ (B x L/B) product and a row-wise dot: O(T sqrt(L))
     exponentials and memory for T values of t.
+    """
+    t_arr = np.atleast_1d(check_real_array(t, "t"))
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    block = math.isqrt(weights.size - 1) + 1
+    blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
+    inner = np.exp(1j * np.outer(t_arr, values[:block] - values[0])) @ blocks.T
+    sums = np.sum(np.exp(1j * np.outer(t_arr, values[::block])) * inner, axis=1)
+    sums = np.where(t_arr == 0.0, 1.0 + 0.0j, sums)
+    return complex(sums[0]) if np.ndim(t) == 0 else sums.reshape(np.shape(t))
+
+
+def char_fn_finite(state, povm, params, alpha, t):
+    """E[exp(i t X)]: ``lattice_char_fn`` of ``pmf_finite`` (same arguments).
 
     Raises whatever ``pmf_finite`` raises: ``OffLatticeError`` or
     ``CapExceededError`` for incommensurate outcomes, and the inversion
@@ -560,15 +575,7 @@ def char_fn_finite(state, povm, params, alpha, t):
     non-projective POVMs on mid-ladder states.
     """
     pmf = pmf_finite(state, povm, params, alpha)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    block = math.isqrt(pmf.probs.size - 1) + 1
-    probs = np.pad(pmf.probs, (0, -pmf.probs.size % block)).reshape(-1, block)
-    inner = np.exp(1j * np.outer(t_arr, pmf.values[:block] - pmf.values[0])) @ probs.T
-    values = np.sum(np.exp(1j * np.outer(t_arr, pmf.values[::block])) * inner, axis=1)
-    values = np.where(t_arr == 0.0, 1.0 + 0.0j, values)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(values[0])
-    return values
+    return lattice_char_fn(pmf.values, pmf.probs, t)
 
 
 def moments_finite(state, povm, params, alpha, order=4) -> Moments:
@@ -637,12 +644,10 @@ def brute_force_pmf(state, povm, params, alpha) -> LatticePmf:
 
 def brute_force_char_fn(state, povm, params, alpha, t):
     """E[exp(i t X)] from the brute-force PMF (N <= 14)."""
+    t_arr = np.atleast_1d(check_real_array(t, "t"))
     pmf = brute_force_pmf(state, povm, params, alpha)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     values = np.exp(1j * np.outer(t_arr, pmf.values)) @ pmf.probs
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(values[0])
-    return values
+    return complex(values[0]) if np.ndim(t) == 0 else values
 
 
 def total_variation(pmf_a: LatticePmf, pmf_b: LatticePmf, match_atol=1e-9) -> float:

@@ -2,14 +2,14 @@
 
 For square-root coarse graining the limit law of a level superposition
 is an oscillator-mode density smeared by a Gaussian of width
-``s = sqrt(sigma^2/tau^2 - 1)``; its characteristic function has a
-closed form.  For linear coarse graining the limit is a planar-rotor
-angle distribution on [0, pi].  This module provides those laws, the
-level-pair kernels that every square-root quantity contracts
-(``level_kernels``: Hermite rows at the nodes of one Gauss-Hermite rule),
-the Gauss-Legendre rule that the sign tables and the noise convolution
-integrate with (``gauss_legendre``), and a numerical verification of the Gaussian-smearing identity that
-connects the closed Hermite sum to the convolution form.
+``s = sqrt(sigma^2/tau^2 - 1)``; its characteristic function is that
+Gaussian's times a Fourier sum of the unsmeared density.  For linear
+coarse graining the limit is a planar-rotor angle distribution on
+[0, pi].  This module provides those laws, the level-pair kernels that
+every square-root quantity contracts (``level_kernels``: Hermite rows at
+the nodes of one Gauss-Hermite rule), the Gauss-Legendre rule that the
+sign tables and the noise convolution integrate with (``gauss_legendre``),
+and a check of the Gaussian-smearing identity behind the Hermite sums.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
     check_integer,
     check_real,
+    check_real_array,
     check_unit_vector,
 )
 
@@ -171,8 +172,8 @@ def oscillator_wavefunction(k: int, x):
 def _level_pair_coefficients(k_max: int) -> np.ndarray:
     """c[k, l, n] = sqrt(k! l!) / (q! (k-q)! (l-q)!) at n = k + l - 2q, else 0.
 
-    He_k He_l / sqrt(k! l!) = sum_n c[k, l, n] He_n, the level overlap
-    polynomial of the characteristic function and the Hermite lemma.
+    He_k He_l / sqrt(k! l!) = sum_n c[k, l, n] He_n, the closed side of
+    ``verify_hermite_lemma``.
     """
     c = np.zeros((k_max + 1, k_max + 1, 2 * k_max + 1))
     f = [math.factorial(j) for j in range(k_max + 1)]
@@ -256,12 +257,12 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
         grid = default_real_grid(state.k_max, width=state.width)
     grid = np.asarray(grid, dtype=float)
     b = state.phased_coeffs(offset=np.pi)
-    # only the levels the state populates enter; the kernels are
-    # real-symmetric in (k, l), so only Re(conj(b_k) b_l) does
+    # only the populated levels enter; as K_kl = sum_j row_k[j] row_l[j] over the
+    # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
     low, high = np.flatnonzero(b)[[0, -1]]
-    b = b[low:high + 1]
-    weights = np.real(np.outer(np.conj(b), b))
-    density = np.tensordot(weights, level_kernels(high, grid, state.width, low), axes=2)
+    parts = np.stack([b.real, b.imag])[:, low:high + 1]
+    rows = _level_rows(high, grid, state.width, low)
+    density = np.sum(np.tensordot(parts, rows, axes=1) ** 2, axis=(0, 1))
     worst = float(density.min())
     if not worst >= -1e-10:
         raise NegativeDensityError(f"density dipped to {worst:.3e}")
@@ -279,36 +280,29 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     return result
 
 
-def limit_charfn_alpha_half(state: LimitState, sigma_over_tau: float, t):
-    """Closed-form characteristic function of the square-root limit law.
-
-    ``sigma_over_tau`` >= 1 plays the role of sqrt(1 + s^2); the result
-    is Gaussian times a polynomial generated by the level overlap sum.
-    That sum cancels at large |t| and many levels, so where its rounding
-    bound exceeds 1e-10 it raises NumericError: eps * gauss times the
-    modulus of (sum over even n, sum over odd n) of |poly_n| |t|^n, the
-    real and imaginary parts at t = -i|t|.  On |t| <= 12 that passes the
-    paper state and equal 16-level weights and stops random states from
-    about 24 levels.
+def limit_charfn_alpha_half(state: LimitState, t):
+    """E[exp(i t X)] of the square-root limit law at a finite real ``t`` or an
+    array of them, exactly 1 at 0: exp(-w^2 t^2 / 2) (w = ``state.width``)
+    times the trapezoid sum phi_0(t) = h sum_j rho_0(x_j) e^{i t x_j} of the
+    width-0 density on x_j = j h inside +-``real_half_width``.  Its weights
+    are nonnegative, so nothing cancels.  Poisson summation leaves the
+    aliases phi_0(t + 2 pi m / h), m != 0, and |phi_0| < 1e-40 beyond
+    Omega = 2 sqrt(2 k_max + 1) + 12, so h is the largest multiple of 2^-20
+    (exact grid points) up to 2 pi / (min(max|t|, Omega) + Omega), and
+    |t| > Omega gives 0.
     """
-    sigma_over_tau = check_real(sigma_over_tau, "sigma_over_tau", 1.0 - 1e-12)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    b = state.phased_coeffs()
-    gauss = np.exp(-0.5 * (sigma_over_tau * t_arr) ** 2)
-    poly = np.tensordot(np.real(np.outer(np.conj(b), b)),
-                        _level_pair_coefficients(state.k_max), axes=2)
-    total = np.polynomial.polynomial.polyval(-1j * t_arr, poly)
-    # At -i t, Horner keeps the even powers real and the odd ones imaginary.
-    parity = np.arange(poly.size)[:, None] % 2 == [0, 1]
-    real_sum, imag_sum = np.polynomial.polynomial.polyval(np.abs(t_arr),
-                                                          np.abs(poly)[:, None] * parity)
-    bound = np.max(np.finfo(float).eps * gauss * np.hypot(real_sum, imag_sum))
-    if bound > 1e-10:
-        raise NumericError(f"the level overlap sum may be off by {bound:.1e} > 1e-10")
-    values = gauss * total
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(values[0])
-    return values
+    from .finite_n import lattice_char_fn  # on call: finite_n is the heavier stack
+
+    t_arr = check_real_array(t, "t")
+    band = 2.0 * math.sqrt(2.0 * state.k_max + 1.0) + 12.0
+    step = math.floor(2.0**21 * np.pi / (min(float(np.max(np.abs(t_arr), initial=0.0)), band)
+                                         + band)) / 2.0**20
+    half = math.floor(real_half_width(state.k_max) / step)
+    x = step * np.arange(-half, half + 1)
+    rho = limit_density_alpha_half(LimitState(state.coeffs, state.phi), x).density
+    phi0 = np.where(np.abs(t_arr) <= band, lattice_char_fn(x, step * rho, t_arr), 0.0)
+    values = np.exp(-0.5 * (state.width * t_arr) ** 2) * phi0
+    return complex(values) if np.ndim(t) == 0 else values
 
 
 def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:

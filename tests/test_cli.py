@@ -321,6 +321,7 @@ class TestSelftest:
         checks = out.splitlines()[:-1]
         assert all(" <= " in line for line in checks)
         assert any("wide-kernel-high-level" in line for line in checks)
+        assert any("limit-charfn-high-level" in line for line in checks)
 
 
 def _povm_file(tmp_path, text):

@@ -11,14 +11,15 @@ from macrobell.bell import (BellConfig, bipartite_density_alpha_half, local_mode
                             optimize_chsh, sign_overlap_table, smoothed_sign_overlap_table)
 from macrobell.cli import run
 from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_integer,
-                              check_real, check_unit_vector)
-from macrobell.finite_n import DickeSuperposition, char_fn_finite, moments_finite, pmf_finite
+                              check_real, check_real_array, check_unit_vector)
+from macrobell.finite_n import (DickeSuperposition, brute_force_char_fn, char_fn_finite,
+                                lattice_char_fn, moments_finite, pmf_finite)
 from macrobell.limits import (LimitState, default_real_grid, default_rotor_grid, gauss_legendre,
                               hermite, level_kernels, limit_charfn_alpha_half,
                               limit_density_alpha_one, oscillator_wavefunction, real_half_width,
                               smeared_level_kernel, verify_hermite_lemma)
-from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_width,
-                             lossy_povm)
+from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_char_fn_finite,
+                             loss_width, lossy_povm)
 from macrobell.povm import derive_params, projective_from_bloch, validate_povm
 from macrobell.sampling import sample_outcomes, scaling_exponent
 
@@ -164,8 +165,12 @@ REAL_SITES = {
     "limit_density_alpha_one": ("phi", lambda v: limit_density_alpha_one(_PAPER, v), None),
     "level_kernels": ("s", lambda v: level_kernels(2, _X, v), -0.1),
     "real_half_width": ("width", lambda v: real_half_width(3, v), -0.1),
-    "limit_charfn_alpha_half": (
-        "sigma_over_tau", lambda v: limit_charfn_alpha_half(LimitState(_PAPER), v, 0.5), 0.5),
+    "limit_charfn_alpha_half": ("t", lambda v: limit_charfn_alpha_half(LimitState(_PAPER), v),
+                                None),
+    "char_fn_finite-t": ("t", lambda v: char_fn_finite(_W, _SX, _PARAMS, 0.5, v), None),
+    "brute_force_char_fn": ("t", lambda v: brute_force_char_fn(_W, _SX, _PARAMS, 0.5, v), None),
+    "loss_char_fn_finite": ("t", lambda v: loss_char_fn_finite(_W, _SX, _PARAMS, 0.7, v), None),
+    "lattice_char_fn": ("t", lambda v: lattice_char_fn([0.0, 1.0], [0.5, 0.5], v), None),
     "verify_hermite_lemma-beta": ("beta", lambda v: verify_hermite_lemma(1, 2, v, 1.0), 0.0),
     "verify_hermite_lemma-gamma": ("gamma", lambda v: verify_hermite_lemma(1, 2, 0.5, v), 0.0),
     "smoothed_sign_overlap_table-width": (
@@ -227,6 +232,16 @@ def test_check_integer_and_check_real_values():
             check_real(bad, "p", 0, 1, open_low=True, error=InvalidLossError)
     with pytest.raises(ValidationError, match="x must be a finite scalar >= 0, got -1"):
         check_real(-1, "x", 0)
+
+
+def test_check_real_array_is_check_real_elementwise():
+    values = check_real_array([1, 2.5, np.float32(0.5)], "t")
+    assert values.dtype == np.float64 and values.tolist() == [1.0, 2.5, 0.5]
+    assert check_real_array(3, "t").shape == () and check_real_array(3, "t") == 3.0
+    for bad in ([0.0, math.nan], np.array([1.0, -math.inf]), np.array([True]), [1.0, None],
+                1j, "0.5", 10**400):
+        with pytest.raises(ValidationError, match="t must be a finite scalar or an array"):
+            check_real_array(bad, "t")
 
 
 def test_alpha_flag_rejected(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrobell.errors import GridTooNarrowError, NumericError, ValidationError
+from macrobell.finite_n import lattice_char_fn
 from macrobell.limits import (
     GridDensity,
     LimitState,
@@ -20,6 +21,7 @@ from macrobell.limits import (
     limit_density_alpha_half,
     limit_density_alpha_one,
     oscillator_wavefunction,
+    real_half_width,
     rotor_pushforward,
     smeared_level_kernel,
     verify_hermite_lemma,
@@ -269,11 +271,10 @@ def test_non_finite_phases_are_rejected(phi):
 def test_nan_density_raises_numeric_error(monkeypatch, grid):
     import macrobell.limits as limits
 
-    def nan_kernels(k_max, x, s, k_min=0):
-        size = k_max - k_min + 1
-        return np.full((size, size, np.size(x)), np.nan)
+    def nan_rows(k_max, x, s, k_min):
+        return np.full((k_max - k_min + 1, 1, np.size(x)), np.nan)
 
-    monkeypatch.setattr(limits, "level_kernels", nan_kernels)
+    monkeypatch.setattr(limits, "_level_rows", nan_rows)
     with pytest.raises(NumericError):
         limit_density_alpha_half(LimitState(coeffs=PAPER), grid)
 
@@ -282,7 +283,7 @@ def test_charfn_matches_density_transform():
     state = LimitState(coeffs=PAPER, phi=math.pi, width=0.6)
     density = limit_density_alpha_half(state)
     t_values = np.array([-2.0, -0.7, 0.0, 0.4, 1.7])
-    chi = limit_charfn_alpha_half(state, math.sqrt(1 + 0.6**2), t_values)
+    chi = limit_charfn_alpha_half(state, t_values)
     for i, t in enumerate(t_values):
         direct = np.trapezoid(np.exp(1j * t * density.grid) * density.density,
                               density.grid)
@@ -290,31 +291,88 @@ def test_charfn_matches_density_transform():
 
 
 def test_charfn_at_zero_and_bound():
-    chi0 = limit_charfn_alpha_half(LimitState(coeffs=PAPER), 1.0, 0.0)
+    chi0 = limit_charfn_alpha_half(LimitState(coeffs=PAPER), 0.0)
     assert chi0 == pytest.approx(1.0 + 0.0j, abs=1e-12)
     t = np.linspace(-6.0, 6.0, 61)
-    chi = limit_charfn_alpha_half(LimitState(coeffs=PAPER), 1.0, t)
+    chi = limit_charfn_alpha_half(LimitState(coeffs=PAPER), t)
     assert np.max(np.abs(chi)) <= 1.0 + 1e-10
 
 
-def test_charfn_rejects_subunit_width_ratio():
-    with pytest.raises(ValidationError):
-        limit_charfn_alpha_half(LimitState(coeffs=PAPER), 0.5, 0.0)
+def test_charfn_is_smeared_by_the_state_width():
+    # At width 0.6 the law is the width-0 one convolved with N(0, 0.36),
+    # i.e. sigma/tau = sqrt(1.36).
+    t = np.linspace(-4.0, 4.0, 17)
+    sharp = limit_charfn_alpha_half(LimitState(coeffs=[0.6, 0.8]), t)
+    smeared = limit_charfn_alpha_half(LimitState(coeffs=[0.6, 0.8], width=0.6), t)
+    np.testing.assert_allclose(smeared, np.exp(-0.18 * t**2) * sharp, rtol=0, atol=1e-15)
+    assert limit_charfn_alpha_half(LimitState(coeffs=[0.6, 0.8], width=0.6), 1.0) \
+        == pytest.approx(0.182 - 0.486j, abs=1e-3)
 
 
-def test_charfn_raises_where_its_level_sum_loses_the_digits():
-    # Against a 60-digit evaluation, random 40-level states were off by 0.2
-    # to 1.1 on |t| <= 12 while |chi| stayed near 1, and 60-level ones
-    # reached |chi| of 1e8 to 1e9; all returned without an error.
-    t = np.linspace(-12.0, 12.0, 481)
-    rng = np.random.default_rng(0)
-    for d in (40, 60):
-        c = rng.normal(size=d) + 1j * rng.normal(size=d)
-        with pytest.raises(NumericError, match="level overlap sum"):
-            limit_charfn_alpha_half(LimitState(coeffs=c / np.linalg.norm(c)), 1.0, t)
-    for coeffs in (PAPER, np.full(16, 0.25)):
-        chi = limit_charfn_alpha_half(LimitState(coeffs=coeffs), 1.0, t)
-        assert np.max(np.abs(chi)) <= 1.0 + 1e-10
+def _random_unit(levels, seed):
+    c = np.random.default_rng(seed).normal(size=(levels, 2)) @ [1.0, 1j]
+    return c / np.linalg.norm(c)
+
+
+CHARFN_CASES = {
+    "e14": (np.eye(15)[14], 12.0),
+    "e15": (np.eye(16)[15], 12.0),
+    "equal16": (np.full(16, 0.25), 12.0),
+    "random24": (_random_unit(24, 1), 12.0),
+    "random40": (_random_unit(40, 2), 12.0),
+    "random60": (_random_unit(60, 3), 12.0),
+    "paper-t100": (PAPER, 100.0),
+    "equal16-t100": (np.full(16, 0.25), 100.0),
+}
+
+
+def _closed_form_charfn(coeffs, phi, t):
+    """e^{-t^2/2} sum_n poly_n (-i t)^n with poly_n = sum_{k,l}
+    Re(conj(b_k) b_l) c[k, l, n], b_k = c_k e^{i k phi}, and c the level-pair
+    coefficients sqrt(k! l!) / (q! (k-q)! (l-q)!) at n = k + l - 2q, all
+    in 120-digit arithmetic, where the cancelling terms keep their digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        b = [mpmath.mpc(complex(c)) * mpmath.expj(k * mpmath.mpf(phi))
+             for k, c in enumerate(coeffs)]
+        f = [mpmath.factorial(j) for j in range(len(b))]
+        poly = [mpmath.mpf(0)] * (2 * len(b) - 1)
+        for k, bk in enumerate(b):
+            for l, bl in enumerate(b):
+                w = mpmath.re(mpmath.conj(bk) * bl)
+                for q in range(min(k, l) + 1 if w else 0):
+                    poly[k + l - 2 * q] += (w * mpmath.sqrt(f[k] * f[l])
+                                            / (f[q] * f[k - q] * f[l - q]))
+        return np.array([complex(mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
+                                 * mpmath.polyval(poly[::-1], mpmath.mpc(0, -x)))
+                         for x in t])
+
+
+@pytest.mark.parametrize("case", sorted(CHARFN_CASES))
+def test_charfn_matches_the_closed_form_in_high_precision(case):
+    # The closed form's terms cancel (in doubles it is 5e-12 off for equal16
+    # and useless past about 24 random levels), hence the 120 digits.
+    coeffs, t_max = CHARFN_CASES[case]
+    t = np.linspace(-t_max, t_max, 97)
+    reference = _closed_form_charfn(coeffs, 0.4, t)
+    chi = limit_charfn_alpha_half(LimitState(coeffs=coeffs, phi=0.4), t)
+    assert np.max(np.abs(chi - reference)) <= 1e-14
+    assert abs(limit_charfn_alpha_half(LimitState(coeffs=coeffs, phi=0.4), 0.0) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(CHARFN_CASES) if CHARFN_CASES[c][1] == 12.0])
+def test_charfn_step_resolves_the_band(case):
+    # h = 2 pi / (max|t| + 2 sqrt(2 k_max + 1) + 12): the Fourier sum of the
+    # width-0 density at half that step moves no value by more than 1e-15.
+    coeffs, t_max = CHARFN_CASES[case]
+    state = LimitState(coeffs=coeffs, phi=0.4)
+    t = np.linspace(-t_max, t_max, 97)
+    step = math.pi / (t_max + 2.0 * math.sqrt(2.0 * state.k_max + 1.0) + 12.0)
+    step = math.floor(step * 2.0**20) / 2.0**20  # exact grid points
+    half = math.floor(real_half_width(state.k_max) / step)
+    x = step * np.arange(-half, half + 1)
+    finer = lattice_char_fn(x, step * limit_density_alpha_half(state, x).density, t)
+    assert np.max(np.abs(limit_charfn_alpha_half(state, t) - finer)) <= 1e-15
 
 
 def test_rotor_density_single_level_is_uniform():
