@@ -88,7 +88,6 @@ _EXPORTS = {
     "optimize_chsh": "bell",
     "JointGridDensity": "bell",
     "bipartite_density_alpha_half": "bell",
-    "signed_line_integral": "bell",
     "LocalModelResult": "bell",
     "local_model_alpha_one": "bell",
     # noise
@@ -100,8 +99,6 @@ _EXPORTS = {
     "dephase_povm": "noise",
     "NoisyLimitParams": "noise",
     "noisy_limit_params": "noise",
-    "classical_noise_variance": "noise",
-    "convolve_classical_noise": "noise",
     "SweepResult": "noise",
     "noisy_chsh_sweep": "noise",
     # sampling

@@ -10,9 +10,8 @@ the four analyzer angles, constructs the joint (x, y) density at
 square-root coarse graining, and cross-checks the full coarse-graining
 branch against its separable hidden-variable construction.
 
-The table's quadrature is ``limits.gauss_legendre``, so the module loads no
-``scipy``; only the Simpson routes of ``JointGridDensity`` and
-``signed_line_integral``, which no command calls, import it on call.
+The table's quadrature is ``limits.gauss_legendre`` and the joint densities
+integrate by the trapezoid rule, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -297,58 +296,20 @@ class JointGridDensity:
         object.__setattr__(self, "y_grid", gy)
         object.__setattr__(self, "density", d)
 
-    def _integrate_axis(self, values: np.ndarray, grid: np.ndarray, axis: int) -> np.ndarray:
-        if self.domain == "rotor":
-            from scipy.integrate import simpson  # on call: no CLI command needs it
-
-            return simpson(values, x=grid, axis=axis)
-        return np.trapezoid(values, grid, axis=axis)
-
     def integral(self) -> float:
-        inner = self._integrate_axis(self.density, self.y_grid, 1)
-        return float(self._integrate_axis(inner, self.x_grid, 0))
+        """Trapezoid integral; on a uniform rotor grid it is exact, as the
+        joint is an even trigonometric polynomial in each angle."""
+        return float(np.trapezoid(np.trapezoid(self.density, self.y_grid, axis=1), self.x_grid))
 
     def marginal_x(self) -> GridDensity:
         domain = "rotor_half_circle" if self.domain == "rotor" else "real_line"
-        return GridDensity(self.x_grid, self._integrate_axis(self.density, self.y_grid, 1),
+        return GridDensity(self.x_grid, np.trapezoid(self.density, self.y_grid, axis=1),
                            domain=domain)
 
     def marginal_y(self) -> GridDensity:
         domain = "rotor_half_circle" if self.domain == "rotor" else "real_line"
-        return GridDensity(self.y_grid, self._integrate_axis(self.density, self.x_grid, 0),
+        return GridDensity(self.y_grid, np.trapezoid(self.density, self.x_grid, axis=0),
                            domain=domain)
-
-    def sign_correlator(self) -> float:
-        """Expectation of sign(x) * sign(y) under the joint density.
-
-        Splits each axis at the zero node and applies composite Simpson on
-        the quadrants, which keeps the quadrature error well below the
-        trapezoid kink error at the sign discontinuity.  Requires the
-        "plane" domain and a grid node at (numerically) zero on each axis.
-        """
-        if self.domain != "plane":
-            raise ValidationError("sign_correlator is defined on the plane domain only")
-        inner = signed_line_integral(self.y_grid, self.density, axis=1)
-        return float(signed_line_integral(self.x_grid, inner, axis=0))
-
-
-def signed_line_integral(grid: np.ndarray, values: np.ndarray, axis: int = -1):
-    """Integral of sign(x) * values along ``axis``, split at the zero node.
-
-    Composite Simpson on each half line; the split keeps the quadrature
-    error at the sign discontinuity of order h^4 instead of h^2.
-    """
-    from scipy.integrate import simpson  # on call: no CLI command needs it
-
-    grid = np.asarray(grid, dtype=float)
-    j = int(np.argmin(np.abs(grid)))
-    scale = max(abs(grid[0]), abs(grid[-1]))
-    if abs(grid[j]) > 1e-9 * scale:
-        raise ValidationError("signed integration needs a grid node at zero")
-    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    result = (simpson(values[..., j:], x=grid[j:], axis=-1)
-              - simpson(values[..., :j + 1], x=grid[:j + 1], axis=-1))
-    return result
 
 
 def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *,

@@ -215,17 +215,21 @@ def _parse_coeffs_vector(spec: str):
     return _normalized([_parse_number(complex, t) for t in spec.split(",")], "coefficients")
 
 
-def _parse_coeffs_matrix(spec: str, seed: int, dim: int):
-    """Joint coefficients c_kl: 'random', a JSON file (as for
-    ``_parse_coeffs_vector``), or ';'-separated rows."""
+def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
+    """Joint coefficients c_kl: 'random' (of size ``dim``, default 3, drawn
+    from ``seed``, default 0), a JSON file (as for ``_parse_coeffs_vector``),
+    or ';'-separated rows, which take neither ``dim`` nor ``seed``."""
     import numpy as np
 
     if spec == "random":
+        dim = 3 if dim is None else dim
         if dim < 1:
             raise ValidationError("--dim must be at least 1")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0 if seed is None else seed)
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return _normalized(mat, "joint coefficients").reshape(dim, dim)
+    if (dim, seed) != (None, None):
+        raise ValidationError("--dim and --seed apply only to --coeffs random")
     if spec.startswith("@") or spec.endswith(".json"):
         data = _load_json(spec.removeprefix("@"))
         if not isinstance(data, list) or not data or not isinstance(data[0], list):
@@ -352,13 +356,10 @@ def _cmd_chsh(args: argparse.Namespace) -> None:
     coeffs = _parse_coeffs_vector(args.coeffs)
     if args.optimize:
         angles = optimize_chsh(coeffs).angles
-    elif args.angles is not None:
-        values = [_parse_number(float, t) for t in args.angles.split(",")]
-        if len(values) != 4:
-            raise ValidationError("--angles needs phi_a,phi_a',phi_b,phi_b'")
-        angles = tuple(values)
     else:
-        raise ValidationError("provide --angles or --optimize")
+        angles = tuple(_parse_number(float, t) for t in args.angles.split(","))
+        if len(angles) != 4:
+            raise ValidationError("--angles needs phi_a,phi_a',phi_b,phi_b'")
     bell_config = BellConfig(schmidt_coeffs=coeffs, phi_a=angles[0],
                              phi_a_prime=angles[1], phi_b=angles[2],
                              phi_b_prime=angles[3])
@@ -677,14 +678,15 @@ def _build_parser() -> _Parser:
 
     p = add("chsh", _cmd_chsh, "CHSH value and correlators -> JSON")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--angles", default=None, help="phi_a,phi_a',phi_b,phi_b' in radians")
-    p.add_argument("--optimize", action="store_true")
+    settings = p.add_mutually_exclusive_group(required=True)
+    settings.add_argument("--angles", help="phi_a,phi_a',phi_b,phi_b' in radians")
+    settings.add_argument("--optimize", action="store_true")
 
     p = add("local-model", _cmd_local_model, "quantum vs hidden-variable joint at alpha=1 -> CSV")
     p.add_argument("--coeffs", required=True,
                    help="'random', @file.json, or ';'-separated comma rows")
-    p.add_argument("--dim", type=int, default=3, help="size used with 'random'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=None, help="size for 'random' (default 3)")
+    p.add_argument("--seed", type=int, default=None, help="seed for 'random' (default 0)")
     p.add_argument("--phi-a", dest="phi_a", type=float, default=0.0)
     p.add_argument("--phi-b", dest="phi_b", type=float, default=0.0)
     p.add_argument("--points", type=int, default=None)

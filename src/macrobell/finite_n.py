@@ -552,15 +552,17 @@ def lattice_char_fn(values, weights, t):
     at ``t = 0`` is exactly 1; ``t`` is a finite real or an array of them,
     and the result is complex with the shape of ``t``.  With point index
     ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, ``exp(i t x_m)`` factors
-    into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is one
-    (T x B) @ (B x L/B) product and a row-wise dot: O(T sqrt(L))
-    exponentials and memory for T values of t.
+    into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is a
+    (T x B) @ (B x L/B) product, taken as two real ones (cos and sin; a
+    complex one would promote the weights to complex), and a row-wise
+    dot: O(T sqrt(L)) exponentials and memory for T values of t.
     """
     t_arr = np.atleast_1d(check_real_array(t, "t"))
     values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     block = math.isqrt(weights.size - 1) + 1
     blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
-    inner = np.exp(1j * np.outer(t_arr, values[:block] - values[0])) @ blocks.T
+    phase = np.outer(t_arr, values[:block] - values[0])
+    inner = np.cos(phase) @ blocks.T + 1j * (np.sin(phase) @ blocks.T)
     sums = np.sum(np.exp(1j * np.outer(t_arr, values[::block])) * inner, axis=1)
     sums = np.where(t_arr == 0.0, 1.0 + 0.0j, sums)
     return complex(sums[0]) if np.ndim(t) == 0 else sums.reshape(np.shape(t))

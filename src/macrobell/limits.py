@@ -8,8 +8,8 @@ coarse graining the limit is a planar-rotor angle distribution on
 [0, pi].  This module provides those laws, the level-pair kernels that
 every square-root quantity contracts (``level_kernels``: Hermite rows at
 the nodes of one Gauss-Hermite rule), the Gauss-Legendre rule that the
-sign tables and the noise convolution integrate with (``gauss_legendre``),
-and a check of the Gaussian-smearing identity behind the Hermite sums.
+sign tables integrate with (``gauss_legendre``), and a check of the
+Gaussian-smearing identity behind the Hermite sums.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     own_grid = grid is None
     if own_grid:
         grid = default_real_grid(state.k_max, width=state.width)
-    grid = np.asarray(grid, dtype=float)
+    grid = check_real_array(grid, "grid")
     b = state.phased_coeffs(offset=np.pi)
     # only the populated levels enter; as K_kl = sum_j row_k[j] row_l[j] over the
     # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
@@ -317,7 +317,7 @@ def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
     phi = check_real(phi, "phi")
     if theta_grid is None:
         theta_grid = default_rotor_grid()
-    theta = np.asarray(theta_grid, dtype=float)
+    theta = check_real_array(theta_grid, "theta_grid")
     if theta.min() < 0.0 or theta.max() > np.pi + 1e-12:
         raise ValidationError("theta grid must lie inside [0, pi]")
     k = np.arange(c.size)
@@ -342,7 +342,7 @@ def rotor_pushforward(rotor: GridDensity, x_grid=None) -> GridDensity:
         raise ValidationError("pushforward needs a rotor_half_circle density")
     if x_grid is None:
         x_grid = np.linspace(-0.999, 0.999, 1999)
-    x = np.asarray(x_grid, dtype=float)
+    x = check_real_array(x_grid, "x_grid")
     if x.min() <= -1.0 or x.max() >= 1.0:
         raise ValidationError(
             "x grid touches the endpoint singularities at +-1"

@@ -8,21 +8,20 @@ Three imperfection models and how they deform the limiting statistics:
 * depolarizing / dephasing channels acting identically on every particle,
   absorbed into the measurement by their adjoint maps and re-derived as an
   effective (width, phase) pair;
-* bounded additive classical noise on the collective readout itself,
-  applied to a density by convolution.
+* bounded additive classical noise (uniform or truncated Gaussian) on the
+  collective readout itself, which enters the CHSH sweep.
 
 The CHSH sweep maps the violation across (smearing width, noise bound)
 cells and reports where it drops to the classical boundary.  The sign of a
 noisy readout integrates like the clean readout against S, the sign
-convolved with the noise density, which has a closed form; so each cell is
-one ``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
+convolved with the noise density, which has a closed form (``math.erf``
+for the truncated Gaussian); so each cell is one
+``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
 ``bell.chsh_value``, and no density is convolved.
 
 ``bell`` and ``finite_n`` are imported inside the one function that needs
 each, so the channel and loss-width routines load neither the Bell nor the
-finite-N stack.  The convolution's Gauss-Legendre rule comes from
-``limits`` and the truncated-Gaussian step is ``math.erf``; only
-``convolve_classical_noise`` imports ``scipy`` (its cubic spline), on call.
+finite-N stack.
 """
 
 from __future__ import annotations
@@ -40,41 +39,26 @@ from .errors import (
     ValidationError,
     check_real,
 )
-from .limits import GridDensity, gauss_legendre
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
 
 #: Width values above this raise DivergentWidth instead of being returned.
 WIDTH_SQUARED_CAP = 1e12
-
-#: Gauss-Legendre node count for the classical-noise convolution.
-CONVOLUTION_NODES = 64
 
 _SHAPES = ("uniform", "truncated_gaussian")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Imperfection parameters: loss, channel strengths, readout noise.
-
-    ``classical_eps`` bounds the additive readout shift in the rescaled
-    units of X; ``classical_shape`` picks the noise density on [-eps, eps].
-    """
+    """Imperfection parameters: detection probability and channel strengths."""
 
     loss_p: float = 1.0
     depol_lambda: float = 0.0
     dephase_lambda: float = 0.0
-    classical_eps: float = 0.0
-    classical_shape: str = "uniform"
 
     def __post_init__(self):
         check_real(self.loss_p, "loss_p", 0, 1, open_low=True, error=InvalidLossError)
         for name in ("depol_lambda", "dephase_lambda"):
             check_real(getattr(self, name), name, 0, 1)
-        check_real(self.classical_eps, "classical_eps", 0)
-        if self.classical_shape not in _SHAPES:
-            raise ValidationError(
-                f"classical_shape must be one of {_SHAPES}, got {self.classical_shape!r}"
-            )
 
     @property
     def is_singular(self) -> bool:
@@ -177,16 +161,6 @@ def noisy_limit_params(povm: SingleParticlePovm, noise: NoiseSpec,
     return NoisyLimitParams(s_squared=float(s_squared), phi=float(params.phi))
 
 
-def _kernel_profile(shape: str, eps: float):
-    """Density of the bounded noise on [-eps, eps] as a callable."""
-    if shape == "uniform":
-        return lambda r: np.full_like(r, 1.0 / (2.0 * eps))
-    # Gaussian with sigma = eps/2, truncated at +-eps and renormalized.
-    sigma = 0.5 * eps
-    mass = math.erf(math.sqrt(2.0))  # integral of the untruncated core over [-eps, eps]
-    return lambda r: np.exp(-0.5 * (r / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi) * mass)
-
-
 def _smoothed_sign(shape: str, eps: float):
     """sign convolved with the noise density, on [0, eps]; it is 1 beyond eps."""
     if shape == "uniform":
@@ -195,64 +169,6 @@ def _smoothed_sign(shape: str, eps: float):
     # or on the quadrature nodes
     erf = np.vectorize(math.erf, otypes=[float])
     return lambda x: erf(x * math.sqrt(2.0) / eps) / math.erf(math.sqrt(2.0))
-
-
-def classical_noise_variance(noise: NoiseSpec) -> float:
-    """Exact variance of the classical noise density (mean is zero)."""
-    eps = noise.classical_eps
-    if eps == 0.0:
-        return 0.0
-    if noise.classical_shape == "uniform":
-        return eps**2 / 3.0
-    sigma = 0.5 * eps
-    a = 2.0  # truncation in units of sigma
-    phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
-    return sigma**2 * (1.0 - 2.0 * a * phi_a / math.erf(a / math.sqrt(2.0)))
-
-
-def _convolve_values(grid: np.ndarray, values: np.ndarray, eps: float, shape: str):
-    """Convolve sampled values with the bounded kernel; extends the grid by eps.
-
-    The input samples are interpolated by a cubic spline (zero outside the
-    grid) and the convolution integral is evaluated by Gauss-Legendre
-    quadrature at every extended node, which preserves trapezoid-measured
-    mass and variance of smooth inputs to near machine precision.
-    """
-    from scipy.interpolate import CubicSpline  # on call: no CLI command needs it
-
-    if eps == 0.0:
-        return grid, values
-    step_left = grid[1] - grid[0]
-    step_right = grid[-1] - grid[-2]
-    n_left = int(math.ceil(eps / step_left)) + 1
-    n_right = int(math.ceil(eps / step_right)) + 1
-    extended = np.concatenate([
-        grid[0] - step_left * np.arange(n_left, 0, -1),
-        grid,
-        grid[-1] + step_right * np.arange(1, n_right + 1),
-    ])
-    spline = CubicSpline(grid, values, bc_type="natural", extrapolate=False)
-    nodes, weights = gauss_legendre(CONVOLUTION_NODES)
-    r = eps * nodes
-    kernel = _kernel_profile(shape, eps)
-    quad_weights = eps * weights * kernel(r)
-    sampled = spline(extended[:, None] - r[None, :])
-    sampled = np.nan_to_num(sampled, copy=False)
-    return extended, sampled @ quad_weights
-
-
-def convolve_classical_noise(density: GridDensity, noise: NoiseSpec) -> GridDensity:
-    """Additive bounded readout noise: the density convolved with the kernel.
-
-    Identity at eps = 0; otherwise the support widens by eps on both sides.
-    """
-    if density.domain != "real_line":
-        raise ValidationError("classical noise convolution needs a real-line density")
-    if noise.classical_eps == 0.0:
-        return density
-    grid, values = _convolve_values(density.grid, density.density,
-                                    noise.classical_eps, noise.classical_shape)
-    return GridDensity(grid, np.clip(values, 0.0, None), domain="real_line")
 
 
 class SweepResult(NamedTuple):
@@ -279,7 +195,7 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
 
     if shape not in _SHAPES:
-        raise ValidationError(f"classical_shape must be one of {_SHAPES}, got {shape!r}")
+        raise ValidationError(f"shape must be one of {_SHAPES}, got {shape!r}")
     s_grid = np.asarray(s_grid, dtype=float)
     eps_grid = np.asarray(eps_grid, dtype=float)
     if s_grid.ndim != 1 or eps_grid.ndim != 1 or s_grid.size == 0 or eps_grid.size == 0:

@@ -1,0 +1,110 @@
+"""Grid routes for the sign tables and the classical readout noise: test
+oracles for the closed forms in ``bell`` and ``noise``.
+
+The package evaluates every sign-binned correlator from a table of
+half-line Gauss-Legendre overlaps, and classical readout noise through a
+closed-form smoothed sign.  These routes compute the same numbers on a
+sampled grid instead: Simpson's rule split at the sign discontinuity, and
+the noise applied to sampled values by a cubic-spline convolution.  They
+use scipy, which the package itself does not need.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
+
+from macrobell.errors import ValidationError
+from macrobell.limits import GridDensity, gauss_legendre
+
+#: Gauss-Legendre node count for the classical-noise convolution.
+CONVOLUTION_NODES = 64
+
+
+def signed_line_integral(grid, values, axis: int = -1):
+    """Integral of sign(x) * values along ``axis``, split at the zero node.
+
+    Composite Simpson on each half line; the split keeps the quadrature
+    error at the sign discontinuity of order h^4 instead of h^2.
+    """
+    grid = np.asarray(grid, dtype=float)
+    j = int(np.argmin(np.abs(grid)))
+    scale = max(abs(grid[0]), abs(grid[-1]))
+    if abs(grid[j]) > 1e-9 * scale:
+        raise ValidationError("signed integration needs a grid node at zero")
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    return (simpson(values[..., j:], x=grid[j:], axis=-1)
+            - simpson(values[..., :j + 1], x=grid[:j + 1], axis=-1))
+
+
+def sign_correlator(joint) -> float:
+    """Expectation of sign(x) * sign(y) under a plane ``JointGridDensity``.
+
+    Needs a grid node at (numerically) zero on each axis.
+    """
+    inner = signed_line_integral(joint.y_grid, joint.density, axis=1)
+    return float(signed_line_integral(joint.x_grid, inner, axis=0))
+
+
+def kernel_profile(shape: str, eps: float):
+    """Density of the bounded noise on [-eps, eps] as a callable."""
+    if shape == "uniform":
+        return lambda r: np.full_like(r, 1.0 / (2.0 * eps))
+    # Gaussian with sigma = eps/2, truncated at +-eps and renormalized.
+    sigma = 0.5 * eps
+    mass = math.erf(math.sqrt(2.0))  # integral of the untruncated core over [-eps, eps]
+    return lambda r: np.exp(-0.5 * (r / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi) * mass)
+
+
+def classical_noise_variance(eps: float, shape: str) -> float:
+    """Exact variance of the noise density on [-eps, eps] (its mean is zero)."""
+    if eps == 0.0:
+        return 0.0
+    if shape == "uniform":
+        return eps**2 / 3.0
+    sigma = 0.5 * eps
+    a = 2.0  # truncation in units of sigma
+    phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
+    return sigma**2 * (1.0 - 2.0 * a * phi_a / math.erf(a / math.sqrt(2.0)))
+
+
+def convolve_values(grid, values, eps: float, shape: str):
+    """Convolve sampled values with the bounded kernel; extends the grid by eps.
+
+    The input samples are interpolated by a cubic spline (zero outside the
+    grid) and the convolution integral is evaluated by Gauss-Legendre
+    quadrature at every extended node, which preserves trapezoid-measured
+    mass and variance of smooth inputs to near machine precision.
+    """
+    if eps == 0.0:
+        return grid, values
+    step_left = grid[1] - grid[0]
+    step_right = grid[-1] - grid[-2]
+    n_left = int(math.ceil(eps / step_left)) + 1
+    n_right = int(math.ceil(eps / step_right)) + 1
+    extended = np.concatenate([
+        grid[0] - step_left * np.arange(n_left, 0, -1),
+        grid,
+        grid[-1] + step_right * np.arange(1, n_right + 1),
+    ])
+    spline = CubicSpline(grid, values, bc_type="natural", extrapolate=False)
+    nodes, weights = gauss_legendre(CONVOLUTION_NODES)
+    r = eps * nodes
+    quad_weights = eps * weights * kernel_profile(shape, eps)(r)
+    sampled = np.nan_to_num(spline(extended[:, None] - r[None, :]), copy=False)
+    return extended, sampled @ quad_weights
+
+
+def convolve_classical_noise(density: GridDensity, eps: float,
+                             shape: str = "uniform") -> GridDensity:
+    """Additive bounded readout noise: the density convolved with the kernel.
+
+    Identity at eps = 0; otherwise the support widens by eps on both sides.
+    """
+    if density.domain != "real_line":
+        raise ValidationError("classical noise convolution needs a real-line density")
+    if eps == 0.0:
+        return density
+    grid, values = convolve_values(density.grid, density.density, eps, shape)
+    return GridDensity(grid, np.clip(values, 0.0, None), domain="real_line")

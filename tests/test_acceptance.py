@@ -17,7 +17,6 @@ from macrobell.bell import (
     local_model_alpha_one,
     optimize_chsh,
     sign_overlap_table,
-    signed_line_integral,
 )
 from macrobell.finite_n import (
     DickeSuperposition,
@@ -46,6 +45,7 @@ from macrobell.povm import derive_params
 from macrobell.sampling import ks_distance, sample_outcomes, scaling_exponent
 
 from conftest import CHSH_OPTIMUM, PAPER_COEFFS, record_criterion, src_env
+from grid_oracles import signed_line_integral
 from test_finite_n import random_instance
 
 

@@ -19,13 +19,13 @@ from macrobell.bell import (
     local_model_alpha_one,
     optimize_chsh,
     sign_overlap_table,
-    signed_line_integral,
     smoothed_sign_overlap_table,
 )
 from macrobell.errors import CapExceededError, ValidationError
 from macrobell.noise import _smoothed_sign
 
 from conftest import src_env
+from grid_oracles import sign_correlator, signed_line_integral
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -309,7 +309,7 @@ def test_sign_correlator_matches_analytic():
     config = paper_config(phi_a=0.35, phi_b=-0.6)
     joint = bipartite_density_alpha_half(config)
     expected = math.sqrt(5.0) / math.pi * math.cos(0.35 - 0.6)
-    assert joint.sign_correlator() == pytest.approx(expected, abs=1e-8)
+    assert sign_correlator(joint) == pytest.approx(expected, abs=1e-8)
 
 
 def test_local_model_two_routes_agree():

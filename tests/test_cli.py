@@ -368,6 +368,13 @@ MALFORMED = {
     "povm-not-text": lambda tmp: ["dist", "--N", "10", "--state", "w", "--povm",
                                   _binary_file(tmp)],
     "coeffs-not-text": lambda tmp: ["chsh", "--optimize", "--coeffs", _binary_file(tmp)],
+    # an option the command would ignore is rejected
+    "chsh-optimize-and-angles": lambda tmp: ["chsh", "--coeffs", "paper", "--optimize",
+                                             "--angles", "0,1,2,3"],
+    "local-model-dim-without-random": lambda tmp: ["local-model", "--coeffs", "1,0;0,0",
+                                                   "--dim", "7"],
+    "local-model-seed-without-random": lambda tmp: ["local-model", "--coeffs", "1,0;0,0",
+                                                    "--seed", "2"],
     "limit-phi-nan": lambda tmp: ["limit", "--coeffs", "paper", "--phi", "nan"],
     "limit-phi-inf": lambda tmp: ["limit", "--coeffs", "paper", "--phi", "inf"],
     "limit-rotor-phi-nan": lambda tmp: ["limit", "--alpha", "1", "--coeffs", "paper",

@@ -196,7 +196,6 @@ REAL_SITES = {
     "NoiseSpec-loss_p": ("loss_p", lambda v: NoiseSpec(loss_p=v), 1.5),
     "NoiseSpec-depol_lambda": ("depol_lambda", lambda v: NoiseSpec(depol_lambda=v), 1.2),
     "NoiseSpec-dephase_lambda": ("dephase_lambda", lambda v: NoiseSpec(dephase_lambda=v), -0.1),
-    "NoiseSpec-classical_eps": ("classical_eps", lambda v: NoiseSpec(classical_eps=v), -1.0),
     "loss_width": ("detection probability p", lambda v: loss_width(_PARAMS, v), 0.0),
     "lossy_povm": ("detection probability p", lambda v: lossy_povm(_SX, _PARAMS, v), 1.5),
     "depolarize_povm": ("depolarizing strength", lambda v: depolarize_povm(_SX, v), 1.0001),

@@ -267,6 +267,17 @@ def test_non_finite_phases_are_rejected(phi):
         limit_density_alpha_one(PAPER, phi)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda grid: limit_density_alpha_half(LimitState(coeffs=np.array([1.0])), grid),
+    lambda grid: limit_density_alpha_one(np.array([1.0]), 0.0, grid),
+    lambda grid: rotor_pushforward(limit_density_alpha_one(np.array([1.0]), 0.0), grid),
+], ids=["alpha_half", "alpha_one", "pushforward"])
+def test_non_finite_caller_grids_are_validation_errors(call, bad):
+    with pytest.raises(ValidationError, match="grid must be a finite"):
+        call(np.array([-0.5, bad, 0.5]))
+
+
 @pytest.mark.parametrize("grid", [None, np.linspace(-12.0, 12.0, 401)], ids=["own", "given"])
 def test_nan_density_raises_numeric_error(monkeypatch, grid):
     import macrobell.limits as limits

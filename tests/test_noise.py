@@ -9,7 +9,6 @@ from macrobell.bell import (
     BellConfig,
     bipartite_density_alpha_half,
     correlator,
-    signed_line_integral,
     smoothed_sign_overlap_table,
 )
 from macrobell.errors import (
@@ -33,11 +32,7 @@ from macrobell.limits import (
 )
 from macrobell.noise import (
     NoiseSpec,
-    _convolve_values,
-    _kernel_profile,
     _smoothed_sign,
-    classical_noise_variance,
-    convolve_classical_noise,
     dephase_povm,
     depolarize_povm,
     loss_char_fn_finite,
@@ -49,6 +44,13 @@ from macrobell.noise import (
 from macrobell.povm import derive_params, validate_povm
 
 from conftest import CHSH_OPTIMUM, PAPER_COEFFS
+from grid_oracles import (
+    classical_noise_variance,
+    convolve_classical_noise,
+    convolve_values,
+    kernel_profile,
+    signed_line_integral,
+)
 
 
 def w_state(n: int) -> DickeSuperposition:
@@ -69,7 +71,7 @@ def grid_route_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndar
     for k in range(k_max + 1):
         for l in range(k, k_max + 1):
             values = smeared_level_kernel(k, l, grid, s)
-            g, v = _convolve_values(grid, values, eps, shape)
+            g, v = convolve_values(grid, values, eps, shape)
             table[k, l] = table[l, k] = signed_line_integral(g, v)
     return table
 
@@ -92,9 +94,6 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("kwargs", [
         {"depol_lambda": -0.1},
         {"dephase_lambda": 1.2},
-        {"classical_eps": -1.0},
-        {"classical_eps": math.inf},
-        {"classical_shape": "triangular"},
     ])
     def test_bad_fields(self, kwargs):
         with pytest.raises(ValidationError):
@@ -282,18 +281,17 @@ class TestClassicalNoise:
         nodes, weights = np.polynomial.legendre.leggauss(200)
         r = eps * nodes
         w = eps * weights
-        kernel = _kernel_profile(shape, eps)(r)
+        kernel = kernel_profile(shape, eps)(r)
         assert float(w @ kernel) == pytest.approx(1.0, abs=1e-12)
-        spec = NoiseSpec(classical_eps=eps, classical_shape=shape)
         assert float(w @ (kernel * r**2)) == pytest.approx(
-            classical_noise_variance(spec), abs=1e-12)
+            classical_noise_variance(eps, shape), abs=1e-12)
 
     @pytest.mark.parametrize("shape", ["uniform", "truncated_gaussian"])
     def test_smoothed_sign_is_sign_convolved_with_density(self, shape):
         # S(x) = int sign(x - r) n(r) dr = 2 * (mass of n below x) - 1.
         eps = 0.37
         nodes, weights = np.polynomial.legendre.leggauss(200)
-        density = _kernel_profile(shape, eps)
+        density = kernel_profile(shape, eps)
         for x in np.linspace(0.0, eps, 7):
             r = 0.5 * (x + eps) * (nodes + 1.0) - eps
             below = 0.5 * (x + eps) * float(weights @ density(r))
@@ -301,21 +299,20 @@ class TestClassicalNoise:
                                                                   abs=1e-13)
 
     def test_zero_eps_variance_and_identity(self):
-        assert classical_noise_variance(NoiseSpec()) == 0.0
+        assert classical_noise_variance(0.0, "uniform") == 0.0
         density = limit_density_alpha_half(
             LimitState(coeffs=PAPER_COEFFS, phi=math.pi))
-        assert convolve_classical_noise(density, NoiseSpec()) is density
+        assert convolve_classical_noise(density, 0.0) is density
 
     @pytest.mark.parametrize("shape,eps", [("uniform", 0.3),
                                            ("truncated_gaussian", 0.45)])
     def test_convolution_preserves_mass_and_adds_variance(self, shape, eps):
         density = limit_density_alpha_half(
             LimitState(coeffs=PAPER_COEFFS, phi=math.pi, width=0.2))
-        spec = NoiseSpec(classical_eps=eps, classical_shape=shape)
-        noisy = convolve_classical_noise(density, spec)
+        noisy = convolve_classical_noise(density, eps, shape)
         assert noisy.integral() == pytest.approx(density.integral(), abs=1e-10)
         assert noisy.mean() == pytest.approx(density.mean(), abs=1e-10)
-        expected = density.moment(2, central=True) + classical_noise_variance(spec)
+        expected = density.moment(2, central=True) + classical_noise_variance(eps, shape)
         assert noisy.moment(2, central=True) == pytest.approx(expected,
                                                               abs=1e-8)
 
@@ -323,8 +320,7 @@ class TestClassicalNoise:
         density = limit_density_alpha_half(
             LimitState(coeffs=np.array([1.0 + 0.0j]), phi=0.0))
         eps = 0.25
-        noisy = convolve_classical_noise(
-            density, NoiseSpec(classical_eps=eps))
+        noisy = convolve_classical_noise(density, eps)
         assert noisy.grid[0] <= density.grid[0] - eps
         assert noisy.grid[-1] >= density.grid[-1] + eps
         assert np.all(noisy.density >= 0.0)
@@ -334,7 +330,7 @@ class TestClassicalNoise:
         rotor = GridDensity(theta, np.full(101, 1.0 / math.pi),
                             domain="rotor_half_circle")
         with pytest.raises(ValidationError):
-            convolve_classical_noise(rotor, NoiseSpec(classical_eps=0.1))
+            convolve_classical_noise(rotor, 0.1)
 
 
 class TestSweep:
@@ -434,11 +430,11 @@ class TestSweep:
             BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15, phi_b=-0.4),
             x_grid=grid, y_grid=grid, width_a=s, width_b=s)
 
-        columns = [_convolve_values(grid, joint.density[:, j], eps, shape)
+        columns = [convolve_values(grid, joint.density[:, j], eps, shape)
                    for j in range(grid.size)]
         x_ext = columns[0][0]
         stage = np.stack([v for _, v in columns], axis=1)
-        rows = [_convolve_values(grid, stage[i], eps, shape)
+        rows = [convolve_values(grid, stage[i], eps, shape)
                 for i in range(x_ext.size)]
         y_ext = rows[0][0]
         noisy = np.stack([v for _, v in rows], axis=0)

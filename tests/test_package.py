@@ -1,7 +1,7 @@
 """The package root re-exports every public engine name, no module
 reaches into another module's private helpers or checks integers and
-finite reals outside ``errors``, and no module, command or finite-N call
-loads scipy."""
+finite reals outside ``errors``, no module imports scipy, not even inside
+a function, and no command loads it."""
 
 import ast
 import importlib
@@ -68,24 +68,17 @@ def test_only_errors_checks_integers_and_finite_reals():
     assert offenders == []
 
 
-def test_no_module_imports_scipy_at_module_level():
-    # convolve_classical_noise and the Simpson routes import it on call.
-    def import_time_nodes(node):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                yield child
-                yield from import_time_nodes(child)
-
+def test_no_module_imports_scipy():
     offenders = []
-    for path in sorted(Path(macrobell.__file__).parent.glob("*.py")):
-        for node in import_time_nodes(ast.parse(path.read_text(), filename=str(path))):
+    for path in sorted(Path(macrobell.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [f"{path.name}: {name}" for name in names
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
 
