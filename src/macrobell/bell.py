@@ -11,7 +11,10 @@ square-root coarse graining, and cross-checks the full coarse-graining
 branch against its separable hidden-variable construction.
 
 The table's quadrature is ``limits.gauss_legendre`` and the joint densities
-integrate by the trapezoid rule, so the module needs numpy alone.
+integrate by the trapezoid rule, so the module needs numpy alone.  Every
+grid a caller passes goes through ``errors.check_grid`` (the rotor grids
+inside [0, ``limits.ROTOR_ANGLE_MAX``]), and ``JointGridDensity`` holds its
+axes and finite density as read-only arrays.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
-                     ValidationError, check_integer, check_real, check_unit_vector)
-from .limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
-                     level_kernels, real_half_width)
+                     ValidationError, check_grid, check_integer, check_real, check_real_array,
+                     check_unit_vector)
+from .limits import (BOUNDARY_MASS_TOL, ROTOR_ANGLE_MAX, GridDensity, default_real_grid,
+                     gauss_legendre, level_kernels, real_half_width)
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -150,8 +154,6 @@ class BellConfig:
             )
         for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"):
             check_real(getattr(self, name), name)
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "schmidt_coeffs", c)
 
     @property
@@ -269,7 +271,8 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
 
 @dataclass(frozen=True)
 class JointGridDensity:
-    """Joint probability density sampled on a rectangular grid.
+    """Finite joint probability density sampled on a rectangular grid of two
+    strictly increasing axes; all three arrays are read-only.
 
     ``domain`` is "plane" for the (x, y) readout densities and "rotor" for
     joints over a pair of angles in [0, pi].
@@ -281,17 +284,10 @@ class JointGridDensity:
     domain: str = "plane"
 
     def __post_init__(self):
-        gx = np.asarray(self.x_grid, dtype=float)
-        gy = np.asarray(self.y_grid, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        if gx.ndim != 1 or gy.ndim != 1 or gx.size < 2 or gy.size < 2:
-            raise ValidationError("grids must be 1-d arrays with at least 2 points")
+        gx, gy = check_grid(self.x_grid, "x_grid"), check_grid(self.y_grid, "y_grid")
+        d = check_real_array(self.density, "density")
         if d.shape != (gx.size, gy.size):
             raise ValidationError("density shape must be (len(x_grid), len(y_grid))")
-        if not (np.all(np.diff(gx) > 0) and np.all(np.diff(gy) > 0)):
-            raise ValidationError("grids must be strictly increasing")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("density must be finite")
         object.__setattr__(self, "x_grid", gx)
         object.__setattr__(self, "y_grid", gy)
         object.__setattr__(self, "density", d)
@@ -319,8 +315,9 @@ def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *
     Uses the unprimed angle pair: the density is the squared amplitude
     sum_k c_k exp(ik(phi_a + phi_b)) <x|k><y|k>, smeared per party by the
     Gaussian widths ``width_a`` and ``width_b`` (0 for projective binning).
-    The per-party phase conventions cancel in the angle sum, so the phases
-    enter exactly as written.
+    ``x_grid`` and ``y_grid`` are strictly increasing grids.  The per-party
+    phase conventions cancel in the angle sum, so the phases enter exactly
+    as written.
     """
     width_a, width_b = (check_real(w, "widths", 0) for w in (width_a, width_b))
     k_max = config.k_max
@@ -328,8 +325,7 @@ def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *
         x_grid = default_real_grid(k_max, width=width_a)
     if y_grid is None:
         y_grid = default_real_grid(k_max, width=width_b)
-    x_grid = np.asarray(x_grid, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
+    x_grid, y_grid = check_grid(x_grid, "x_grid"), check_grid(y_grid, "y_grid")
 
     b = config.schmidt_coeffs * np.exp(1j * np.arange(k_max + 1) * (config.phi_a + config.phi_b))
 
@@ -372,7 +368,8 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
     settings into the evaluation points and pushes the four sign images of
     each grid point forward.  Both are the same double integral; evaluating
     them as two different discretizations and returning the maximum
-    pointwise discrepancy is the consistency check.
+    pointwise discrepancy is the consistency check.  ``theta_grids`` is a
+    pair of strictly increasing grids inside [0, ``limits.ROTOR_ANGLE_MAX``].
     """
     c = check_unit_vector(c_kl, ndim=2)
     phi_a, phi_b = check_real(phi_a, "phi_a"), check_real(phi_b, "phi_b")
@@ -382,12 +379,8 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
         )
     if theta_grids is None:
         theta_grids = (np.linspace(0.0, np.pi, 201), np.linspace(0.0, np.pi, 201))
-    theta_a, theta_b = (np.asarray(g, dtype=float) for g in theta_grids)
-    for g in (theta_a, theta_b):
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-            raise ValidationError("theta grids must be strictly increasing 1-d arrays")
-        if g[0] < 0.0 or g[-1] > np.pi + 1e-12:
-            raise ValidationError("theta grids must lie within [0, pi]")
+    theta_a, theta_b = (check_grid(grid, "theta_grids", 0.0, ROTOR_ANGLE_MAX)
+                        for grid in theta_grids)
 
     d_a, d_b = c.shape
     ka = np.arange(d_a)

@@ -12,8 +12,9 @@ Two broad families matter for callers (and for the CLI exit codes):
 The input checks every engine shares live here too, one per kind of input:
 ``check_integer`` (counts, levels, orders, seeds), ``check_real`` (finite
 angles, widths, ratios, probabilities) with its elementwise form
-``check_real_array`` (frequencies), ``check_alpha`` and
-``check_unit_vector``.
+``check_real_array`` (frequencies and value lists), ``check_grid``
+(evaluation axes), ``check_alpha`` and ``check_unit_vector``.  The array
+checks return read-only copies, so a record that stores one is frozen.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ def check_alpha(alpha) -> float:
     return a
 
 
-def _range_text(low, high, open_low: bool = False) -> str:
+def _range_text(low, high, open_low: bool = False, open_high: bool = False) -> str:
     """' >= low', ' <= high', ' in [low, high]' or '' for the error messages."""
     if high is None:
         return "" if low is None else f" {'>' if open_low else '>='} {low}"
     if low is None:
-        return f" <= {high}"
-    return f" in {'(' if open_low else '['}{low}, {high}]"
+        return f" {'<' if open_high else '<='} {high}"
+    return f" in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
 
 
 def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -165,23 +166,50 @@ def check_real(value, name: str, low: float | None = None, high: float | None = 
     return x
 
 
-def check_real_array(values, name: str):
-    """``values`` (a scalar or an array) as a float array of finite reals,
-    without bools; raises ValidationError naming ``name``."""
+def check_real_array(values, name: str, low: float | None = None, high: float | None = None,
+                     *, exclusive: bool = False, ndim: int | None = None):
+    """``values`` (a scalar or an array; with ``ndim``, a nonempty ``ndim``-d
+    array) as a read-only float array of finite reals, without bools, in
+    [low, high], or in (low, high) with ``exclusive``; a None bound is no
+    bound.  Raises ValidationError naming ``name``."""
     import numpy as np  # on call, as in check_unit_vector
 
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be a finite scalar or an array of them, "
+    try:
+        arr = np.asarray(values)
+        # numpy reads a bool among numbers as 0 or 1, so a sequence is read by element
+        mixed = not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    except ValueError:  # a ragged nest of sequences
+        arr, mixed = np.asarray(None), True
+    x = arr.astype(float) if arr.dtype.kind in "iuf" and not mixed else np.array(np.nan)
+    if (not np.all(np.isfinite(x)) or (ndim is not None and (x.ndim != ndim or x.size == 0))
+            or (low is not None and np.any(x <= low if exclusive else x < low))
+            or (high is not None and np.any(x >= high if exclusive else x > high))):
+        what = "scalar or an array of them" if ndim is None else f"nonempty {ndim}-d real array"
+        raise ValidationError(f"{name} must be a finite {what}"
+                              f"{_range_text(low, high, exclusive, exclusive)}, "
                               f"got {(values if arr.ndim == 0 else arr)!r}")
-    return arr.astype(float)
+    x.flags.writeable = False
+    return x
+
+
+def check_grid(values, name: str, low: float | None = None, high: float | None = None, *,
+               exclusive: bool = False, points: int = 2):
+    """An evaluation axis: ``check_real_array`` as a 1-d array, then at least
+    ``points`` strictly increasing values; read-only."""
+    x = check_real_array(values, name, low, high, exclusive=exclusive, ndim=1)
+    if x.size < points or not (x[1:] > x[:-1]).all():
+        raise ValidationError(f"{name} must be a strictly increasing 1-d array of at least "
+                              f"{points} points, got {x!r}")
+    return x
 
 
 def check_unit_vector(coeffs, ndim: int = 1):
-    """Coefficients as a nonempty, finite, unit-norm complex ``ndim``-d array."""
+    """Coefficients as a nonempty, finite, unit-norm complex ``ndim``-d array:
+    a read-only copy, so the caller's array stays writeable."""
     import numpy as np  # on call: the CLI imports this module before pinning BLAS threads
 
-    c = np.asarray(coeffs, dtype=complex)
+    c = np.array(coeffs, dtype=complex)
     if c.ndim != ndim or c.size < 1:
         raise ValidationError(f"coefficients must form a nonempty {ndim}-d array")
     if not np.all(np.isfinite(c)):
@@ -189,4 +217,5 @@ def check_unit_vector(coeffs, ndim: int = 1):
     norm = float(np.linalg.norm(c))
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise ValidationError(f"coefficients have norm {norm!r}, expected 1")
+    c.flags.writeable = False
     return c

@@ -44,6 +44,7 @@ from .errors import (
     OffLatticeError,
     ValidationError,
     check_alpha,
+    check_grid,
     check_integer,
     check_real_array,
     check_unit_vector,
@@ -104,8 +105,6 @@ class DickeSuperposition:
                 f"highest level {self.base_level + c.size - 1} exceeds "
                 f"N = {self.n_particles}"
             )
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -133,18 +132,17 @@ class DickeSuperposition:
 
 @dataclass(frozen=True)
 class LatticePmf:
-    """PMF of X on the strictly increasing lattice ``values``."""
+    """PMF of X on the strictly increasing lattice ``values`` (one point or
+    more), with finite ``probs``; both arrays are read-only."""
 
     values: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1:
+        v = check_grid(self.values, "values", points=1)
+        p = check_real_array(self.probs, "probs")
+        if v.shape != p.shape:
             raise ValidationError("values and probs must be matching 1-d arrays")
-        if v.size > 1 and not np.all(np.diff(v) > 0):
-            raise ValidationError("values must be strictly increasing")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
 

@@ -10,6 +10,11 @@ every square-root quantity contracts (``level_kernels``: Hermite rows at
 the nodes of one Gauss-Hermite rule), the Gauss-Legendre rule that the
 sign tables integrate with (``gauss_legendre``), and a check of the
 Gaussian-smearing identity behind the Hermite sums.
+
+A caller's grid passes ``errors.check_grid``: finite, 1-d, strictly
+increasing and inside its domain, [0, ``ROTOR_ANGLE_MAX``] for rotor angles
+and the open (-1, 1) for the pushforward.  ``GridDensity`` holds it, and its
+finite density, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .errors import (
     NegativeDensityError,
     NumericError,
     ValidationError,
+    check_grid,
     check_integer,
     check_real,
     check_real_array,
@@ -52,22 +58,23 @@ __all__ = [
 
 BOUNDARY_MASS_TOL = 1e-10
 
+#: Largest angle of a rotor grid: pi, with slack for a computed endpoint.
+ROTOR_ANGLE_MAX = math.pi + 1e-12
+
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Probability density sampled on a strictly increasing grid."""
+    """Finite probability density sampled on a strictly increasing grid;
+    both arrays are read-only."""
 
     grid: np.ndarray
     density: np.ndarray
     domain: str = "real_line"  # or "rotor_half_circle"
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        if g.shape != d.shape or g.ndim != 1 or g.size < 2:
+        g, d = check_grid(self.grid, "grid"), check_real_array(self.density, "density")
+        if g.shape != d.shape:
             raise ValidationError("grid and density must be matching 1-d arrays")
-        if not np.all(np.diff(g) > 0):
-            raise ValidationError("grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", d)
 
@@ -100,12 +107,9 @@ class LimitState:
     width: float = 0.0
 
     def __post_init__(self):
-        c = check_unit_vector(self.coeffs)
+        object.__setattr__(self, "coeffs", check_unit_vector(self.coeffs))
         check_real(self.phi, "phi")
         check_real(self.width, "width", 0)
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def k_max(self) -> int:
@@ -255,7 +259,7 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     own_grid = grid is None
     if own_grid:
         grid = default_real_grid(state.k_max, width=state.width)
-    grid = check_real_array(grid, "grid")
+    grid = check_grid(grid, "grid")
     b = state.phased_coeffs(offset=np.pi)
     # only the populated levels enter; as K_kl = sum_j row_k[j] row_l[j] over the
     # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
@@ -311,15 +315,14 @@ def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
     ``P(theta) = (|f(theta)|^2 + |f(-theta)|^2) / (2 pi)`` with
     ``f(theta) = sum_k c_k e^{i k phi} e^{i k theta}``; only level
     differences matter, so any common index offset drops out.  ``phi``
-    must be finite.
+    must be finite, and ``theta_grid`` a strictly increasing grid inside
+    [0, ``ROTOR_ANGLE_MAX``].
     """
     c = check_unit_vector(coeffs)
     phi = check_real(phi, "phi")
     if theta_grid is None:
         theta_grid = default_rotor_grid()
-    theta = check_real_array(theta_grid, "theta_grid")
-    if theta.min() < 0.0 or theta.max() > np.pi + 1e-12:
-        raise ValidationError("theta grid must lie inside [0, pi]")
+    theta = check_grid(theta_grid, "theta_grid", 0.0, ROTOR_ANGLE_MAX)
     k = np.arange(c.size)
     b = c * np.exp(1j * k * phi)
     f_plus = np.exp(1j * np.outer(theta, k)) @ b
@@ -335,18 +338,14 @@ def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
 def rotor_pushforward(rotor: GridDensity, x_grid=None) -> GridDensity:
     """Push the rotor law through x = cos(theta) with the 1/|sin| Jacobian.
 
-    The density diverges at x = +-1, so the target grid must stay
-    strictly inside (-1, 1).
+    The density diverges at x = +-1, so the target grid must be strictly
+    increasing and stay strictly inside (-1, 1).
     """
     if rotor.domain != "rotor_half_circle":
         raise ValidationError("pushforward needs a rotor_half_circle density")
     if x_grid is None:
         x_grid = np.linspace(-0.999, 0.999, 1999)
-    x = check_real_array(x_grid, "x_grid")
-    if x.min() <= -1.0 or x.max() >= 1.0:
-        raise ValidationError(
-            "x grid touches the endpoint singularities at +-1"
-        )
+    x = check_grid(x_grid, "x_grid", -1.0, 1.0, exclusive=True)
     theta = np.arccos(x)
     p_theta = np.interp(theta, rotor.grid, rotor.density)
     density = p_theta / np.abs(np.sin(theta))

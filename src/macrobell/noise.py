@@ -17,7 +17,9 @@ noisy readout integrates like the clean readout against S, the sign
 convolved with the noise density, which has a closed form (``math.erf``
 for the truncated Gaussian); so each cell is one
 ``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
-``bell.chsh_value``, and no density is convolved.
+``bell.chsh_value``, and no density is convolved.  Its widths ``s_grid``
+and noise bounds ``eps_grid`` are value lists, checked by
+``errors.check_real_array``: nonempty, 1-d, finite and >= 0, in any order.
 
 ``bell`` and ``finite_n`` are imported inside the one function that needs
 each, so the channel and loss-width routines load neither the Bell nor the
@@ -38,6 +40,7 @@ from .errors import (
     SingularChannelError,
     ValidationError,
     check_real,
+    check_real_array,
 )
 from .povm import DerivedParams, SingleParticlePovm, derive_params, validate_povm
 
@@ -147,10 +150,9 @@ def noisy_limit_params(povm: SingleParticlePovm, noise: NoiseSpec,
     re-derived, and particle loss finally rescales the width.  Classical
     readout noise does not enter: it is a convolution, not a width.
     """
-    if noise.depol_lambda == 1.0:
-        raise SingularChannelError("fully depolarizing channel leaves no signal")
-    if noise.dephase_lambda == 0.5:
-        raise SingularChannelError("dephasing at strength 1/2 leaves no signal")
+    if noise.is_singular:
+        raise SingularChannelError("depolarizing at strength 1 or dephasing at strength 1/2 "
+                                   "leaves no signal")
     transformed = povm
     if noise.depol_lambda > 0.0:
         transformed = depolarize_povm(transformed, noise.depol_lambda)
@@ -190,20 +192,15 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     kernel sign-integrals; the sweep evaluates that reduction rather than
     building the full 2-d density per cell; the (0, 0) cell equals
     ``clean_value`` bit for bit.  Per noise row the result records where
-    the value crosses the classical boundary 2.
+    the value crosses the classical boundary 2.  The result holds the value
+    lists ``s_grid`` and ``eps_grid`` as read-only float arrays.
     """
     from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
 
     if shape not in _SHAPES:
         raise ValidationError(f"shape must be one of {_SHAPES}, got {shape!r}")
-    s_grid = np.asarray(s_grid, dtype=float)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if s_grid.ndim != 1 or eps_grid.ndim != 1 or s_grid.size == 0 or eps_grid.size == 0:
-        raise ValidationError("s_grid and eps_grid must be nonempty 1-d arrays")
-    if np.any(s_grid < 0) or np.any(eps_grid < 0):
-        raise ValidationError("grid values must be nonnegative")
-    if not (np.all(np.isfinite(s_grid)) and np.all(np.isfinite(eps_grid))):
-        raise ValidationError("grid values must be finite")
+    s_grid = check_real_array(s_grid, "s_grid", 0, ndim=1)
+    eps_grid = check_real_array(eps_grid, "eps_grid", 0, ndim=1)
 
     best = optimize_chsh(schmidt_coeffs)
     config = BellConfig(schmidt_coeffs, *best.angles)

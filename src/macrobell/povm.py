@@ -186,8 +186,6 @@ class DerivedParams:
 
     Attributes
     ----------
-    a_matrix, a2_matrix : ndarray
-        First and second outcome-moment operators.
     mu : float
         Centering of the collective variable.
     tau : float
@@ -203,8 +201,6 @@ class DerivedParams:
         ``"half"`` or ``"one"``.
     """
 
-    a_matrix: np.ndarray
-    a2_matrix: np.ndarray
     mu: float
     tau: float
     sigma2: float
@@ -269,16 +265,7 @@ def derive_params(
     s2 = sigma2 / (tau * tau) - 1.0
     if -1e-10 < s2 < 0.0:
         s2 = 0.0
-    return DerivedParams(
-        a_matrix=a_matrix,
-        a2_matrix=a2_matrix,
-        mu=mu,
-        tau=tau,
-        sigma2=sigma2,
-        phi=phi,
-        s2=s2,
-        mode=mode,
-    )
+    return DerivedParams(mu=mu, tau=tau, sigma2=sigma2, phi=phi, s2=s2, mode=mode)
 
 
 def projective_from_bloch(theta: float, phi_bloch: float) -> SingleParticlePovm:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, check_alpha, check_integer
+from .errors import (CapExceededError, ValidationError, check_alpha, check_integer,
+                     check_real_array)
 from .finite_n import DickeSuperposition, moments_finite, pmf_finite, rotated_weights
 from .povm import DerivedParams, SingleParticlePovm, common_eigenbasis, derive_params
 
@@ -48,7 +49,8 @@ _DEGENERATE_VARIANCE = 1e-9
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Realizations of the rescaled collective variable, with provenance."""
+    """Realizations of the rescaled collective variable, with provenance:
+    ``n_samples`` finite values in a read-only 1-d array."""
 
     values: np.ndarray
     n_particles: int
@@ -56,11 +58,9 @@ class SampleBatch:
     n_samples: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != self.n_samples:
-            raise ValidationError("values must be a 1-d array of length n_samples")
-        v = v.copy()
-        v.flags.writeable = False
+        v = check_real_array(self.values, "values", ndim=1)
+        if v.size != self.n_samples:
+            raise ValidationError(f"values has {v.size} entries, not n_samples = {self.n_samples}")
         object.__setattr__(self, "values", v)
 
 
@@ -119,18 +119,11 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
 def ks_distance(batch: SampleBatch, cdf_evaluator) -> float:
     """Sup-norm distance between the batch's empirical CDF and a model CDF.
 
-    ``cdf_evaluator`` is called on the sorted sample array; a scalar-only
-    callable is applied elementwise.
+    ``cdf_evaluator`` is called once, on the sorted sample array, and its
+    result is broadcast to that array's shape.
     """
-    if batch.n_samples < 1:
-        raise ValidationError("batch is empty")
     xs = np.sort(batch.values)
-    try:
-        model = np.asarray(cdf_evaluator(xs), dtype=float)
-        if model.shape != xs.shape:
-            raise TypeError("shape mismatch")
-    except (TypeError, ValueError):
-        model = np.array([float(cdf_evaluator(x)) for x in xs])
+    model = np.broadcast_to(np.asarray(cdf_evaluator(xs), dtype=float), xs.shape)
     n = xs.size
     steps = np.arange(n, dtype=float)
     upper = np.max((steps + 1.0) / n - model)

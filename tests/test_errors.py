@@ -1,5 +1,5 @@
-"""The shared unit-coefficient, alpha, integer and real-parameter checks
-and the engines that apply them."""
+"""The shared unit-coefficient, alpha, integer, real-parameter, value-list
+and grid checks and the engines that apply them."""
 
 import math
 import re
@@ -7,21 +7,23 @@ import re
 import numpy as np
 import pytest
 
-from macrobell.bell import (BellConfig, bipartite_density_alpha_half, local_model_alpha_one,
-                            optimize_chsh, sign_overlap_table, smoothed_sign_overlap_table)
+from macrobell.bell import (BellConfig, JointGridDensity, bipartite_density_alpha_half,
+                            local_model_alpha_one, optimize_chsh, sign_overlap_table,
+                            smoothed_sign_overlap_table)
 from macrobell.cli import run
-from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_integer,
-                              check_real, check_real_array, check_unit_vector)
-from macrobell.finite_n import (DickeSuperposition, brute_force_char_fn, char_fn_finite,
-                                lattice_char_fn, moments_finite, pmf_finite)
-from macrobell.limits import (LimitState, default_real_grid, default_rotor_grid, gauss_legendre,
-                              hermite, level_kernels, limit_charfn_alpha_half,
-                              limit_density_alpha_one, oscillator_wavefunction, real_half_width,
+from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_grid,
+                              check_integer, check_real, check_real_array, check_unit_vector)
+from macrobell.finite_n import (DickeSuperposition, LatticePmf, brute_force_char_fn,
+                                char_fn_finite, lattice_char_fn, moments_finite, pmf_finite)
+from macrobell.limits import (GridDensity, LimitState, default_real_grid, default_rotor_grid,
+                              gauss_legendre, hermite, level_kernels, limit_charfn_alpha_half,
+                              limit_density_alpha_half, limit_density_alpha_one,
+                              oscillator_wavefunction, real_half_width, rotor_pushforward,
                               smeared_level_kernel, verify_hermite_lemma)
 from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_char_fn_finite,
-                             loss_width, lossy_povm)
+                             loss_width, lossy_povm, noisy_chsh_sweep)
 from macrobell.povm import derive_params, projective_from_bloch, validate_povm
-from macrobell.sampling import sample_outcomes, scaling_exponent
+from macrobell.sampling import SampleBatch, sample_outcomes, scaling_exponent
 
 SITES = {
     "DickeSuperposition": lambda c: DickeSuperposition(5, c),
@@ -238,9 +240,147 @@ def test_check_real_array_is_check_real_elementwise():
     assert values.dtype == np.float64 and values.tolist() == [1.0, 2.5, 0.5]
     assert check_real_array(3, "t").shape == () and check_real_array(3, "t") == 3.0
     for bad in ([0.0, math.nan], np.array([1.0, -math.inf]), np.array([True]), [1.0, None],
-                1j, "0.5", 10**400):
+                1j, "0.5", 10**400, [0.5, True], [[0.5], [np.True_]], [[0.5], [0.5, 1.0]]):
         with pytest.raises(ValidationError, match="t must be a finite scalar or an array"):
             check_real_array(bad, "t")
+
+
+def test_check_real_array_bounds_and_dimension():
+    values = check_real_array([0.0, 2.0], "eps", 0, 2, ndim=1)
+    assert values.tolist() == [0.0, 2.0] and not values.flags.writeable
+    check_real_array([0.5], "x", -1, 1, exclusive=True, ndim=1)
+    for bad, text in ((-0.1, r">= 0"), ([[0.0]], r"nonempty 1-d real array >= 0"),
+                      ([], r"nonempty 1-d real array >= 0")):
+        with pytest.raises(ValidationError, match=f"eps must be a finite .*{text}, got"):
+            check_real_array(bad, "eps", 0, ndim=None if np.ndim(bad) == 0 else 1)
+    for bad in ([-1.0, 0.0], [0.0, 1.0]):
+        with pytest.raises(ValidationError, match=r"x must be .* in \(-1, 1\), got"):
+            check_real_array(bad, "x", -1, 1, exclusive=True)
+
+
+def test_check_grid_points_and_order():
+    assert check_grid([1, 2], "g").tolist() == [1.0, 2.0]
+    assert check_grid([0.5], "values", points=1).tolist() == [0.5]
+    for bad in ([0.5], [1.0, 1.0], [2.0, 1.0], [0.0, math.nan]):
+        with pytest.raises(ValidationError, match="g must be a "):
+            check_grid(bad, "g")
+
+
+_G = np.array([0.1, 0.2, 0.3])
+_ROTOR = limit_density_alpha_one(_PAPER, 0.0)
+_ROTOR_OUT = np.array([-0.1, 0.2, 0.3])
+
+# site -> (parameter named in the message, call with the array, its kind, an
+# array with one value outside the domain or None).  A "grid" is a strictly
+# increasing axis of at least 2 points (LatticePmf values: 1), a "list" a
+# nonempty 1-d value list in any order, an "array" finite values of any shape.
+ARRAY_SITES = {
+    "GridDensity-grid": ("grid", lambda v: GridDensity(v, np.ones(3)), "grid", None),
+    "GridDensity-density": ("density", lambda v: GridDensity(_G, v), "array", None),
+    "JointGridDensity-x_grid": (
+        "x_grid", lambda v: JointGridDensity(v, _G, np.ones((3, 3))), "grid", None),
+    "JointGridDensity-y_grid": (
+        "y_grid", lambda v: JointGridDensity(_G, v, np.ones((3, 3))), "grid", None),
+    "JointGridDensity-density": ("density", lambda v: JointGridDensity(_G, _G, v), "array", None),
+    "LatticePmf-values": ("values", lambda v: LatticePmf(v, np.ones(3) / 3.0), "grid", None),
+    "LatticePmf-probs": ("probs", lambda v: LatticePmf(_G, v), "array", None),
+    "SampleBatch": ("values", lambda v: SampleBatch(v, 2, 0, np.size(v)), "list", None),
+    "limit_density_alpha_half": (
+        "grid", lambda v: limit_density_alpha_half(LimitState(_PAPER), v), "grid", None),
+    "limit_density_alpha_one": (
+        "theta_grid", lambda v: limit_density_alpha_one(_PAPER, 0.0, v), "grid", _ROTOR_OUT),
+    "rotor_pushforward": ("x_grid", lambda v: rotor_pushforward(_ROTOR, v), "grid",
+                          np.array([0.1, 0.2, 1.0])),
+    "bipartite_density_alpha_half-x_grid": (
+        "x_grid", lambda v: bipartite_density_alpha_half(BellConfig(_PAPER), x_grid=v),
+        "grid", None),
+    "bipartite_density_alpha_half-y_grid": (
+        "y_grid", lambda v: bipartite_density_alpha_half(BellConfig(_PAPER), y_grid=v),
+        "grid", None),
+    "local_model_alpha_one-theta_a": (
+        "theta_grids", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,
+                                                       (v, _G)), "grid", _ROTOR_OUT),
+    "local_model_alpha_one-theta_b": (
+        "theta_grids", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,
+                                                       (_G, v)), "grid", _ROTOR_OUT),
+    "noisy_chsh_sweep-s_grid": (
+        "s_grid", lambda v: noisy_chsh_sweep(_PAPER, v, [0.0]), "list", np.array([0.1, -0.2])),
+    "noisy_chsh_sweep-eps_grid": (
+        "eps_grid", lambda v: noisy_chsh_sweep(_PAPER, [0.0], v), "list", np.array([0.1, -0.2])),
+}
+
+_ELEMENT_CASES = {
+    "nan": np.array([0.1, math.nan, 0.3]),
+    "inf": np.array([0.1, 0.2, math.inf]),
+    "bool": np.array([False, True, True]),
+    "bool-in-list": [0.1, 0.2, True],
+    "complex": _G.astype(complex),
+    "strings": _G.astype(str),
+}
+
+
+def _array_cases(site):
+    _, _, kind, outside = ARRAY_SITES[site]
+    cases = dict(_ELEMENT_CASES)
+    if kind != "array":
+        cases["2-d"] = np.stack([_G, _G])
+        points = 1 if kind == "list" or site == "LatticePmf-values" else 2
+        cases["too-few"] = _G[:points - 1]
+    if kind == "grid":
+        cases["not-increasing"] = _G[::-1]
+    if outside is not None:
+        cases["out-of-domain"] = outside
+    return [(site, case, bad) for case, bad in cases.items()]
+
+
+_ARRAY_CASES = [case for site in sorted(ARRAY_SITES) for case in _array_cases(site)]
+
+
+# At the parent several of these passed (True as 1, the string "0.1" as 0.1)
+# or raised GridTooNarrowError, a raw TypeError, or named the wrong rule.
+@pytest.mark.parametrize("site, bad", [(site, bad) for site, _, bad in _ARRAY_CASES],
+                         ids=[f"{site}-{case}" for site, case, _ in _ARRAY_CASES])
+def test_every_array_input_is_checked_in_errors(site, bad):
+    name, call, _, _ = ARRAY_SITES[site]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be a ")):
+        call(bad)
+
+
+def test_accepted_array_inputs_stay_accepted():
+    # decreasing and single-point value lists, numpy float32 and int arrays
+    sweep = noisy_chsh_sweep(_PAPER, np.array([0.2, 0.0], dtype=np.float32), [1])
+    assert sweep.chsh.shape == (1, 2)
+    # a rotor grid up to pi + 1e-12, a one-point lattice, slightly negative probabilities
+    limit_density_alpha_one(_PAPER, 0.0, np.linspace(0.0, math.pi + 1e-12, 11))
+    local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,
+                          (np.arange(4), np.linspace(0.0, math.pi + 1e-12, 5)))
+    LatticePmf(np.array([0.0]), np.array([1.0]))
+    LatticePmf(np.array([0.0, 1.0]), np.array([1.0 + 1e-17, -1e-17]))
+
+
+# record -> (build it from the caller's arrays, those arrays, the array fields)
+RECORDS = {
+    "GridDensity": (GridDensity, (_G, np.ones(3)), ("grid", "density")),
+    "JointGridDensity": (JointGridDensity, (_G, _G, np.ones((3, 3))),
+                         ("x_grid", "y_grid", "density")),
+    "LatticePmf": (LatticePmf, (_G, np.ones(3) / 3.0), ("values", "probs")),
+    "SampleBatch": (lambda v: SampleBatch(v, 2, 0, 3), (_G,), ("values",)),
+    "DickeSuperposition": (lambda c: DickeSuperposition(5, c), (_PAPER,), ("coeffs",)),
+    "LimitState": (LimitState, (_PAPER,), ("coeffs",)),
+    "BellConfig": (BellConfig, (_PAPER,), ("schmidt_coeffs",)),
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_records_hold_read_only_copies(record):
+    build, inputs, fields = RECORDS[record]
+    caller = [np.array(a) for a in inputs]
+    built = build(*caller)
+    for field in fields:
+        value = getattr(built, field)
+        assert not value.flags.writeable, field
+        assert not any(np.shares_memory(value, a) for a in caller), field
+    assert all(a.flags.writeable for a in caller)
 
 
 def test_alpha_flag_rejected(capsys):

@@ -1,10 +1,11 @@
 """The package root re-exports every public engine name, no module
-reaches into another module's private helpers or checks integers and
-finite reals outside ``errors``, no module imports scipy, not even inside
-a function, and no command loads it."""
+reaches into another module's private helpers or checks integers, finite
+reals or increasing grids outside ``errors``, no module imports scipy, not
+even inside a function, and no command loads it."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,8 @@ def test_no_module_imports_private_names_of_another():
 
 
 def test_only_errors_checks_integers_and_finite_reals():
-    # check_integer and check_real in errors.py are the one place for both rules.
+    # check_integer, check_real and check_grid in errors.py are the one place
+    # for these rules; a larger step, such as np.diff(...) > 1, is numerics.
     banned = {("math", "isfinite"), ("np", "integer"), ("numpy", "integer")}
 
     def offence(node):
@@ -57,6 +59,9 @@ def test_only_errors_checks_integers_and_finite_reals():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if (node.value.id, node.attr) in banned:
                 return f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Compare):
+            if re.fullmatch(r"(np|numpy)\.diff\(.*\) > 0", ast.unparse(node)):
+                return ast.unparse(node)
         return None
 
     offenders = []
