@@ -379,8 +379,13 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
         )
     if theta_grids is None:
         theta_grids = (np.linspace(0.0, np.pi, 201), np.linspace(0.0, np.pi, 201))
+    try:
+        theta_a, theta_b = theta_grids
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValidationError(
+            f"theta_grids must be a pair of grids, got {theta_grids!r}") from None
     theta_a, theta_b = (check_grid(grid, "theta_grids", 0.0, ROTOR_ANGLE_MAX)
-                        for grid in theta_grids)
+                        for grid in (theta_a, theta_b))
 
     d_a, d_b = c.shape
     ka = np.arange(d_a)

@@ -7,6 +7,12 @@ JSON error object goes to stderr.  Output files are written atomically
 (temp file in the target directory, then rename), so a crashed run never
 leaves a truncated artifact.
 
+CSV artifacts hold every float as its ``%.17e`` text (18 significant
+digits) and every integer as its ``%d`` text.  They are built and written
+in blocks of ``_CSV_BLOCK_ROWS`` rows, to the temp file or to stdout, so
+the whole text is never held in memory; numpy builds the digits, and the
+bytes are those of formatting every value in Python.
+
 Each input is parsed once, by the handler that uses it.  argparse binds
 every subcommand to its handler and passes it the namespace.  The parser
 that owns an option's grammar also reads the file the option names:
@@ -54,6 +60,24 @@ _STATE_PRESETS = {"w": ((1.0,), 1), "paper": (_PAPER_COEFFS, 0)}
 
 _CSV_SIG_DIGITS = 18
 
+#: Rows the CSV writer formats and writes at a time, so an artifact's text is
+#: never held in memory whole.
+_CSV_BLOCK_ROWS = 4096
+
+#: Bytes per CSV cell before its pads are dropped: the widest ``%.17e`` text
+#: (25), two pads and the separator, as seven 4-byte words.  Text formatted
+#: by Python fills the first 27 bytes (``%-27``).
+_CELL_BYTES = 28
+_PAD = ord(" ")
+
+#: Float cells whose magnitude lies in this range get their digits from
+#: numpy; every other nonzero cell (subnormals, the extremes, inf and nan) is
+#: formatted by Python.  In this range 10**(17 - e), its low part and the
+#: 2**27 + 1 split products stay normal and finite.  ``floor(log10|x|)`` of
+#: such a cell lies in [_EXP_MIN, _EXP_MAX], one wider for rounding of the log.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_EXP_MIN, _EXP_MAX = -281, 280
+
 
 def _fmt(x: float) -> str:
     """One float, 18 significant digits, exponent notation."""
@@ -96,12 +120,15 @@ def _apply_thread_cap(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text ``chunks`` to a temp file beside ``path`` and rename it
+    over ``path`` once the last chunk is written; on any failure the temp
+    file is removed and ``path`` keeps its old bytes."""
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".macrobell-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -111,26 +138,146 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _deliver(args: argparse.Namespace, text: str, summary: dict | None = None) -> None:
-    """Write the artifact; with a file target, the summary goes to stdout."""
+def _deliver(args: argparse.Namespace, chunks, summary: dict | None = None) -> None:
+    """Write the artifact's text ``chunks``; with a file target, the summary
+    goes to stdout."""
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _write_atomic(args.out, text)
+        _write_atomic(args.out, chunks)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-def _csv_text(header, *columns) -> str:
-    """Header plus one row per index of the equal-length ``columns``, all rows
-    rendered by one ``%`` template: ``%d`` for integer columns, else the
-    ``_fmt`` text (-0.0, subnormals, inf and nan included)."""
+def _pow10_parts(k: int):
+    """10**k as hi + lo: hi the double nearest to it, lo the double nearest
+    to the rest, both from exact integers (int / int is correctly rounded)."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _split(x):
+    """Dekker's split of doubles into 26-bit halves: x = high + low exactly."""
+    scaled = 134217729.0 * x  # 2**27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _exact_product(a, b):
+    """Dekker's product: a * b = head + err exactly, head the rounded product."""
+    head = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return head, ((a_hi * b_hi - head) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _float_cells(x, words, tables, scale):
+    """Write the ``%.17e`` text of the float64 values ``x`` into ``words``,
+    their (len(x), 7) cell words, and return the mask of the nonzero cells
+    left to Python (a zero's text comes out of the digit route).
+
+    With e = floor(log10|x|), y = |x| * 10**(17 - e) lies in [1e17, 1e18) and
+    its 18 digits are y rounded to an integer.  y is taken as a double-double
+    (the exact product of |x| and hi, plus |x| * lo; ``scale`` holds hi and
+    lo of each power, filled on first use), so its fraction is known
+    to ~1e-13; a cell whose fraction lies within 1e-6 of a rounding tie, whose
+    unrounded y falls outside [1e17, 1e18) or rounds up to 1e18, or whose
+    magnitude lies outside [_FAST_MIN, _FAST_MAX] goes to Python instead.
+    """
+    import numpy as np
+
+    quads, lead, expo = tables
+    mag = np.abs(x)
+    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    mag = np.where(fast, mag, 1.0)
+    exp_index = np.floor(np.log10(mag)).astype(np.intp) - _EXP_MIN
+    hi_table, lo_table = scale
+    for i in set(exp_index[np.isnan(hi_table[exp_index])].tolist()):  # np.unique imports numpy.ma
+        hi_table[i], lo_table[i] = _pow10_parts(17 - _EXP_MIN - i)
+    head, err = _exact_product(mag, hi_table[exp_index])
+    tail = err + mag * lo_table[exp_index]
+    whole = np.floor(tail)
+    frac = tail - whole
+    # head is an integer-valued double (>= 2**53); the clamp keeps a cell
+    # whose log was one off inside int64
+    unrounded = np.minimum(head, 2e18).astype(np.int64) + whole.astype(np.int64)
+    digits = unrounded + (frac > 0.5)
+    fast &= (unrounded >= 10**17) & (digits < 10**18) & (np.abs(frac - 0.5) > 1e-6)
+    digits = np.where(fast, digits, 0)  # with e = 0 (mag 1), the text of a zero
+    # floor division by a constant is fast in numpy and divmod is not
+    top = digits // 10**16
+    words[:, 0] = lead[top + 100 * np.signbit(x)]
+    digits -= top * 10**16
+    for col, power in enumerate((10**12, 10**8, 10**4), start=1):
+        quad = digits // power
+        words[:, col] = quads[quad]
+        digits -= quad * power
+    words[:, 4] = quads[digits]
+    words[:, 5] = expo[0][exp_index]
+    words[:, 6] = expo[1][exp_index]
+    return ~fast & (x != 0.0)
+
+
+def _csv_tables():
+    """4-byte cell words: the digits of 0..9999; sign, first digit, point and
+    second digit of 0..99 (+ 100 for a minus); and two rows of words, the
+    exponent text of each e in [_EXP_MIN, _EXP_MAX] padded to 8 bytes."""
+    import numpy as np
+
+    ten = np.frombuffer(b"0123456789", dtype=np.uint8)
+    quads = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1)
+    lead = b"".join(b"%c%d.%d" % (sign, i // 10, i % 10) for sign in b" -" for i in range(100))
+    expo = b"".join(b"%-8s" % (b"e%+03d" % e) for e in range(_EXP_MIN, _EXP_MAX + 1))
+    return (quads.view(np.uint32).ravel(), np.frombuffer(lead, dtype=np.uint32),
+            np.frombuffer(expo, dtype=np.uint32).reshape(-1, 2).T.copy())
+
+
+def _python_cells(template: str, values: list):
+    """Python's ``template % value`` text of each value, as a (len, 27) byte
+    array; the template pads every text to exactly 27 characters."""
+    import numpy as np
+
+    text = (template * len(values) % tuple(values)).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(-1, 27)
+
+
+def _csv_blocks(header, *columns):
+    """The CSV text of ``header`` and one row per index of the equal-length
+    ``columns``: the header line, then blocks of ``_CSV_BLOCK_ROWS`` rows.
+
+    Every float cell is its ``_fmt`` text (-0.0, subnormals, inf and nan
+    included) and every integer cell its ``%d`` text, byte for byte.  numpy
+    lays each block out as fixed-width cells padded with spaces
+    (``_float_cells`` writes the digits), Python's ``%`` fills the float
+    cells it leaves, in one call per block, and each integer column, and
+    one mask drops the pads.
+    """
     import numpy as np
 
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else f"%.{_CSV_SIG_DIGITS - 1}e" for c in columns)
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    return ",".join(header) + "\n" + (row + "\n") * len(columns[0]) % values
+    integer = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
+    tables = _csv_tables()
+    scale = np.full((2, _EXP_MAX - _EXP_MIN + 1), np.nan)
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
+        # integer columns ride along as floats and are overwritten below
+        values = np.column_stack(block).astype(np.float64, copy=False).ravel()
+        words = np.empty((values.size, _CELL_BYTES // 4), dtype=np.uint32)
+        slow = _float_cells(values, words, tables, scale)
+        cells = words.view(np.uint8).reshape(len(block[0]), len(columns), _CELL_BYTES)
+        slow.reshape(cells.shape[:2])[:, integer] = False
+        slow = np.flatnonzero(slow)
+        if slow.size:
+            cells.reshape(-1, _CELL_BYTES)[slow, :27] = _python_cells(
+                f"%-27.{_CSV_SIG_DIGITS - 1}e", values[slow].tolist())
+        for j in integer:
+            cells[:, j, :27] = _python_cells("%-27d", block[j].tolist())
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        flat = cells.reshape(-1)
+        yield str(memoryview(flat[flat != _PAD]), "ascii")
 
 
 def _json_text(obj) -> str:
@@ -320,7 +467,7 @@ def _cmd_dist(args: argparse.Namespace) -> None:
 
     alpha, povm, params, levels = _finite_inputs(args)
     pmf = pmf_finite(DickeSuperposition(args.n, *levels), povm, params, alpha)
-    _deliver(args, _csv_text(("x", "prob"), pmf.values, pmf.probs),
+    _deliver(args, _csv_blocks(("x", "prob"), pmf.values, pmf.probs),
              summary={"points": pmf.values.size, "total_prob": float(pmf.probs.sum())})
 
 
@@ -346,7 +493,7 @@ def _cmd_limit(args: argparse.Namespace) -> None:
         grid = None if args.points is None else default_rotor_grid(args.points)
         density = limit_density_alpha_one(coeffs, phi, theta_grid=grid)
         header = ("theta", "density")
-    _deliver(args, _csv_text(header, density.grid, density.density),
+    _deliver(args, _csv_blocks(header, density.grid, density.density),
              summary={"points": density.grid.size, "integral": density.integral()})
 
 
@@ -374,7 +521,7 @@ def _cmd_chsh(args: argparse.Namespace) -> None:
         "correlators": {pair: correlator(bell_config, pair) for pair in PAIR_NAMES},
         "optimized": bool(args.optimize),
     }
-    _deliver(args, _json_text(payload), summary={"value": payload["value"]})
+    _deliver(args, [_json_text(payload)], summary={"value": payload["value"]})
 
 
 def _cmd_local_model(args: argparse.Namespace) -> None:
@@ -391,7 +538,7 @@ def _cmd_local_model(args: argparse.Namespace) -> None:
     theta_a, theta_b = np.meshgrid(quantum.x_grid, quantum.y_grid, indexing="ij")
     q, c = quantum.density.ravel(), lhv.density.ravel()
     _deliver(args,
-             _csv_text(("theta_a", "theta_b", "quantum", "lhv", "abs_diff"),
+             _csv_blocks(("theta_a", "theta_b", "quantum", "lhv", "abs_diff"),
                        theta_a.ravel(), theta_b.ravel(), q, c, np.abs(q - c)),
              summary={"max_discrepancy": result.max_discrepancy})
 
@@ -410,7 +557,7 @@ def _cmd_noise_sweep(args: argparse.Namespace) -> None:
         _fmt(eps): (None if math.isnan(t) else t)
         for eps, t in zip(result.eps_grid, result.threshold_s)
     }
-    _deliver(args, _csv_text(("s", "eps", "chsh"), s_column.ravel(),
+    _deliver(args, _csv_blocks(("s", "eps", "chsh"), s_column.ravel(),
                                eps_column.ravel(), result.chsh.ravel()),
              summary={"clean_value": result.clean_value,
                       "angles": list(result.angles),
@@ -432,7 +579,7 @@ def _cmd_channel(args: argparse.Namespace) -> None:
         "noise": {"loss_p": noise.loss_p, "depol_lambda": noise.depol_lambda,
                   "dephase_lambda": noise.dephase_lambda},
     }
-    _deliver(args, _json_text(payload), summary={"s_squared": result.s_squared})
+    _deliver(args, [_json_text(payload)], summary={"s_squared": result.s_squared})
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
@@ -450,8 +597,8 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "mu": params.mu,
         "tau": params.tau,
     }
-    _write_atomic(args.out + ".meta.json", _json_text(sidecar))
-    _deliver(args, _csv_text(("x",), batch.values), summary=sidecar)
+    _write_atomic(args.out + ".meta.json", [_json_text(sidecar)])
+    _deliver(args, _csv_blocks(("x",), batch.values), summary=sidecar)
 
 
 def _cmd_converge(args: argparse.Namespace) -> None:
@@ -480,7 +627,7 @@ def _cmd_converge(args: argparse.Namespace) -> None:
     ks = [ks_distance(sample_outcomes(state, povm, params, alpha, args.n_samples, args.seed),
                       limit.cdf)
           for state in states]
-    _deliver(args, _csv_text(("N", "ks"), n_values, ks),
+    _deliver(args, _csv_blocks(("N", "ks"), n_values, ks),
              summary={"n_values": n_values, "n_samples": args.n_samples})
 
 

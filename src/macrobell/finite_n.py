@@ -546,9 +546,11 @@ def lattice_char_fn(values, weights, t):
     """Fourier sum ``sum_m weights[m] exp(i t values[m])`` of a law on the
     equally spaced points ``values``.
 
-    ``weights`` are the masses of the points (they sum to 1), so the value
-    at ``t = 0`` is exactly 1; ``t`` is a finite real or an array of them,
-    and the result is complex with the shape of ``t``.  With point index
+    ``values`` is a strictly increasing 1-d array (one point or more) and
+    ``weights`` a 1-d value list of the same size, the masses of the points
+    (they sum to 1), so the value at ``t = 0`` is exactly 1; ``t`` is a
+    finite real or an array of them, and the result is complex with the
+    shape of ``t``.  With point index
     ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, ``exp(i t x_m)`` factors
     into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is a
     (T x B) @ (B x L/B) product, taken as two real ones (cos and sin; a
@@ -556,7 +558,11 @@ def lattice_char_fn(values, weights, t):
     dot: O(T sqrt(L)) exponentials and memory for T values of t.
     """
     t_arr = np.atleast_1d(check_real_array(t, "t"))
-    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    values = check_grid(values, "values", points=1)
+    weights = check_real_array(weights, "weights", ndim=1)
+    if values.size != weights.size:
+        raise ValidationError(f"values and weights must have equal sizes, "
+                              f"got {values.size} and {weights.size}")
     block = math.isqrt(weights.size - 1) + 1
     blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
     phase = np.outer(t_arr, values[:block] - values[0])

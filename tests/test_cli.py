@@ -10,7 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from macrobell.cli import _csv_text, _fmt, run
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from macrobell.cli import _CSV_BLOCK_ROWS, _csv_blocks, _fmt, _write_atomic, run
+from macrobell.errors import NumericError
+from macrobell.finite_n import DickeSuperposition, pmf_finite
+from macrobell.povm import derive_params, projective_from_bloch
 
 from conftest import CHSH_OPTIMUM
 
@@ -49,15 +55,86 @@ def reference_csv(header, *columns) -> str:
     return buffer.getvalue()
 
 
+def assert_same_lines(text, expected):
+    """``text == expected``, reporting the first differing line: pytest's own
+    diff of two long strings takes minutes."""
+    lines, wanted = text.split("\n"), expected.split("\n")
+    same = lines == wanted
+    row = next((i for i, (a, b) in enumerate(zip(lines, wanted)) if a != b),
+               min(len(lines), len(wanted)))
+    assert same, f"line {row}: {lines[row:row + 1]} != {wanted[row:row + 1]}"
+
+
 EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, np.inf, -np.inf, np.nan, 1.7e308])
+# exact 19-digit expansions ending in 5, ties that %.17e rounds to even; and
+# 1e153, whose double lies 0.27 units of the 18th digit below 10**153
+HARD_ROUNDINGS = np.array([1000000000000000.125, 1000000000000000.375, -1000000000000000.625,
+                           1125899906842623.875, 100000000000000.0625, 1e153, -1e153])
 
 
 @pytest.mark.parametrize("header, columns", [
     (("N", "ks"), (np.array([400]), np.array([-0.0]))),
     (("a", "b", "n"), (EDGE_FLOATS, -EDGE_FLOATS[::-1], np.arange(7) * 100 - 300)),
-], ids=["single-row", "three-columns"])
+    (("x",), (HARD_ROUNDINGS,)),
+], ids=["single-row", "three-columns", "hard-roundings"])
 def test_csv_text_is_byte_equal_to_csv_writer(header, columns):
-    assert _csv_text(header, *columns) == reference_csv(header, *columns)
+    assert "".join(_csv_blocks(header, *columns)) == reference_csv(header, *columns)
+
+
+def _ulps_from_powers_of_ten(offsets):
+    """10**k (as parsed) moved by d units in the last place, per (k, d)."""
+    bits = np.array([float(f"1e{k}") for k, _ in offsets]).view(np.int64)
+    return (bits + np.array([d for _, d in offsets], dtype=np.int64)).view(np.float64)
+
+
+# Each column is a short drawn list repeated to the row count, so the row
+# counts straddle the block size without drawing thousands of values.  The
+# reference at 4097 rows takes ~25 ms, so a failure is reported unshrunk.
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(floats=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=30),
+       bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30),
+       offsets=st.lists(st.tuples(st.integers(-300, 300), st.integers(-2, 2)),
+                        min_size=1, max_size=30),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=30),
+       negate=st.booleans(),
+       rows=st.sampled_from([1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]))
+def test_joined_blocks_are_the_reference_csv(floats, bits, offsets, ints, negate, rows):
+    near_powers = _ulps_from_powers_of_ten(offsets) * (-1.0 if negate else 1.0)
+    columns = [np.resize(np.array(floats), rows),
+               np.resize(np.array(bits, dtype=np.uint64).view(np.float64), rows),
+               np.resize(np.array(ints, dtype=np.int64), rows),
+               np.resize(near_powers, rows)]
+    header = ("floats", "bits", "ints", "near_powers")
+    blocks = list(_csv_blocks(header, *columns))
+    assert_same_lines("".join(blocks), reference_csv(header, *columns))
+    assert blocks[0] == "floats,bits,ints,near_powers\n"
+    assert [block.count("\n") for block in blocks[1:]] == \
+        [min(_CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, _CSV_BLOCK_ROWS)]
+
+
+def test_failed_stream_keeps_the_old_artifact(tmp_path):
+    target = tmp_path / "pmf.csv"
+    target.write_bytes(b"old bytes\n")
+
+    def blocks():
+        yield "x,prob\n"
+        raise NumericError("the second block failed")
+
+    with pytest.raises(NumericError):
+        _write_atomic(str(target), blocks())
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pmf.csv"]
+
+
+def test_dist_without_out_writes_every_row_to_stdout(capsys):
+    n = _CSV_BLOCK_ROWS + 10
+    out = run_ok(capsys, ["dist", "--N", str(n), "--povm", "sx", "--state", "paper"])
+    sx = projective_from_bloch(math.pi / 2.0, 0.0)
+    paper = np.array([2.0, math.sqrt(5.0), 1.0]) / math.sqrt(10.0)
+    pmf = pmf_finite(DickeSuperposition(n, paper), sx, derive_params(sx), 0.5)
+    assert pmf.values.size > _CSV_BLOCK_ROWS
+    assert_same_lines(out, reference_csv(("x", "prob"), pmf.values, pmf.probs))
 
 
 class TestChsh:

@@ -272,7 +272,7 @@ _ROTOR_OUT = np.array([-0.1, 0.2, 0.3])
 
 # site -> (parameter named in the message, call with the array, its kind, an
 # array with one value outside the domain or None).  A "grid" is a strictly
-# increasing axis of at least 2 points (LatticePmf values: 1), a "list" a
+# increasing axis of at least 2 points (lattice values: 1), a "list" a
 # nonempty 1-d value list in any order, an "array" finite values of any shape.
 ARRAY_SITES = {
     "GridDensity-grid": ("grid", lambda v: GridDensity(v, np.ones(3)), "grid", None),
@@ -297,6 +297,9 @@ ARRAY_SITES = {
     "bipartite_density_alpha_half-y_grid": (
         "y_grid", lambda v: bipartite_density_alpha_half(BellConfig(_PAPER), y_grid=v),
         "grid", None),
+    "lattice_char_fn-values": (
+        "values", lambda v: lattice_char_fn(v, np.ones(3) / 3.0, 1.0), "grid", None),
+    "lattice_char_fn-weights": ("weights", lambda v: lattice_char_fn(_G, v, 1.0), "list", None),
     "local_model_alpha_one-theta_a": (
         "theta_grids", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,
                                                        (v, _G)), "grid", _ROTOR_OUT),
@@ -319,12 +322,15 @@ _ELEMENT_CASES = {
 }
 
 
+_ONE_POINT_GRIDS = {"LatticePmf-values", "lattice_char_fn-values"}
+
+
 def _array_cases(site):
     _, _, kind, outside = ARRAY_SITES[site]
     cases = dict(_ELEMENT_CASES)
     if kind != "array":
         cases["2-d"] = np.stack([_G, _G])
-        points = 1 if kind == "list" or site == "LatticePmf-values" else 2
+        points = 1 if kind == "list" or site in _ONE_POINT_GRIDS else 2
         cases["too-few"] = _G[:points - 1]
     if kind == "grid":
         cases["not-increasing"] = _G[::-1]
@@ -356,6 +362,19 @@ def test_accepted_array_inputs_stay_accepted():
                           (np.arange(4), np.linspace(0.0, math.pi + 1e-12, 5)))
     LatticePmf(np.array([0.0]), np.array([1.0]))
     LatticePmf(np.array([0.0, 1.0]), np.array([1.0 + 1e-17, -1e-17]))
+
+
+# At the parent, unequal sizes broadcast into a wrong sum, and a theta_grids
+# that is not a pair raised a bare ValueError or TypeError.
+@pytest.mark.parametrize("name, call", [
+    ("values and weights", lambda: lattice_char_fn(_G, np.ones(2) / 2.0, 1.0)),
+    ("theta_grids", lambda: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,
+                                                  (_G, _G, _G))),
+    ("theta_grids", lambda: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0, 0.5)),
+], ids=["unequal-sizes", "grid-triple", "grid-scalar"])
+def test_array_arities_are_checked(name, call):
+    with pytest.raises(ValidationError, match=f"{name} must "):
+        call()
 
 
 # record -> (build it from the caller's arrays, those arrays, the array fields)
