@@ -65,9 +65,7 @@ _EXPORTS = {
     "GridDensity": "limits",
     "LimitState": "limits",
     "hermite": "limits",
-    "oscillator_wavefunction": "limits",
-    "level_kernels": "limits",
-    "smeared_level_kernel": "limits",
+    "level_rows": "limits",
     "gauss_legendre": "limits",
     "real_half_width": "limits",
     "default_real_grid": "limits",
@@ -87,7 +85,6 @@ _EXPORTS = {
     "OptimizeResult": "bell",
     "optimize_chsh": "bell",
     "JointGridDensity": "bell",
-    "bipartite_density_alpha_half": "bell",
     "LocalModelResult": "bell",
     "local_model_alpha_one": "bell",
     # noise

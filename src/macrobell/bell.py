@@ -6,15 +6,15 @@ that reduce to a bilinear form in a fixed table of sign-weighted level
 overlaps: one trigonometric polynomial of the angle sum, with closed-form
 derivatives, that every CHSH number evaluates at the four pair sums.  This
 module builds that table, evaluates and maximizes the CHSH combination over
-the four analyzer angles, constructs the joint (x, y) density at
-square-root coarse graining, and cross-checks the full coarse-graining
-branch against its separable hidden-variable construction.
+the four analyzer angles, and cross-checks the full coarse-graining branch
+against its separable hidden-variable construction.
 
-The table's quadrature is ``limits.gauss_legendre`` and the joint densities
-integrate by the trapezoid rule, so the module needs numpy alone.  Every
-grid a caller passes goes through ``errors.check_grid`` (the rotor grids
-inside [0, ``limits.ROTOR_ANGLE_MAX``]), and ``JointGridDensity`` holds its
-axes and finite density as read-only arrays.
+The table contracts the Hermite rows of ``limits.level_rows`` against
+half-line ``limits.gauss_legendre`` weights in one matrix product, and the
+rotor joints integrate by the trapezoid rule, so the module needs numpy
+alone.  Every grid a caller passes goes through ``errors.check_grid`` (the
+rotor grids inside [0, ``limits.ROTOR_ANGLE_MAX``]); ``SignOverlapTable``
+and ``JointGridDensity`` hold their finite arrays read-only.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CapExceededError, GridTooNarrowError, NegativeDensityError,
-                     ValidationError, check_grid, check_integer, check_real, check_real_array,
-                     check_unit_vector)
-from .limits import (BOUNDARY_MASS_TOL, ROTOR_ANGLE_MAX, GridDensity, default_real_grid,
-                     gauss_legendre, level_kernels, real_half_width)
+from .errors import (CapExceededError, ValidationError, check_grid, check_integer, check_real,
+                     check_real_array, check_unit_vector)
+from .limits import ROTOR_ANGLE_MAX, gauss_legendre, level_rows, real_half_width
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -66,13 +64,16 @@ class SignOverlapTable:
     ``values[k, l]`` holds the integral of sign(x) (or of a smoothed odd
     step) times the level-(k, l) kernel.  Entries with k + l even vanish by
     parity and are set to exactly zero; the odd entries come from half-line
-    Gauss-Legendre quadrature.
+    Gauss-Legendre quadrature.  ``values`` must be a finite square table,
+    and is held as a read-only copy.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = check_real_array(self.values, "values", ndim=2)
+        if v.shape[0] != v.shape[1]:
+            raise ValidationError(f"values must be a square table, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -92,18 +93,18 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int)
         if hi > lo:
             x.append(lo + 0.5 * (hi - lo) * (t + 1.0))
             weights.append(0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x[-1])))
-    x, weights = np.concatenate(x), np.concatenate(weights)
-    table = 2.0 * (level_kernels(k_max, x, width) @ weights)
+    rows = level_rows(k_max, np.concatenate(x), width)  # (d, Hermite nodes, points)
+    # sum_p K_kl(x_p) w_p = sum over (node j, point p) of row_k[j, p] w_p row_l[j, p]
+    table = 2.0 * ((rows * np.concatenate(weights)).reshape(k_max + 1, -1)
+                   @ rows.reshape(k_max + 1, -1).T)
     k = np.arange(k_max + 1)
     table[(k[:, None] + k[None, :]) % 2 == 0] = 0.0
     return table
 
 
 @lru_cache(maxsize=32)
-def _sign_overlap_values(k_max: int, nodes: int) -> np.ndarray:
-    table = _half_line_overlaps(k_max, 0.0, 0.0, None, nodes)
-    table.flags.writeable = False
-    return table
+def _sign_overlap_table(k_max: int, nodes: int) -> SignOverlapTable:
+    return SignOverlapTable(_half_line_overlaps(k_max, 0.0, 0.0, None, nodes))
 
 
 def sign_overlap_table(k_max: int, nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
@@ -128,7 +129,7 @@ def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.
     k_max, nodes = check_integer(k_max, "k_max", 0), check_integer(nodes, "nodes", 1)
     width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)
     if width == 0.0 and edge == 0.0:
-        return SignOverlapTable(_sign_overlap_values(k_max, nodes))
+        return _sign_overlap_table(k_max, nodes)
     return SignOverlapTable(_half_line_overlaps(k_max, width, edge, ramp, nodes))
 
 
@@ -177,6 +178,16 @@ def _pair_correlation(coeffs: np.ndarray, squared_table: np.ndarray, phase_sum,
     return np.real(phases @ cross)
 
 
+def _squared_table(config: BellConfig, table: SignOverlapTable | None) -> np.ndarray:
+    """Squared entries of ``table``, by default the sign table of the state's levels."""
+    if table is None:
+        table = sign_overlap_table(config.k_max)
+    if table.k_max < config.k_max:
+        raise ValidationError(f"the overlap table holds levels up to {table.k_max}, "
+                              f"the state up to {config.k_max}")
+    return table.values**2
+
+
 def _chsh_terms(coeffs: np.ndarray, squared_table: np.ndarray, angles,
                 order: int = 0) -> np.ndarray:
     """The four signed CHSH terms, or their ``order``-th derivatives in the pair sums."""
@@ -195,17 +206,15 @@ def correlator(config: BellConfig, which_pair: str = "AB",
         raise ValidationError(
             f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}"
         )
-    if table is None:
-        table = sign_overlap_table(config.k_max)
     phase_sum = _PAIR_SUMS[PAIR_NAMES.index(which_pair)] @ config.angles
-    return float(_pair_correlation(config.schmidt_coeffs, table.values**2, phase_sum))
+    return float(_pair_correlation(config.schmidt_coeffs, _squared_table(config, table),
+                                   phase_sum))
 
 
 def chsh_value(config: BellConfig, table: SignOverlapTable | None = None) -> float:
     """CHSH combination <AB> + <AB'> + <A'B> - <A'B'>."""
-    if table is None:
-        table = sign_overlap_table(config.k_max)
-    return float(_chsh_terms(config.schmidt_coeffs, table.values**2, config.angles).sum())
+    return float(_chsh_terms(config.schmidt_coeffs, _squared_table(config, table),
+                             config.angles).sum())
 
 
 class OptimizeResult(NamedTuple):
@@ -272,16 +281,12 @@ def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
 @dataclass(frozen=True)
 class JointGridDensity:
     """Finite joint probability density sampled on a rectangular grid of two
-    strictly increasing axes; all three arrays are read-only.
-
-    ``domain`` is "plane" for the (x, y) readout densities and "rotor" for
-    joints over a pair of angles in [0, pi].
-    """
+    strictly increasing axes, such as the rotor angle pairs of
+    ``local_model_alpha_one``; all three arrays are read-only."""
 
     x_grid: np.ndarray
     y_grid: np.ndarray
     density: np.ndarray
-    domain: str = "plane"
 
     def __post_init__(self):
         gx, gy = check_grid(self.x_grid, "x_grid"), check_grid(self.y_grid, "y_grid")
@@ -296,58 +301,6 @@ class JointGridDensity:
         """Trapezoid integral; on a uniform rotor grid it is exact, as the
         joint is an even trigonometric polynomial in each angle."""
         return float(np.trapezoid(np.trapezoid(self.density, self.y_grid, axis=1), self.x_grid))
-
-    def marginal_x(self) -> GridDensity:
-        domain = "rotor_half_circle" if self.domain == "rotor" else "real_line"
-        return GridDensity(self.x_grid, np.trapezoid(self.density, self.y_grid, axis=1),
-                           domain=domain)
-
-    def marginal_y(self) -> GridDensity:
-        domain = "rotor_half_circle" if self.domain == "rotor" else "real_line"
-        return GridDensity(self.y_grid, np.trapezoid(self.density, self.x_grid, axis=0),
-                           domain=domain)
-
-
-def bipartite_density_alpha_half(config: BellConfig, x_grid=None, y_grid=None, *,
-                                 width_a: float = 0.0, width_b: float = 0.0) -> JointGridDensity:
-    """Joint readout density of the Schmidt pair at square-root coarse graining.
-
-    Uses the unprimed angle pair: the density is the squared amplitude
-    sum_k c_k exp(ik(phi_a + phi_b)) <x|k><y|k>, smeared per party by the
-    Gaussian widths ``width_a`` and ``width_b`` (0 for projective binning).
-    ``x_grid`` and ``y_grid`` are strictly increasing grids.  The per-party
-    phase conventions cancel in the angle sum, so the phases enter exactly
-    as written.
-    """
-    width_a, width_b = (check_real(w, "widths", 0) for w in (width_a, width_b))
-    k_max = config.k_max
-    if x_grid is None:
-        x_grid = default_real_grid(k_max, width=width_a)
-    if y_grid is None:
-        y_grid = default_real_grid(k_max, width=width_b)
-    x_grid, y_grid = check_grid(x_grid, "x_grid"), check_grid(y_grid, "y_grid")
-
-    b = config.schmidt_coeffs * np.exp(1j * np.arange(k_max + 1) * (config.phi_a + config.phi_b))
-
-    # Contract only the d(d+1)/2 distinct kernel pairs; the off-diagonal ones
-    # enter twice through the real part of the coefficient product.
-    i, j = np.triu_indices(k_max + 1)
-    weights = np.where(i == j, 1.0, 2.0) * np.real(np.conj(b[i]) * b[j])
-    kernels_x = level_kernels(k_max, x_grid, width_a)[i, j]
-    kernels_y = level_kernels(k_max, y_grid, width_b)[i, j]
-    density = kernels_x.T @ (weights[:, None] * kernels_y)
-
-    lowest = float(density.min())
-    if lowest < -1e-10:
-        raise NegativeDensityError(f"joint density reached {lowest:.3e}")
-    density = np.clip(density, 0.0, None)
-
-    edge = max(density[0].max(), density[-1].max(), density[:, 0].max(), density[:, -1].max())
-    if edge > BOUNDARY_MASS_TOL:
-        raise GridTooNarrowError(
-            f"joint density {edge:.3e} at the grid boundary; widen the grids"
-        )
-    return JointGridDensity(x_grid, y_grid, density, domain="plane")
 
 
 class LocalModelResult(NamedTuple):
@@ -415,7 +368,7 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
 
     discrepancy = float(np.max(np.abs(quantum - lhv)))
     return LocalModelResult(
-        quantum_joint=JointGridDensity(theta_a, theta_b, quantum, domain="rotor"),
-        lhv_joint=JointGridDensity(theta_a, theta_b, lhv, domain="rotor"),
+        quantum_joint=JointGridDensity(theta_a, theta_b, quantum),
+        lhv_joint=JointGridDensity(theta_a, theta_b, lhv),
         max_discrepancy=discrepancy,
     )

@@ -102,6 +102,8 @@ def _resolve_out(path: str | None) -> str | None:
     parent = os.path.dirname(resolved)
     if not os.path.isdir(parent):
         raise ValidationError(f"output directory does not exist: {parent}")
+    if os.path.isdir(resolved):
+        raise ValidationError(f"output path is a directory: {resolved}")
     return resolved
 
 
@@ -123,18 +125,23 @@ def _apply_thread_cap(threads: int | None) -> None:
 def _write_atomic(path: str, chunks) -> None:
     """Write the text ``chunks`` to a temp file beside ``path`` and rename it
     over ``path`` once the last chunk is written; on any failure the temp
-    file is removed and ``path`` keeps its old bytes."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".macrobell-", suffix="~")
+    file is removed and ``path`` keeps its old bytes.  A failure of the file
+    system (an unwritable directory, a directory at ``path``) is a
+    ValidationError naming ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".macrobell-", suffix="~")
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -644,7 +651,7 @@ def _selftest_checks():
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
                            total_variation)
-    from .limits import (LimitState, default_real_grid, level_kernels,
+    from .limits import (LimitState, default_real_grid, level_rows,
                          limit_charfn_alpha_half, limit_density_alpha_half,
                          limit_density_alpha_one, verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
@@ -712,7 +719,8 @@ def _selftest_checks():
 
     def wide_kernel_high_level():
         grid = default_real_grid(99, width=0.3)
-        return abs(float(np.trapezoid(level_kernels(99, grid, 0.3, 99)[0, 0], grid)) - 1.0)
+        kernel = np.sum(level_rows(99, grid, 0.3, 99)[0] ** 2, axis=0)
+        return abs(float(np.trapezoid(kernel, grid)) - 1.0)
 
     def chsh_paper():
         bc = BellConfig(schmidt_coeffs=paper, phi_a=0.0, phi_a_prime=math.pi / 2.0,

@@ -154,11 +154,11 @@ class LatticePmf:
         return float(np.dot(self.probs, (self.values - m) ** 2))
 
     def cdf(self, x) -> np.ndarray:
-        """Right-continuous step CDF evaluated at x."""
-        cumulative = np.cumsum(self.probs)
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate([[0.0], cumulative])
-        return padded[idx]
+        """Right-continuous step CDF evaluated at x; NaN at a NaN x."""
+        x = np.asarray(x, dtype=float)
+        padded = np.concatenate([[0.0], np.cumsum(self.probs), [np.nan]])
+        # searchsorted puts NaN past the last value; index -1 reads the pad
+        return padded[np.where(np.isnan(x), -1, np.searchsorted(self.values, x, side="right"))]
 
 
 @dataclass(frozen=True)

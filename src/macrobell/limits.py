@@ -5,9 +5,10 @@ is an oscillator-mode density smeared by a Gaussian of width
 ``s = sqrt(sigma^2/tau^2 - 1)``; its characteristic function is that
 Gaussian's times a Fourier sum of the unsmeared density.  For linear
 coarse graining the limit is a planar-rotor angle distribution on
-[0, pi].  This module provides those laws, the level-pair kernels that
-every square-root quantity contracts (``level_kernels``: Hermite rows at
-the nodes of one Gauss-Hermite rule), the Gauss-Legendre rule that the
+[0, pi].  This module provides those laws, the one representation of the
+smeared levels that every square-root quantity reads (``level_rows``:
+normalised Hermite rows at the nodes of one Gauss-Hermite rule, whose
+node sums are the level-pair kernels), the Gauss-Legendre rule that the
 sign tables integrate with (``gauss_legendre``), and a check of the
 Gaussian-smearing identity behind the Hermite sums.
 
@@ -42,9 +43,7 @@ __all__ = [
     "GridDensity",
     "LimitState",
     "hermite",
-    "oscillator_wavefunction",
-    "level_kernels",
-    "smeared_level_kernel",
+    "level_rows",
     "gauss_legendre",
     "real_half_width",
     "default_real_grid",
@@ -137,18 +136,28 @@ def hermite(k: int, x):
     return _hermite_rows(k, np.asarray(x, dtype=float))[k]
 
 
-def _level_rows(k_max: int, x: np.ndarray, s: float, k_min: int) -> np.ndarray:
-    """Rows k_min..k_max of the width-s kernels, shape (d, nodes) + x.shape.
+def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
+    """Rows k_min..k_max of the width-s level kernels, shape (d, nodes) + x.shape.
 
-    With a^2 = 1 + s^2, <k| e_s(x) |l> is a Gaussian in x times the mean of
-    the degree-(k + l) polynomial He_k He_l / sqrt(k! l!) at
-    y ~ N(x / a^2, s^2 / a^2), so the (k_max + 1)-node Gauss-Hermite rule
-    gives it exactly as sum_j row_k[j] row_l[j].  Row k at node j is the
-    normalised recurrence at y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
+    ``d = k_max - k_min + 1``; a state supported on high levels only (a
+    padded base level) needs just those rows.  Kernel (k, l), <k| e_s(x) |l>,
+    is ``sum_j row_k[j] row_l[j]`` over the nodes j, exact at every width:
+    with a^2 = 1 + s^2 it is a Gaussian in x times the mean of the
+    degree-(k + l) polynomial He_k He_l / sqrt(k! l!) at
+    y ~ N(x / a^2, s^2 / a^2), which the (k_max + 1)-node Gauss-Hermite rule
+    integrates exactly.  Row k at node j is the normalised recurrence at
+    y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
     (2 pi)^(-1/4) sqrt(w_j / (sqrt(pi) a)) e^(-x^2/(4 a^2)); squared, it is at
     most the kernel <k| e_s(x) |k>, so nothing overflows.  At s = 0 the rule
-    is the one node t = 0, w = sqrt(pi), and row k is <x|k>.
+    is the one node t = 0, w = sqrt(pi), and row k is the oscillator
+    wavefunction <x|k> = (2 pi)^(-1/4) He_k(x) e^(-x^2/4) / sqrt(k!).  At
+    s > 0 level 370 and above raise NumericError, where numpy's Gauss-Hermite
+    rule degenerates.
     """
+    k_max = check_integer(k_max, "k_max", 0)
+    k_min = check_integer(k_min, "k_min", 0, k_max)
+    s = check_real(s, "s", 0)
+    x = np.asarray(x, dtype=float)
     alpha2 = 1.0 + s * s
     nodes, weights = _hermgauss_cached(k_max + 1 if s > 0.0 else 1)
     y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)
@@ -160,16 +169,6 @@ def _level_rows(k_max: int, x: np.ndarray, s: float, k_min: int) -> np.ndarray:
             rows[k - k_min] = row
         below, row = row, (y * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
     return rows
-
-
-def oscillator_wavefunction(k: int, x):
-    """<x|k> = (2 pi)^(-1/4) He_k(x) exp(-x^2/4) / sqrt(k!).
-
-    Normalized so |<x|0>|^2 is the standard normal density and
-    <x^2> = 2k + 1 in level k.
-    """
-    k = check_integer(k, "k", 0)
-    return _level_rows(k, np.asarray(x, dtype=float), 0.0, k)[0, 0]
 
 
 @lru_cache(maxsize=32)
@@ -189,29 +188,6 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
                 c[k, l, k + l - 2 * q] = math.sqrt(f[k] * f[l]) / (f[q] * f[k - q] * f[l - q])
     c.flags.writeable = False
     return c
-
-
-def level_kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
-    """Every <k| e_s(x) |l> for k_min <= k, l <= k_max, shape (d, d) + x.shape.
-
-    ``d = k_max - k_min + 1``; a state supported on high levels only (a
-    padded base level) needs just that block, and no lower row is stored.
-    Each kernel is the Gauss-Hermite sum of ``_level_rows``, exact at every
-    width; at s = 0 it is the product <k|x><x|l>.  At s > 0 level 370 and
-    above raise NumericError, where numpy's Gauss-Hermite rule degenerates.
-    """
-    k_max = check_integer(k_max, "k_max", 0)
-    k_min = check_integer(k_min, "k_min", 0, k_max)
-    s = check_real(s, "s", 0)
-    rows = _level_rows(k_max, np.asarray(x, dtype=float), s, k_min)
-    return np.einsum("kj...,lj...->kl...", rows, rows)
-
-
-def smeared_level_kernel(k: int, l: int, x, s: float):
-    """<k| e_s(x) |l>: entry (k, l) of ``level_kernels``."""
-    k, l = check_integer(k, "k", 0), check_integer(l, "l", 0)
-    low = min(k, l)
-    return level_kernels(max(k, l), x, s, low)[k - low, l - low]
 
 
 def real_half_width(k_max: int, width: float = 0.0) -> float:
@@ -265,7 +241,7 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
     low, high = np.flatnonzero(b)[[0, -1]]
     parts = np.stack([b.real, b.imag])[:, low:high + 1]
-    rows = _level_rows(high, grid, state.width, low)
+    rows = level_rows(high, grid, state.width, low)
     density = np.sum(np.tensordot(parts, rows, axes=1) ** 2, axis=(0, 1))
     worst = float(density.min())
     if not worst >= -1e-10:

@@ -4,9 +4,11 @@ oracles for the closed forms in ``bell`` and ``noise``.
 The package evaluates every sign-binned correlator from a table of
 half-line Gauss-Legendre overlaps, and classical readout noise through a
 closed-form smoothed sign.  These routes compute the same numbers on a
-sampled grid instead: Simpson's rule split at the sign discontinuity, and
-the noise applied to sampled values by a cubic-spline convolution.  They
-use scipy, which the package itself does not need.
+sampled grid instead: the level-pair kernels formed point by point from
+``limits.level_rows``, the joint (x, y) readout density of a Schmidt pair,
+Simpson's rule split at the sign discontinuity, and the noise applied to
+sampled values by a cubic-spline convolution.  They use scipy, which the
+package itself does not need.
 """
 
 import math
@@ -15,11 +17,62 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from macrobell.errors import ValidationError
-from macrobell.limits import GridDensity, gauss_legendre
+from macrobell.bell import JointGridDensity
+from macrobell.errors import GridTooNarrowError, NegativeDensityError, ValidationError
+from macrobell.limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
+                              level_rows)
 
 #: Gauss-Legendre node count for the classical-noise convolution.
 CONVOLUTION_NODES = 64
+
+
+def kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
+    """Every <k| e_s(x) |l> for k_min <= k, l <= k_max, shape (d, d) + x.shape:
+    the node sums of ``level_rows``."""
+    rows = level_rows(k_max, x, s, k_min)
+    return np.einsum("kj...,lj...->kl...", rows, rows)
+
+
+def pair_kernel(k: int, l: int, x, s: float) -> np.ndarray:
+    """<k| e_s(x) |l>: entry (k, l) of ``kernels``."""
+    low = min(k, l)
+    return kernels(max(k, l), x, s, low)[k - low, l - low]
+
+
+def bipartite_density(config, x_grid=None, y_grid=None, *, width_a: float = 0.0,
+                      width_b: float = 0.0) -> JointGridDensity:
+    """Joint readout density of a Schmidt pair at square-root coarse graining.
+
+    Uses the unprimed angle pair of the ``bell.BellConfig``: the density is
+    the squared amplitude sum_k c_k exp(ik(phi_a + phi_b)) <x|k><y|k>,
+    smeared per party by the Gaussian widths ``width_a`` and ``width_b``.
+    The per-party phase conventions cancel in the angle sum.  A density
+    below -1e-10 raises NegativeDensityError, and one above
+    ``BOUNDARY_MASS_TOL`` on the grid's edge GridTooNarrowError.
+    """
+    k_max = config.k_max
+    if x_grid is None:
+        x_grid = default_real_grid(k_max, width=width_a)
+    if y_grid is None:
+        y_grid = default_real_grid(k_max, width=width_b)
+    b = config.schmidt_coeffs * np.exp(1j * np.arange(k_max + 1) * (config.phi_a + config.phi_b))
+
+    # Contract only the d(d+1)/2 distinct kernel pairs; the off-diagonal ones
+    # enter twice through the real part of the coefficient product.
+    i, j = np.triu_indices(k_max + 1)
+    weights = np.where(i == j, 1.0, 2.0) * np.real(np.conj(b[i]) * b[j])
+    kernels_x = kernels(k_max, x_grid, width_a)[i, j]
+    kernels_y = kernels(k_max, y_grid, width_b)[i, j]
+    density = kernels_x.T @ (weights[:, None] * kernels_y)
+
+    lowest = float(density.min())
+    if lowest < -1e-10:
+        raise NegativeDensityError(f"joint density reached {lowest:.3e}")
+    density = np.clip(density, 0.0, None)
+    edge = max(density[0].max(), density[-1].max(), density[:, 0].max(), density[:, -1].max())
+    if edge > BOUNDARY_MASS_TOL:
+        raise GridTooNarrowError(f"joint density {edge:.3e} at the grid boundary")
+    return JointGridDensity(x_grid, y_grid, density)
 
 
 def signed_line_integral(grid, values, axis: int = -1):
@@ -39,7 +92,7 @@ def signed_line_integral(grid, values, axis: int = -1):
 
 
 def sign_correlator(joint) -> float:
-    """Expectation of sign(x) * sign(y) under a plane ``JointGridDensity``.
+    """Expectation of sign(x) * sign(y) under a ``bipartite_density``.
 
     Needs a grid node at (numerically) zero on each axis.
     """

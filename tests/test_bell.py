@@ -13,7 +13,6 @@ from macrobell import bell
 from macrobell.bell import (
     BellConfig,
     JointGridDensity,
-    bipartite_density_alpha_half,
     chsh_value,
     correlator,
     local_model_alpha_one,
@@ -25,7 +24,7 @@ from macrobell.errors import CapExceededError, ValidationError
 from macrobell.noise import _smoothed_sign
 
 from conftest import src_env
-from grid_oracles import sign_correlator, signed_line_integral
+from grid_oracles import bipartite_density, pair_kernel, sign_correlator, signed_line_integral
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -44,6 +43,29 @@ def test_sign_overlap_closed_forms():
     assert table[0, 1] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
     assert table[1, 2] == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
     assert table[1, 0] == table[0, 1]
+
+
+def hermite_at_zero(k: int) -> int:
+    """He_k(0): 0 at odd k, (-1)^(k/2) (k - 1)!! at even k."""
+    return 0 if k % 2 else (-1) ** (k // 2) * math.factorial(k) // (2 ** (k // 2)
+                                                                    * math.factorial(k // 2))
+
+
+@pytest.mark.parametrize("k_max", [15, 40])
+def test_sign_table_is_its_wronskian_closed_form(k_max):
+    # psi_k'' = (x^2/4 - k - 1/2) psi_k, so (psi_k psi_l' - psi_l psi_k')' =
+    # (k - l) psi_k psi_l and, for odd k + l, T_kl = 2 W_kl(0) / (l - k), with
+    # psi_k(0) and psi_k'(0) = k He_{k-1}(0) (2 pi)^(-1/4) / sqrt(k!) in closed
+    # form.  Measured 1.3e-15 at k_max = 15 and 4.1e-15 at 40.
+    norm = [(2.0 * math.pi) ** -0.25 / math.sqrt(math.factorial(k)) for k in range(k_max + 1)]
+    psi = [hermite_at_zero(k) * norm[k] for k in range(k_max + 1)]
+    slope = [k * hermite_at_zero(k - 1) * norm[k] if k else 0.0 for k in range(k_max + 1)]
+    expected = np.zeros((k_max + 1, k_max + 1))
+    for k in range(k_max + 1):
+        for l in range(k + 1, k_max + 1, 2):
+            expected[k, l] = expected[l, k] = (2.0 * (psi[k] * slope[l] - psi[l] * slope[k])
+                                               / (l - k))
+    assert np.max(np.abs(sign_overlap_table(k_max).values - expected)) <= 1e-13
 
 
 def test_sign_overlap_parity_zeros_exact():
@@ -101,8 +123,11 @@ def test_smoothed_table_reduces_to_sign_table():
             smoothed_sign_overlap_table(4, **bad)
 
 
-def test_sign_overlap_is_readonly():
-    table = sign_overlap_table(3).values
+# The smoothed tables were writable while the cached clean one was not.
+@pytest.mark.parametrize("shape", [None, "uniform", "truncated_gaussian"])
+def test_sign_overlap_is_readonly(shape):
+    table = (sign_overlap_table(3) if shape is None
+             else smoothed_sign_overlap_table(3, 0.3, 0.25, _smoothed_sign(shape, 0.25))).values
     with pytest.raises(ValueError):
         table[0, 1] = 0.0
 
@@ -275,39 +300,32 @@ def test_signed_line_integral_needs_zero_node():
         signed_line_integral(x, np.ones_like(x))
 
 
+def marginal_x(joint: JointGridDensity) -> np.ndarray:
+    return np.trapezoid(joint.density, joint.y_grid, axis=1)
+
+
 def test_bipartite_density_normalization_and_marginals():
     config = paper_config()
-    joint = bipartite_density_alpha_half(config)
+    joint = bipartite_density(config)
     assert joint.integral() == pytest.approx(1.0, abs=1e-8)
     weights = np.abs(PAPER) ** 2
-    from macrobell.limits import smeared_level_kernel
-
-    mx = joint.marginal_x()
-    mixture = sum(w * smeared_level_kernel(k, k, mx.grid, 0.0)
+    mixture = sum(w * pair_kernel(k, k, joint.x_grid, 0.0)
                   for k, w in enumerate(weights))
-    np.testing.assert_allclose(mx.density, mixture, atol=1e-10)
+    np.testing.assert_allclose(marginal_x(joint), mixture, atol=1e-10)
 
 
 def test_bipartite_marginals_ignore_other_party_width():
     config = BellConfig(schmidt_coeffs=PAPER, phi_a=0.3, phi_a_prime=0.0,
                         phi_b=-0.2, phi_b_prime=0.0)
-    joint = bipartite_density_alpha_half(config, width_b=0.8)
+    joint = bipartite_density(config, width_b=0.8)
     clean = paper_config()
-    reference = bipartite_density_alpha_half(clean)
-    np.testing.assert_allclose(joint.marginal_x().density,
-                               reference.marginal_x().density, atol=1e-10)
-
-
-@pytest.mark.parametrize("widths", [{"width_a": -0.1}, {"width_b": -1e-3},
-                                    {"width_a": math.nan}])
-def test_bipartite_density_rejects_bad_widths(widths):
-    with pytest.raises(ValidationError, match="widths"):
-        bipartite_density_alpha_half(paper_config(), **widths)
+    reference = bipartite_density(clean)
+    np.testing.assert_allclose(marginal_x(joint), marginal_x(reference), atol=1e-10)
 
 
 def test_sign_correlator_matches_analytic():
     config = paper_config(phi_a=0.35, phi_b=-0.6)
-    joint = bipartite_density_alpha_half(config)
+    joint = bipartite_density(config)
     expected = math.sqrt(5.0) / math.pi * math.cos(0.35 - 0.6)
     assert sign_correlator(joint) == pytest.approx(expected, abs=1e-8)
 

@@ -574,6 +574,45 @@ class TestPlumbing:
         run_err(capsys, ["chsh", "--coeffs", "paper", "--optimize",
                          "--out", str(target)], 1)
 
+    # Both escaped as IsADirectoryError, PermissionError or FileNotFoundError
+    # tracebacks; a directory target also put the temp file in its parent.
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--N", "6", "--povm", "sx", "--state", "w"],
+        ["limit", "--alpha", "1", "--coeffs", "paper"],
+        ["chsh", "--coeffs", "paper", "--optimize"],
+        ["local-model", "--coeffs", "random", "--dim", "2"],
+        ["noise-sweep", "--coeffs", "paper", "--s-grid", "0:0.5:2", "--eps-grid", "0:0.5:2"],
+        ["channel", "--povm", "sx", "--depol", "0.1"],
+        ["sample", "--N", "10", "--povm", "sx", "--state", "w", "--n-samples", "5"],
+        ["converge", "--povm", "sx", "--state", "w", "--n-list", "10", "--n-samples", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_out_directory_is_a_validation_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        target.mkdir()
+        payload = run_err(capsys, [*argv, "--out", str(target)], 1)
+        assert payload == {"error": "validation",
+                           "message": f"output path is a directory: {target}"}
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
+
+    def test_directory_at_the_sidecar_path_is_a_validation_error(self, capsys, tmp_path):
+        (tmp_path / "s.csv.meta.json").mkdir()
+        payload = run_err(capsys, ["sample", "--N", "10", "--povm", "sx", "--state", "w",
+                                   "--n-samples", "5", "--out", str(tmp_path / "s.csv")], 1)
+        assert payload["message"].startswith(f"cannot write {tmp_path / 's.csv.meta.json'}: ")
+        assert os.listdir(tmp_path) == ["s.csv.meta.json"]
+
+    def test_unwritable_out_directory_is_a_validation_error(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("tempfile.mkstemp", refuse)
+        target = tmp_path / "chsh.json"
+        payload = run_err(capsys, ["chsh", "--coeffs", "paper", "--optimize",
+                                   "--out", str(target)], 1)
+        assert payload == {"error": "validation",
+                           "message": f"cannot write {target}: Permission denied"}
+
     def test_atomic_overwrite_leaves_no_temp_files(self, capsys, tmp_path):
         out = tmp_path / "chsh.json"
         argv = ["chsh", "--coeffs", "paper", "--optimize", "--out", str(out)]

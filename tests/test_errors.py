@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from macrobell.bell import (BellConfig, JointGridDensity, bipartite_density_alpha_half,
-                            local_model_alpha_one, optimize_chsh, sign_overlap_table,
+from macrobell.bell import (BellConfig, JointGridDensity, SignOverlapTable, chsh_value,
+                            correlator, local_model_alpha_one, optimize_chsh, sign_overlap_table,
                             smoothed_sign_overlap_table)
 from macrobell.cli import run
 from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_grid,
@@ -16,10 +16,9 @@ from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, ch
 from macrobell.finite_n import (DickeSuperposition, LatticePmf, brute_force_char_fn,
                                 char_fn_finite, lattice_char_fn, moments_finite, pmf_finite)
 from macrobell.limits import (GridDensity, LimitState, default_real_grid, default_rotor_grid,
-                              gauss_legendre, hermite, level_kernels, limit_charfn_alpha_half,
+                              gauss_legendre, hermite, level_rows, limit_charfn_alpha_half,
                               limit_density_alpha_half, limit_density_alpha_one,
-                              oscillator_wavefunction, real_half_width, rotor_pushforward,
-                              smeared_level_kernel, verify_hermite_lemma)
+                              real_half_width, rotor_pushforward, verify_hermite_lemma)
 from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_char_fn_finite,
                              loss_width, lossy_povm, noisy_chsh_sweep)
 from macrobell.povm import derive_params, projective_from_bloch, validate_povm
@@ -104,11 +103,8 @@ INTEGER_SITES = {
                                           [10, v, 40, 80]), 20),
     "order": ("order", lambda v: moments_finite(_W, _SX, _PARAMS, 0.5, order=v), 2),
     "hermite": ("k", lambda v: hermite(v, _X), 3),
-    "oscillator_wavefunction": ("k", lambda v: oscillator_wavefunction(v, _X), 3),
-    "level_kernels-k_max": ("k_max", lambda v: level_kernels(v, _X, 0.0), 3),
-    "level_kernels-k_min": ("k_min", lambda v: level_kernels(3, _X, 0.3, v), 1),
-    "smeared_level_kernel-k": ("k", lambda v: smeared_level_kernel(v, 2, _X, 0.1), 1),
-    "smeared_level_kernel-l": ("l", lambda v: smeared_level_kernel(1, v, _X, 0.1), 2),
+    "level_rows-k_max": ("k_max", lambda v: level_rows(v, _X, 0.0), 3),
+    "level_rows-k_min": ("k_min", lambda v: level_rows(3, _X, 0.3, v), 1),
     "real_half_width": ("k_max", real_half_width, 3),
     "default_real_grid-k_max": ("k_max", default_real_grid, 3),
     "default_real_grid-points": ("points", lambda v: default_real_grid(3, v), 11),
@@ -165,7 +161,7 @@ REAL_SITES = {
     "LimitState-phi": ("phi", lambda v: LimitState(_PAPER, phi=v), None),
     "LimitState-width": ("width", lambda v: LimitState(_PAPER, width=v), -0.1),
     "limit_density_alpha_one": ("phi", lambda v: limit_density_alpha_one(_PAPER, v), None),
-    "level_kernels": ("s", lambda v: level_kernels(2, _X, v), -0.1),
+    "level_rows": ("s", lambda v: level_rows(2, _X, v), -0.1),
     "real_half_width": ("width", lambda v: real_half_width(3, v), -0.1),
     "limit_charfn_alpha_half": ("t", lambda v: limit_charfn_alpha_half(LimitState(_PAPER), v),
                                 None),
@@ -181,10 +177,6 @@ REAL_SITES = {
         "edge", lambda v: smoothed_sign_overlap_table(3, 0.3, v, _ramp), -0.1),
     **{f"BellConfig-{name}": (name, lambda v, name=name: BellConfig(_PAPER, **{name: v}), None)
        for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime")},
-    **{f"bipartite_density_alpha_half-{name}": (
-        "widths", lambda v, name=name: bipartite_density_alpha_half(BellConfig(_PAPER),
-                                                                    **{name: v}), -0.1)
-       for name in ("width_a", "width_b")},
     "local_model_alpha_one-phi_a": (
         "phi_a", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), v, 0.0), None),
     "local_model_alpha_one-phi_b": (
@@ -273,7 +265,8 @@ _ROTOR_OUT = np.array([-0.1, 0.2, 0.3])
 # site -> (parameter named in the message, call with the array, its kind, an
 # array with one value outside the domain or None).  A "grid" is a strictly
 # increasing axis of at least 2 points (lattice values: 1), a "list" a
-# nonempty 1-d value list in any order, an "array" finite values of any shape.
+# nonempty 1-d value list in any order, an "array" finite values of any shape,
+# a "table" a finite square 2-d array.
 ARRAY_SITES = {
     "GridDensity-grid": ("grid", lambda v: GridDensity(v, np.ones(3)), "grid", None),
     "GridDensity-density": ("density", lambda v: GridDensity(_G, v), "array", None),
@@ -285,18 +278,16 @@ ARRAY_SITES = {
     "LatticePmf-values": ("values", lambda v: LatticePmf(v, np.ones(3) / 3.0), "grid", None),
     "LatticePmf-probs": ("probs", lambda v: LatticePmf(_G, v), "array", None),
     "SampleBatch": ("values", lambda v: SampleBatch(v, 2, 0, np.size(v)), "list", None),
+    # each bad array as every row of a 3 x 3 table, then as the table itself
+    "SignOverlapTable-entries": (
+        "values", lambda v: SignOverlapTable([v, v, v]), "array", None),
+    "SignOverlapTable-shape": ("values", SignOverlapTable, "table", None),
     "limit_density_alpha_half": (
         "grid", lambda v: limit_density_alpha_half(LimitState(_PAPER), v), "grid", None),
     "limit_density_alpha_one": (
         "theta_grid", lambda v: limit_density_alpha_one(_PAPER, 0.0, v), "grid", _ROTOR_OUT),
     "rotor_pushforward": ("x_grid", lambda v: rotor_pushforward(_ROTOR, v), "grid",
                           np.array([0.1, 0.2, 1.0])),
-    "bipartite_density_alpha_half-x_grid": (
-        "x_grid", lambda v: bipartite_density_alpha_half(BellConfig(_PAPER), x_grid=v),
-        "grid", None),
-    "bipartite_density_alpha_half-y_grid": (
-        "y_grid", lambda v: bipartite_density_alpha_half(BellConfig(_PAPER), y_grid=v),
-        "grid", None),
     "lattice_char_fn-values": (
         "values", lambda v: lattice_char_fn(v, np.ones(3) / 3.0, 1.0), "grid", None),
     "lattice_char_fn-weights": ("weights", lambda v: lattice_char_fn(_G, v, 1.0), "list", None),
@@ -327,8 +318,11 @@ _ONE_POINT_GRIDS = {"LatticePmf-values", "lattice_char_fn-values"}
 
 def _array_cases(site):
     _, _, kind, outside = ARRAY_SITES[site]
-    cases = dict(_ELEMENT_CASES)
-    if kind != "array":
+    if kind == "table":
+        cases = {"1-d": _G, "not-square": np.stack([_G, _G]), "empty": np.zeros((0, 0))}
+    else:
+        cases = dict(_ELEMENT_CASES)
+    if kind in ("grid", "list"):
         cases["2-d"] = np.stack([_G, _G])
         points = 1 if kind == "list" or site in _ONE_POINT_GRIDS else 2
         cases["too-few"] = _G[:points - 1]
@@ -377,12 +371,22 @@ def test_array_arities_are_checked(name, call):
         call()
 
 
+# A table with fewer levels than the state used to raise numpy's
+# broadcasting ValueError.
+@pytest.mark.parametrize("call", [correlator, chsh_value], ids=["correlator", "chsh_value"])
+def test_overlap_tables_must_hold_every_level_of_the_state(call):
+    with pytest.raises(ValidationError, match="table holds levels up to 1, the state up to 2"):
+        call(BellConfig(_PAPER), table=sign_overlap_table(1))
+    call(BellConfig(_PAPER), table=sign_overlap_table(4))
+
+
 # record -> (build it from the caller's arrays, those arrays, the array fields)
 RECORDS = {
     "GridDensity": (GridDensity, (_G, np.ones(3)), ("grid", "density")),
     "JointGridDensity": (JointGridDensity, (_G, _G, np.ones((3, 3))),
                          ("x_grid", "y_grid", "density")),
     "LatticePmf": (LatticePmf, (_G, np.ones(3) / 3.0), ("values", "probs")),
+    "SignOverlapTable": (SignOverlapTable, (np.eye(3),), ("values",)),
     "SampleBatch": (lambda v: SampleBatch(v, 2, 0, 3), (_G,), ("values",)),
     "DickeSuperposition": (lambda c: DickeSuperposition(5, c), (_PAPER,), ("coeffs",)),
     "LimitState": (LimitState, (_PAPER,), ("coeffs",)),

@@ -207,6 +207,15 @@ def test_product_state_matches_binomial(sigma_x, params_x):
     np.testing.assert_allclose(pmf.probs, probs[order], atol=1e-12)
 
 
+def test_lattice_cdf_steps_and_nan():
+    # searchsorted puts NaN past the last value, so cdf(nan) read 1.0.
+    pmf = LatticePmf(values=[-1.0, 0.0, 2.0], probs=[0.25, 0.25, 0.5])
+    x = np.array([-math.inf, -1.5, -1.0, 0.5, 2.0, math.inf, math.nan])
+    np.testing.assert_array_equal(pmf.cdf(x), [0.0, 0.0, 0.25, 0.5, 1.0, 1.0, math.nan])
+    assert math.isnan(pmf.cdf(math.nan)) and pmf.cdf(-math.inf) == 0.0
+    assert pmf.cdf(math.inf) == 1.0
+
+
 def test_off_lattice_outcomes_rejected(params_x):
     # distinct outcomes closer together than the lattice tolerance: no
     # positive step can represent them

@@ -16,16 +16,16 @@ from macrobell.limits import (
     default_rotor_grid,
     gauss_legendre,
     hermite,
-    level_kernels,
+    level_rows,
     limit_charfn_alpha_half,
     limit_density_alpha_half,
     limit_density_alpha_one,
-    oscillator_wavefunction,
     real_half_width,
     rotor_pushforward,
-    smeared_level_kernel,
     verify_hermite_lemma,
 )
+
+from grid_oracles import kernels, pair_kernel
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -70,9 +70,14 @@ def test_hermite_low_orders():
     np.testing.assert_allclose(hermite(3, x), x**3 - 3.0 * x, atol=1e-12)
 
 
+def wavefunction(k, x):
+    """<x|k>: the one width-0 row of level k."""
+    return level_rows(k, x, 0.0, k)[0, 0]
+
+
 def test_oscillator_wavefunctions_orthonormal():
     x = np.linspace(-25.0, 25.0, 6001)
-    psi = np.stack([oscillator_wavefunction(k, x) for k in range(5)])
+    psi = level_rows(4, x, 0.0)[:, 0]
     gram = np.trapezoid(psi[:, None, :] * psi[None, :, :], x, axis=-1)
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
 
@@ -84,7 +89,7 @@ def test_wavefunctions_match_the_factorial_formula():
     for k in range(41):
         direct = ((2.0 * math.pi) ** -0.25 * hermite(k, x) * np.exp(-0.25 * x * x)
                   / math.sqrt(math.factorial(k)))
-        np.testing.assert_allclose(oscillator_wavefunction(k, x), direct,
+        np.testing.assert_allclose(wavefunction(k, x), direct,
                                    rtol=0.0, atol=1e-14)
 
 
@@ -93,7 +98,7 @@ def test_wavefunctions_past_the_factorial_overflow(k):
     # sqrt(k!) overflows from k = 171; the recurrence never forms it.
     # Measured on the default grid at k = 200: norm 1 + 3.4e-9.
     x = default_real_grid(k)
-    psi = oscillator_wavefunction(k, x)
+    psi = wavefunction(k, x)
     assert float(np.trapezoid(psi * psi, x)) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -107,16 +112,9 @@ def test_wide_kernels_at_high_levels_raise_numeric_error():
     # has all-zero weights and is rejected before any row is built.
     for k in (75, 99):
         x = default_real_grid(k, width=0.3)
-        assert unit_mass(level_kernels(k, x, 0.3, k)[0, 0], x)
+        assert unit_mass(np.sum(level_rows(k, x, 0.3, k)[0] ** 2, axis=0), x)
     with pytest.raises(NumericError, match="level 370"):
-        level_kernels(370, np.linspace(-1.0, 1.0, 5), 0.3, 370)
-
-
-def test_overflowing_pair_kernel_raises_numeric_error():
-    # The per-pair path reads the same rows: it returned 1182 NaN of 4001
-    # entries here under the Hermite series.
-    x = default_real_grid(75, width=0.3)
-    assert unit_mass(smeared_level_kernel(75, 75, x, 0.3), x)
+        level_rows(370, np.linspace(-1.0, 1.0, 5), 0.3, 370)
 
 
 def test_wide_kernels_match_quadrature_of_the_convolution():
@@ -132,7 +130,7 @@ def test_wide_kernels_match_quadrature_of_the_convolution():
             / math.sqrt(math.factorial(k))
 
     for k, l in ((20, 22), (21, 21)):
-        kernel = smeared_level_kernel(k, l, x, s)
+        kernel = pair_kernel(k, l, x, s)
         for xi, value in zip(x, kernel):
             def integrand(y, xi=xi, k=k, l=l):
                 return (math.exp(-0.5 * ((xi - y) / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
@@ -150,7 +148,7 @@ def test_kernels_reject_non_finite_widths(s):
     # Without the finite check of the former series a NaN width gave NaN
     # densities and no error.
     with pytest.raises(ValidationError, match="finite s"):
-        level_kernels(2, np.linspace(-5.0, 5.0, 11), s)
+        level_rows(2, np.linspace(-5.0, 5.0, 11), s)
     with pytest.raises(ValidationError, match="finite s"):
         limit_density_alpha_half(LimitState(coeffs=[0.6, 0.8], width=s),
                                  grid=np.linspace(-10.0, 10.0, 101))
@@ -183,9 +181,9 @@ def test_undersampled_default_grid_is_a_numeric_error():
 def test_kernel_reduces_to_wavefunction_product_at_zero_width():
     x = np.linspace(-8.0, 8.0, 101)
     for k, l in [(0, 0), (1, 2), (3, 4)]:
-        direct = oscillator_wavefunction(k, x) * oscillator_wavefunction(l, x)
+        direct = wavefunction(k, x) * wavefunction(l, x)
         np.testing.assert_allclose(
-            smeared_level_kernel(k, l, x, 0.0), direct, atol=1e-12)
+            pair_kernel(k, l, x, 0.0), direct, atol=1e-12)
 
 
 def test_smeared_series_approaches_wavefunction_products():
@@ -193,19 +191,20 @@ def test_smeared_series_approaches_wavefunction_products():
     # to O(s^2) = 1e-12; measured 1.4e-12 at the rank cap (the former
     # Hermite series: 3.6e-11).
     x = np.linspace(-42.0, 42.0, 801)
-    gap = np.max(np.abs(level_kernels(15, x, 1e-6) - level_kernels(15, x, 0.0)))
+    gap = np.max(np.abs(kernels(15, x, 1e-6) - kernels(15, x, 0.0)))
     assert gap <= 1e-11
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_level_kernel_stack_entries_are_pair_kernels(s):
     x = np.linspace(-20.0, 20.0, 201)
-    stack = level_kernels(7, x, s)
-    assert stack.shape == (8, 8, x.size)
-    np.testing.assert_array_equal(level_kernels(7, x, s, 3), stack[3:, 3:])
+    rows = level_rows(7, x, s)
+    assert rows.shape == (8, 8 if s > 0.0 else 1, x.size)
+    np.testing.assert_array_equal(level_rows(7, x, s, 3), rows[3:])
+    stack = kernels(7, x, s)
     for k in range(8):
         for l in range(8):
-            np.testing.assert_allclose(stack[k, l], smeared_level_kernel(k, l, x, s),
+            np.testing.assert_allclose(stack[k, l], pair_kernel(k, l, x, s),
                                        rtol=0.0, atol=1e-13)
 
 
@@ -215,7 +214,7 @@ def test_kernel_integrals_are_kronecker_delta():
     for s in (0.0, 0.5, 1.3):
         for k in range(4):
             for l in range(4):
-                integral = float(np.trapezoid(smeared_level_kernel(k, l, x, s), x))
+                integral = float(np.trapezoid(pair_kernel(k, l, x, s), x))
                 assert integral == pytest.approx(1.0 if k == l else 0.0,
                                                  abs=1e-9), (k, l, s)
 
@@ -224,7 +223,7 @@ def test_kernel_second_moment():
     x = np.linspace(-30.0, 30.0, 8001)
     for s in (0.0, 0.4, 1.0):
         for k in range(5):
-            kernel = smeared_level_kernel(k, k, x, s)
+            kernel = pair_kernel(k, k, x, s)
             m2 = float(np.trapezoid(kernel * x**2, x))
             assert m2 == pytest.approx(2 * k + 1 + s**2, abs=1e-8), (k, s)
 
@@ -282,10 +281,10 @@ def test_non_finite_caller_grids_are_validation_errors(call, bad):
 def test_nan_density_raises_numeric_error(monkeypatch, grid):
     import macrobell.limits as limits
 
-    def nan_rows(k_max, x, s, k_min):
+    def nan_rows(k_max, x, s, k_min=0):
         return np.full((k_max - k_min + 1, 1, np.size(x)), np.nan)
 
-    monkeypatch.setattr(limits, "_level_rows", nan_rows)
+    monkeypatch.setattr(limits, "level_rows", nan_rows)
     with pytest.raises(NumericError):
         limit_density_alpha_half(LimitState(coeffs=PAPER), grid)
 

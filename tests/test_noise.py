@@ -7,7 +7,6 @@ import pytest
 
 from macrobell.bell import (
     BellConfig,
-    bipartite_density_alpha_half,
     correlator,
     smoothed_sign_overlap_table,
 )
@@ -28,7 +27,6 @@ from macrobell.limits import (
     GridDensity,
     LimitState,
     limit_density_alpha_half,
-    smeared_level_kernel,
 )
 from macrobell.noise import (
     NoiseSpec,
@@ -45,10 +43,12 @@ from macrobell.povm import derive_params, validate_povm
 
 from conftest import CHSH_OPTIMUM, PAPER_COEFFS
 from grid_oracles import (
+    bipartite_density,
     classical_noise_variance,
     convolve_classical_noise,
     convolve_values,
     kernel_profile,
+    pair_kernel,
     signed_line_integral,
 )
 
@@ -70,7 +70,7 @@ def grid_route_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndar
     table = np.zeros((k_max + 1, k_max + 1))
     for k in range(k_max + 1):
         for l in range(k, k_max + 1):
-            values = smeared_level_kernel(k, l, grid, s)
+            values = pair_kernel(k, l, grid, s)
             g, v = convolve_values(grid, values, eps, shape)
             table[k, l] = table[l, k] = signed_line_integral(g, v)
     return table
@@ -405,7 +405,7 @@ class TestSweep:
         ramp = _smoothed_sign(shape, eps)
         for k, l in pairs:
             def integrand(x, k=k, l=l):
-                kernel = smeared_level_kernel(k, l, np.array([x]), s)[0]
+                kernel = pair_kernel(k, l, np.array([x]), s)[0]
                 return kernel * (float(ramp(x)) if x < eps else 1.0)
 
             exact = 2.0 * sum(quad(integrand, lo, hi, epsabs=1e-15, limit=200)[0]
@@ -426,7 +426,7 @@ class TestSweep:
 
         half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
         grid = np.linspace(-half, half, 1201)
-        joint = bipartite_density_alpha_half(
+        joint = bipartite_density(
             BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15, phi_b=-0.4),
             x_grid=grid, y_grid=grid, width_a=s, width_b=s)
 

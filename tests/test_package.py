@@ -1,7 +1,8 @@
-"""The package root re-exports every public engine name, no module
-reaches into another module's private helpers or checks integers, finite
-reals or increasing grids outside ``errors``, no module imports scipy, not
-even inside a function, and no command loads it."""
+"""The package root re-exports every public engine name, the README's
+Layout table names only such names, no module reaches into another module's
+private helpers or checks integers, finite reals or increasing grids outside
+``errors``, no module imports scipy, not even inside a function, and no
+command loads it."""
 
 import ast
 import importlib
@@ -29,6 +30,20 @@ def test_every_lazy_export_resolves():
     for name, module_name in macrobell._EXPORTS.items():
         module = importlib.import_module(f"macrobell.{module_name}")
         assert getattr(macrobell, name) is getattr(module, name), name
+
+
+#: Backticked names in the Layout table that are not package exports: the
+#: particle count and the command.
+LAYOUT_NON_EXPORTS = {"N", "macrobell"}
+
+
+def test_every_name_in_the_readme_layout_table_resolves():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    names = {span for span in re.findall(r"`([^`]+)`", table)
+             if re.fullmatch(r"[A-Za-z_]\w*", span)} - LAYOUT_NON_EXPORTS
+    assert names, "no names found in the Layout table"
+    assert [name for name in sorted(names) if not hasattr(macrobell, name)] == []
 
 
 def test_no_module_imports_private_names_of_another():
