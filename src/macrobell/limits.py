@@ -137,7 +137,8 @@ def hermite(k: int, x):
 
 
 def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
-    """Rows k_min..k_max of the width-s level kernels, shape (d, nodes) + x.shape.
+    """Rows k_min..k_max of the width-s level kernels at the finite reals x,
+    shape (d, nodes) + x.shape.
 
     ``d = k_max - k_min + 1``; a state supported on high levels only (a
     padded base level) needs just those rows.  Kernel (k, l), <k| e_s(x) |l>,
@@ -156,8 +157,7 @@ def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     """
     k_max = check_integer(k_max, "k_max", 0)
     k_min = check_integer(k_min, "k_min", 0, k_max)
-    s = check_real(s, "s", 0)
-    x = np.asarray(x, dtype=float)
+    s, x = check_real(s, "s", 0), check_real_array(x, "x")
     alpha2 = 1.0 + s * s
     nodes, weights = _hermgauss_cached(k_max + 1 if s > 0.0 else 1)
     y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)

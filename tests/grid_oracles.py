@@ -5,7 +5,7 @@ The package evaluates every sign-binned correlator from a table of
 half-line Gauss-Legendre overlaps, and classical readout noise through a
 closed-form smoothed sign.  These routes compute the same numbers on a
 sampled grid instead: the level-pair kernels formed point by point from
-``limits.level_rows``, the joint (x, y) readout density of a Schmidt pair,
+``limits.level_rows`` (and the sign tables contracted from them), the joint (x, y) readout density of a Schmidt pair,
 Simpson's rule split at the sign discontinuity, and the noise applied to
 sampled values by a cubic-spline convolution.  They use scipy, which the
 package itself does not need.
@@ -17,10 +17,10 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from macrobell.bell import JointGridDensity
+from macrobell.bell import SIGN_TABLE_NODES, JointGridDensity
 from macrobell.errors import GridTooNarrowError, NegativeDensityError, ValidationError
 from macrobell.limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
-                              level_rows)
+                              level_rows, real_half_width)
 
 #: Gauss-Legendre node count for the classical-noise convolution.
 CONVOLUTION_NODES = 64
@@ -37,6 +37,25 @@ def pair_kernel(k: int, l: int, x, s: float) -> np.ndarray:
     """<k| e_s(x) |l>: entry (k, l) of ``kernels``."""
     low = min(k, l)
     return kernels(max(k, l), x, s, low)[k - low, l - low]
+
+
+def half_line_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
+                    nodes: int = SIGN_TABLE_NODES) -> np.ndarray:
+    """The values of ``bell.smoothed_sign_overlap_table`` from the (d, d, P)
+    stack of ``kernels``: the same half-line Gauss-Legendre points and
+    weights, contracted entry by entry instead of as one row product."""
+    half_width = real_half_width(k_max, width)
+    t, w = gauss_legendre(nodes)
+    knot = min(edge, half_width)
+    x, weights = [], []
+    for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
+        if hi > lo:
+            x.append(lo + 0.5 * (hi - lo) * (t + 1.0))
+            weights.append(0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x[-1])))
+    table = 2.0 * (kernels(k_max, np.concatenate(x), width) @ np.concatenate(weights))
+    k = np.arange(k_max + 1)
+    table[(k[:, None] + k[None, :]) % 2 == 0] = 0.0
+    return table
 
 
 def bipartite_density(config, x_grid=None, y_grid=None, *, width_a: float = 0.0,

@@ -24,7 +24,8 @@ from macrobell.errors import CapExceededError, ValidationError
 from macrobell.noise import _smoothed_sign
 
 from conftest import src_env
-from grid_oracles import bipartite_density, pair_kernel, sign_correlator, signed_line_integral
+from grid_oracles import (bipartite_density, half_line_table, pair_kernel, sign_correlator,
+                          signed_line_integral)
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -51,12 +52,12 @@ def hermite_at_zero(k: int) -> int:
                                                                     * math.factorial(k // 2))
 
 
-@pytest.mark.parametrize("k_max", [15, 40])
+@pytest.mark.parametrize("k_max", [3, 8, 15, 25, 40])
 def test_sign_table_is_its_wronskian_closed_form(k_max):
     # psi_k'' = (x^2/4 - k - 1/2) psi_k, so (psi_k psi_l' - psi_l psi_k')' =
     # (k - l) psi_k psi_l and, for odd k + l, T_kl = 2 W_kl(0) / (l - k), with
     # psi_k(0) and psi_k'(0) = k He_{k-1}(0) (2 pi)^(-1/4) / sqrt(k!) in closed
-    # form.  Measured 1.3e-15 at k_max = 15 and 4.1e-15 at 40.
+    # form.  Measured 6.7e-16, 8.9e-16, 1.3e-15, 1.7e-15 and 4.1e-15.
     norm = [(2.0 * math.pi) ** -0.25 / math.sqrt(math.factorial(k)) for k in range(k_max + 1)]
     psi = [hermite_at_zero(k) * norm[k] for k in range(k_max + 1)]
     slope = [k * hermite_at_zero(k - 1) * norm[k] if k else 0.0 for k in range(k_max + 1)]
@@ -66,6 +67,21 @@ def test_sign_table_is_its_wronskian_closed_form(k_max):
             expected[k, l] = expected[l, k] = (2.0 * (psi[k] * slope[l] - psi[l] * slope[k])
                                                / (l - k))
     assert np.max(np.abs(sign_overlap_table(k_max).values - expected)) <= 1e-13
+
+
+# The row product pairs the Hermite nodes and grid points of two levels in
+# one BLAS call; the kernel stack sums the same products level pair by level
+# pair.  Measured at most 5.6e-16 apart (k_max = 40).
+@pytest.mark.parametrize("k_max", [3, 15, 40])
+@pytest.mark.parametrize("shape", [None, "uniform", "truncated_gaussian"])
+def test_sign_tables_are_the_kernel_stack_contraction(shape, k_max):
+    if shape is None:
+        table, oracle = sign_overlap_table(k_max), half_line_table(k_max)
+    else:
+        ramp = _smoothed_sign(shape, 0.2)
+        table = smoothed_sign_overlap_table(k_max, 0.3, 0.2, ramp)
+        oracle = half_line_table(k_max, 0.3, 0.2, ramp)
+    assert np.max(np.abs(table.values - oracle)) <= 1e-14
 
 
 def test_sign_overlap_parity_zeros_exact():

@@ -282,6 +282,7 @@ ARRAY_SITES = {
     "SignOverlapTable-entries": (
         "values", lambda v: SignOverlapTable([v, v, v]), "array", None),
     "SignOverlapTable-shape": ("values", SignOverlapTable, "table", None),
+    "level_rows-x": ("x", lambda v: level_rows(2, v, 0.3), "array", None),
     "limit_density_alpha_half": (
         "grid", lambda v: limit_density_alpha_half(LimitState(_PAPER), v), "grid", None),
     "limit_density_alpha_one": (
@@ -356,6 +357,10 @@ def test_accepted_array_inputs_stay_accepted():
                           (np.arange(4), np.linspace(0.0, math.pi + 1e-12, 5)))
     LatticePmf(np.array([0.0]), np.array([1.0]))
     LatticePmf(np.array([0.0, 1.0]), np.array([1.0 + 1e-17, -1e-17]))
+    # level rows at a scalar, an int list and a 2-d array of points
+    assert level_rows(2, 0.5, 0.3).shape == (3, 3)
+    assert level_rows(2, [0, 1], 0.0).shape == (3, 1, 2)
+    assert level_rows(2, np.ones((2, 2)), 0.3).shape == (3, 3, 2, 2)
 
 
 # At the parent, unequal sizes broadcast into a wrong sum, and a theta_grids
