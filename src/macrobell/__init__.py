@@ -78,7 +78,6 @@ _EXPORTS = {
     # bell
     "SignOverlapTable": "bell",
     "sign_overlap_table": "bell",
-    "smoothed_sign_overlap_table": "bell",
     "BellConfig": "bell",
     "correlator": "bell",
     "chsh_value": "bell",

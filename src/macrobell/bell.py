@@ -107,24 +107,17 @@ def _sign_overlap_table(k_max: int, nodes: int) -> SignOverlapTable:
     return SignOverlapTable(_half_line_overlaps(k_max, 0.0, 0.0, None, nodes))
 
 
-def sign_overlap_table(k_max: int, nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
-    """Build the sign-weighted overlap table up to level ``k_max``.
-
-    The result is cached per (k_max, nodes); ``nodes``, an integer >= 1,
-    controls the Gauss-Legendre resolution and exists mainly so convergence
-    can be checked by doubling it.
-    """
-    return smoothed_sign_overlap_table(k_max, nodes=nodes)
-
-
-def smoothed_sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
-                                ramp=None, nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
-    """Overlaps of the width-smeared level kernels against a smoothed sign S.
+def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
+                       nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
+    """Overlaps of the width-smeared level kernels up to ``k_max`` against an
+    odd step S.
 
     S is odd, equals ``ramp(x)`` on [0, edge] and 1 beyond; for the sign
     convolved with a noise density on [-edge, edge], this is the sign
-    integral of each kernel after that noise.  At width = edge = 0 it is
-    the cached ``sign_overlap_table``.
+    integral of each kernel after that noise.  At width = edge = 0 it is the
+    clean sign table, cached per (k_max, nodes).  ``nodes``, an integer
+    >= 1, controls the Gauss-Legendre resolution and exists mainly so
+    convergence can be checked by doubling it.
     """
     k_max, nodes = check_integer(k_max, "k_max", 0), check_integer(nodes, "nodes", 1)
     width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)

@@ -56,6 +56,7 @@ _PAPER_COEFFS = (2.0 / math.sqrt(10.0), 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(10
 
 #: ``--state`` presets as (level coefficients, base level); ``dicke:<k>`` is
 #: ``(1,)`` at base level k.  ``w`` is |N, 1>, as ``DickeSuperposition.w_state``.
+#: ``--coeffs`` reads the same presets from level 0, padded with zeros.
 _STATE_PRESETS = {"w": ((1.0,), 1), "paper": (_PAPER_COEFFS, 0)}
 
 _CSV_SIG_DIGITS = 18
@@ -352,10 +353,9 @@ def _parse_coeffs_vector(spec: str):
     path ending in ``.json``), or a comma list."""
     import numpy as np
 
-    if spec == "paper":
-        return np.asarray(_PAPER_COEFFS, dtype=complex)
-    if spec == "w":
-        return np.asarray([0.0, 1.0], dtype=complex)
+    if spec in _STATE_PRESETS:
+        coeffs, base_level = _STATE_PRESETS[spec]
+        return np.asarray((0.0,) * base_level + coeffs, dtype=complex)
     if spec.startswith("equal:"):
         d = _parse_number(int, spec.split(":", 1)[1])
         if d < 1:

@@ -149,10 +149,6 @@ class LatticePmf:
     def mean(self) -> float:
         return float(np.dot(self.probs, self.values))
 
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot(self.probs, (self.values - m) ** 2))
-
     def cdf(self, x) -> np.ndarray:
         """Right-continuous step CDF evaluated at x; NaN at a NaN x."""
         x = np.asarray(x, dtype=float)
@@ -167,14 +163,6 @@ class Moments:
 
     raw: np.ndarray
     central: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(self.raw[1])
-
-    @property
-    def variance(self) -> float:
-        return float(self.central[2])
 
 
 def _log_binom(n, k):
@@ -248,13 +236,18 @@ def _superposition_expectation(state, m00, m01, m10, m11):
     return total
 
 
-def _lattice_structure(outcomes, atol_rel=1e-9):
-    """Base point, step, and integer index of each outcome on its lattice."""
+def _lattice_structure(outcomes, rtol=1e-9):
+    """Base point, step, and integer index of each outcome on its lattice.
+
+    Outcomes match the lattice to ``rtol`` times their spread, or to a few
+    ulps of the largest outcome where that is coarser, so the tolerance is
+    invariant under an affine relabelling a -> u a + v while the outcomes
+    stay distinct floats.
+    """
     a = np.asarray(outcomes, dtype=float)
     a_min = float(a.min())
     diffs = np.sort(a - a_min)
-    scale = float(np.max(np.abs(a))) or 1.0
-    tol = atol_rel * max(scale, 1.0)
+    tol = max(rtol * float(diffs[-1]), 4.0 * float(np.spacing(np.max(np.abs(a)))))
 
     step = 0.0
     for d in diffs:
@@ -546,11 +539,13 @@ def lattice_char_fn(values, weights, t):
     """Fourier sum ``sum_m weights[m] exp(i t values[m])`` of a law on the
     equally spaced points ``values``.
 
-    ``values`` is a strictly increasing 1-d array (one point or more) and
-    ``weights`` a 1-d value list of the same size, the masses of the points
-    (they sum to 1), so the value at ``t = 0`` is exactly 1; ``t`` is a
-    finite real or an array of them, and the result is complex with the
-    shape of ``t``.  With point index
+    ``values`` is a strictly increasing 1-d array (one point or more), each
+    point within 1e-9 of the span of the line through the end points, so an
+    unequally spaced support such as that of ``brute_force_pmf`` raises
+    ``ValidationError``; ``weights`` is a 1-d value list of the same size,
+    the masses of the points (they sum to 1), so the value at ``t = 0`` is
+    exactly 1; ``t`` is a finite real or an array of them, and the result is
+    complex with the shape of ``t``.  With point index
     ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, ``exp(i t x_m)`` factors
     into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is a
     (T x B) @ (B x L/B) product, taken as two real ones (cos and sin; a
@@ -559,6 +554,10 @@ def lattice_char_fn(values, weights, t):
     """
     t_arr = np.atleast_1d(check_real_array(t, "t"))
     values = check_grid(values, "values", points=1)
+    off_line = float(np.max(np.abs(values - np.linspace(values[0], values[-1], values.size))))
+    if off_line > 1e-9 * (values[-1] - values[0]):
+        raise ValidationError(f"values must be a grid of equally spaced points; one lies "
+                              f"{off_line:.3e} off the line through the end points")
     weights = check_real_array(weights, "weights", ndim=1)
     if values.size != weights.size:
         raise ValidationError(f"values and weights must have equal sizes, "

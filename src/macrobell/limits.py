@@ -114,10 +114,6 @@ class LimitState:
     def k_max(self) -> int:
         return self.coeffs.size - 1
 
-    def phased_coeffs(self, offset: float = 0.0) -> np.ndarray:
-        k = np.arange(self.coeffs.size)
-        return self.coeffs * np.exp(1j * k * (self.phi + offset))
-
 
 def _hermite_rows(k_max: int, x: np.ndarray) -> np.ndarray:
     """He_0..He_k_max stacked along axis 0, by the three-term recurrence."""
@@ -236,7 +232,7 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     if own_grid:
         grid = default_real_grid(state.k_max, width=state.width)
     grid = check_grid(grid, "grid")
-    b = state.phased_coeffs(offset=np.pi)
+    b = state.coeffs * np.exp(1j * np.arange(state.coeffs.size) * (state.phi + np.pi))
     # only the populated levels enter; as K_kl = sum_j row_k[j] row_l[j] over the
     # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
     low, high = np.flatnonzero(b)[[0, -1]]

@@ -16,7 +16,7 @@ cells and reports where it drops to the classical boundary.  The sign of a
 noisy readout integrates like the clean readout against S, the sign
 convolved with the noise density, which has a closed form (``math.erf``
 for the truncated Gaussian); so each cell is one
-``bell.smoothed_sign_overlap_table`` quadrature, evaluated by
+``bell.sign_overlap_table`` quadrature, evaluated by
 ``bell.chsh_value``, and no density is convolved.  Its widths ``s_grid``
 and noise bounds ``eps_grid`` are value lists, checked by
 ``errors.check_real_array``: nonempty, 1-d, finite and >= 0, in any order.
@@ -195,7 +195,7 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     the value crosses the classical boundary 2.  The result holds the value
     lists ``s_grid`` and ``eps_grid`` as read-only float arrays.
     """
-    from .bell import BellConfig, chsh_value, optimize_chsh, smoothed_sign_overlap_table
+    from .bell import BellConfig, chsh_value, optimize_chsh, sign_overlap_table
 
     if shape not in _SHAPES:
         raise ValidationError(f"shape must be one of {_SHAPES}, got {shape!r}")
@@ -207,7 +207,7 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
 
     def cell(s: float, eps: float) -> float:
         ramp = _smoothed_sign(shape, eps)
-        return chsh_value(config, smoothed_sign_overlap_table(config.k_max, s, eps, ramp))
+        return chsh_value(config, sign_overlap_table(config.k_max, s, eps, ramp))
 
     chsh = np.array([[cell(s, eps) for s in s_grid.tolist()] for eps in eps_grid.tolist()])
 

@@ -40,10 +40,7 @@ from .povm import DerivedParams, SingleParticlePovm, common_eigenbasis, derive_p
 #: Particle-count cap for a single sampling call.
 MAX_SAMPLER_PARTICLES = 10**6
 
-#: Level-count (Schmidt dimension) cap.
-MAX_SAMPLER_LEVELS = 16
-
-#: An X-variance below this is reported as exactly degenerate (beta = -inf).
+#: A variance Var(I) / N below this is reported as exactly degenerate (beta = -inf).
 _DEGENERATE_VARIANCE = 1e-9
 
 
@@ -90,11 +87,8 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
     """
     alpha = check_alpha(alpha)
     n = state.n_particles
-    d = state.coeffs.size
     if n > MAX_SAMPLER_PARTICLES:
         raise CapExceededError(f"N = {n} exceeds the sampler cap {MAX_SAMPLER_PARTICLES}")
-    if d > MAX_SAMPLER_LEVELS:
-        raise CapExceededError(f"{d} levels exceed the sampler cap {MAX_SAMPLER_LEVELS}")
     n_samples = check_integer(n_samples, "n_samples", 1)
     seed = check_integer(seed, "seed", 0, 2**64 - 1)
 
@@ -131,28 +125,28 @@ def ks_distance(batch: SampleBatch, cdf_evaluator) -> float:
     return float(max(upper, lower))
 
 
-def scaling_exponent(state_family, povm: SingleParticlePovm, n_list,
-                     mode: str = "half", mu=None, tau=None) -> float:
+def scaling_exponent(state_family, povm: SingleParticlePovm, n_list) -> float:
     """Exponent beta with Var(intensity) ~ N^(2 beta), from exact variances.
 
     ``state_family`` maps a particle count to the state measured at that
-    size.  The variance of the unscaled intensity is reconstructed from the
-    exact X-variance; a degenerate (zero-variance) family returns -inf.
-    ``mu``/``tau`` pass through to the parameter derivation for measurements
-    whose off-diagonal scale is degenerate.
+    size.  The variance of the unscaled intensity I is the exact X-variance
+    at unit scale (mu = 0, tau = 1, so X = I / sqrt(N)) times N; the
+    exponent does not depend on the centring, scale or phase of the
+    measurement's parameters, and a measurement without an off-diagonal
+    scale (``sz``) needs none.  A degenerate family, Var(I) / N below 1e-9,
+    returns -inf.
     """
     n_values = [check_integer(v, "particle count", 1) for v in n_list]
     if len(n_values) < 4 or len(set(n_values)) != len(n_values):
         raise ValidationError(f"need at least 4 distinct particle counts to fit a slope, "
                               f"got {n_values!r}")
-    params = derive_params(povm, mode=mode, mu=mu, tau=tau)
+    params = derive_params(povm, mu=0.0, tau=1.0)
     log_n, log_var = [], []
     for n in n_values:
-        moments = moments_finite(state_family(n), povm, params, 0.5, order=2)
-        var_x = moments.central[2]
-        if var_x < _DEGENERATE_VARIANCE:
+        var_over_n = moments_finite(state_family(n), povm, params, 0.5, order=2).central[2]
+        if var_over_n < _DEGENERATE_VARIANCE:
             return float("-inf")
         log_n.append(math.log(n))
-        log_var.append(math.log(var_x * params.tau**2 * n))
+        log_var.append(math.log(var_over_n * n))
     slope = np.polyfit(log_n, log_var, 1)[0]
     return float(0.5 * slope)

@@ -41,7 +41,7 @@ def pair_kernel(k: int, l: int, x, s: float) -> np.ndarray:
 
 def half_line_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
                     nodes: int = SIGN_TABLE_NODES) -> np.ndarray:
-    """The values of ``bell.smoothed_sign_overlap_table`` from the (d, d, P)
+    """The values of ``bell.sign_overlap_table`` from the (d, d, P)
     stack of ``kernels``: the same half-line Gauss-Legendre points and
     weights, contracted entry by entry instead of as one row product."""
     half_width = real_half_width(k_max, width)

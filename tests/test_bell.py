@@ -18,7 +18,6 @@ from macrobell.bell import (
     local_model_alpha_one,
     optimize_chsh,
     sign_overlap_table,
-    smoothed_sign_overlap_table,
 )
 from macrobell.errors import CapExceededError, ValidationError
 from macrobell.noise import _smoothed_sign
@@ -79,7 +78,7 @@ def test_sign_tables_are_the_kernel_stack_contraction(shape, k_max):
         table, oracle = sign_overlap_table(k_max), half_line_table(k_max)
     else:
         ramp = _smoothed_sign(shape, 0.2)
-        table = smoothed_sign_overlap_table(k_max, 0.3, 0.2, ramp)
+        table = sign_overlap_table(k_max, 0.3, 0.2, ramp)
         oracle = half_line_table(k_max, 0.3, 0.2, ramp)
     assert np.max(np.abs(table.values - oracle)) <= 1e-14
 
@@ -97,7 +96,7 @@ def test_sign_overlap_quadrature_stability():
     assert np.max(np.abs(coarse - fine)) <= 1e-10
     # Smeared kernels at the 16-level cap against a truncated-Gaussian step.
     ramp = _smoothed_sign("truncated_gaussian", 0.25)
-    coarse, fine = (smoothed_sign_overlap_table(15, 0.3, 0.25, ramp, nodes=n).values
+    coarse, fine = (sign_overlap_table(15, 0.3, 0.25, ramp, nodes=n).values
                     for n in (600, 1200))
     assert np.max(np.abs(coarse - fine)) <= 1e-11
 
@@ -119,7 +118,7 @@ def test_tables_reject_bad_node_counts(nodes):
     with pytest.raises(ValidationError):
         sign_overlap_table(3, nodes=nodes)
     with pytest.raises(ValidationError):
-        smoothed_sign_overlap_table(3, 0.3, 0.25, ramp, nodes=nodes)
+        sign_overlap_table(3, 0.3, 0.25, ramp, nodes=nodes)
 
 
 @pytest.mark.parametrize("k_max", [2.5, 3.0, -1, "3", math.nan])
@@ -129,21 +128,24 @@ def test_tables_reject_k_max_that_is_not_a_nonnegative_integer(k_max):
     with pytest.raises(ValidationError, match="k_max"):
         sign_overlap_table(k_max)
     with pytest.raises(ValidationError, match="k_max"):
-        smoothed_sign_overlap_table(k_max, 0.3, 0.25, ramp)
+        sign_overlap_table(k_max, 0.3, 0.25, ramp)
 
 
 def test_smoothed_table_reduces_to_sign_table():
-    assert smoothed_sign_overlap_table(4).values is sign_overlap_table(4).values
+    # At width = edge = 0 every call form returns the one cached clean record.
+    clean = sign_overlap_table(4)
+    assert sign_overlap_table(4, 0.0, 0.0) is clean
+    assert sign_overlap_table(4, 0.0, 0.0, _smoothed_sign("uniform", 0.25)) is clean
     for bad in ({"width": -0.1}, {"edge": math.nan}, {"width": math.inf}):
         with pytest.raises(ValidationError):
-            smoothed_sign_overlap_table(4, **bad)
+            sign_overlap_table(4, **bad)
 
 
 # The smoothed tables were writable while the cached clean one was not.
 @pytest.mark.parametrize("shape", [None, "uniform", "truncated_gaussian"])
 def test_sign_overlap_is_readonly(shape):
     table = (sign_overlap_table(3) if shape is None
-             else smoothed_sign_overlap_table(3, 0.3, 0.25, _smoothed_sign(shape, 0.25))).values
+             else sign_overlap_table(3, 0.3, 0.25, _smoothed_sign(shape, 0.25))).values
     with pytest.raises(ValueError):
         table[0, 1] = 0.0
 

@@ -191,6 +191,16 @@ class TestDist:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert json.loads(summary)["total_prob"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("preset", ["w", "paper"])
+    def test_coeffs_presets_are_the_state_presets(self, capsys, preset):
+        # --coeffs reads the --state preset from level 0, padded with zeros
+        _, by_coeffs = read_csv(run_ok(capsys, ["dist", "--N", "20", "--povm", "sx",
+                                                "--coeffs", preset]))
+        _, by_state = read_csv(run_ok(capsys, ["dist", "--N", "20", "--povm", "sx",
+                                               "--state", preset]))
+        np.testing.assert_allclose(np.array(by_coeffs, dtype=float),
+                                   np.array(by_state, dtype=float), rtol=0, atol=1e-14)
+
     def test_degenerate_povm_needs_overrides(self, capsys):
         payload = run_err(capsys, ["dist", "--N", "10", "--povm", "sz",
                                    "--state", "w"], 1)
@@ -355,6 +365,13 @@ class TestSample:
         assert meta == summary
         assert meta["N"] == 50 and meta["seed"] == 9
         assert meta["n_samples"] == 200 and meta["alpha"] == 0.5
+
+    def test_twenty_levels(self, capsys, tmp_path):
+        # The sampler capped the level count at 16 and exited 1 with cap_exceeded.
+        out = tmp_path / "records.csv"
+        run_ok(capsys, ["sample", "--N", "40", "--povm", "sx", "--coeffs", "equal:20",
+                        "--n-samples", "50", "--seed", "1", "--out", str(out)])
+        assert len(read_csv(out.read_text())[1]) == 50
 
     def test_requires_out(self, capsys):
         payload = run_err(capsys, ["sample", "--N", "10", "--povm", "sx",

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from macrobell.bell import (BellConfig, JointGridDensity, SignOverlapTable, chsh_value,
-                            correlator, local_model_alpha_one, optimize_chsh, sign_overlap_table,
-                            smoothed_sign_overlap_table)
+                            correlator, local_model_alpha_one, optimize_chsh, sign_overlap_table)
 from macrobell.cli import run
 from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_grid,
                               check_integer, check_real, check_real_array, check_unit_vector)
@@ -114,10 +113,10 @@ INTEGER_SITES = {
     "verify_hermite_lemma-n": ("n", lambda v: verify_hermite_lemma(1, v, 0.5, 1.0), 2),
     "sign_overlap_table-k_max": ("k_max", sign_overlap_table, 3),
     "sign_overlap_table-nodes": ("nodes", lambda v: sign_overlap_table(3, nodes=v), 50),
-    "smoothed_sign_overlap_table-k_max": (
-        "k_max", lambda v: smoothed_sign_overlap_table(v, 0.3, 0.25), 3),
-    "smoothed_sign_overlap_table-nodes": (
-        "nodes", lambda v: smoothed_sign_overlap_table(3, 0.3, 0.25, nodes=v), 50),
+    "sign_overlap_table-smoothed-k_max": (
+        "k_max", lambda v: sign_overlap_table(v, 0.3, 0.25), 3),
+    "sign_overlap_table-smoothed-nodes": (
+        "nodes", lambda v: sign_overlap_table(3, 0.3, 0.25, nodes=v), 50),
 }
 
 
@@ -171,10 +170,8 @@ REAL_SITES = {
     "lattice_char_fn": ("t", lambda v: lattice_char_fn([0.0, 1.0], [0.5, 0.5], v), None),
     "verify_hermite_lemma-beta": ("beta", lambda v: verify_hermite_lemma(1, 2, v, 1.0), 0.0),
     "verify_hermite_lemma-gamma": ("gamma", lambda v: verify_hermite_lemma(1, 2, 0.5, v), 0.0),
-    "smoothed_sign_overlap_table-width": (
-        "width", lambda v: smoothed_sign_overlap_table(3, v, 0.25, _ramp), -0.1),
-    "smoothed_sign_overlap_table-edge": (
-        "edge", lambda v: smoothed_sign_overlap_table(3, 0.3, v, _ramp), -0.1),
+    "sign_overlap_table-width": ("width", lambda v: sign_overlap_table(3, v, 0.25, _ramp), -0.1),
+    "sign_overlap_table-edge": ("edge", lambda v: sign_overlap_table(3, 0.3, v, _ramp), -0.1),
     **{f"BellConfig-{name}": (name, lambda v, name=name: BellConfig(_PAPER, **{name: v}), None)
        for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime")},
     "local_model_alpha_one-phi_a": (
@@ -289,8 +286,10 @@ ARRAY_SITES = {
         "theta_grid", lambda v: limit_density_alpha_one(_PAPER, 0.0, v), "grid", _ROTOR_OUT),
     "rotor_pushforward": ("x_grid", lambda v: rotor_pushforward(_ROTOR, v), "grid",
                           np.array([0.1, 0.2, 1.0])),
+    # unequally spaced values used to give a wrong sum without an error
     "lattice_char_fn-values": (
-        "values", lambda v: lattice_char_fn(v, np.ones(3) / 3.0, 1.0), "grid", None),
+        "values", lambda v: lattice_char_fn(v, np.ones(3) / 3.0, 1.0), "grid",
+        np.array([0.1, 0.2, 0.4])),
     "lattice_char_fn-weights": ("weights", lambda v: lattice_char_fn(_G, v, 1.0), "list", None),
     "local_model_alpha_one-theta_a": (
         "theta_grids", lambda v: local_model_alpha_one(np.eye(2) / math.sqrt(2.0), 0.0, 0.0,

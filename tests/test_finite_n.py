@@ -21,6 +21,7 @@ from macrobell.finite_n import (
     brute_force_char_fn,
     brute_force_pmf,
     char_fn_finite,
+    lattice_char_fn,
     moments_finite,
     pmf_finite,
     total_variation,
@@ -216,11 +217,31 @@ def test_lattice_cdf_steps_and_nan():
     assert pmf.cdf(math.inf) == 1.0
 
 
-def test_off_lattice_outcomes_rejected(params_x):
-    # distinct outcomes closer together than the lattice tolerance: no
-    # positive step can represent them
+# Equal weights on [0, 1, 3, 4, ..., 10] at t = 0.7 gave 0.2420+0.0679j against
+# the direct sum 0.1607-0.0320j: the blocked sum assumes equal spacing.
+def test_lattice_char_fn_rejects_unequal_spacing():
+    values = np.array([0.0, 1.0, *range(3, 11)])
+    with pytest.raises(ValidationError, match="values must be a grid of equally spaced"):
+        lattice_char_fn(values, np.full(values.size, 0.1), 0.7)
+    # outcomes {0, 2, 3} at N = 2 give X on a support proportional to 0, 2, 3, ..., 6
     effects = [0.5 * (I2 + PAULI_X), 0.25 * (I2 - PAULI_X), 0.25 * (I2 - PAULI_X)]
-    povm = validate_povm([0.0, 5e-10, 1e-9], effects)
+    povm = validate_povm([0.0, 2.0, 3.0], effects)
+    pmf = brute_force_pmf(DickeSuperposition.dicke(2, 0), povm, derive_params(povm), 0.5)
+    assert pmf.values.size == 6
+    with pytest.raises(ValidationError, match="values"):
+        lattice_char_fn(pmf.values, pmf.probs, 0.7)
+    # rounding of an equally spaced grid is not a gap
+    grid = np.linspace(-3.0, 7.0, 1001)
+    t = np.array([0.0, 0.7, 2.5])
+    np.testing.assert_allclose(lattice_char_fn(grid, np.full(1001, 1.0 / 1001), t),
+                               np.exp(1j * np.outer(t, grid)).mean(axis=1), atol=1e-13)
+
+
+def test_off_lattice_outcomes_rejected(params_x):
+    # distinct outcomes closer together than the lattice tolerance, a few
+    # ulps of their size: no positive step can represent them
+    effects = [0.5 * (I2 + PAULI_X), 0.25 * (I2 - PAULI_X), 0.25 * (I2 - PAULI_X)]
+    povm = validate_povm([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51], effects)
     state = DickeSuperposition.dicke(6, 0)
     with pytest.raises(OffLatticeError):
         pmf_finite(state, povm, params_x, 0.5)
@@ -255,10 +276,17 @@ def test_char_fn_modulus_bounded(n, t):
     assert abs(value) <= 1.0 + 1e-12
 
 
-@given(st.floats(0.25, 4.0), st.floats(-3.0, 3.0))
+@given(st.floats(-12.0, 1.0), st.floats(-1e9, 1e9))
 @settings(max_examples=25, deadline=None)
-def test_affine_relabeling_leaves_x_invariant(scale, shift):
-    """Relabeling outcomes a -> u a + v (u > 0) must not move X at all."""
+def test_affine_relabeling_leaves_x_invariant(log_scale, shift_ratio):
+    """Relabeling outcomes a -> u a + v (u > 0) must not move X at all.
+
+    u runs from 1e-12 to 10 and |v| / u up to 1e9, where the outcomes are
+    still distinct floats; X = (I - N mu) / (tau sqrt N) then loses the digits
+    of v / u to cancellation, about 5e-14 per unit of v / u here.
+    """
+    scale = 10.0**log_scale
+    shift = scale * shift_ratio
     rng = np.random.default_rng(7)
     state, povm, params = random_instance(rng, max_n=10)
     relabeled = validate_povm(
@@ -266,8 +294,20 @@ def test_affine_relabeling_leaves_x_invariant(scale, shift):
     params2 = derive_params(relabeled)
     pmf1 = pmf_finite(state, povm, params, 0.5)
     pmf2 = pmf_finite(state, relabeled, params2, 0.5)
-    assert total_variation(pmf1, pmf2) <= 1e-9
-    np.testing.assert_allclose(pmf1.values, pmf2.values, atol=1e-9)
+    atol = 1e-9 + 1e-12 * abs(shift_ratio)
+    assert total_variation(pmf1, pmf2, match_atol=atol) <= 1e-9
+    np.testing.assert_allclose(pmf1.values, pmf2.values, atol=atol)
+
+
+# The lattice tolerance was 1e-9 max(max|a|, 1): +-5e-10 fell below it and
+# 1e9 +- 0.5 inside it, and both raised OffLatticeError.
+@pytest.mark.parametrize("outcomes", [(-5e-10, 5e-10), (1e9 - 0.5, 1e9 + 0.5)],
+                         ids=["tiny", "shifted"])
+def test_relabeled_sx_has_the_law_of_sx(sigma_x, params_x, outcomes):
+    relabeled = validate_povm(outcomes[::-1], sigma_x.effects)
+    state = DickeSuperposition(n_particles=40, coeffs=PAPER_COEFFS)
+    pmf = pmf_finite(state, relabeled, derive_params(relabeled), 0.5)
+    assert total_variation(pmf, pmf_finite(state, sigma_x, params_x, 0.5)) <= 1e-12
 
 
 # --------------------------------------------------------------------------

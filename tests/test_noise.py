@@ -8,7 +8,7 @@ import pytest
 from macrobell.bell import (
     BellConfig,
     correlator,
-    smoothed_sign_overlap_table,
+    sign_overlap_table,
 )
 from macrobell.errors import (
     DivergentWidthError,
@@ -77,8 +77,7 @@ def grid_route_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndar
 
 
 def noisy_table(k_max: int, s: float, eps: float, shape: str, nodes: int = 600):
-    return smoothed_sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps),
-                                       nodes=nodes).values
+    return sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps), nodes=nodes).values
 
 
 class TestNoiseSpec:
@@ -420,7 +419,7 @@ class TestSweep:
         s, eps, shape = 0.3, 0.25, "uniform"
         k_max = PAPER_COEFFS.size - 1
 
-        overlaps = smoothed_sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps))
+        overlaps = sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps))
         factorized = correlator(BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15,
                                            phi_b=-0.4), "AB", table=overlaps)
 

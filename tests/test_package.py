@@ -1,8 +1,8 @@
 """The package root re-exports every public engine name, the README's
-Layout table names only such names, no module reaches into another module's
-private helpers or checks integers, finite reals or increasing grids outside
-``errors``, no module imports scipy, not even inside a function, and no
-command loads it."""
+Layout table and its backticked calls name only such names, no module
+reaches into another module's private helpers or checks integers, finite
+reals or increasing grids outside ``errors``, no module imports scipy, not
+even inside a function, and no command loads it."""
 
 import ast
 import importlib
@@ -16,6 +16,8 @@ import macrobell
 from conftest import src_env
 
 MODULES = ("errors", "povm", "finite_n", "limits", "bell", "noise", "sampling")
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_every_public_name_resolves_from_the_package_root():
@@ -38,12 +40,33 @@ LAYOUT_NON_EXPORTS = {"N", "macrobell"}
 
 
 def test_every_name_in_the_readme_layout_table_resolves():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = README.read_text()
     table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
     names = {span for span in re.findall(r"`([^`]+)`", table)
              if re.fullmatch(r"[A-Za-z_]\w*", span)} - LAYOUT_NON_EXPORTS
     assert names, "no names found in the Layout table"
     assert [name for name in sorted(names) if not hasattr(macrobell, name)] == []
+
+
+#: Math in backticked README formulas, not library calls.
+README_MATH = {"O", "sqrt", "max", "min", "exp", "log", "erf"}
+
+
+def test_every_call_and_engine_name_in_the_readme_resolves():
+    # A backticked call name(...) is a package export, and a backticked
+    # <engine>.name an attribute of that engine, so no deleted name stays in
+    # the docs.  Fenced code blocks are skipped.
+    readme = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", readme)
+    calls = {name for span in spans
+             for name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", span)} - README_MATH
+    dotted = {pair for span in spans
+              for pair in re.findall(rf"\b({'|'.join(MODULES)})\.(\w+)", span)}
+    assert calls and dotted, "no calls or engine names found in the README"
+    missing = [name for name in sorted(calls) if not hasattr(macrobell, name)]
+    missing += [f"{module}.{name}" for module, name in sorted(dotted)
+                if not hasattr(importlib.import_module(f"macrobell.{module}"), name)]
+    assert missing == []
 
 
 def test_no_module_imports_private_names_of_another():

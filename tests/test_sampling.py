@@ -26,6 +26,12 @@ def paper_state(n: int) -> DickeSuperposition:
     return DickeSuperposition(n_particles=n, base_level=0, coeffs=PAPER_COEFFS)
 
 
+def random_state(n: int, d: int, seed: int) -> DickeSuperposition:
+    """``d`` levels from level 0 with random complex coefficients."""
+    rng = np.random.default_rng(seed)
+    return DickeSuperposition.from_coeffs(n, rng.normal(size=d) + 1j * rng.normal(size=d))
+
+
 def single_level(n: int, k: int = 0) -> DickeSuperposition:
     return DickeSuperposition(n_particles=n, base_level=k,
                               coeffs=np.array([1.0 + 0.0j]))
@@ -231,6 +237,18 @@ class TestSamplerOracles:
         assert dof >= 20
         assert chi2 < chi2_bound(dof)
 
+    @pytest.mark.parametrize("d", [17, 20])
+    def test_depolarized_past_sixteen_levels_matches_window_sampler(self, d):
+        # The eigenbasis route at 17 and 20 levels (the former cap was 16)
+        # against the sequential window sampler.
+        povm, params = oracle_povm("depolarized")
+        state = random_state(40, d, seed=d)
+        reference = window_sample(state, povm, params, 0.5, 1600, seed=1)
+        batch = sample_outcomes(state, povm, params, 0.5, 20000, seed=2)
+        chi2, dof = two_sample_pearson(reference, batch.values)
+        assert dof >= 20
+        assert chi2 < chi2_bound(dof)
+
 
 class TestSamplerValidation:
     def test_alpha_rejected(self, sigma_x, params_x):
@@ -253,10 +271,15 @@ class TestSamplerValidation:
             sample_outcomes(state, sigma_x, params_x, 0.5, 1, seed=0)
 
     def test_level_cap(self, sigma_x, params_x):
-        coeffs = np.full(17, 1.0 / math.sqrt(17.0), dtype=complex)
-        state = DickeSuperposition(n_particles=40, base_level=0, coeffs=coeffs)
-        with pytest.raises(CapExceededError):
-            sample_outcomes(state, sigma_x, params_x, 0.5, 1, seed=0)
+        # No level cap: 17 and 20 levels, past the former sampler cap of 16,
+        # sample onto the exact lattice of pmf_finite.
+        for d in (17, 20):
+            state = random_state(40, d, seed=d)
+            pmf = pmf_finite(state, sigma_x, params_x, 0.5)
+            batch = sample_outcomes(state, sigma_x, params_x, 0.5, 20000, seed=d)
+            chi2, dof, off_lattice = lattice_pearson(pmf, batch.values)
+            assert off_lattice < 1e-9
+            assert chi2 < chi2_bound(dof)
 
     def test_window_cap(self, sigma_x, params_x):
         # No window or base-level cap: 8 levels at base 60 of N = 100
@@ -330,9 +353,17 @@ class TestScalingExponent:
         assert abs(beta - 0.5) <= 0.01
 
     def test_degenerate_family_flags_minus_inf(self, sigma_z):
-        beta = scaling_exponent(lambda n: single_level(n, 0), sigma_z,
-                                self.N_LIST, mu=0.0, tau=1.0)
+        # sz has no off-diagonal scale; the exponent needs no mu or tau for it.
+        beta = scaling_exponent(lambda n: single_level(n, 0), sigma_z, self.N_LIST)
         assert beta == -math.inf
+
+    @pytest.mark.parametrize("name", ["tilted", "depolarized"])
+    def test_exponent_ignores_the_measurement_parameters(self, name):
+        # The variance of the intensity does not depend on mu, tau or phi:
+        # a tilted and a noisy POVM give the product family beta = 1/2.
+        povm, _ = oracle_povm(name)
+        beta = scaling_exponent(lambda n: single_level(n, 0), povm, self.N_LIST)
+        assert beta == pytest.approx(0.5, abs=1e-9)
 
     def test_requires_four_distinct_sizes(self, sigma_x):
         with pytest.raises(ValidationError):
