@@ -675,13 +675,14 @@ def _selftest_checks():
         brute = brute_force_pmf(state8, sx, params, 0.5)
         return total_variation(exact, brute)
 
-    def oracle_pmf_mid_ladder():
-        tilted = projective_from_bloch(1.2, 0.3)
-        tilted_params = derive_params(tilted)
-        state = DickeSuperposition.from_coeffs(12, [0.6, 0.48j, -0.64], base_level=5)
+    tilted = projective_from_bloch(1.2, 0.3)
+    tilted_params = derive_params(tilted)
+
+    def tilted_oracle(base_level):
+        # base 0 takes the level recurrence, base 5 the twisted factorization
+        state = DickeSuperposition.from_coeffs(12, [0.6, 0.48j, -0.64], base_level=base_level)
         exact = pmf_finite(state, tilted, tilted_params, 0.5)
-        brute = brute_force_pmf(state, tilted, tilted_params, 0.5)
-        return total_variation(exact, brute)
+        return total_variation(exact, brute_force_pmf(state, tilted, tilted_params, 0.5))
 
     def oracle_charfn():
         t = np.linspace(-4.0, 4.0, 9)
@@ -750,7 +751,8 @@ def _selftest_checks():
     return [
         ("sign-overlaps", sign_overlaps, 1e-9),
         ("oracle-pmf", oracle_pmf, 1e-10),
-        ("oracle-pmf-mid-ladder", oracle_pmf_mid_ladder, 1e-10),
+        ("oracle-pmf-base0", lambda: tilted_oracle(0), 1e-10),
+        ("oracle-pmf-mid-ladder", lambda: tilted_oracle(5), 1e-10),
         ("oracle-charfn", oracle_charfn, 1e-10),
         ("hermite-lemma", hermite_lemma, 1e-8),
         ("pmf-normalization", pmf_normalization, 1e-9),

@@ -12,13 +12,17 @@ interest.  Everything here is exact at finite N:
   tridiagonal matrix at its known eigenvalues
   ``lambda_k = N (h_00 + h_11)/2 + rho (k - N/2)``, each signed
   positive in row 0 so that level k carries the closed-form phase
-  ``exp(i k (arg U_00 - arg U_10))``.  Each vector is a twisted
-  factorization (two pivot sweeps, each a plain Python loop) on a
-  window of the ladder: the rows where the vector oscillates, widened
-  until it has decayed by 800 nats.  The cost is O(window * levels) loop
-  steps of about 0.1 us; a base-0 window spans O(sqrt(N)) rows, a
-  mid-ladder one the whole ladder.  Only numpy is needed, and the route
-  works for every level at N = 10^5 and beyond.  Any other POVM takes the
+  ``exp(i k (arg U_00 - arg U_10))``.  Levels near the bottom of the
+  ladder (up to about level 400, and below N/2) come from the three-term
+  recurrence in the level index, a few numpy passes over the O(sqrt(N))
+  rows where level 0 is a normal float per level.  Where that recurrence
+  is unstable, mid-ladder in particular, each vector is a twisted
+  factorization (two pivot sweeps, each a plain Python loop) on a window
+  of the ladder: the rows where the vector oscillates, widened until it
+  has decayed by 800 nats; the cost is O(window * levels) loop steps of
+  about 0.1 us, and a mid-ladder window spans the whole ladder.  Only
+  numpy is needed, and the route works for every level at N = 10^5 and
+  beyond.  Any other POVM takes the
   inversion route: the lattice characteristic function at the conjugate
   frequencies, from Dicke matrix elements ``<N,k| M^(x)N |N,l>`` with
   binomials in log space, inverted by a discrete Fourier transform at
@@ -322,34 +326,40 @@ def _toward_start(pivots, b, r) -> np.ndarray:
     return part
 
 
-def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
-    """Orthonormal eigenvectors, one column per eigenvalue, of the symmetric
-    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off > 0``.
+def _ladder_vectors(n, basis, levels):
+    """Twisted-factorization route of ``_rotated_vectors``: the first row lo
+    of a window of rows shared by every level, and one column per level of
+    the eigenvectors on it, not yet orthonormal; every vector is zero
+    outside the window (see ``rotated_weights``).  With no coupling each
+    vector is the unit vector of the nearest diagonal entry.
 
-    Each vector comes from a twisted factorization at its eigenvalue on one
-    window of rows shared by all of them (see ``rotated_weights``) and is
-    zero outside it.  With no coupling each vector is the unit vector of the
-    nearest diagonal entry.  Raises NumericError if a vector is not finite.
-
-    Each vector is signed so that its row-0 entry is positive: the Jacobi
-    convention, in which entry m is the row-0 entry times an orthogonal
-    polynomial of degree m in the eigenvalue with positive leading
-    coefficient.  With every b positive that entry is never 0 in exact
-    arithmetic, but when the window starts past row 0 it underflows to 0,
-    so its sign comes from the pivots.  The vector is +1 at the twist row r
-    and changes sign after each positive pivot on the way up, as
-    ``x_i / x_{i+1} = -b_i / D_i``: the window's pivots above r count those
-    changes up to its first row lo.  The lo rows above the window lie on
-    one side of the allowed interval, where every pivot has the sign of
-    ``a_0 - lambda``, so they add lo changes when that is positive.  The
-    Cholesky QR keeps the signs, as its triangular factor has a positive
-    diagonal.
+    The vectors are eigenvectors of the symmetric tridiagonal matrix with
+    diagonal ``a_m = (N-m) h_00 + m h_11`` and off-diagonal
+    ``b_m = |h_10| sqrt((m+1)(N-m))`` at ``lambda_k``.  Each is signed so
+    that its row-0 entry is positive: the Jacobi convention, in which entry
+    m is the row-0 entry times an orthogonal polynomial of degree m in the
+    eigenvalue with positive leading coefficient.  With every b positive
+    that entry is never 0 in exact arithmetic, but when the window starts
+    past row 0 it underflows to 0, so its sign comes from the pivots.  The
+    vector is +1 at the twist row r and changes sign after each positive
+    pivot on the way up, as ``x_i / x_{i+1} = -b_i / D_i``: the window's
+    pivots above r count those changes up to its first row lo.  The lo rows
+    above the window lie on one side of the allowed interval, where every
+    pivot has the sign of ``a_0 - lambda``, so they add lo changes when that
+    is positive.
     """
-    vectors = np.zeros((diag.size, eigenvalues.size))
+    h = basis.conj().T @ _JZ @ basis
+    m = np.arange(n + 1, dtype=float)
+    h00, h11, h10 = h[0, 0].real, h[1, 1].real, abs(h[1, 0])
+    rho = math.sqrt((h11 - h00) ** 2 + 4.0 * h10 ** 2)
+    diag = (n - m) * h00 + m * h11
+    off = h10 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    eigenvalues = 0.5 * n * (h00 + h11) + rho * (levels - 0.5 * n)
     if not np.any(off):
-        vectors[[np.argmin(np.abs(diag - lam)) for lam in eigenvalues],
-                np.arange(eigenvalues.size)] = 1.0
-        return vectors
+        rows = np.array([np.argmin(np.abs(diag - lam)) for lam in eigenvalues])
+        window = np.zeros((rows.max() + 1 - rows.min(), eigenvalues.size))
+        window[rows - rows.min(), np.arange(eigenvalues.size)] = 1.0
+        return int(rows.min()), window
     # WKB: a row with |a_i - lam| <= 2 sqrt(b_{i-1} b_i) oscillates; beyond,
     # a vector decays by arccosh of that ratio per row.  The distance from
     # a_i to the nearest eigenvalue bounds |a_i - lam| for every one.
@@ -360,7 +370,7 @@ def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
     decay = np.arccosh(np.maximum(ratio, 1.0))
     lo -= 1 + np.searchsorted(np.cumsum(decay[:lo][::-1]), _WINDOW_DECAY, side="right")
     hi += 1 + np.searchsorted(np.cumsum(decay[hi + 1:]), _WINDOW_DECAY, side="right")
-    lo, hi = max(lo, 0), min(hi, diag.size - 1)
+    lo, hi = int(max(lo, 0)), int(min(hi, n))
 
     b = off[lo:hi]
     coupling = (b * b).tolist()
@@ -382,12 +392,118 @@ def _ladder_vectors(diag, off, eigenvalues) -> np.ndarray:
         # and lo more above the window when a_0 - lam is positive.
         flips = np.count_nonzero(top[:r] > 0) + (lo if diag[0] > lam else 0)
         window[:, j] = (-1.0) ** flips * vector / np.linalg.norm(vector)
+    return lo, window
+
+
+def _recurrence_admits(n, basis, top) -> bool:
+    """Whether ``_level_recurrence`` builds levels 0..top stably.
+
+    The recurrence in k is stable on a row m while level k oscillates there,
+    ``|m - S_k| <= 2 e_k``, and while the row is still outside that band,
+    where the wanted solution grows with k; it is unstable on a row that
+    leaves the band.  Both band edges move outward while
+    ``|q - p| sqrt((k+1)(N-k)) <= sqrt(pq) (N - 2k - 1)``; up to
+    k = (N-1)/2 the left side grows and the right side falls, so the test at
+    the top level covers every level below it.  Each v_k is v_0 times a
+    polynomial in m, so it exists only where v_0 is a normal float: the
+    top level's band must lie where v_0 is above ``exp(-400)`` of its peak
+    (half the twisted window's decay), which leaves the vector hundreds of
+    nats to decay before v_0 leaves the normal floats near ``exp(-708)``.
+    At p = sin^2 0.8015 and N = 3000 the vectors stay within 1.5e-14 of
+    the twisted route down to a band 610 nats deep, then fail: 4e-12 off
+    at 626 nats, 2e-9 at 643, 2e-3 at 691.  A basis with ``pq = 0`` has no
+    coupling and takes the twisted route.
+    """
+    p, q = abs(basis[0, 1]) ** 2, abs(basis[0, 0]) ** 2
+    if p * q == 0.0:
+        return False
+    ladder = math.sqrt((top + 1.0) * (n - top))
+    if abs(q - p) * ladder > math.sqrt(p * q) * (n - 2.0 * top - 1.0):
+        return False
+
+    def log_v0(m):  # log |v_0[m]|
+        return 0.5 * (_log_binom(n, m) + m * math.log(p) + (n - m) * math.log(q))
+
+    centre, half = (n - top) * p + top * q, 2.0 * math.sqrt(p * q) * ladder
+    edge = min(log_v0(max(0, math.floor(centre - half))), log_v0(min(n, math.ceil(centre + half))))
+    return edge - log_v0(min(int((n + 1) * p), n)) >= -0.5 * _WINDOW_DECAY
+
+
+def _level_recurrence(n, basis, levels):
+    """Level-recurrence route of ``_rotated_vectors``: the first row lo of a
+    window of rows and one column per level of the rotated vectors on it,
+    not yet orthonormal, for levels that ``_recurrence_admits``.
+
+    With ``p = |U_01|^2``, ``q = |U_00|^2`` (not 1 - p, which loses digits
+    at p near 1) and ``e_k = sqrt(pq (k+1)(N-k))``, row m of the vectors
+    obeys ``v_{k+1} = (((N-k-m) p + (k-m) q) v_k - e_{k-1} v_{k-1}) / e_k``
+    with v_{-1} = 0.  ``[[p, sqrt(pq)], [sqrt(pq), q]]`` is p + q times the
+    projector on ``U|1>``; its collective operator is tridiagonal in the
+    Dicke basis, with diagonal ``S_k = (N-k) p + k q``, and diagonal in the
+    rotated one, with eigenvalue ``m (p + q)``.  That eigenvalue, rather
+    than m, keeps the relation exact for a float basis that is unitary only
+    to rounding (with m, a p + q that missed 1 by 5e-17 put level 315 of
+    N = 18 264 at p = 0.98 4e-13 off), and its two products are of the size
+    of the band rather than of Np.
+
+    Level 0 is ``v_0[m] = (-1)^m sqrt(Bin(m; N, p))``, built as products of
+    the ratios ``|v_0[m+1] / v_0[m]|`` outward from the mode (a sum of log
+    ratios would carry the rounding of its partial sums, 1e-14 of a 100-nat
+    sum, into every row).  The window holds the rows where v_0 is a normal
+    float, within about 708 nats of its peak (a product stalls in the
+    subnormals).  Every vector is then positive in row 0, the convention of
+    ``_ladder_vectors``.  Each step is a few numpy passes over the window.
+    """
+    p, q = abs(basis[0, 1]) ** 2, abs(basis[0, 0]) ** 2
+    mode = min(int((n + 1) * p), n)
+    half, tiny = 64 + int(60.0 * math.sqrt(n * p * q)), np.finfo(float).tiny
+    while True:
+        lo, hi = max(mode - half, 0), min(mode + half, n)
+        m = np.arange(lo, hi + 1, dtype=float)
+        # |v_0[m+1] / v_0[m]| = sqrt(rise / fall), multiplied outward from the mode
+        rise, fall, i = (n - m[:-1]) * p, (m[:-1] + 1.0) * q, mode - lo
+        v = np.concatenate([np.cumprod(np.sqrt(fall[:i] / rise[:i])[::-1])[::-1], [1.0],
+                            np.cumprod(np.sqrt(rise[i:] / fall[i:]))])
+        if (lo == 0 or v[0] < tiny) and (hi == n or v[-1] < tiny):
+            break
+        half *= 2
+    keep = np.flatnonzero(v >= tiny)
+    m = m[keep[0]:keep[-1] + 1]
+    v = v[keep[0]:keep[-1] + 1]
+    v[m % 2 == 1] *= -1.0
+    v /= np.linalg.norm(v)
+
+    base, top = int(levels[0]), int(levels[-1])
+    coupling = math.sqrt(p * q)
+    vectors = np.empty((levels.size, m.size))
+    prev, e_prev = np.zeros(m.size), 0.0
+    for k in range(top):
+        if k >= base:
+            vectors[k - base] = v
+        e_k = coupling * math.sqrt((k + 1.0) * (n - k))
+        v, prev, e_prev = (((n - k - m) * p + (k - m) * q) * v - e_prev * prev) / e_k, v, e_k
+    vectors[-1] = v
+    return lo + int(keep[0]), vectors.T
+
+
+def _rotated_vectors(n, basis, levels):
+    """First row lo and orthonormal columns, one per level, of the rotated
+    Dicke vectors on one window of rows; every vector is zero outside it.
+
+    Levels up to the bound of ``_recurrence_admits`` come from the level
+    recurrence (``_level_recurrence``), the others (mid-ladder, or with no
+    coupling) from the twisted factorization (``_ladder_vectors``).  Both
+    routes share the tail: NumericError for a non-finite vector, then
+    Gram-Schmidt in level order, as LAPACK stein does for close
+    eigenvalues, by one Cholesky QR (exact to rounding, as the columns are
+    orthonormal to about 1e-12).  The triangular factor has a positive
+    diagonal, so the QR keeps the signs.
+    """
+    route = _level_recurrence if _recurrence_admits(n, basis, int(levels[-1])) else _ladder_vectors
+    lo, window = route(n, basis, levels)
     if not np.all(np.isfinite(window)):
-        raise NumericError("twisted factorization left a non-finite rotated vector")
-    # Gram-Schmidt in level order, as LAPACK stein does for close eigenvalues:
-    # one Cholesky QR, exact to rounding as the columns are orthonormal to ~1e-12
-    vectors[lo:hi + 1] = window @ np.linalg.inv(np.linalg.cholesky(window.T @ window)).T
-    return vectors
+        raise NumericError("a route left a non-finite rotated vector")
+    return lo, window @ np.linalg.inv(np.linalg.cholesky(window.T @ window)).T
 
 
 def rotated_weights(state, basis) -> np.ndarray:
@@ -405,26 +521,39 @@ def rotated_weights(state, basis) -> np.ndarray:
     floating-point h so that they are the stored matrix's eigenvalues to
     rounding (``k - N/2`` misses them by up to 2e-11 at N = 10^5).
 
-    Each vector is a twisted factorization at its eigenvalue (Fernando
-    1997; Parlett and Dhillon): pivots ``D+`` of ``T - lambda`` from the
-    top and ``D-`` from the bottom, each a plain Python loop, with pivots
-    below ``4 * tiny * max(1, max b^2)`` replaced by minus that bound.  The
-    twist index r maximises ``log|f_r| + log|g_r|``, the diagonal of the
-    Green's function, for the solutions f from the top and g from the
-    bottom; the vector is the product of pivot ratios outward from r,
-    summed as logs from r, with signs by parity, and a row next to a node
-    (after a pivot below 1e-3 of its coupling, such as an exact zero) is
-    stepped over by the product of two pivots.  The sweeps run only on
-    one window of rows shared by the state's levels: the rows allowed for
-    some lambda_k, ``|a_m - lambda_k| <= 2 sqrt(b_{m-1} b_m)``, widened until
-    the WKB decay, the sum of ``arccosh(d_m / (2 sqrt(b_{m-1} b_m)))`` with
-    d_m the distance from a_m to the nearest lambda_k, passes 800 nats;
-    outside it every vector is 0.  The vectors are then orthonormalized in
-    level order (one Cholesky QR).  Cost: O(window * levels) Python-loop
-    steps (about 0.1 us each) plus O(window * levels^2); a base-0 window
-    spans O(sqrt(N)) rows (about 17 000 at N = 10^5 under ``sx``), a
-    mid-ladder one the whole ladder.  In a diagonal basis (h_10 = 0) each
-    vector is a unit vector.
+    The vectors come from one of two routes, chosen from N, U and the top
+    level alone (``_rotated_vectors``):
+
+    * levels 0 up to a top level that ``_recurrence_admits``: under ``sx``
+      every top level below N/2 up to N of about 1000 and about 400 beyond,
+      under ``bloch:1.2,0.3`` about N/3 and about 390; never a mid-ladder
+      state.  The three-term recurrence in the level index k, vectorised
+      over the rows (``_level_recurrence``), from
+      ``v_0[m] = (-1)^m sqrt(Bin(m; N, |U_01|^2))``.  Cost: O(window * top
+      level) numpy work, the window being the rows where v_0 is a normal
+      float, O(sqrt(N)) of them (about 17 000 at N = 10^5 under ``sx``).
+    * everything else, mid-ladder states in particular: a twisted
+      factorization at each eigenvalue (Fernando 1997; Parlett and Dhillon,
+      ``_ladder_vectors``): pivots ``D+`` of ``T - lambda`` from the top and
+      ``D-`` from the bottom, each a plain Python loop, with pivots below
+      ``4 * tiny * max(1, max b^2)`` replaced by minus that bound.  The
+      twist index r maximises ``log|f_r| + log|g_r|``, the diagonal of the
+      Green's function, for the solutions f from the top and g from the
+      bottom; the vector is the product of pivot ratios outward from r,
+      summed as logs from r, with signs by parity, and a row next to a node
+      (after a pivot below 1e-3 of its coupling, such as an exact zero) is
+      stepped over by the product of two pivots.  The sweeps run only on
+      one window of rows shared by the state's levels: the rows allowed for
+      some lambda_k, ``|a_m - lambda_k| <= 2 sqrt(b_{m-1} b_m)``, widened
+      until the WKB decay, the sum of
+      ``arccosh(d_m / (2 sqrt(b_{m-1} b_m)))`` with d_m the distance from
+      a_m to the nearest lambda_k, passes 800 nats.  Cost: two Python-loop
+      sweeps over the window per level (about 0.1 us per row); a mid-ladder
+      window spans the whole ladder.  In a diagonal basis (h_10 = 0) each
+      vector is a unit vector.
+
+    Both routes end in one Cholesky QR in level order, and the amplitudes
+    are summed on the window rows only.
 
     Row 0 fixes the phase of each level: ``<N,0|_U |N,k>`` is
     ``sqrt(C(N,k)) conj(U_00)^(N-k) conj(U_10)^k``, and the rephasing leaves
@@ -438,16 +567,12 @@ def rotated_weights(state, basis) -> np.ndarray:
     weights miss unit mass by more than 1e-10.
     """
     n = state.n_particles
-    h = basis.conj().T @ _JZ @ basis
-    m = np.arange(n + 1, dtype=float)
-    h00, h11, h10 = h[0, 0].real, h[1, 1].real, abs(h[1, 0])
-    rho = math.sqrt((h11 - h00) ** 2 + 4.0 * h10 ** 2)
-    ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    vectors = _ladder_vectors((n - m) * h00 + m * h11, h10 * ladder,
-                              0.5 * n * (h00 + h11) + rho * (state.levels - 0.5 * n))
+    lo, vectors = _rotated_vectors(n, basis, state.levels)
     chi = np.angle(basis[0, 0]) - np.angle(basis[1, 0])
     phased = state.coeffs * np.exp(1j * chi * state.levels)
-    weights = np.sum((vectors @ np.column_stack([phased.real, phased.imag])) ** 2, axis=1)
+    weights = np.zeros(n + 1)
+    weights[lo:lo + vectors.shape[0]] = np.sum(
+        (vectors @ np.column_stack([phased.real, phased.imag])) ** 2, axis=1)
     mass_defect = abs(float(weights.sum()) - 1.0)
     if not mass_defect <= 1e-10:
         raise NumericError(f"rotated weights miss unit mass by {mass_defect:.3e}")
@@ -494,6 +619,11 @@ def pmf_finite(state, povm, params, alpha):
       L = N*J+1 conjugate frequencies, inverted by a DFT; cost
       O(N * levels^2) Dicke sums that cancel for mid-ladder levels.
 
+    The values are ``X = (N (a_min - mu) + m step) / (tau N^alpha)``, with
+    ``a_min - mu`` taken first: an outcome shift far larger than the
+    outcomes' spread cancels in that one subtraction (exact when the two
+    are within a factor of 2), not after both are scaled by N.
+
     Raises
     ------
     OffLatticeError
@@ -531,7 +661,7 @@ def pmf_finite(state, povm, params, alpha):
 
     scale = params.tau * float(n) ** a
     m = np.arange(size, dtype=float)
-    values = (n * a_min + m * step - n * params.mu) / scale
+    values = (n * (a_min - params.mu) + m * step) / scale
     return LatticePmf(values=values, probs=p)
 
 

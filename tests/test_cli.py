@@ -416,6 +416,7 @@ class TestSelftest:
         assert all(" <= " in line for line in checks)
         assert any("wide-kernel-high-level" in line for line in checks)
         assert any("limit-charfn-high-level" in line for line in checks)
+        assert any("oracle-pmf-base0" in line for line in checks)
 
 
 def _povm_file(tmp_path, text):

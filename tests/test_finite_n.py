@@ -276,15 +276,22 @@ def test_char_fn_modulus_bounded(n, t):
     assert abs(value) <= 1.0 + 1e-12
 
 
-@given(st.floats(-12.0, 1.0), st.floats(-1e9, 1e9))
+@given(st.floats(-12.0, 1.0), st.floats(-3e9, 3e9))
 @settings(max_examples=25, deadline=None)
 def test_affine_relabeling_leaves_x_invariant(log_scale, shift_ratio):
     """Relabeling outcomes a -> u a + v (u > 0) must not move X at all.
 
-    u runs from 1e-12 to 10 and |v| / u up to 1e9, where the outcomes are
-    still distinct floats; X = (I - N mu) / (tau sqrt N) then loses the digits
-    of v / u to cancellation, about 5e-14 per unit of v / u here.
+    u runs from 1e-12 to 10 and |v| / u up to 3e9, where the outcomes are
+    still distinct floats.  The relabelled outcomes, mu and tau are each
+    rounded at the scale of v, so X moves by about 5e-14 per unit of v / u
+    (1.4e-4 at 3e9) whatever ``pmf_finite`` does.  What it must not add is
+    cancellation of its own: its X is the exact value, to 1e-14 of the
+    lattice's span, of ``(N (a_min - mu) + m step) / (tau sqrt N)`` at the
+    rounded inputs.  Scaling a_min and mu by N before subtracting them put
+    X 4.6e-12 off that value at v / u = 130 and 1.3e-4 off at 3e9.
     """
+    from fractions import Fraction
+
     scale = 10.0**log_scale
     shift = scale * shift_ratio
     rng = np.random.default_rng(7)
@@ -297,6 +304,15 @@ def test_affine_relabeling_leaves_x_invariant(log_scale, shift_ratio):
     atol = 1e-9 + 1e-12 * abs(shift_ratio)
     assert total_variation(pmf1, pmf2, match_atol=atol) <= 1e-9
     np.testing.assert_allclose(pmf1.values, pmf2.values, atol=atol)
+
+    n = state.n_particles
+    a_min, step, _ = finite_n._lattice_structure(relabeled.outcomes)
+    shift_term = n * (Fraction(a_min) - Fraction(params2.mu))
+    divisor = Fraction(params2.tau * float(n) ** 0.5)
+    exact = np.array([float((shift_term + m * Fraction(step)) / divisor)
+                      for m in range(pmf2.values.size)])
+    span = float(exact[-1] - exact[0])
+    assert np.max(np.abs(pmf2.values - exact)) <= 1e-14 * span
 
 
 # The lattice tolerance was 1e-9 max(max|a|, 1): +-5e-10 fell below it and
@@ -474,12 +490,13 @@ def test_unsharp_and_noncommuting_povms_against_brute_force(povm, n, base):
 
 
 def test_rotation_route_mass_guard(monkeypatch, sigma_x, params_x):
-    solve = finite_n._ladder_vectors
+    solve = finite_n._rotated_vectors
 
     def stretched(*args):
-        return 1.001 * solve(*args)
+        lo, vectors = solve(*args)
+        return lo, 1.001 * vectors
 
-    monkeypatch.setattr(finite_n, "_ladder_vectors", stretched)
+    monkeypatch.setattr(finite_n, "_rotated_vectors", stretched)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
     with pytest.raises(NumericError, match="unit mass"):
         pmf_finite(state, sigma_x, params_x, 0.5)
@@ -503,14 +520,14 @@ def test_rotation_route_reports_non_finite_vectors(monkeypatch, sigma_x, params_
 def test_rotation_route_rejects_nan_weights(monkeypatch, sigma_x, params_x):
     # NaN fails every comparison, so a guard written as "value > bound" let
     # NaN weights through as an all-NaN PMF.
-    solve = finite_n._ladder_vectors
+    solve = finite_n._rotated_vectors
 
     def poisoned(*args):
-        vectors = solve(*args)
+        lo, vectors = solve(*args)
         vectors[0, 0] = math.nan
-        return vectors
+        return lo, vectors
 
-    monkeypatch.setattr(finite_n, "_ladder_vectors", poisoned)
+    monkeypatch.setattr(finite_n, "_rotated_vectors", poisoned)
     state = DickeSuperposition(n_particles=100, coeffs=PAPER_COEFFS, base_level=50)
     with pytest.raises(NumericError, match="unit mass"):
         pmf_finite(state, sigma_x, params_x, 0.5)
@@ -533,6 +550,17 @@ def test_inversion_route_rejects_nan_characteristic_function(monkeypatch):
         pmf_finite(state, povm, derive_params(povm), 0.5)
 
 
+def rotated_tridiagonal(basis, n):
+    """Diagonal and off-diagonal of the collective U^dag J_z U in the
+    rephased Dicke basis, and its eigenvalue function of the level."""
+    h = basis.conj().T @ np.diag([-0.5, 0.5]) @ basis
+    h00, h11, h10 = h[0, 0].real, h[1, 1].real, abs(h[1, 0])
+    m = np.arange(n + 1.0)
+    rho = math.hypot(h11 - h00, 2.0 * h10)
+    return ((n - m) * h00 + m * h11, h10 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1])),
+            lambda levels: 0.5 * n * (h00 + h11) + rho * (np.asarray(levels) - 0.5 * n))
+
+
 @functools.lru_cache(maxsize=2)  # the two POVMs of one (N, base) case
 def bisection_vectors(bloch, n, base, levels=16):
     """Eigenpairs base..base+levels-1 of the collective U^dag J_z U in the
@@ -540,39 +568,49 @@ def bisection_vectors(bloch, n, base, levels=16):
     (``eigh_tridiagonal``)."""
     from scipy.linalg import eigh_tridiagonal
 
-    basis = common_eigenbasis(projective_from_bloch(*bloch))[0]
-    h = basis.conj().T @ np.diag([-0.5, 0.5]) @ basis
-    m = np.arange(n + 1.0)
-    ladder = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    return eigh_tridiagonal((n - m) * h[0, 0].real + m * h[1, 1].real, abs(h[1, 0]) * ladder,
-                            select="i", select_range=(base, base + levels - 1))
+    diag, off, _ = rotated_tridiagonal(common_eigenbasis(projective_from_bloch(*bloch))[0], n)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(base, base + levels - 1))
+
+
+def full_ladder(n, lo, window):
+    """A window of rows from ``lo`` as full-ladder columns, zero outside it."""
+    vectors = np.zeros((n + 1, window.shape[1]))
+    vectors[lo:lo + window.shape[0]] = window
+    return vectors
 
 
 def recorded_ladders(monkeypatch):
-    """Every (diag, off, eigenvalues, vectors) that ``_ladder_vectors`` sees."""
-    solve = finite_n._ladder_vectors
+    """The vectors of every call to ``_rotated_vectors``, the seam of both
+    routes, on the full ladder."""
+    solve = finite_n._rotated_vectors
     calls = []
 
-    def recorded(*args):
-        vectors = solve(*args)
-        calls.append((*args, vectors))
-        return vectors
+    def recorded(n, basis, levels):
+        lo, window = solve(n, basis, levels)
+        calls.append(full_ladder(n, lo, window))
+        return lo, window
 
-    monkeypatch.setattr(finite_n, "_ladder_vectors", recorded)
+    monkeypatch.setattr(finite_n, "_rotated_vectors", recorded)
     return calls
 
 
 def recorded_rotation(monkeypatch, state, bloch):
-    """Eigenvalues and vectors that ``rotated_weights`` computes for ``state``."""
+    """Rotated vectors that ``rotated_weights`` computes for ``state``."""
     calls = recorded_ladders(monkeypatch)
     finite_n.rotated_weights(state, common_eigenbasis(projective_from_bloch(*bloch))[0])
-    return calls[-1][2:]
+    return calls[-1]
 
 
 def assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values, oracle):
     state = DickeSuperposition.from_coeffs(n, np.ones(values.size), base_level=base)
-    eigenvalues, vectors = recorded_rotation(monkeypatch, state, bloch)
-    assert np.max(np.abs(values - eigenvalues)) <= 1e-10
+    vectors = recorded_rotation(monkeypatch, state, bloch)
+    # each vector's Rayleigh quotient is the eigenvalue of its level, taken
+    # on T - lambda so that the sum does not round at the scale of N
+    diag, off, _ = rotated_tridiagonal(common_eigenbasis(projective_from_bloch(*bloch))[0], n)
+    product = (diag[:, None] - values) * vectors
+    product[:-1] += off[:, None] * vectors[1:]
+    product[1:] += off[:, None] * vectors[:-1]
+    assert np.max(np.abs(np.sum(vectors * product, axis=0))) <= 1e-10
     signs = np.sign(np.sum(vectors * oracle, axis=0))
     assert np.max(np.abs(signs * vectors - oracle)) <= 1e-12
     assert np.max(np.abs(vectors.T @ vectors - np.eye(values.size))) <= 1e-12
@@ -583,10 +621,15 @@ def assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values, oracl
 @pytest.mark.parametrize("n", [1000, 100000])
 @pytest.mark.parametrize("mid_ladder", [False, True], ids=["base0", "baseN/2"])
 def test_rotated_vectors_against_eigh_tridiagonal(monkeypatch, bloch, levels, n, mid_ladder):
-    # The twisted factorization at the eigenvalues of the floating-point h
-    # against bisection for them.  Measured over these 16 cases: eigenvalues
-    # within 7.3e-12, vectors within 1.9e-13 up to sign, orthonormal to 1.5e-15.
+    # Both routes against bisection: the level recurrence at base 0, the
+    # twisted factorization at the eigenvalues of the floating-point h
+    # mid-ladder.  Measured over these 16 cases: Rayleigh quotients within
+    # 7.3e-12 of bisection's eigenvalues; vectors within 1.1e-13 at base 0
+    # (bisection's own error: see the 40-digit test below) and 2.4e-14
+    # mid-ladder, up to sign; orthonormal to 1.6e-15.
     base = n // 2 if mid_ladder else 0
+    assert finite_n._recurrence_admits(n, common_eigenbasis(projective_from_bloch(*bloch))[0],
+                                       base + levels - 1) != mid_ladder
     values, oracle = bisection_vectors(bloch, n, base)
     assert_rotation_matches_bisection(monkeypatch, bloch, n, base, values[:levels],
                                       oracle[:, :levels])
@@ -641,7 +684,7 @@ def test_exact_zero_pivots_give_the_null_vector_to_rounding(monkeypatch, n):
     from fractions import Fraction
 
     state = DickeSuperposition.dicke(n, n // 2)
-    _, vectors = recorded_rotation(monkeypatch, state, (math.pi / 2.0, 0.0))
+    vectors = recorded_rotation(monkeypatch, state, (math.pi / 2.0, 0.0))
     basis = common_eigenbasis(projective_from_bloch(math.pi / 2.0, 0.0))[0]
     m = np.arange(n)
     off = abs(complex((basis.conj().T @ np.diag([-0.5, 0.5]) @ basis)[1, 0])) \
@@ -671,8 +714,8 @@ def basis_povm(basis):
 @pytest.mark.parametrize("place", ["base0", "mid-ladder", "top"])
 def test_rotated_weights_of_bases_with_arbitrary_column_phases(monkeypatch, place):
     # The level phase exp(i k chi), chi = arg U_00 - arg U_10, against 2^N
-    # state vectors.  At these sizes every window starts at row 0, where each
-    # vector must be positive.
+    # state vectors, on both routes.  At these sizes every window starts at
+    # row 0, where each vector must be positive.
     rng = np.random.default_rng(["base0", "mid-ladder", "top"].index(place) + 41)
     calls = recorded_ladders(monkeypatch)
     for n in (1, 2, 5, 9, 12):
@@ -685,15 +728,16 @@ def test_rotated_weights_of_bases_with_arbitrary_column_phases(monkeypatch, plac
             povm = basis_povm(basis)
             brute = brute_force_pmf(state, povm, derive_params(povm, mu=0.0, tau=1.0), 0.5)
             assert np.max(np.abs(finite_n.rotated_weights(state, basis) - brute.probs)) <= 1e-13
-            assert np.all(calls[-1][-1][0] > 0.0)
+            assert np.all(calls[-1][0] > 0.0)
 
 
 def test_rotated_weights_past_row_zero_against_inversion(monkeypatch):
-    # At N = 5000 the row-0 entries underflow, so the signs come from pivot
-    # parity.  The weights are checked against the inversion route, exact at
-    # base 0, and each sign against the pivots of the whole ladder from row
-    # 0: a vector positive in row 0 has the sign (-1)^(positive pivots above
-    # row r) at its largest entry r.
+    # At N = 5000 the row-0 entries underflow, so the signs of the twisted
+    # route come from pivot parity, and those of the level recurrence from
+    # (-1)^m in v_0.  The weights (recurrence route) are checked against the
+    # inversion route, exact at base 0, and the signs of both routes against
+    # the pivots of the whole ladder from row 0: a vector positive in row 0
+    # has the sign (-1)^(positive pivots above row r) at its largest entry r.
     rng = np.random.default_rng(47)
     calls = recorded_ladders(monkeypatch)
     n = 5000
@@ -703,19 +747,170 @@ def test_rotated_weights_past_row_zero_against_inversion(monkeypatch):
         basis = np.diag([1.0, phases[0]]) @ np.array([[c, -s], [s, c]]) @ np.diag(phases[1:])
         state = DickeSuperposition.from_coeffs(
             n, rng.normal(size=4) + 1j * rng.normal(size=4))
+        assert finite_n._recurrence_admits(n, basis, 3)
         weights = finite_n.rotated_weights(state, basis)
         oracle = finite_n._inverted_probs(state, basis_povm(basis), np.array([0, 1]), n + 1)
         assert np.max(np.abs(weights - oracle)) <= 1e-12
 
-        diag, off, eigenvalues, vectors = calls[-1]
-        assert np.all(vectors[0] == 0.0)
-        for lam, vector in zip(eigenvalues, vectors.T):
-            r = int(np.argmax(np.abs(vector)))
-            pivot, positive = diag[0] - lam, 0
-            for i in range(r):
-                positive += pivot > 0.0
-                pivot = diag[i + 1] - lam - off[i] ** 2 / pivot
-            assert np.sign(vector[r]) == (-1.0) ** positive
+        diag, off, eigenvalues = rotated_tridiagonal(basis, n)
+        twisted = full_ladder(n, *finite_n._ladder_vectors(n, basis, state.levels))
+        for vectors in (calls[-1], twisted):
+            assert np.all(vectors[0] == 0.0)
+            for lam, vector in zip(eigenvalues(state.levels), vectors.T):
+                r = int(np.argmax(np.abs(vector)))
+                pivot, positive = diag[0] - lam, 0
+                for i in range(r):
+                    positive += pivot > 0.0
+                    pivot = diag[i + 1] - lam - off[i] ** 2 / pivot
+                assert np.sign(vector[r]) == (-1.0) ** positive
+
+
+def rotation_basis(half_angle):
+    """The real basis ((c, -s), (s, c)): p = |U_01|^2 = sin^2(half_angle)."""
+    c, s = math.cos(half_angle), math.sin(half_angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@functools.lru_cache(maxsize=2)
+def krawtchouk_rows(bloch, n, top):
+    """Rows m of the rotated vectors 0..top, from Np - 30 sigma to Np + 30 sigma,
+    to 40 digits: ``v_k[m] = sqrt(C(N,k) / C(N,m)) sum_j C(k,j) C(N-k,m-j)
+    (-1)^(m-j) q^((N-k-m)/2 + j) p^((k+m)/2 - j)`` at the exact direction
+    ``p = |U_01|^2 / (|U_01|^2 + |U_00|^2)`` of the float basis.  The sum
+    cancels by about N^(k/2), so each level runs at 40 digits more than that."""
+    mpmath = pytest.importorskip("mpmath")
+    basis = common_eigenbasis(projective_from_bloch(*bloch))[0]
+    with mpmath.workdps(60):
+        weight = mpmath.mpf(abs(basis[0, 1])) ** 2
+        p = weight / (weight + mpmath.mpf(abs(basis[0, 0])) ** 2)
+    sigma = math.sqrt(n * float(p) * float(1 - p))
+    rows = np.unique(np.round(n * float(p) + np.linspace(-30.0, 30.0, 61) * sigma).astype(int))
+    table = np.empty((rows.size, top + 1))
+    for k in range(top + 1):
+        with mpmath.workdps(50 + int(0.5 * k * math.log10(n))):
+            q = 1 - p
+            for i, m in enumerate(int(r) for r in rows):
+                j = max(0, m - (n - k))
+                term = (mpmath.binomial(k, j) * mpmath.binomial(n - k, m - j) * (-1) ** (m - j)
+                        * q ** (mpmath.mpf(n - k - m) / 2 + j) * p ** (mpmath.mpf(k + m) / 2 - j))
+                total = term
+                for j in range(j, min(k, m)):
+                    term *= mpmath.mpf((k - j) * (m - j)) / ((j + 1) * (n - k - m + j + 1)) * -q / p
+                    total += term
+                table[i, k] = float(total * mpmath.sqrt(mpmath.binomial(n, k) / mpmath.binomial(n, m)))
+    return rows, table
+
+
+@pytest.mark.parametrize("bloch", [(math.pi / 2.0, 0.0), (1.2, 0.3)], ids=["sx", "bloch"])
+@pytest.mark.parametrize("levels", [3, 16])
+def test_base0_vectors_against_a_40_digit_krawtchouk_sum(monkeypatch, bloch, levels):
+    # The level recurrence at N = 10^5, base 0.  Measured: 1.5e-15 (sx) and
+    # 1.3e-15 (bloch) at most; the twisted factorization, which served this
+    # input before, is 2.2e-14 and 2.0e-13 off.
+    n = 100000
+    rows, reference = krawtchouk_rows(bloch, n, 15)
+    state = DickeSuperposition.from_coeffs(n, np.ones(levels))
+    vectors = recorded_rotation(monkeypatch, state, bloch)
+    assert np.max(np.abs(vectors[rows] - reference[:, :levels])) <= 1e-14
+
+
+# Inputs the level recurrence cannot take.  p = sin^2 0.2 with all 13 levels
+# of N = 12 reaches past the middle of the ladder, where rows leave the
+# band; a tilt of 1e-4 moves the band faster than it widens; and sz has no
+# coupling at all.
+@pytest.mark.parametrize("basis, levels", [(rotation_basis(0.2), 13), (rotation_basis(1e-4), 3),
+                                           (np.eye(2), 3)], ids=["all-levels", "near-z", "sz"])
+def test_inputs_outside_the_rule_take_the_twisted_route(monkeypatch, basis, levels):
+    n = 12
+    assert not finite_n._recurrence_admits(n, basis, levels - 1)
+    taken = []
+    monkeypatch.setattr(finite_n, "_level_recurrence", lambda *args: taken.append(args))
+    povm = basis_povm(basis)
+    params = derive_params(povm, mu=0.0, tau=1.0)
+    state = DickeSuperposition.from_coeffs(n, np.linspace(1.0, 2.0, levels) * 1j ** np.arange(levels))
+    exact = pmf_finite(state, povm, params, 0.5)
+    assert not taken
+    assert total_variation(exact, brute_force_pmf(state, povm, params, 0.5)) <= 1e-12
+
+
+def test_largest_admitted_levels_against_eigh_tridiagonal():
+    # 200 random bases with arbitrary column phases and N up to 3 10^4, each
+    # at the highest top level that the rule admits (median 79, up to 519).
+    # Measured: within 4.8e-14 of bisection.  With m in place of m (p + q)
+    # in the recurrence the worst case was 1.6e-12 off.
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(2024)
+    cases = 0
+    while cases < 200:
+        basis = phased_haar_basis(rng)
+        n = int(round(math.exp(rng.uniform(math.log(2.0), math.log(3e4)))))
+        top = -1
+        while top < n and finite_n._recurrence_admits(n, basis, top + 1):
+            top += 1
+        if top < 0:
+            continue
+        cases += 1
+        levels = np.arange(max(0, top - 2), top + 1)
+        vectors = full_ladder(n, *finite_n._rotated_vectors(n, basis, levels))
+        diag, off, _ = rotated_tridiagonal(basis, n)
+        _, oracle = eigh_tridiagonal(diag, off, select="i",
+                                     select_range=(int(levels[0]), int(levels[-1])))
+        signs = np.sign(np.sum(vectors * oracle, axis=0))
+        assert np.max(np.abs(signs * vectors - oracle)) <= 1e-12, (n, top)
+
+
+# Each clause of the rule guards a failure of the recurrence, measured
+# against the twisted route.  Band: under a tilt of 0.05 the lower band edge
+# moves inward past level 20 of N = 3 10^4 (1.8e-4 off at level 80).
+# Depth: at half-angle 0.8015 and N = 3000 the top level's band reaches 690
+# nats down v_0, near where v_0 leaves the normal floats (2.0e-3 off).
+# Past the middle: all levels of N = 12 (1.6e-9 off).
+@pytest.mark.parametrize("half_angle, n, top", [(0.025, 30000, 80), (0.8015, 3000, 760),
+                                                (0.2, 12, 12)],
+                         ids=["band", "depth", "all-levels"])
+def test_the_rule_rejects_levels_where_the_recurrence_fails(half_angle, n, top):
+    basis = rotation_basis(half_angle)
+    assert not finite_n._recurrence_admits(n, basis, top)
+    levels = np.array([top])
+    recurrence = full_ladder(n, *finite_n._level_recurrence(n, basis, levels))[:, 0]
+    twisted = full_ladder(n, *finite_n._ladder_vectors(n, basis, levels))[:, 0]
+    error = np.max(np.abs(recurrence / np.linalg.norm(recurrence) - twisted))
+    assert error > 1e-9
+
+
+def test_recurrence_route_reports_non_finite_vectors(monkeypatch, sigma_x, params_x):
+    build = finite_n._level_recurrence
+
+    def broken(*args):
+        lo, window = build(*args)
+        window[len(window) // 2, 0] = math.inf
+        return lo, window
+
+    monkeypatch.setattr(finite_n, "_level_recurrence", broken)
+    state = DickeSuperposition(n_particles=1000, coeffs=PAPER_COEFFS)
+    with pytest.raises(NumericError, match="non-finite rotated vector"):
+        pmf_finite(state, sigma_x, params_x, 0.5)
+
+
+# The route of every projective input of the benchmark's exact-ladder and
+# sampler workloads, so that both routes stay measured: the mid-ladder ones
+# take the twisted factorization, the rest the level recurrence.
+@pytest.mark.parametrize("bloch, n, top, recurrence", [
+    ((math.pi / 2.0, 0.0), 100000, 2, True),   # dist.paper.half
+    ((math.pi / 2.0, 0.0), 2000, 11, True),    # dist.equal12
+    ((math.pi / 2.0, 0.0), 10000, 1, True),    # dist.w
+    ((1.2, 0.3), 20000, 2, True),              # dist.paper.one.bloch
+    ((math.pi / 2.0, 0.0), 100, 52, False),    # dist.paper.base50
+    ((math.pi / 2.0, 0.0), 200, 15, True),     # dist.equal16
+    ((math.pi / 2.0, 0.0), 800, 1, True),      # sample.w.narrow
+    ((math.pi / 2.0, 0.0), 100, 2, True),      # sample.paper.narrow
+    ((math.pi / 2.0, 0.0), 40, 21, False),     # sample.paper.wide
+], ids=["paper.half", "equal12", "w", "paper.one.bloch", "paper.base50", "equal16",
+        "sample.w", "sample.paper", "sample.paper.wide"])
+def test_route_of_each_benchmark_input(bloch, n, top, recurrence):
+    basis = common_eigenbasis(projective_from_bloch(*bloch))[0]
+    assert finite_n._recurrence_admits(n, basis, top) == recurrence
 
 
 @pytest.mark.parametrize("n, coeffs", [
