@@ -9,32 +9,29 @@ module builds that table, evaluates and maximizes the CHSH combination over
 the four analyzer angles, and cross-checks the full coarse-graining branch
 against its separable hidden-variable construction.
 
-The table contracts the Hermite rows of ``limits.level_rows`` against
-half-line ``limits.gauss_legendre`` weights in one matrix product, and the
-rotor joints integrate by the trapezoid rule, so the module needs numpy
-alone.  Every grid a caller passes goes through ``errors.check_grid`` (the
-rotor grids inside [0, ``limits.ROTOR_ANGLE_MAX``]); ``SignOverlapTable``
-and ``JointGridDensity`` hold their finite arrays read-only.
+The clean sign table is a closed form at every level count.  A smoothed
+table contracts the Hermite rows of ``limits.level_rows`` against half-line
+``limits.gauss_legendre`` weights in one matrix product, and the rotor
+joints integrate by the trapezoid rule, so the module needs numpy alone.
+Every grid a caller passes goes through ``errors.check_grid`` (the rotor
+grids inside [0, ``limits.ROTOR_ANGLE_MAX``]); ``SignOverlapTable`` and
+``JointGridDensity`` hold their finite arrays read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (CapExceededError, ValidationError, check_grid, check_integer, check_real,
                      check_real_array, check_unit_vector)
-from .limits import ROTOR_ANGLE_MAX, gauss_legendre, level_rows, real_half_width
+from .limits import ROTOR_ANGLE_MAX, gauss_legendre, level_rows
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
-
-#: Gauss-Legendre node count for the half-line overlap quadrature.
-SIGN_TABLE_NODES = 600
 
 #: Number of coarse-search points per angle (step pi/36).
 COARSE_GRID_POINTS = 72
@@ -63,8 +60,7 @@ class SignOverlapTable:
 
     ``values[k, l]`` holds the integral of sign(x) (or of a smoothed odd
     step) times the level-(k, l) kernel.  Entries with k + l even vanish by
-    parity and are set to exactly zero; the odd entries come from half-line
-    Gauss-Legendre quadrature.  ``values`` must be a finite square table,
+    parity and are exactly zero.  ``values`` must be a finite square table,
     and is held as a read-only copy.
     """
 
@@ -81,49 +77,59 @@ class SignOverlapTable:
         return self.values.shape[0] - 1
 
 
-def _half_line_overlaps(k_max: int, width: float, edge: float, ramp, nodes: int) -> np.ndarray:
-    # K_kl(x) * S(x) with S odd is even iff k + l is odd, so the table is
-    # 2 * integral over the positive half line there and exactly 0 elsewhere.
-    # The half line is split where S reaches 1, so each piece is smooth.
-    half_width = real_half_width(k_max, width)
-    t, w = gauss_legendre(nodes)
+def _clean_sign_table(k_max: int) -> np.ndarray:
+    # psi_k'' = (x^2/4 - k - 1/2) psi_k, so for odd k + l the half-line integral of
+    # psi_k psi_l is the Wronskian (psi_k psi_l' - psi_l psi_k')(0) / (l - k), where
+    # one product is exactly 0: T_kl = 2 psi_k(0) psi_l'(0) / (l - k) at even k.
+    k = np.arange(k_max + 1)
+    even, psi = k[2::2], np.zeros(k_max + 1)
+    psi[::2] = (2.0 * math.pi) ** -0.25 * np.cumprod(np.r_[1.0, -np.sqrt((even - 1.0) / even)])
+    slope = np.r_[0.0, np.sqrt(k[1:]) * psi[:-1]]
+    gap = k - k[:, None]
+    half = np.divide(2.0 * np.outer(psi, slope), gap, out=np.zeros(gap.shape), where=gap % 2 == 1)
+    return half + half.T
+
+
+def _half_line_overlaps(k_max: int, width: float, edge: float, ramp,
+                        nodes: int | None = None) -> np.ndarray:
+    # K_kl(x) S(x) with S odd is even iff k + l is odd: there the table is twice the
+    # half-line integral, elsewhere exactly 0.  The line ends 12 past the top level's
+    # turning point 2 sqrt(k_max + 1/2), widened by the smearing, and splits where S
+    # reaches 1; each piece takes max(600, 2 k_max) nodes (600 held to 500 levels).
+    half_width = (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
+    t, w = gauss_legendre(nodes or max(600, 2 * k_max))
     knot = min(edge, half_width)
-    x, weights = [], []
+    table = np.zeros((k_max + 1, k_max + 1))
     for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
         if hi > lo:
-            x.append(lo + 0.5 * (hi - lo) * (t + 1.0))
-            weights.append(0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x[-1])))
-    rows = level_rows(k_max, np.concatenate(x), width)  # (d, Hermite nodes, points)
-    # sum_p K_kl(x_p) w_p = sum over (node j, point p) of row_k[j, p] w_p row_l[j, p]
-    table = 2.0 * ((rows * np.concatenate(weights)).reshape(k_max + 1, -1)
-                   @ rows.reshape(k_max + 1, -1).T)
-    k = np.arange(k_max + 1)
-    table[(k[:, None] + k[None, :]) % 2 == 0] = 0.0
+            x = lo + 0.5 * (hi - lo) * (t + 1.0)
+            weights = 0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x))
+            rows = level_rows(k_max, x, width)  # (d, Hermite nodes, points)
+            # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p)
+            table += 2.0 * ((rows * weights).reshape(k_max + 1, -1)
+                            @ rows.reshape(k_max + 1, -1).T)
+    table[::2, ::2] = table[1::2, 1::2] = 0.0
     return table
 
 
-@lru_cache(maxsize=32)
-def _sign_overlap_table(k_max: int, nodes: int) -> SignOverlapTable:
-    return SignOverlapTable(_half_line_overlaps(k_max, 0.0, 0.0, None, nodes))
-
-
-def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
-                       nodes: int = SIGN_TABLE_NODES) -> SignOverlapTable:
+def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
+                       ramp=None) -> SignOverlapTable:
     """Overlaps of the width-smeared level kernels up to ``k_max`` against an
     odd step S.
 
     S is odd, equals ``ramp(x)`` on [0, edge] and 1 beyond; for the sign
     convolved with a noise density on [-edge, edge], this is the sign
     integral of each kernel after that noise.  At width = edge = 0 it is the
-    clean sign table, cached per (k_max, nodes).  ``nodes``, an integer
-    >= 1, controls the Gauss-Legendre resolution and exists mainly so
-    convergence can be checked by doubling it.
+    clean sign table, a closed form with no level cap.  Otherwise
+    max(600, 2 k_max) Gauss-Legendre nodes per piece integrate the rows of
+    ``level_rows`` (which caps the levels at width > 0) over the half line
+    that holds them.
     """
-    k_max, nodes = check_integer(k_max, "k_max", 0), check_integer(nodes, "nodes", 1)
+    k_max = check_integer(k_max, "k_max", 0)
     width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)
     if width == 0.0 and edge == 0.0:
-        return _sign_overlap_table(k_max, nodes)
-    return SignOverlapTable(_half_line_overlaps(k_max, width, edge, ramp, nodes))
+        return SignOverlapTable(_clean_sign_table(k_max))
+    return SignOverlapTable(_half_line_overlaps(k_max, width, edge, ramp))
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,7 @@ class BellConfig:
         c = check_unit_vector(self.schmidt_coeffs)
         if c.size > MAX_SCHMIDT_RANK:
             raise CapExceededError(
-                f"Schmidt rank {c.size} exceeds the supported maximum {MAX_SCHMIDT_RANK}"
-            )
+                f"Schmidt rank {c.size} exceeds the supported maximum {MAX_SCHMIDT_RANK}")
         for name in ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"):
             check_real(getattr(self, name), name)
         object.__setattr__(self, "schmidt_coeffs", c)
@@ -166,8 +171,7 @@ def _pair_correlation(coeffs: np.ndarray, squared_table: np.ndarray, phase_sum,
     offsets = (np.arange(d)[None, :] - np.arange(d)[:, None]).ravel()
     cross = (np.outer(np.conj(coeffs), coeffs) * squared_table[:d, :d]).ravel()
     cross = cross * (1j * offsets) ** order
-    phase_sum = np.asarray(phase_sum, dtype=float)
-    phases = np.exp(1j * phase_sum[..., None] * offsets)
+    phases = np.exp(1j * np.asarray(phase_sum, dtype=float)[..., None] * offsets)
     return np.real(phases @ cross)
 
 
@@ -197,8 +201,7 @@ def correlator(config: BellConfig, which_pair: str = "AB",
     """
     if which_pair not in PAIR_NAMES:
         raise ValidationError(
-            f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}"
-        )
+            f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}")
     phase_sum = _PAIR_SUMS[PAIR_NAMES.index(which_pair)] @ config.angles
     return float(_pair_correlation(config.schmidt_coeffs, _squared_table(config, table),
                                    phase_sum))
@@ -320,9 +323,8 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
     c = check_unit_vector(c_kl, ndim=2)
     phi_a, phi_b = check_real(phi_a, "phi_a"), check_real(phi_b, "phi_b")
     if max(c.shape) > MAX_SCHMIDT_RANK:
-        raise CapExceededError(
-            f"level count {max(c.shape)} exceeds the supported maximum {MAX_SCHMIDT_RANK}"
-        )
+        raise CapExceededError(f"level count {max(c.shape)} exceeds the supported maximum "
+                               f"{MAX_SCHMIDT_RANK}")
     if theta_grids is None:
         theta_grids = (np.linspace(0.0, np.pi, 201), np.linspace(0.0, np.pi, 201))
     try:
@@ -333,9 +335,7 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
     theta_a, theta_b = (check_grid(grid, "theta_grids", 0.0, ROTOR_ANGLE_MAX)
                         for grid in (theta_a, theta_b))
 
-    d_a, d_b = c.shape
-    ka = np.arange(d_a)
-    kb = np.arange(d_b)
+    ka, kb = (np.arange(d) for d in c.shape)
 
     # Quantum route: complex amplitude matrices, setting phases on the state.
     b = c * np.exp(1j * (ka[:, None] * phi_a + kb[None, :] * phi_b))
@@ -344,8 +344,7 @@ def local_model_alpha_one(c_kl, phi_a: float, phi_b: float,
         ea = np.exp(1j * sa * np.outer(theta_a, ka))
         for sb in (1.0, -1.0):
             eb = np.exp(1j * sb * np.outer(kb, theta_b))
-            amplitude = ea @ b @ eb
-            quantum += np.abs(amplitude) ** 2
+            quantum += np.abs(ea @ b @ eb) ** 2
     quantum /= (2.0 * np.pi) ** 2
 
     # Hidden-variable route: the latent density at the four pushforward

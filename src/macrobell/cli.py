@@ -651,7 +651,7 @@ def _selftest_checks():
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
                            total_variation)
-    from .limits import (LimitState, default_real_grid, level_rows,
+    from .limits import (LimitState, default_real_grid, gauss_legendre, level_rows,
                          limit_charfn_alpha_half, limit_density_alpha_half,
                          limit_density_alpha_one, verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
@@ -669,6 +669,16 @@ def _selftest_checks():
                        abs(table[1, 2] - 1.0 / math.sqrt(math.pi)))
         parity = max(abs(table[0, 0]), abs(table[0, 2]), abs(table[1, 1]))
         return max(residual, 0.0 if parity == 0.0 else 1.0)
+
+    def sign_table_high_level():
+        # the closed form against Gauss-Legendre quadrature of the rows over
+        # the top level's band and its tail
+        t, w = gauss_legendre(600)
+        half = 0.5 * (2.0 * math.sqrt(100.5) + 12.0)
+        rows = level_rows(100, half * (t + 1.0), 0.0)[:, 0]
+        quadrature = 2.0 * (rows * (half * w)) @ rows.T
+        odd = np.add.outer(np.arange(101), np.arange(101)) % 2 == 1
+        return float(np.max(np.abs(sign_overlap_table(100).values - quadrature)[odd]))
 
     def oracle_pmf():
         exact = pmf_finite(state8, sx, params, 0.5)
@@ -750,6 +760,7 @@ def _selftest_checks():
 
     return [
         ("sign-overlaps", sign_overlaps, 1e-9),
+        ("sign-table-high-level", sign_table_high_level, 1e-13),
         ("oracle-pmf", oracle_pmf, 1e-10),
         ("oracle-pmf-base0", lambda: tilted_oracle(0), 1e-10),
         ("oracle-pmf-mid-ladder", lambda: tilted_oracle(5), 1e-10),

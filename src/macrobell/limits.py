@@ -57,6 +57,9 @@ __all__ = [
 
 BOUNDARY_MASS_TOL = 1e-10
 
+# e^-E is a normal float for E up to this.
+_SEED_EXPONENT_MAX = 708.0
+
 #: Largest angle of a rotor grid: pi, with slack for a computed endpoint.
 ROTOR_ANGLE_MAX = math.pi + 1e-12
 
@@ -145,7 +148,9 @@ def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     integrates exactly.  Row k at node j is the normalised recurrence at
     y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
     (2 pi)^(-1/4) sqrt(w_j / (sqrt(pi) a)) e^(-x^2/(4 a^2)); squared, it is at
-    most the kernel <k| e_s(x) |k>, so nothing overflows.  At s = 0 the rule
+    most the kernel <k| e_s(x) |k>, so nothing overflows, and past |x| = 53.2 a,
+    where the seed is no normal float, it is carried as a power of two, so
+    nothing underflows while the rows are not negligible.  At s = 0 the rule
     is the one node t = 0, w = sqrt(pi), and row k is the oscillator
     wavefunction <x|k> = (2 pi)^(-1/4) He_k(x) e^(-x^2/4) / sqrt(k!).  At
     s > 0 level 370 and above raise NumericError, where numpy's Gauss-Hermite
@@ -158,11 +163,23 @@ def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     nodes, weights = _hermgauss_cached(k_max + 1 if s > 0.0 else 1)
     y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)
     rows = np.empty((k_max - k_min + 1,) + y.shape)
+    # Past |x| = 53.2 a the seed leaves the normal floats, while high levels there
+    # are O(1): it is lifted into [1, 2) by 2^carry (the exponent capped at 1e5,
+    # so carry fits an int), which the rows shed, exactly, as they grow.
+    exponent = 0.25 * x * x / alpha2
+    carry = np.where(exponent > _SEED_EXPONENT_MAX,
+                     np.ceil(np.minimum(exponent, 1e5) / math.log(2.0)), 0.0).astype(int)
+    seed = np.exp(carry * math.log(2.0) - exponent)
     below, row = 0.0, np.multiply.outer(np.sqrt(weights / math.sqrt(np.pi * alpha2)),
-                                        (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * x * x / alpha2))
+                                        (2.0 * np.pi) ** -0.25 * seed)
+    carried = carry.any()
     for k in range(k_max + 1):
+        if carried and k % 16 == 0:  # shed what the rows grew by; powers of two are exact
+            shed = np.minimum(carry, np.maximum(np.frexp(np.max(np.abs(row), axis=0))[1], 0))
+            below, row, carry = below * np.exp2(-shed), row * np.exp2(-shed), carry - shed
+            scale, carried = np.exp2(-carry), carry.any()
         if k >= k_min:
-            rows[k - k_min] = row
+            np.multiply(row, scale if carried else 1.0, out=rows[k - k_min])
         below, row = row, (y * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
     return rows
 

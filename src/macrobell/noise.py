@@ -15,8 +15,8 @@ The CHSH sweep maps the violation across (smearing width, noise bound)
 cells and reports where it drops to the classical boundary.  The sign of a
 noisy readout integrates like the clean readout against S, the sign
 convolved with the noise density, which has a closed form (``math.erf``
-for the truncated Gaussian); so each cell is one
-``bell.sign_overlap_table`` quadrature, evaluated by
+for the truncated Gaussian); so each cell is one smoothed
+``bell.sign_overlap_table``, evaluated by
 ``bell.chsh_value``, and no density is convolved.  Its widths ``s_grid``
 and noise bounds ``eps_grid`` are value lists, checked by
 ``errors.check_real_array``: nonempty, 1-d, finite and >= 0, in any order.

@@ -220,7 +220,10 @@ def derive_params(
 
     ``mode="half"`` centers at ``mu = <0|A|0>`` and uses
     ``phi = arg(-<0|A|1>)``; ``mode="one"`` centers at ``mu = tr(A)/2``
-    and uses ``phi = arg(<0|A|1>)``.
+    and uses ``phi = arg(<0|A|1>)``.  Every moment is taken of
+    ``A - a_min`` (a_min the smallest outcome) and mu adds a_min back, so
+    neither the effects' completeness defect nor a relabelling
+    a -> u a + v brings in a rounding at the scale of v, except mu's own.
 
     Explicit ``mu``/``tau`` overrides are for measurements whose natural
     scale degenerates (e.g. a diagonal A, where the off-diagonal element
@@ -230,14 +233,15 @@ def derive_params(
     """
     if mode not in ("half", "one"):
         raise ValidationError(f"mode must be 'half' or 'one', got {mode!r}")
-    a_vals = np.asarray(povm.outcomes, dtype=float)
-    a_matrix = sum(a * e for a, e in zip(a_vals, povm.effects))
-    a2_matrix = sum(a * a * e for a, e in zip(a_vals, povm.effects))
+    a_min = min(povm.outcomes)
+    shifted = np.asarray(povm.outcomes, dtype=float) - a_min
+    a_matrix = sum(b * e for b, e in zip(shifted, povm.effects))
+    a2_matrix = sum(b * b * e for b, e in zip(shifted, povm.effects))
     a00 = float(a_matrix[0, 0].real)
     a01 = complex(a_matrix[0, 1])
 
     if mu is None:
-        mu = a00 if mode == "half" else float(np.trace(a_matrix).real) / 2.0
+        mu = a_min + (a00 if mode == "half" else float(np.trace(a_matrix).real) / 2.0)
     else:
         mu = check_real(mu, "mu override")
     if tau is None:

@@ -1,13 +1,14 @@
 """Grid routes for the sign tables and the classical readout noise: test
 oracles for the closed forms in ``bell`` and ``noise``.
 
-The package evaluates every sign-binned correlator from a table of
-half-line Gauss-Legendre overlaps, and classical readout noise through a
-closed-form smoothed sign.  These routes compute the same numbers on a
-sampled grid instead: the level-pair kernels formed point by point from
-``limits.level_rows`` (and the sign tables contracted from them), the joint (x, y) readout density of a Schmidt pair,
-Simpson's rule split at the sign discontinuity, and the noise applied to
-sampled values by a cubic-spline convolution.  They use scipy, which the
+The package evaluates every sign-binned correlator from a sign table, in
+closed form or of half-line Gauss-Legendre overlaps, and classical readout
+noise through a closed-form smoothed sign.  These routes compute the same
+numbers on a sampled grid instead: the level-pair kernels formed point by
+point from ``limits.level_rows`` (and the sign tables contracted from
+them), the joint (x, y) readout density of a Schmidt pair, Simpson's rule
+split at the sign discontinuity, and the noise applied to sampled values by
+a cubic-spline convolution.  They use scipy, which the
 package itself does not need.
 """
 
@@ -17,10 +18,10 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from macrobell.bell import SIGN_TABLE_NODES, JointGridDensity
+from macrobell.bell import JointGridDensity
 from macrobell.errors import GridTooNarrowError, NegativeDensityError, ValidationError
 from macrobell.limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
-                              level_rows, real_half_width)
+                              level_rows)
 
 #: Gauss-Legendre node count for the classical-noise convolution.
 CONVOLUTION_NODES = 64
@@ -40,11 +41,13 @@ def pair_kernel(k: int, l: int, x, s: float) -> np.ndarray:
 
 
 def half_line_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
-                    nodes: int = SIGN_TABLE_NODES) -> np.ndarray:
-    """The values of ``bell.sign_overlap_table`` from the (d, d, P)
-    stack of ``kernels``: the same half-line Gauss-Legendre points and
-    weights, contracted entry by entry instead of as one row product."""
-    half_width = real_half_width(k_max, width)
+                    nodes: int = 600) -> np.ndarray:
+    """The values of a smoothed ``bell.sign_overlap_table`` from the
+    (d, d, P) stack of ``kernels``: the same half-line Gauss-Legendre points
+    and weights, contracted entry by entry instead of as one row product per
+    piece.  At width = edge = 0 it is a quadrature route to the closed-form
+    clean table."""
+    half_width = (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
     t, w = gauss_legendre(nodes)
     knot = min(edge, half_width)
     x, weights = [], []

@@ -68,9 +68,45 @@ def test_sign_table_is_its_wronskian_closed_form(k_max):
     assert np.max(np.abs(sign_overlap_table(k_max).values - expected)) <= 1e-13
 
 
+def test_clean_table_against_a_40_digit_closed_form():
+    # 300 random odd entries of the 2001-level table against the Wronskian
+    # in 40 digits, with psi_k(0) from factorials.  Measured 2.4e-15.
+    mpmath = pytest.importorskip("mpmath")
+    k_max = 2000
+    table = sign_overlap_table(k_max).values
+    assert np.array_equal(table, table.T)
+
+    def psi(k):  # psi_k(0)
+        if k % 2:
+            return mpmath.mpf(0)
+        return ((2 * mpmath.pi) ** mpmath.mpf(-0.25) * (-1) ** (k // 2)
+                * mpmath.sqrt(mpmath.factorial(k)) / (2 ** (k // 2) * mpmath.factorial(k // 2)))
+
+    def slope(k):  # psi_k'(0)
+        return mpmath.sqrt(k) * psi(k - 1) if k else mpmath.mpf(0)
+
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for k, l in rng.integers(0, k_max, size=(300, 2)).tolist():
+            l += (k + l + 1) % 2  # k + l odd
+            exact = 2 * (psi(k) * slope(l) - psi(l) * slope(k)) / (l - k)
+            worst = max(worst, float(abs((table[k, l] - exact) / exact)))
+    assert worst <= 1e-14
+
+
+# The closed form against Gauss-Legendre quadrature of the level rows over
+# the top level's band past the contraction test's 40 levels: measured at
+# most 3.1e-15 (k_max = 100), where the rows' kernel stack takes 49 MB.
+@pytest.mark.parametrize("k_max", [70, 100])
+def test_clean_table_is_the_half_line_quadrature(k_max):
+    assert np.max(np.abs(sign_overlap_table(k_max).values - half_line_table(k_max))) <= 1e-14
+
+
 # The row product pairs the Hermite nodes and grid points of two levels in
 # one BLAS call; the kernel stack sums the same products level pair by level
-# pair.  Measured at most 5.6e-16 apart (k_max = 40).
+# pair.  Measured at most 5.6e-16 apart (k_max = 40).  The clean table is the
+# closed form, 1.1e-15 from the stack's quadrature at k_max = 40.
 @pytest.mark.parametrize("k_max", [3, 15, 40])
 @pytest.mark.parametrize("shape", [None, "uniform", "truncated_gaussian"])
 def test_sign_tables_are_the_kernel_stack_contraction(shape, k_max):
@@ -91,14 +127,18 @@ def test_sign_overlap_parity_zeros_exact():
 
 
 def test_sign_overlap_quadrature_stability():
-    coarse = sign_overlap_table(6, nodes=600).values
-    fine = sign_overlap_table(6, nodes=1200).values
-    assert np.max(np.abs(coarse - fine)) <= 1e-10
-    # Smeared kernels at the 16-level cap against a truncated-Gaussian step.
-    ramp = _smoothed_sign("truncated_gaussian", 0.25)
-    coarse, fine = (sign_overlap_table(15, 0.3, 0.25, ramp, nodes=n).values
-                    for n in (600, 1200))
-    assert np.max(np.abs(coarse - fine)) <= 1e-11
+    # The smoothed tables integrate over [0, (2 sqrt(k_max + 1/2) + 12) sqrt(1 + s^2)],
+    # the top level's band and its tail, with max(600, 2 k_max) nodes per piece.
+    # Over [0, (12 + 2 k_max) sqrt(1 + s^2)], 600 and 1200 nodes were 0.24 apart at
+    # width 0 and k_max = 150; on the new line 600 nodes were 0.0048 off at 550.
+    # Measured against twice the nodes: at most 1.5e-14 at width 0 and 3.4e-15 at
+    # width 0.3.
+    for shape in ("uniform", "truncated_gaussian"):
+        ramp = _smoothed_sign(shape, 0.2)
+        for k_max, width in ((150, 0.0), (300, 0.0), (700, 0.0), (120, 0.3)):
+            coarse, fine = (bell._half_line_overlaps(k_max, width, 0.2, ramp, nodes)
+                            for nodes in (None, 2 * max(600, 2 * k_max)))
+            assert np.max(np.abs(coarse - fine)) <= 1e-12, (shape, k_max, width)
 
 
 def test_sign_overlap_closed_forms_to_rounding():
@@ -109,16 +149,6 @@ def test_sign_overlap_closed_forms_to_rounding():
 
 def test_optimized_chsh_is_the_closed_form_to_rounding():
     assert abs(optimize_chsh(PAPER).value - CHSH_OPT) <= 1e-14
-
-
-@pytest.mark.parametrize("nodes", [0, -1, 2.5, 600.0])
-def test_tables_reject_bad_node_counts(nodes):
-    ramp = _smoothed_sign("uniform", 0.25)
-    sign_overlap_table(3, nodes=600)  # a cached int entry must not answer for 600.0
-    with pytest.raises(ValidationError):
-        sign_overlap_table(3, nodes=nodes)
-    with pytest.raises(ValidationError):
-        sign_overlap_table(3, 0.3, 0.25, ramp, nodes=nodes)
 
 
 @pytest.mark.parametrize("k_max", [2.5, 3.0, -1, "3", math.nan])
@@ -132,10 +162,11 @@ def test_tables_reject_k_max_that_is_not_a_nonnegative_integer(k_max):
 
 
 def test_smoothed_table_reduces_to_sign_table():
-    # At width = edge = 0 every call form returns the one cached clean record.
-    clean = sign_overlap_table(4)
-    assert sign_overlap_table(4, 0.0, 0.0) is clean
-    assert sign_overlap_table(4, 0.0, 0.0, _smoothed_sign("uniform", 0.25)) is clean
+    # At width = edge = 0 every call form returns the clean table.
+    clean = sign_overlap_table(4).values
+    assert np.array_equal(sign_overlap_table(4, 0.0, 0.0).values, clean)
+    assert np.array_equal(sign_overlap_table(4, 0.0, 0.0, _smoothed_sign("uniform", 0.25)).values,
+                          clean)
     for bad in ({"width": -0.1}, {"edge": math.nan}, {"width": math.inf}):
         with pytest.raises(ValidationError):
             sign_overlap_table(4, **bad)

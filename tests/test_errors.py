@@ -112,11 +112,8 @@ INTEGER_SITES = {
     "verify_hermite_lemma-m": ("m", lambda v: verify_hermite_lemma(v, 2, 0.5, 1.0), 1),
     "verify_hermite_lemma-n": ("n", lambda v: verify_hermite_lemma(1, v, 0.5, 1.0), 2),
     "sign_overlap_table-k_max": ("k_max", sign_overlap_table, 3),
-    "sign_overlap_table-nodes": ("nodes", lambda v: sign_overlap_table(3, nodes=v), 50),
     "sign_overlap_table-smoothed-k_max": (
         "k_max", lambda v: sign_overlap_table(v, 0.3, 0.25), 3),
-    "sign_overlap_table-smoothed-nodes": (
-        "nodes", lambda v: sign_overlap_table(3, 0.3, 0.25, nodes=v), 50),
 }
 
 

@@ -276,36 +276,42 @@ def test_char_fn_modulus_bounded(n, t):
     assert abs(value) <= 1.0 + 1e-12
 
 
-@given(st.floats(-12.0, 1.0), st.floats(-3e9, 3e9))
+@given(st.floats(-12.0, 1.0), st.floats(-3e9, 3e9), st.floats(-9e-13, 9e-13))
 @settings(max_examples=25, deadline=None)
-def test_affine_relabeling_leaves_x_invariant(log_scale, shift_ratio):
+def test_affine_relabeling_leaves_x_invariant(log_scale, shift_ratio, defect):
     """Relabeling outcomes a -> u a + v (u > 0) must not move X at all.
 
     u runs from 1e-12 to 10 and |v| / u up to 3e9, where the outcomes are
-    still distinct floats.  The relabelled outcomes, mu and tau are each
-    rounded at the scale of v, so X moves by about 5e-14 per unit of v / u
-    (1.4e-4 at 3e9) whatever ``pmf_finite`` does.  What it must not add is
-    cancellation of its own: its X is the exact value, to 1e-14 of the
-    lattice's span, of ``(N (a_min - mu) + m step) / (tau sqrt N)`` at the
-    rounded inputs.  Scaling a_min and mu by N before subtracting them put
-    X 4.6e-12 off that value at v / u = 130 and 1.3e-4 off at 3e9.
+    still distinct floats, and the effects miss completeness by up to the
+    9e-13 that validation admits.  The one rounding at the scale of v left
+    is mu's own, as a float: X may move by sqrt(N) spacing(mu) / tau on
+    each side, plus 1e-14 of its size.  Summing the raw a E put v times the
+    completeness defect into mu and tau: X moved by up to 8e3 times that
+    bound, and by twice it with complete effects.  Measured: at most half
+    of it.  ``pmf_finite`` must add no cancellation of its own: its X is
+    the exact value, to 1e-14 of the lattice's span, of
+    ``(N (a_min - mu) + m step) / (tau sqrt N)`` at the rounded inputs.
+    Scaling a_min and mu by N before subtracting them put X 4.6e-12 off that
+    value at v / u = 130 and 1.3e-4 off at 3e9.
     """
     from fractions import Fraction
 
     scale = 10.0**log_scale
     shift = scale * shift_ratio
     rng = np.random.default_rng(7)
-    state, povm, params = random_instance(rng, max_n=10)
-    relabeled = validate_povm(
-        [scale * a + shift for a in povm.outcomes], povm.effects)
-    params2 = derive_params(relabeled)
+    state, povm, _ = random_instance(rng, max_n=10)
+    effects = [povm.effects[0], povm.effects[1] + defect * I2]
+    povm = validate_povm(povm.outcomes, effects)
+    relabeled = validate_povm([scale * a + shift for a in povm.outcomes], effects)
+    params, params2 = derive_params(povm), derive_params(relabeled)
     pmf1 = pmf_finite(state, povm, params, 0.5)
     pmf2 = pmf_finite(state, relabeled, params2, 0.5)
-    atol = 1e-9 + 1e-12 * abs(shift_ratio)
-    assert total_variation(pmf1, pmf2, match_atol=atol) <= 1e-9
-    np.testing.assert_allclose(pmf1.values, pmf2.values, atol=atol)
-
     n = state.n_particles
+    atol = (math.sqrt(n) * sum(np.spacing(abs(p.mu)) / p.tau for p in (params, params2))
+            + 1e-14 * np.max(np.abs(pmf1.values)))
+    assert total_variation(pmf1, pmf2, match_atol=atol) <= 1e-9
+    np.testing.assert_allclose(pmf1.values, pmf2.values, rtol=0.0, atol=atol)
+
     a_min, step, _ = finite_n._lattice_structure(relabeled.outcomes)
     shift_term = n * (Fraction(a_min) - Fraction(params2.mu))
     divisor = Fraction(params2.tau * float(n) ** 0.5)

@@ -102,6 +102,46 @@ def test_wavefunctions_past_the_factorial_overflow(k):
     assert float(np.trapezoid(psi * psi, x)) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("k_max,x,s", [
+    (1000, (55.0, 62.0, 70.0), 0.0), (2000, (-80.0, 85.0), 0.0),
+    (800, (50.0,), 0.0), (600, (56.0,), 0.0), (60, (60.0,), 0.3)])
+def test_rows_past_the_seed_underflow_against_a_40_digit_recurrence(k_max, x, s):
+    # e^(-x^2/(4 a^2)) leaves the normal floats past |x| = 53.2 a, where level
+    # 1000 (turning point 63.3) is O(0.1) at 55; those rows came out 0.  The
+    # same recurrence in 40 digits (numpy's Gauss-Hermite rule at s > 0)
+    # stands against each point's whole stack; measured at most 1.1e-13 of
+    # its largest entry.
+    mpmath = pytest.importorskip("mpmath")
+    rows = level_rows(k_max, np.array(x), s)
+    nodes, weights = ((np.zeros(1), np.full(1, math.sqrt(math.pi))) if s == 0.0
+                      else np.polynomial.hermite.hermgauss(k_max + 1))
+    exact = np.empty(rows.shape)
+    with mpmath.workdps(40):
+        a2 = 1 + mpmath.mpf(s) ** 2
+        for p, point in enumerate(x):
+            for j, (t, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
+                y = point / a2 + mpmath.mpf(s) * mpmath.sqrt(2 / a2) * t
+                below, row = 0, (mpmath.sqrt(w / mpmath.sqrt(mpmath.pi * a2))
+                                 * (2 * mpmath.pi) ** mpmath.mpf(-0.25)
+                                 * mpmath.exp(-mpmath.mpf(point) ** 2 / (4 * a2)))
+                for k in range(k_max + 1):
+                    exact[k, j, p] = float(row)
+                    below, row = row, (y * row - mpmath.sqrt(k) * below) / mpmath.sqrt(k + 1)
+    for p in range(len(x)):
+        largest = np.max(np.abs(exact[..., p]))
+        assert largest > 0.0
+        assert np.max(np.abs(rows[..., p] - exact[..., p])) <= 1e-12 * largest
+
+
+def test_top_row_at_a_point_past_the_seed_underflow():
+    # A scalar x and k_min = k_max: level 1000 at 55 and level 2000 at 80,
+    # inside their bands, were 0.0.  Values from the 40-digit recurrence.
+    assert level_rows(1000, 55.0, 0.0, 1000)[0, 0] == pytest.approx(0.012259420043312243,
+                                                                    rel=1e-12)
+    assert level_rows(2000, 80.0, 0.0, 2000)[0, 0] == pytest.approx(0.05972490861582093,
+                                                                    rel=1e-12)
+
+
 def unit_mass(kernel, x) -> bool:
     return bool(np.all(np.isfinite(kernel))) and abs(np.trapezoid(kernel, x) - 1.0) <= 1e-9
 
@@ -165,17 +205,27 @@ def test_default_grid_resolves_high_levels():
     assert density.integral() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_undersampled_default_grid_is_a_numeric_error():
-    # Level 1000: the wavefunction rows underflow at the grid's edge and
-    # the density integrates to 0.66 on its own grid.
-    coeffs = np.zeros(1001)
-    coeffs[1000] = 1.0
+def test_undersampled_default_grid_is_a_numeric_error(monkeypatch):
+    import macrobell.limits as limits
+
+    # A default grid of 15 points over +-21 misses unit mass by 0.30.
+    monkeypatch.setattr(limits, "default_real_grid",
+                        lambda k_max, width=0.0: np.linspace(-21.0, 21.0, 15))
     with pytest.raises(NumericError, match="integrates"):
-        limit_density_alpha_half(LimitState(coeffs=coeffs))
+        limit_density_alpha_half(LimitState(coeffs=[0.6, 0.0, 0.8]))
     # A caller's grid is the caller's to judge.
     coarse = limit_density_alpha_half(LimitState(coeffs=[0.0, 1.0]),
                                       grid=np.linspace(-14.0, 14.0, 11))
     assert abs(coarse.integral() - 1.0) > 1e-6
+
+
+def test_level_1000_has_unit_mass_on_its_default_grid():
+    # The rows underflowed past |x| = 53.2, inside level 1000's band, and the
+    # density integrated to 0.66 on its own grid.  Measured 1 - 1.2e-13.
+    coeffs = np.zeros(1001)
+    coeffs[1000] = 1.0
+    assert limit_density_alpha_half(LimitState(coeffs=coeffs)).integral() == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_kernel_reduces_to_wavefunction_product_at_zero_width():

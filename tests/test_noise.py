@@ -76,8 +76,8 @@ def grid_route_overlaps(k_max: int, s: float, eps: float, shape: str) -> np.ndar
     return table
 
 
-def noisy_table(k_max: int, s: float, eps: float, shape: str, nodes: int = 600):
-    return sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps), nodes=nodes).values
+def noisy_table(k_max: int, s: float, eps: float, shape: str):
+    return sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps)).values
 
 
 class TestNoiseSpec:

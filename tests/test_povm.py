@@ -113,6 +113,20 @@ def test_derive_params_rejects_non_finite_overrides(sigma_x, override):
         derive_params(sigma_x, **override)
 
 
+@pytest.mark.parametrize("mode", ["half", "one"])
+def test_derive_params_keeps_the_completeness_defect_out_of_a_shift(mode):
+    # The effects sum to (1 + 9e-13) I, which validation admits.  Summing the
+    # raw a E put v times that defect, 9e-7 at v = 1e6, into mu and tau; the
+    # moments of a - a_min leave mu the rounding of a_min + <0|A - a_min|0>.
+    plus = 0.5 * (I2 + 0.6 * PAULI_X)
+    effects = [plus, I2 - plus + 9e-13 * I2]
+    shift = 1e6
+    p = derive_params(validate_povm([1.0, -1.0], effects), mode)
+    q = derive_params(validate_povm([shift + 1.0, shift - 1.0], effects), mode)
+    assert abs((q.mu - shift) - p.mu) <= np.spacing(shift)
+    assert (q.tau, q.sigma2, q.phi) == (p.tau, p.sigma2, p.phi)
+
+
 def test_smeared_povm_has_positive_excess_width():
     # mix the projective x effects toward the identity: widens the kernel
     lam = 0.3
