@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (CapExceededError, ValidationError, check_grid, check_integer, check_real,
                      check_real_array, check_unit_vector)
-from .limits import ROTOR_ANGLE_MAX, gauss_legendre, level_rows
+from .limits import ROTOR_ANGLE_MAX, ROW_BLOCK_FLOATS, gauss_legendre, level_rows, real_half_width
 
 #: Largest Schmidt rank accepted by the bipartite routines.
 MAX_SCHMIDT_RANK = 16
@@ -93,21 +93,22 @@ def _clean_sign_table(k_max: int) -> np.ndarray:
 def _half_line_overlaps(k_max: int, width: float, edge: float, ramp,
                         nodes: int | None = None) -> np.ndarray:
     # K_kl(x) S(x) with S odd is even iff k + l is odd: there the table is twice the
-    # half-line integral, elsewhere exactly 0.  The line ends 12 past the top level's
-    # turning point 2 sqrt(k_max + 1/2), widened by the smearing, and splits where S
-    # reaches 1; each piece takes max(600, 2 k_max) nodes (600 held to 500 levels).
-    half_width = (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
+    # half-line integral, elsewhere exactly 0.  The line is the levels' band, split where
+    # S reaches 1; each piece takes max(600, 2 k_max) nodes (600 held to 500 levels).
+    half_width = real_half_width(k_max, width)
     t, w = gauss_legendre(nodes or max(600, 2 * k_max))
     knot = min(edge, half_width)
     table = np.zeros((k_max + 1, k_max + 1))
+    block = max(1, ROW_BLOCK_FLOATS // ((k_max + 1) * (k_max + 1 if width > 0.0 else 1)))
     for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
         if hi > lo:
             x = lo + 0.5 * (hi - lo) * (t + 1.0)
             weights = 0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x))
-            rows = level_rows(k_max, x, width)  # (d, Hermite nodes, points)
-            # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p)
-            table += 2.0 * ((rows * weights).reshape(k_max + 1, -1)
-                            @ rows.reshape(k_max + 1, -1).T)
+            for i in range(0, x.size, block):
+                rows = level_rows(k_max, x[i:i + block], width)  # (d, Hermite nodes, points)
+                # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p)
+                table += 2.0 * ((rows * weights[i:i + block]).reshape(k_max + 1, -1)
+                                @ rows.reshape(k_max + 1, -1).T)
     table[::2, ::2] = table[1::2, 1::2] = 0.0
     return table
 
@@ -122,8 +123,8 @@ def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
     integral of each kernel after that noise.  At width = edge = 0 it is the
     clean sign table, a closed form with no level cap.  Otherwise
     max(600, 2 k_max) Gauss-Legendre nodes per piece integrate the rows of
-    ``level_rows`` (which caps the levels at width > 0) over the half line
-    that holds them.
+    ``level_rows`` (which caps the levels at width > 0) over the positive
+    half of the levels' band ``limits.real_half_width``.
     """
     k_max = check_integer(k_max, "k_max", 0)
     width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)

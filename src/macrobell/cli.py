@@ -653,7 +653,7 @@ def _selftest_checks():
                            total_variation)
     from .limits import (LimitState, default_real_grid, gauss_legendre, level_rows,
                          limit_charfn_alpha_half, limit_density_alpha_half,
-                         limit_density_alpha_one, verify_hermite_lemma)
+                         limit_density_alpha_one, real_half_width, verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
     from .povm import derive_params, projective_from_bloch
     from .sampling import sample_outcomes
@@ -674,7 +674,7 @@ def _selftest_checks():
         # the closed form against Gauss-Legendre quadrature of the rows over
         # the top level's band and its tail
         t, w = gauss_legendre(600)
-        half = 0.5 * (2.0 * math.sqrt(100.5) + 12.0)
+        half = 0.5 * real_half_width(100)
         rows = level_rows(100, half * (t + 1.0), 0.0)[:, 0]
         quadrature = 2.0 * (rows * (half * w)) @ rows.T
         odd = np.add.outer(np.arange(101), np.arange(101)) % 2 == 1
@@ -842,7 +842,7 @@ def _build_parser() -> _Parser:
                    help="smearing width s (alpha=0.5 only)")
     p.add_argument("--points", type=int, default=None,
                    help="grid rows (default 2001 at alpha=1; at alpha=0.5 4001, "
-                        "or more from level 167 to resolve the top level)")
+                        "or more from level 1956 to resolve the top level)")
 
     p = add("chsh", _cmd_chsh, "CHSH value and correlators -> JSON")
     p.add_argument("--coeffs", required=True)

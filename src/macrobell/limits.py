@@ -8,9 +8,9 @@ coarse graining the limit is a planar-rotor angle distribution on
 [0, pi].  This module provides those laws, the one representation of the
 smeared levels that every square-root quantity reads (``level_rows``:
 normalised Hermite rows at the nodes of one Gauss-Hermite rule, whose
-node sums are the level-pair kernels), the Gauss-Legendre rule that the
-sign tables integrate with (``gauss_legendre``), and a check of the
-Gaussian-smearing identity behind the Hermite sums.
+node sums are the level-pair kernels) and the band that holds them
+(``real_half_width``), the Gauss-Legendre rule of the sign tables
+(``gauss_legendre``), and a check of the smearing identity behind the rows.
 
 A caller's grid passes ``errors.check_grid``: finite, 1-d, strictly
 increasing and inside its domain, [0, ``ROTOR_ANGLE_MAX``] for rotor angles
@@ -62,6 +62,9 @@ _SEED_EXPONENT_MAX = 708.0
 
 #: Largest angle of a rotor grid: pi, with slack for a computed endpoint.
 ROTOR_ANGLE_MAX = math.pi + 1e-12
+
+#: Most floats of ``level_rows`` that a consumer holds at once, taking its points in blocks.
+ROW_BLOCK_FLOATS = 2**24
 
 
 @dataclass(frozen=True)
@@ -204,18 +207,19 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
 
 
 def real_half_width(k_max: int, width: float = 0.0) -> float:
-    """Half-width of a real-line grid that holds the width-smeared levels up to k_max."""
+    """Half-width of the band of every alpha = 1/2 grid, lattice and half-line: 12
+    past the top level's turning point 2 sqrt(k_max + 1/2), times sqrt(1 + width^2)."""
     k_max, width = check_integer(k_max, "k_max", 0), check_real(width, "width", 0)
-    return (12.0 + 2.0 * k_max) * math.sqrt(1.0 + width * width)
+    return (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
 
 
 def default_real_grid(k_max: int, points: int | None = None, width: float = 0.0) -> np.ndarray:
     """Uniform grid over +-``real_half_width``.
 
-    Without ``points`` it has 4001 points, or from level 167 on
-    2 (12 + 2 k_max) sqrt(2 k_max + 1) / pi + 1: sqrt(2) points per half
-    wavelength pi / sqrt(k_max + 1/2) of the top level at the origin, so the
-    trapezoid rule resolves its density.
+    Without ``points`` it has 4001 points, or from level 1956 on
+    2 (2 sqrt(k_max + 1/2) + 12) sqrt(2 k_max + 1) / pi + 1: sqrt(2) points
+    per half wavelength pi / sqrt(k_max + 1/2) of the top level at the
+    origin, so the trapezoid rule resolves its density.
     """
     half_width = real_half_width(k_max, width)
     if points is None:
@@ -254,8 +258,11 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
     low, high = np.flatnonzero(b)[[0, -1]]
     parts = np.stack([b.real, b.imag])[:, low:high + 1]
-    rows = level_rows(high, grid, state.width, low)
-    density = np.sum(np.tensordot(parts, rows, axes=1) ** 2, axis=(0, 1))
+    block = max(1, ROW_BLOCK_FLOATS // ((high - low + 1) * (high + 1 if state.width > 0.0 else 1)))
+    density = np.concatenate([
+        np.sum(np.tensordot(parts, level_rows(high, grid[i:i + block], state.width, low),
+                            axes=1) ** 2, axis=(0, 1))
+        for i in range(0, grid.size, block)])
     worst = float(density.min())
     if not worst >= -1e-10:
         raise NegativeDensityError(f"density dipped to {worst:.3e}")

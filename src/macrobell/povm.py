@@ -76,16 +76,6 @@ class SingleParticlePovm:
     outcomes: tuple[float, ...]
     effects: tuple[np.ndarray, ...]
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
-
-    def effect_for(self, outcome: float) -> np.ndarray:
-        try:
-            return self.effects[self.outcomes.index(outcome)]
-        except ValueError:
-            raise ValidationError(f"no effect for outcome {outcome!r}") from None
-
 
 def validate_povm(outcomes: Sequence[float], effects: Iterable) -> SingleParticlePovm:
     """Check POVM axioms and freeze the data.

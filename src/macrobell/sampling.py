@@ -103,10 +103,12 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
     else:
         basis, column_probs = common
         m = _inverse_cdf(rotated_weights(state, basis), uniforms)
+        # as in pmf_finite, a shift of the outcomes cancels in a - a_min and a_min - mu
         outcomes = np.asarray(povm.outcomes, dtype=float)
-        intensity = (ground.multinomial(n - m, column_probs[:, 0]) @ outcomes
-                     + excited.multinomial(m, column_probs[:, 1]) @ outcomes)
-        x = (intensity - n * params.mu) / (params.tau * n**alpha)
+        a_min = float(outcomes.min())
+        counts = (ground.multinomial(n - m, column_probs[:, 0])
+                  + excited.multinomial(m, column_probs[:, 1]))
+        x = (counts @ (outcomes - a_min) + n * (a_min - params.mu)) / (params.tau * n**alpha)
     return SampleBatch(values=x, n_particles=n, seed=seed, n_samples=n_samples)
 
 

@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from macrobell.bell import JointGridDensity
 from macrobell.errors import GridTooNarrowError, NegativeDensityError, ValidationError
 from macrobell.limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
-                              level_rows)
+                              level_rows, real_half_width)
 
 #: Gauss-Legendre node count for the classical-noise convolution.
 CONVOLUTION_NODES = 64
@@ -47,7 +47,7 @@ def half_line_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None
     and weights, contracted entry by entry instead of as one row product per
     piece.  At width = edge = 0 it is a quadrature route to the closed-form
     clean table."""
-    half_width = (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
+    half_width = real_half_width(k_max, width)
     t, w = gauss_legendre(nodes)
     knot = min(edge, half_width)
     x, weights = [], []

@@ -265,19 +265,22 @@ class TestLimit:
                                   "--width", "0", "--out", str(tmp_path / "l.csv")])
         assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_level_250_on_the_widened_default_grid(self, capsys, tmp_path):
-        # 4001 points undersampled this level: the integral read 0.9645.
+    def test_level_2000_on_the_resolved_default_grid(self, capsys, tmp_path):
+        # 4001 points resolve the top level's band up to level 1955; over the
+        # former +-(12 + 2 k_max) they undersampled level 250 (integral 0.9645).
         summary = json.loads(run_ok(capsys, [
-            "limit", "--alpha", "0.5", "--coeffs", "0," * 250 + "1", "--width", "0",
+            "limit", "--alpha", "0.5", "--coeffs", "0," * 2000 + "1", "--width", "0",
             "--out", str(tmp_path / "l.csv")]))
         assert summary["points"] > 4001
         assert summary["integral"] == pytest.approx(1.0, abs=1e-9)
 
     def test_level_1000_past_the_seed_underflow(self, capsys, tmp_path):
         # The rows underflowed inside the level's band: integral 0.66, exit 2.
+        # Its rows now span the band alone: 4001, not 57 298.
         summary = json.loads(run_ok(capsys, [
             "limit", "--alpha", "0.5", "--coeffs", "0," * 1000 + "1", "--width", "0",
             "--out", str(tmp_path / "l.csv")]))
+        assert summary["points"] == 4001
         assert summary["integral"] == pytest.approx(1.0, abs=1e-9)
 
     def test_overflowing_wide_kernels_are_a_numeric_error(self, capsys, tmp_path):

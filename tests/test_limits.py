@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from macrobell.errors import GridTooNarrowError, NumericError, ValidationError
 from macrobell.finite_n import lattice_char_fn
 from macrobell.limits import (
+    BOUNDARY_MASS_TOL,
     GridDensity,
     LimitState,
     default_real_grid,
@@ -195,14 +196,38 @@ def test_kernels_reject_non_finite_widths(s):
 
 
 def test_default_grid_resolves_high_levels():
-    # 4001 points up to level 166, then sqrt(2) points per half wavelength
-    # of the top level; level 250 integrated to 0.9645 on 4001 points.
-    assert default_real_grid(166).size == 4001
-    assert default_real_grid(167).size == 4033
-    coeffs = np.zeros(251)
-    coeffs[250] = 1.0
+    # 4001 points up to level 1955, then sqrt(2) points per half wavelength
+    # of the top level over its band; over +-(12 + 2 k_max) the 4001 points
+    # lasted to level 166, and level 250 integrated to 0.9645 on them.
+    assert default_real_grid(1955).size == 4001
+    assert default_real_grid(1956).size > 4001
+    coeffs = np.zeros(2001)
+    coeffs[2000] = 1.0
     density = limit_density_alpha_half(LimitState(coeffs=coeffs))
+    assert density.grid.size == 4087
     assert density.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_wide_smearing_stays_inside_the_band():
+    # The band widens by sqrt(1 + s^2): at width 3 the smeared top level of a
+    # 300-level state is still negligible at the default grid's edges.
+    coeffs = np.zeros(301)
+    coeffs[300] = 1.0
+    density = limit_density_alpha_half(LimitState(coeffs=coeffs, width=3.0)).density
+    assert max(density[0], density[-1]) <= BOUNDARY_MASS_TOL
+
+
+def test_density_is_the_same_in_blocks_of_points(monkeypatch):
+    # 12 levels at width 0.3 take 144 floats of rows per point; a budget of
+    # 5000 takes the 4001 points in 118 blocks of 34 (the last of 23).
+    import macrobell.limits as limits
+
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=12) + 1j * rng.normal(size=12)
+    state = LimitState(coeffs=coeffs / np.linalg.norm(coeffs), width=0.3)
+    whole = limit_density_alpha_half(state).density
+    monkeypatch.setattr(limits, "ROW_BLOCK_FLOATS", 5000)
+    assert np.array_equal(limit_density_alpha_half(state).density, whole)
 
 
 def test_undersampled_default_grid_is_a_numeric_error(monkeypatch):
@@ -221,11 +246,13 @@ def test_undersampled_default_grid_is_a_numeric_error(monkeypatch):
 
 def test_level_1000_has_unit_mass_on_its_default_grid():
     # The rows underflowed past |x| = 53.2, inside level 1000's band, and the
-    # density integrated to 0.66 on its own grid.  Measured 1 - 1.2e-13.
+    # density integrated to 0.66 on its own grid.  Measured 1 - 2.4e-14 on
+    # 4001 points over its band (1 - 1.2e-13 on 57 298 over +-2012).
     coeffs = np.zeros(1001)
     coeffs[1000] = 1.0
-    assert limit_density_alpha_half(LimitState(coeffs=coeffs)).integral() == pytest.approx(
-        1.0, abs=1e-12)
+    density = limit_density_alpha_half(LimitState(coeffs=coeffs))
+    assert density.grid.size == 4001
+    assert density.integral() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_reduces_to_wavefunction_product_at_zero_width():

@@ -1,8 +1,9 @@
 """The package root re-exports every public engine name, the README's
 Layout table and its backticked calls name only such names, no module
 reaches into another module's private helpers or checks integers, finite
-reals or increasing grids outside ``errors``, no module imports scipy, not
-even inside a function, and no command loads it."""
+reals or increasing grids outside ``errors``, no module but ``limits`` states
+the alpha = 1/2 level band, no module imports scipy, not even inside a
+function, and no command loads it."""
 
 import ast
 import importlib
@@ -155,3 +156,18 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             check=True, env=src_env())
     assert result.stdout.splitlines()[-1].split() == []
+
+
+def test_only_limits_states_the_level_band():
+    # limits.real_half_width, (2 sqrt(k_max + 1/2) + 12) sqrt(1 + s^2), is the one
+    # statement of where the alpha = 1/2 levels live; every grid, lattice and
+    # half-line reads it rather than writing its own.
+    offenders = []
+    for path in sorted(Path(macrobell.__file__).parent.glob("*.py")):
+        if path.name != "limits.py":
+            offenders += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                          for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                          if isinstance(node, ast.Call)
+                          and ast.unparse(node.func).split(".")[-1] == "sqrt"
+                          and [ast.unparse(arg) for arg in node.args] == ["k_max + 0.5"]]
+    assert offenders == []

@@ -137,6 +137,18 @@ class TestSampler:
         assert off_lattice < 1e-9
         assert chi2 < chi2_bound(dof)
 
+    @pytest.mark.parametrize("shift, spread, n, depol", [
+        (1e3, 1e-9, 10**5, 0.0), (1e3, 1e-6, 10**3, 0.0), (1e3, 1e-6, 10**3, 0.2)])
+    def test_relabelled_records_sit_on_the_exact_lattice(self, sigma_x, shift, spread, n,
+                                                         depol):
+        # Outcomes shift +- spread: the records took counts @ outcomes - N mu and
+        # landed up to 3.1e-3 (1e-9 at N = 1e5) and 3.4e-6 (1e-6) off the lattice.
+        povm = depolarize_povm(validate_povm([shift + spread, shift - spread],
+                                             sigma_x.effects), depol)
+        params, state = derive_params(povm), paper_state(n)
+        batch = sample_outcomes(state, povm, params, 0.5, 2000, seed=4)
+        assert np.all(np.isin(batch.values, pmf_finite(state, povm, params, 0.5).values))
+
     def test_full_coarse_graining_support(self, sigma_x, params_x):
         from macrobell.finite_n import moments_finite
 
