@@ -4,10 +4,12 @@ A Schmidt-diagonal pair state sum_k c_k |k>|k>, read out party-wise through
 the coarse-grained collective variable and binned by sign, has correlators
 that reduce to a bilinear form in a fixed table of sign-weighted level
 overlaps: one trigonometric polynomial of the angle sum, with closed-form
-derivatives, that every CHSH number evaluates at the four pair sums.  This
-module builds that table, evaluates and maximizes the CHSH combination over
-the four analyzer angles, and cross-checks the full coarse-graining branch
-against its separable hidden-variable construction.
+derivatives.  Its 2d - 1 Fourier coefficients are built once per state and
+table, and every correlator, CHSH value and scan point evaluates that one
+series.  This module builds the table, evaluates and maximizes the CHSH
+combination over the four analyzer angles (up to ``MAX_SCHMIDT_RANK`` =
+2001 levels), and cross-checks the full coarse-graining branch against its
+separable hidden-variable construction.
 
 The clean sign table is a closed form at every level count.  A smoothed
 table contracts the Hermite rows of ``limits.level_rows`` against half-line
@@ -30,8 +32,9 @@ from .errors import (CapExceededError, ValidationError, check_grid, check_intege
                      check_real_array, check_unit_vector)
 from .limits import ROTOR_ANGLE_MAX, ROW_BLOCK_FLOATS, gauss_legendre, level_rows, real_half_width
 
-#: Largest Schmidt rank accepted by the bipartite routines.
-MAX_SCHMIDT_RANK = 16
+#: Largest Schmidt rank accepted by the bipartite routines: the levels of the
+#: largest clean sign table checked against a 40-digit closed form.
+MAX_SCHMIDT_RANK = 2001
 
 #: Number of coarse-search points per angle (step pi/36).
 COARSE_GRID_POINTS = 72
@@ -106,11 +109,12 @@ def _half_line_overlaps(k_max: int, width: float, edge: float, ramp,
             weights = 0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x))
             for i in range(0, x.size, block):
                 rows = level_rows(k_max, x[i:i + block], width)  # (d, Hermite nodes, points)
-                # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p)
-                table += 2.0 * ((rows * weights[i:i + block]).reshape(k_max + 1, -1)
-                                @ rows.reshape(k_max + 1, -1).T)
-    table[::2, ::2] = table[1::2, 1::2] = 0.0
-    return table
+                # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p),
+                # for even k against odd l
+                size = rows[0].size
+                table[::2, 1::2] += 2.0 * ((rows[::2] * weights[i:i + block]).reshape(-1, size)
+                                           @ rows[1::2].reshape(-1, size).T)
+    return table + table.T
 
 
 def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
@@ -165,31 +169,29 @@ class BellConfig:
         return np.array([self.phi_a, self.phi_a_prime, self.phi_b, self.phi_b_prime])
 
 
-def _pair_correlation(coeffs: np.ndarray, squared_table: np.ndarray, phase_sum,
-                      order: int = 0) -> np.ndarray:
-    """Correlator, or its ``order``-th derivative, in the angle sum (vectorized over it)."""
-    d = coeffs.size
-    offsets = (np.arange(d)[None, :] - np.arange(d)[:, None]).ravel()
-    cross = (np.outer(np.conj(coeffs), coeffs) * squared_table[:d, :d]).ravel()
-    cross = cross * (1j * offsets) ** order
-    phases = np.exp(1j * np.asarray(phase_sum, dtype=float)[..., None] * offsets)
-    return np.real(phases @ cross)
-
-
-def _squared_table(config: BellConfig, table: SignOverlapTable | None) -> np.ndarray:
-    """Squared entries of ``table``, by default the sign table of the state's levels."""
+def _fourier_series(config: BellConfig, table: SignOverlapTable | None) -> np.ndarray:
+    """Coefficients C_n, n = 1 - d .. d - 1, of the correlator sum_n C_n e^{i n theta}:
+    C_n = sum_{l - k = n} conj(c_k) c_l T_kl^2, by default from the sign table."""
     if table is None:
         table = sign_overlap_table(config.k_max)
     if table.k_max < config.k_max:
         raise ValidationError(f"the overlap table holds levels up to {table.k_max}, "
                               f"the state up to {config.k_max}")
-    return table.values**2
+    c, d = config.schmidt_coeffs, config.schmidt_coeffs.size
+    cross = np.outer(np.conj(c), c) * table.values[:d, :d] ** 2
+    return np.array([np.trace(cross, n) for n in range(1 - d, d)])
 
 
-def _chsh_terms(coeffs: np.ndarray, squared_table: np.ndarray, angles,
-                order: int = 0) -> np.ndarray:
+def _pair_correlation(series: np.ndarray, phase_sum, order: int = 0) -> np.ndarray:
+    """Correlator, or its ``order``-th derivative, in the angle sum (vectorized over it)."""
+    n = np.arange(series.size) - series.size // 2
+    phases = np.exp(1j * np.asarray(phase_sum, dtype=float)[..., None] * n)
+    return np.real(phases @ (series * (1j * n) ** order))
+
+
+def _chsh_terms(series: np.ndarray, angles, order: int = 0) -> np.ndarray:
     """The four signed CHSH terms, or their ``order``-th derivatives in the pair sums."""
-    return _CHSH_SIGNS * _pair_correlation(coeffs, squared_table, _PAIR_SUMS @ angles, order)
+    return _CHSH_SIGNS * _pair_correlation(series, _PAIR_SUMS @ angles, order)
 
 
 def correlator(config: BellConfig, which_pair: str = "AB",
@@ -204,14 +206,12 @@ def correlator(config: BellConfig, which_pair: str = "AB",
         raise ValidationError(
             f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}")
     phase_sum = _PAIR_SUMS[PAIR_NAMES.index(which_pair)] @ config.angles
-    return float(_pair_correlation(config.schmidt_coeffs, _squared_table(config, table),
-                                   phase_sum))
+    return float(_pair_correlation(_fourier_series(config, table), phase_sum))
 
 
 def chsh_value(config: BellConfig, table: SignOverlapTable | None = None) -> float:
     """CHSH combination <AB> + <AB'> + <A'B> - <A'B'>."""
-    return float(_chsh_terms(config.schmidt_coeffs, _squared_table(config, table),
-                             config.angles).sum())
+    return float(_chsh_terms(_fourier_series(config, table), config.angles).sum())
 
 
 class OptimizeResult(NamedTuple):
@@ -224,50 +224,50 @@ def _first_near_max(values) -> int:
     return int(np.argmax(values >= values.max() - SCAN_TIE_TOL))
 
 
+def _scan_start(grid_values: np.ndarray) -> np.ndarray:
+    """Grid indices (0, a', b, b') of the scan start, from the correlator at the n
+    grid angle sums.  Moving a, a' up and b, b' down one step permutes the index sums
+    mod n of a grid point, so every 4-d total recurs bit for bit with a = 0."""
+    n = grid_values.size
+    shifted = grid_values[np.add.outer(np.arange(n), np.arange(n)) % n]  # g(theta_i + theta_j)
+    plus, minus = grid_values + shifted, grid_values - shifted         # [a', b] and [a', b']
+    iap = _first_near_max(plus.max(axis=1) + minus.max(axis=1))
+    return np.array([0, iap, _first_near_max(plus[iap]), _first_near_max(minus[iap])])
+
+
 def optimize_chsh(schmidt_coeffs) -> OptimizeResult:
     """Maximize the CHSH value over the four analyzer angles.
 
-    Deterministic: a coarse scan on the pi/36 grid (exploiting that each
-    correlator depends only on an angle sum, so the 4-d scan reduces to
-    separable 1-d maximizations) picks the lexicographically smallest grid
-    point within ``SCAN_TIE_TOL`` of the maximum: first (a, a') over the
-    best totals, then b and b' for that pair.  Newton steps on the
-    closed-form gradient and Hessian refine it, ascending: each drops the gauge null direction (a, a' up; b, b' down,
-    along which the angles stay free) and takes the other curvatures by
-    modulus, halved until the value grows, until a step gains less than
-    ``REFINE_VALUE_TOL``.
+    Deterministic: a coarse scan on the pi/36 grid picks the
+    lexicographically smallest grid point within ``SCAN_TIE_TOL`` of the
+    maximum.  Each correlator depends only on an angle sum, so the scan fixes
+    a = 0 (the gauge below maps every grid point to one there) and maximizes
+    b and b' separately for each a'.  Newton steps on the closed-form gradient
+    and Hessian refine it, ascending: each drops the gauge null direction
+    (a, a' up; b, b' down, along which the angles stay free) and takes the
+    other curvatures by modulus, halved until the value grows, until a step
+    gains less than ``REFINE_VALUE_TOL``.  Past 16 levels the correlator has
+    more peaks than the pi/36 grid resolves, and the value can be a local
+    maximum: a lower bound on the optimum.
     """
-    coeffs = BellConfig(schmidt_coeffs).schmidt_coeffs
-    squared = sign_overlap_table(coeffs.size - 1).values**2
-
-    n = COARSE_GRID_POINTS
-    step = 2.0 * np.pi / n
-    grid_values = _pair_correlation(coeffs, squared, step * np.arange(n))
-
-    # shifted[j, i] = g(theta_j + theta_i) on the periodic grid
-    shifted = grid_values[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
-
-    plus = shifted[:, None, :] + shifted[None, :, :]     # [ia, iap, ib]
-    minus = shifted[:, None, :] - shifted[None, :, :]    # [ia, iap, ibp]
-    totals = plus.max(axis=2) + minus.max(axis=2)
-    ia, iap = np.unravel_index(_first_near_max(totals.ravel()), totals.shape)
-    angles = step * np.array([ia, iap, _first_near_max(plus[ia, iap]),
-                              _first_near_max(minus[ia, iap])], dtype=float)
-    value, gain = _chsh_terms(coeffs, squared, angles).sum(), math.inf
+    series = _fourier_series(BellConfig(schmidt_coeffs), None)
+    step = 2.0 * np.pi / COARSE_GRID_POINTS
+    angles = step * _scan_start(_pair_correlation(series, step * np.arange(COARSE_GRID_POINTS)))
+    value, gain = _chsh_terms(series, angles).sum(), math.inf
     while gain >= REFINE_VALUE_TOL:
-        gradient = _PAIR_SUMS.T @ _chsh_terms(coeffs, squared, angles, 1)
+        gradient = _PAIR_SUMS.T @ _chsh_terms(series, angles, 1)
         curvature, axes = np.linalg.eigh(
-            _PAIR_SUMS.T @ (_chsh_terms(coeffs, squared, angles, 2)[:, None] * _PAIR_SUMS))
+            _PAIR_SUMS.T @ (_chsh_terms(series, angles, 2)[:, None] * _PAIR_SUMS))
         # Drop the gauge axis, which _PAIR_SUMS maps to zero, and every
         # numerically flat one (the matrix_rank cut; all four at rank 1).
         keep = np.abs(curvature) > 4.0 * np.finfo(float).eps * np.abs(curvature).max()
         keep[np.argmin(np.linalg.norm(_PAIR_SUMS @ axes, axis=0))] = False
         move = axes[:, keep] @ ((gradient @ axes[:, keep]) / np.abs(curvature[keep]))
         # Halve until the step gains or its first-order gain is below the tolerance.
-        trial = _chsh_terms(coeffs, squared, angles + move).sum()
+        trial = _chsh_terms(series, angles + move).sum()
         while trial <= value and gradient @ move >= REFINE_VALUE_TOL:
             move = move / 2.0
-            trial = _chsh_terms(coeffs, squared, angles + move).sum()
+            trial = _chsh_terms(series, angles + move).sum()
         gain = trial - value
         if gain > 0.0:
             angles, value = angles + move, trial

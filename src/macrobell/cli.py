@@ -376,9 +376,15 @@ def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
     import numpy as np
 
     if spec == "random":
+        from .bell import MAX_SCHMIDT_RANK
+        from .errors import CapExceededError
+
         dim = 3 if dim is None else dim
         if dim < 1:
             raise ValidationError("--dim must be at least 1")
+        if dim > MAX_SCHMIDT_RANK:  # refused before the d x d draw
+            raise CapExceededError(f"--dim {dim} exceeds the supported maximum "
+                                   f"{MAX_SCHMIDT_RANK}")
         rng = np.random.default_rng(0 if seed is None else seed)
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return _normalized(mat, "joint coefficients").reshape(dim, dim)
@@ -646,7 +652,7 @@ def _selftest_checks():
     """Yield (name, callable) pairs; each callable returns a residual."""
     import numpy as np
 
-    from .bell import (BellConfig, chsh_value, local_model_alpha_one,
+    from .bell import (BellConfig, chsh_value, correlator, local_model_alpha_one,
                        sign_overlap_table)
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
@@ -738,6 +744,18 @@ def _selftest_checks():
                         phi_b=-math.pi / 4.0, phi_b_prime=math.pi / 4.0)
         return abs(chsh_value(bc) - 2.0 * math.sqrt(10.0) / math.pi)
 
+    def correlator_fourier_high_rank():
+        # a 40-level state, past the former rank cap of 16, against the double sum
+        # sum_kl conj(c_k) c_l T_kl^2 e^{i (l - k) theta}
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        coeffs /= np.linalg.norm(coeffs)
+        cross = np.outer(np.conj(coeffs), coeffs) * sign_overlap_table(39).values ** 2
+        offsets = np.arange(40) - np.arange(40)[:, None]
+        return max(abs(correlator(BellConfig(coeffs, phi_a=theta))
+                       - float(np.real(np.sum(cross * np.exp(1j * theta * offsets)))))
+                   for theta in np.linspace(-3.0, 3.0, 7).tolist())
+
     def lhv_match():
         rng = np.random.default_rng(7)
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -772,6 +790,7 @@ def _selftest_checks():
         ("limit-charfn-high-level", limit_charfn_high_level, 1e-12),
         ("wide-kernel-high-level", wide_kernel_high_level, 1e-9),
         ("chsh-paper-value", chsh_paper, 1e-9),
+        ("correlator-fourier-high-rank", correlator_fourier_high_rank, 1e-13),
         ("lhv-two-routes", lhv_match, 1e-8),
         ("sampler-reproducible", sampler_reproducible, 0.5),
         ("loss-width-at-unit-transmission", loss_width_unit, 0.0),

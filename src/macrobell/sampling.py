@@ -34,11 +34,9 @@ import numpy as np
 
 from .errors import (CapExceededError, ValidationError, check_alpha, check_integer,
                      check_real_array)
-from .finite_n import DickeSuperposition, moments_finite, pmf_finite, rotated_weights
+from .finite_n import (DEFAULT_LATTICE_CAP, DickeSuperposition, moments_finite, pmf_finite,
+                       rotated_weights)
 from .povm import DerivedParams, SingleParticlePovm, common_eigenbasis, derive_params
-
-#: Particle-count cap for a single sampling call.
-MAX_SAMPLER_PARTICLES = 10**6
 
 #: A variance Var(I) / N below this is reported as exactly degenerate (beta = -inf).
 _DEGENERATE_VARIANCE = 1e-9
@@ -83,12 +81,14 @@ def sample_outcomes(state: DickeSuperposition, povm: SingleParticlePovm,
     -----
     A POVM with commuting effects costs O(N * levels) for the rotated
     weights plus O(n_samples * outcomes) draws, at every base level.  Any
-    other POVM samples from ``pmf_finite`` and raises where it raises.
+    other POVM samples from ``pmf_finite`` and raises where it raises.  N
+    above ``finite_n.DEFAULT_LATTICE_CAP`` (2^22), the lattice cap of
+    ``pmf_finite``, raises ``CapExceededError``.
     """
     alpha = check_alpha(alpha)
     n = state.n_particles
-    if n > MAX_SAMPLER_PARTICLES:
-        raise CapExceededError(f"N = {n} exceeds the sampler cap {MAX_SAMPLER_PARTICLES}")
+    if n > DEFAULT_LATTICE_CAP:
+        raise CapExceededError(f"N = {n} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
     n_samples = check_integer(n_samples, "n_samples", 1)
     seed = check_integer(seed, "seed", 0, 2**64 - 1)
 

@@ -160,6 +160,17 @@ class TestChsh:
         payload = run_err(capsys, ["chsh", "--coeffs", "paper"], 1)
         assert "optimize" in payload["message"]
 
+    def test_rank_past_the_cap_is_refused(self, capsys):
+        payload = run_err(capsys, ["chsh", "--coeffs", "equal:2002", "--optimize"], 1)
+        assert payload["error"] == "cap_exceeded"
+
+
+# --dim 10^9 used to draw the d x d matrix first and fail with numpy's MemoryError.
+@pytest.mark.parametrize("dim", ["2002", "1000000000"])
+def test_local_model_dim_past_the_cap_is_refused(capsys, dim):
+    payload = run_err(capsys, ["local-model", "--coeffs", "random", "--dim", dim], 1)
+    assert payload["error"] == "cap_exceeded"
+
 
 class TestDist:
     def test_probabilities_sum_to_one(self, capsys):
@@ -421,6 +432,7 @@ class TestSelftest:
         assert any("limit-charfn-high-level" in line for line in checks)
         assert any("oracle-pmf-base0" in line for line in checks)
         assert any("sign-table-high-level" in line for line in checks)
+        assert any("correlator-fourier-high-rank" in line for line in checks)
 
 
 def _povm_file(tmp_path, text):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from macrobell.errors import CapExceededError, NumericError, ValidationError
-from macrobell.finite_n import DickeSuperposition, brute_force_pmf, pmf_finite
+from macrobell.finite_n import (DEFAULT_LATTICE_CAP, DickeSuperposition, brute_force_pmf,
+                                pmf_finite)
 from macrobell.limits import LimitState, limit_density_alpha_half
 from macrobell.noise import depolarize_povm, lossy_povm
 from macrobell.povm import (PAULI_X, PAULI_Z, common_eigenbasis, derive_params,
@@ -278,9 +279,16 @@ class TestSamplerValidation:
                             seed=seed)
 
     def test_particle_cap(self, sigma_x, params_x):
-        state = single_level(10**6 + 1)
+        # The sampler's one cap is the lattice cap of pmf_finite.
+        state = single_level(DEFAULT_LATTICE_CAP + 1)
         with pytest.raises(CapExceededError):
             sample_outcomes(state, sigma_x, params_x, 0.5, 1, seed=0)
+
+    def test_past_a_million_particles(self, sigma_x, params_x):
+        # The former sampler cap was 10^6 particles, below the lattice cap.
+        state = paper_state(10**6 + 1)
+        batch = sample_outcomes(state, sigma_x, params_x, 0.5, 2000, seed=6)
+        assert np.all(np.isin(batch.values, pmf_finite(state, sigma_x, params_x, 0.5).values))
 
     def test_level_cap(self, sigma_x, params_x):
         # No level cap: 17 and 20 levels, past the former sampler cap of 16,
