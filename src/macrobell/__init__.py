@@ -79,7 +79,7 @@ _EXPORTS = {
     "SignOverlapTable": "bell",
     "sign_overlap_table": "bell",
     "BellConfig": "bell",
-    "correlator": "bell",
+    "correlators": "bell",
     "chsh_value": "bell",
     "OptimizeResult": "bell",
     "optimize_chsh": "bell",

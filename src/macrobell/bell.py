@@ -5,11 +5,11 @@ the coarse-grained collective variable and binned by sign, has correlators
 that reduce to a bilinear form in a fixed table of sign-weighted level
 overlaps: one trigonometric polynomial of the angle sum, with closed-form
 derivatives.  Its 2d - 1 Fourier coefficients are built once per state and
-table, and every correlator, CHSH value and scan point evaluates that one
-series.  This module builds the table, evaluates and maximizes the CHSH
-combination over the four analyzer angles (up to ``MAX_SCHMIDT_RANK`` =
-2001 levels), and cross-checks the full coarse-graining branch against its
-separable hidden-variable construction.
+table; ``correlators`` evaluates them at all four pair sums at once, as do
+CHSH values and scan points.  This module builds the table, evaluates and
+maximizes the CHSH combination over the four analyzer angles (up to
+``MAX_SCHMIDT_RANK`` = 2001 levels), and cross-checks the full
+coarse-graining branch against its separable hidden-variable construction.
 
 The clean sign table is a closed form at every level count.  A smoothed
 table contracts the Hermite rows of ``limits.level_rows`` against half-line
@@ -194,24 +194,21 @@ def _chsh_terms(series: np.ndarray, angles, order: int = 0) -> np.ndarray:
     return _CHSH_SIGNS * _pair_correlation(series, _PAIR_SUMS @ angles, order)
 
 
-def correlator(config: BellConfig, which_pair: str = "AB",
-               table: SignOverlapTable | None = None) -> float:
-    """Sign-binned correlator for one pair of analyzer settings.
+def correlators(config: BellConfig, table: SignOverlapTable | None = None) -> np.ndarray:
+    """The four sign-binned correlators in ``PAIR_NAMES`` order, read-only: one
+    Fourier series at the four pair sums.  ``table`` overrides the level-overlap
+    table: a smoothed one gives the correlators of a smeared, noisy readout."""
+    values = _pair_correlation(_fourier_series(config, table), _PAIR_SUMS @ config.angles)
+    values.flags.writeable = False
+    return values
 
-    Only depends on the angles through their sum.  ``table`` overrides the
-    level-overlap table: a smoothed table gives the correlator of a smeared,
-    noisy readout, and a synthetic one serves sanity harnesses.
-    """
-    if which_pair not in PAIR_NAMES:
-        raise ValidationError(
-            f"unknown correlator pair {which_pair!r}; expected one of {PAIR_NAMES}")
-    phase_sum = _PAIR_SUMS[PAIR_NAMES.index(which_pair)] @ config.angles
-    return float(_pair_correlation(_fourier_series(config, table), phase_sum))
+
+correlator = correlators  # the name that bench/layers.py traces; not exported
 
 
 def chsh_value(config: BellConfig, table: SignOverlapTable | None = None) -> float:
     """CHSH combination <AB> + <AB'> + <A'B> - <A'B'>."""
-    return float(_chsh_terms(_fourier_series(config, table), config.angles).sum())
+    return float((_CHSH_SIGNS * correlators(config, table)).sum())
 
 
 class OptimizeResult(NamedTuple):

@@ -35,7 +35,8 @@ import os
 import sys
 import tempfile
 
-from .errors import MacrobellError, NumericError, ValidationError, check_alpha
+from .errors import (CapExceededError, MacrobellError, NumericError, ValidationError, check_alpha,
+                     check_integer)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -69,7 +70,6 @@ _CSV_BLOCK_ROWS = 4096
 #: (25), two pads and the separator, as seven 4-byte words.  Text formatted
 #: by Python fills the first 27 bytes (``%-27``).
 _CELL_BYTES = 28
-_PAD = ord(" ")
 
 #: Float cells whose magnitude lies in this range get their digits from
 #: numpy; every other nonzero cell (subnormals, the extremes, inf and nan) is
@@ -124,7 +124,7 @@ def _apply_thread_cap(threads: int | None) -> None:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write the text ``chunks`` to a temp file beside ``path`` and rename it
+    """Write the byte ``chunks`` to a temp file beside ``path`` and rename it
     over ``path`` once the last chunk is written; on any failure the temp
     file is removed and ``path`` keeps its old bytes.  A failure of the file
     system (an unwritable directory, a directory at ``path``) is a
@@ -132,7 +132,7 @@ def _write_atomic(path: str, chunks) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".macrobell-", suffix="~")
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -147,10 +147,11 @@ def _write_atomic(path: str, chunks) -> None:
 
 
 def _deliver(args: argparse.Namespace, chunks, summary: dict | None = None) -> None:
-    """Write the artifact's text ``chunks``; with a file target, the summary
+    """Write the artifact's byte ``chunks``; with a file target, the summary
     goes to stdout."""
     if args.out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     else:
         _write_atomic(args.out, chunks)
         if summary is not None:
@@ -251,15 +252,15 @@ def _python_cells(template: str, values: list):
 
 
 def _csv_blocks(header, *columns):
-    """The CSV text of ``header`` and one row per index of the equal-length
+    """The CSV bytes of ``header`` and one row per index of the equal-length
     ``columns``: the header line, then blocks of ``_CSV_BLOCK_ROWS`` rows.
 
     Every float cell is its ``_fmt`` text (-0.0, subnormals, inf and nan
     included) and every integer cell its ``%d`` text, byte for byte.  numpy
     lays each block out as fixed-width cells padded with spaces
     (``_float_cells`` writes the digits), Python's ``%`` fills the float
-    cells it leaves, in one call per block, and each integer column, and
-    one mask drops the pads.
+    cells it leaves, in one call per block, and each integer column; the
+    spaces, all of them pads (no ``%.17e`` or ``%d`` text has one), are dropped.
     """
     import numpy as np
 
@@ -267,7 +268,7 @@ def _csv_blocks(header, *columns):
     integer = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
     tables = _csv_tables()
     scale = np.full((2, _EXP_MAX - _EXP_MIN + 1), np.nan)
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode("ascii")
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
         # integer columns ride along as floats and are overwritten below
@@ -284,12 +285,11 @@ def _csv_blocks(header, *columns):
             cells[:, j, :27] = _python_cells("%-27d", block[j].tolist())
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        flat = cells.reshape(-1)
-        yield str(memoryview(flat[flat != _PAD]), "ascii")
+        yield cells.tobytes().translate(None, b" ")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -348,25 +348,34 @@ def _normalized(values, what: str):
     return arr / norm
 
 
-def _parse_coeffs_vector(spec: str):
-    """Level coefficients: paper|w|equal:<d>, a JSON file (``@path``, or a
-    path ending in ``.json``), or a comma list."""
+def _parse_coeffs_vector(spec: str, max_levels=math.inf, too_many=ValidationError):
+    """Level coefficients: paper|w|equal:<d>, a JSON file (``@path``, or a path ending
+    in ``.json``), or a comma list.  More than ``max_levels``, the calling command's
+    bound, raise ``too_many``: ``equal:<d>`` before the vector is built."""
     import numpy as np
+
+    def bounded(d: int) -> int:
+        if d > max_levels:
+            raise too_many(f"--coeffs gives {d} levels; this command takes at most {max_levels}")
+        return d
 
     if spec in _STATE_PRESETS:
         coeffs, base_level = _STATE_PRESETS[spec]
-        return np.asarray((0.0,) * base_level + coeffs, dtype=complex)
-    if spec.startswith("equal:"):
+        vector = np.asarray((0.0,) * base_level + coeffs, dtype=complex)
+    elif spec.startswith("equal:"):
         d = _parse_number(int, spec.split(":", 1)[1])
         if d < 1:
             raise ValidationError("equal:<d> needs d >= 1")
-        return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    if spec.startswith("@") or spec.endswith(".json"):
+        return np.full(bounded(d), 1.0 / math.sqrt(d), dtype=complex)
+    elif spec.startswith("@") or spec.endswith(".json"):
         data = _load_json(spec.removeprefix("@"))
         if not isinstance(data, list):
             raise ValidationError("coefficient JSON must be a flat list")
-        return _normalized(_coeffs_from_json(data), "coefficients")
-    return _normalized([_parse_number(complex, t) for t in spec.split(",")], "coefficients")
+        vector = _normalized(_coeffs_from_json(data), "coefficients")
+    else:
+        vector = _normalized([_parse_number(complex, t) for t in spec.split(",")], "coefficients")
+    bounded(vector.size)
+    return vector
 
 
 def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
@@ -377,14 +386,12 @@ def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
 
     if spec == "random":
         from .bell import MAX_SCHMIDT_RANK
-        from .errors import CapExceededError
 
         dim = 3 if dim is None else dim
         if dim < 1:
             raise ValidationError("--dim must be at least 1")
         if dim > MAX_SCHMIDT_RANK:  # refused before the d x d draw
-            raise CapExceededError(f"--dim {dim} exceeds the supported maximum "
-                                   f"{MAX_SCHMIDT_RANK}")
+            raise CapExceededError(f"--dim {dim} exceeds the supported maximum {MAX_SCHMIDT_RANK}")
         rng = np.random.default_rng(0 if seed is None else seed)
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return _normalized(mat, "joint coefficients").reshape(dim, dim)
@@ -438,13 +445,13 @@ def _load_povm(spec: str):
     return povm_from_json(_read_input(spec))
 
 
-def _state_levels(args: argparse.Namespace):
-    """(coefficients, base level) of the finite-N state: ``--coeffs`` at
+def _state_levels(args: argparse.Namespace, n: int):
+    """(coefficients, base level) of the state of ``n`` particles: ``--coeffs`` at
     ``--base-level``, or a ``--state`` preset at its own base level."""
     import numpy as np
 
     if args.coeffs is not None:
-        return _parse_coeffs_vector(args.coeffs), args.base_level
+        return _parse_coeffs_vector(args.coeffs, n + 1 - args.base_level), args.base_level
     if args.base_level:
         raise ValidationError("--base-level applies to --coeffs; a --state sets its own level")
     spec = args.state
@@ -464,11 +471,12 @@ def _derived(povm, alpha: float, mu, tau):
     return derive_params(povm, mode=mode, mu=mu, tau=tau)
 
 
-def _finite_inputs(args: argparse.Namespace):
+def _finite_inputs(args: argparse.Namespace, n: int):
     """(alpha, povm, params, (coefficients, base level)) of dist, sample and converge."""
+    check_integer(n, "N", 1)  # before it bounds the levels
     alpha = check_alpha(args.alpha)
     povm = _load_povm(args.povm)
-    return alpha, povm, _derived(povm, alpha, args.mu, args.tau), _state_levels(args)
+    return alpha, povm, _derived(povm, alpha, args.mu, args.tau), _state_levels(args, n)
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +486,7 @@ def _finite_inputs(args: argparse.Namespace):
 def _cmd_dist(args: argparse.Namespace) -> None:
     from .finite_n import DickeSuperposition, pmf_finite
 
-    alpha, povm, params, levels = _finite_inputs(args)
+    alpha, povm, params, levels = _finite_inputs(args, args.n)
     pmf = pmf_finite(DickeSuperposition(args.n, *levels), povm, params, alpha)
     _deliver(args, _csv_blocks(("x", "prob"), pmf.values, pmf.probs),
              summary={"points": pmf.values.size, "total_prob": float(pmf.probs.sum())})
@@ -511,30 +519,25 @@ def _cmd_limit(args: argparse.Namespace) -> None:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> None:
-    from .bell import PAIR_NAMES, BellConfig, chsh_value, correlator, optimize_chsh
+    from .bell import (MAX_SCHMIDT_RANK, PAIR_NAMES, BellConfig, chsh_value, correlators,
+                       optimize_chsh, sign_overlap_table)
 
-    coeffs = _parse_coeffs_vector(args.coeffs)
-    if args.optimize:
-        angles = optimize_chsh(coeffs).angles
+    coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
+    if args.optimize:  # its value is chsh_value at its angles, bit for bit
+        angles, value = optimize_chsh(coeffs)
     else:
         angles = tuple(_parse_number(float, t) for t in args.angles.split(","))
         if len(angles) != 4:
             raise ValidationError("--angles needs phi_a,phi_a',phi_b,phi_b'")
-    bell_config = BellConfig(schmidt_coeffs=coeffs, phi_a=angles[0],
-                             phi_a_prime=angles[1], phi_b=angles[2],
-                             phi_b_prime=angles[3])
+    config = BellConfig(coeffs, *angles)
+    table = sign_overlap_table(config.k_max)
     payload = {
-        "value": chsh_value(bell_config),
-        "angles": {
-            "phi_a": angles[0],
-            "phi_a_prime": angles[1],
-            "phi_b": angles[2],
-            "phi_b_prime": angles[3],
-        },
-        "correlators": {pair: correlator(bell_config, pair) for pair in PAIR_NAMES},
+        "value": value if args.optimize else chsh_value(config, table),
+        "angles": dict(zip(("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"), angles)),
+        "correlators": dict(zip(PAIR_NAMES, correlators(config, table).tolist())),
         "optimized": bool(args.optimize),
     }
-    _deliver(args, [_json_text(payload)], summary={"value": payload["value"]})
+    _deliver(args, [_json_bytes(payload)], summary={"value": payload["value"]})
 
 
 def _cmd_local_model(args: argparse.Namespace) -> None:
@@ -559,9 +562,10 @@ def _cmd_local_model(args: argparse.Namespace) -> None:
 def _cmd_noise_sweep(args: argparse.Namespace) -> None:
     import numpy as np
 
+    from .bell import MAX_SCHMIDT_RANK
     from .noise import noisy_chsh_sweep
 
-    coeffs = _parse_coeffs_vector(args.coeffs)
+    coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
     s_grid = _parse_range(args.s_grid)
     eps_grid = _parse_range(args.eps_grid)
     result = noisy_chsh_sweep(coeffs, s_grid, eps_grid, shape=args.shape)
@@ -592,14 +596,14 @@ def _cmd_channel(args: argparse.Namespace) -> None:
         "noise": {"loss_p": noise.loss_p, "depol_lambda": noise.depol_lambda,
                   "dephase_lambda": noise.dephase_lambda},
     }
-    _deliver(args, [_json_text(payload)], summary={"s_squared": result.s_squared})
+    _deliver(args, [_json_bytes(payload)], summary={"s_squared": result.s_squared})
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
     from .finite_n import DickeSuperposition
     from .sampling import sample_outcomes
 
-    alpha, povm, params, levels = _finite_inputs(args)
+    alpha, povm, params, levels = _finite_inputs(args, args.n)
     batch = sample_outcomes(DickeSuperposition(args.n, *levels), povm, params, alpha,
                             args.n_samples, args.seed)
     sidecar = {
@@ -610,7 +614,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "mu": params.mu,
         "tau": params.tau,
     }
-    _write_atomic(args.out + ".meta.json", [_json_text(sidecar)])
+    _write_atomic(args.out + ".meta.json", [_json_bytes(sidecar)])
     _deliver(args, _csv_blocks(("x",), batch.values), summary=sidecar)
 
 
@@ -625,8 +629,8 @@ def _cmd_converge(args: argparse.Namespace) -> None:
     if args.mu is not None or args.tau is not None:
         raise ValidationError("converge compares with the limit law of the POVM's own mu "
                               "and tau; --mu and --tau apply to dist and sample")
-    alpha, povm, params, (coeffs, base_level) = _finite_inputs(args)
     n_values = _parse_int_list(args.n_list)
+    alpha, povm, params, (coeffs, base_level) = _finite_inputs(args, min(n_values))
     states = [DickeSuperposition(n, coeffs, base_level) for n in n_values]
     # the limit object indexes levels from 0
     level_coeffs = np.concatenate((np.zeros(base_level, dtype=complex), coeffs))
@@ -652,7 +656,7 @@ def _selftest_checks():
     """Yield (name, callable) pairs; each callable returns a residual."""
     import numpy as np
 
-    from .bell import (BellConfig, chsh_value, correlator, local_model_alpha_one,
+    from .bell import (BellConfig, chsh_value, correlators, local_model_alpha_one,
                        sign_overlap_table)
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
@@ -740,21 +744,20 @@ def _selftest_checks():
         return abs(float(np.trapezoid(kernel, grid)) - 1.0)
 
     def chsh_paper():
-        bc = BellConfig(schmidt_coeffs=paper, phi_a=0.0, phi_a_prime=math.pi / 2.0,
-                        phi_b=-math.pi / 4.0, phi_b_prime=math.pi / 4.0)
-        return abs(chsh_value(bc) - 2.0 * math.sqrt(10.0) / math.pi)
+        config = BellConfig(paper, 0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0)
+        return abs(chsh_value(config) - 2.0 * math.sqrt(10.0) / math.pi)
 
     def correlator_fourier_high_rank():
-        # a 40-level state, past the former rank cap of 16, against the double sum
-        # sum_kl conj(c_k) c_l T_kl^2 e^{i (l - k) theta}
+        # all four pairs of a 40-level state, past the former rank cap of 16, against the double sum
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
         coeffs /= np.linalg.norm(coeffs)
         cross = np.outer(np.conj(coeffs), coeffs) * sign_overlap_table(39).values ** 2
         offsets = np.arange(40) - np.arange(40)[:, None]
-        return max(abs(correlator(BellConfig(coeffs, phi_a=theta))
-                       - float(np.real(np.sum(cross * np.exp(1j * theta * offsets)))))
-                   for theta in np.linspace(-3.0, 3.0, 7).tolist())
+        return max(abs(fast - float(np.real(np.sum(cross * np.exp(1j * theta * offsets)))))
+                   for angles in rng.uniform(-math.pi, math.pi, size=(5, 4)).tolist()
+                   for fast, theta in zip(correlators(BellConfig(coeffs, *angles)).tolist(),
+                                          np.add.outer(angles[:2], angles[2:]).ravel().tolist()))
 
     def lhv_match():
         rng = np.random.default_rng(7)

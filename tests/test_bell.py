@@ -14,7 +14,7 @@ from macrobell.bell import (
     BellConfig,
     JointGridDensity,
     chsh_value,
-    correlator,
+    correlators,
     local_model_alpha_one,
     optimize_chsh,
     sign_overlap_table,
@@ -197,7 +197,7 @@ def test_paper_correlator_closed_form(phi_a, phi_b):
     config = BellConfig(schmidt_coeffs=PAPER, phi_a=phi_a, phi_a_prime=0.0,
                         phi_b=phi_b, phi_b_prime=0.0)
     expected = math.sqrt(5.0) / math.pi * math.cos(phi_a + phi_b)
-    assert correlator(config, "AB") == pytest.approx(expected, abs=1e-9)
+    assert correlators(config)[0] == pytest.approx(expected, abs=1e-9)
 
 
 @given(st.floats(-2.0, 2.0))
@@ -207,17 +207,11 @@ def test_correlator_depends_only_on_angle_sum(shift):
                       phi_b=-0.9, phi_b_prime=0.0)
     moved = BellConfig(schmidt_coeffs=PAPER, phi_a=0.4 + shift,
                        phi_a_prime=0.0, phi_b=-0.9 - shift, phi_b_prime=0.0)
-    assert correlator(base, "AB") == pytest.approx(correlator(moved, "AB"),
-                                                   abs=1e-12)
+    assert correlators(base)[0] == pytest.approx(correlators(moved)[0], abs=1e-12)
 
 
 def test_chsh_paper_value():
     assert chsh_value(paper_config()) == pytest.approx(CHSH_OPT, abs=1e-9)
-
-
-def test_correlator_rejects_unknown_pair():
-    with pytest.raises(ValidationError):
-        correlator(paper_config(), "BA")
 
 
 def test_optimizer_recovers_paper_optimum():
@@ -357,6 +351,20 @@ def test_fourier_series_is_the_direct_double_sum(d):
         direct = np.array([direct_correlation(coeffs, table, t, order) for t in theta])
         fast = bell._pair_correlation(series, theta, order)
         assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct)), order
+
+
+def test_correlators_are_the_direct_double_sum_at_each_pair_sum():
+    # One evaluation at the four pair sums (a + b, a + b', a' + b, a' + b'), in
+    # PAIR_NAMES order, read-only.
+    rng = np.random.default_rng(30)
+    for name, coeffs in oracle_states():
+        angles = rng.uniform(-math.pi, math.pi, 4)
+        table = sign_overlap_table(coeffs.size - 1).values
+        direct = np.array([direct_correlation(coeffs, table, phase_sum)
+                           for phase_sum in np.add.outer(angles[:2], angles[2:]).ravel()])
+        fast = correlators(BellConfig(coeffs, *angles))
+        assert not fast.flags.writeable
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct)), name
 
 
 def full_scan_start(grid_values):

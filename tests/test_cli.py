@@ -78,7 +78,7 @@ HARD_ROUNDINGS = np.array([1000000000000000.125, 1000000000000000.375, -10000000
     (("x",), (HARD_ROUNDINGS,)),
 ], ids=["single-row", "three-columns", "hard-roundings"])
 def test_csv_text_is_byte_equal_to_csv_writer(header, columns):
-    assert "".join(_csv_blocks(header, *columns)) == reference_csv(header, *columns)
+    assert b"".join(_csv_blocks(header, *columns)).decode() == reference_csv(header, *columns)
 
 
 def _ulps_from_powers_of_ten(offsets):
@@ -107,9 +107,9 @@ def test_joined_blocks_are_the_reference_csv(floats, bits, offsets, ints, negate
                np.resize(near_powers, rows)]
     header = ("floats", "bits", "ints", "near_powers")
     blocks = list(_csv_blocks(header, *columns))
-    assert_same_lines("".join(blocks), reference_csv(header, *columns))
-    assert blocks[0] == "floats,bits,ints,near_powers\n"
-    assert [block.count("\n") for block in blocks[1:]] == \
+    assert_same_lines(b"".join(blocks).decode(), reference_csv(header, *columns))
+    assert blocks[0] == b"floats,bits,ints,near_powers\n"
+    assert [block.count(b"\n") for block in blocks[1:]] == \
         [min(_CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, _CSV_BLOCK_ROWS)]
 
 
@@ -118,7 +118,7 @@ def test_failed_stream_keeps_the_old_artifact(tmp_path):
     target.write_bytes(b"old bytes\n")
 
     def blocks():
-        yield "x,prob\n"
+        yield b"x,prob\n"
         raise NumericError("the second block failed")
 
     with pytest.raises(NumericError):
@@ -163,6 +163,42 @@ class TestChsh:
     def test_rank_past_the_cap_is_refused(self, capsys):
         payload = run_err(capsys, ["chsh", "--coeffs", "equal:2002", "--optimize"], 1)
         assert payload["error"] == "cap_exceeded"
+
+    # The value, the correlators and the optimizer used to build a table each:
+    # six per --optimize call, five per --angles call.
+    @pytest.mark.parametrize("settings, most", [
+        (["--optimize"], 2),
+        (["--angles", "0.3,1.9,-0.7,0.8"], 1),
+    ], ids=["optimize", "angles"])
+    def test_one_call_builds_at_most_two_sign_tables(self, capsys, monkeypatch, settings,
+                                                     most):
+        from macrobell import bell
+
+        builds = []
+        build = bell.sign_overlap_table
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(bell, "sign_overlap_table", counted)
+        payload = json.loads(run_ok(capsys, ["chsh", "--coeffs", "equal:8", *settings]))
+        assert len(builds) <= most
+        c = payload["correlators"]
+        assert payload["value"] == pytest.approx(c["AB"] + c["AB'"] + c["A'B"] - c["A'B'"],
+                                                 abs=1e-15)
+
+
+# equal:<d> used to build the d-vector before any level bound, so 10^12 levels
+# failed with numpy's MemoryError traceback and no JSON error.
+@pytest.mark.parametrize("argv, code", [
+    (["chsh", "--optimize"], "cap_exceeded"),
+    (["noise-sweep"], "cap_exceeded"),
+    (["dist", "--N", "10", "--povm", "sx"], "validation"),
+], ids=["chsh", "noise-sweep", "dist"])
+def test_huge_equal_state_is_refused_before_it_is_built(capsys, argv, code):
+    payload = run_err(capsys, [*argv, "--coeffs", "equal:1000000000000"], 1)
+    assert payload["error"] == code
 
 
 # --dim 10^9 used to draw the d x d matrix first and fail with numpy's MemoryError.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from macrobell.bell import (BellConfig, JointGridDensity, SignOverlapTable, chsh_value,
-                            correlator, local_model_alpha_one, optimize_chsh, sign_overlap_table)
+                            correlators, local_model_alpha_one, optimize_chsh, sign_overlap_table)
 from macrobell.cli import run
 from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_grid,
                               check_integer, check_real, check_real_array, check_unit_vector)
@@ -374,7 +374,7 @@ def test_array_arities_are_checked(name, call):
 
 # A table with fewer levels than the state used to raise numpy's
 # broadcasting ValueError.
-@pytest.mark.parametrize("call", [correlator, chsh_value], ids=["correlator", "chsh_value"])
+@pytest.mark.parametrize("call", [correlators, chsh_value], ids=["correlators", "chsh_value"])
 def test_overlap_tables_must_hold_every_level_of_the_state(call):
     with pytest.raises(ValidationError, match="table holds levels up to 1, the state up to 2"):
         call(BellConfig(_PAPER), table=sign_overlap_table(1))

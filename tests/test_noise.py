@@ -7,7 +7,7 @@ import pytest
 
 from macrobell.bell import (
     BellConfig,
-    correlator,
+    correlators,
     sign_overlap_table,
 )
 from macrobell.errors import (
@@ -420,8 +420,8 @@ class TestSweep:
         k_max = PAPER_COEFFS.size - 1
 
         overlaps = sign_overlap_table(k_max, s, eps, _smoothed_sign(shape, eps))
-        factorized = correlator(BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15,
-                                           phi_b=-0.4), "AB", table=overlaps)
+        factorized = correlators(BellConfig(schmidt_coeffs=PAPER_COEFFS, phi_a=0.15,
+                                            phi_b=-0.4), overlaps)[0]
 
         half = (12.0 + 2.0 * k_max) * math.sqrt(1.0 + s * s)
         grid = np.linspace(-half, half, 1201)
