@@ -8,7 +8,7 @@ derivatives.  Its 2d - 1 Fourier coefficients are built once per state and
 table; ``correlators`` evaluates them at all four pair sums at once, as do
 CHSH values and scan points.  This module builds the table, evaluates and
 maximizes the CHSH combination over the four analyzer angles (up to
-``MAX_SCHMIDT_RANK`` = 2001 levels), and cross-checks the full
+``limits.MAX_SCHMIDT_RANK`` = 2001 levels), and cross-checks the full
 coarse-graining branch against its separable hidden-variable construction.
 
 The clean sign table is a closed form at every level count.  A smoothed
@@ -30,11 +30,8 @@ import numpy as np
 
 from .errors import (CapExceededError, ValidationError, check_grid, check_integer, check_real,
                      check_real_array, check_unit_vector)
-from .limits import ROTOR_ANGLE_MAX, ROW_BLOCK_FLOATS, gauss_legendre, level_rows, real_half_width
-
-#: Largest Schmidt rank accepted by the bipartite routines: the levels of the
-#: largest clean sign table checked against a 40-digit closed form.
-MAX_SCHMIDT_RANK = 2001
+from .limits import (MAX_SCHMIDT_RANK, ROTOR_ANGLE_MAX, ROW_BLOCK_FLOATS, gauss_legendre,
+                     level_rows, real_half_width)
 
 #: Number of coarse-search points per angle (step pi/36).
 COARSE_GRID_POINTS = 72
@@ -54,7 +51,10 @@ _PAIR_SUMS = np.array([[1.0, 0.0, 1.0, 0.0],
                        [1.0, 0.0, 0.0, 1.0],
                        [0.0, 1.0, 1.0, 0.0],
                        [0.0, 1.0, 0.0, 1.0]])
-_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+#: Sign of each pair's correlator in the CHSH combination, in ``PAIR_NAMES`` order.
+CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+CHSH_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def _pair_correlation(series: np.ndarray, phase_sum, order: int = 0) -> np.ndarr
 
 def _chsh_terms(series: np.ndarray, angles, order: int = 0) -> np.ndarray:
     """The four signed CHSH terms, or their ``order``-th derivatives in the pair sums."""
-    return _CHSH_SIGNS * _pair_correlation(series, _PAIR_SUMS @ angles, order)
+    return CHSH_SIGNS * _pair_correlation(series, _PAIR_SUMS @ angles, order)
 
 
 def correlators(config: BellConfig, table: SignOverlapTable | None = None) -> np.ndarray:
@@ -208,7 +208,7 @@ correlator = correlators  # the name that bench/layers.py traces; not exported
 
 def chsh_value(config: BellConfig, table: SignOverlapTable | None = None) -> float:
     """CHSH combination <AB> + <AB'> + <A'B> - <A'B'>."""
-    return float((_CHSH_SIGNS * correlators(config, table)).sum())
+    return float((CHSH_SIGNS * correlators(config, table)).sum())
 
 
 class OptimizeResult(NamedTuple):

@@ -5,7 +5,11 @@ success, 1 when the inputs are rejected, 2 when an admissible computation
 detects a numeric inconsistency; in the failure cases a machine-readable
 JSON error object goes to stderr.  Output files are written atomically
 (temp file in the target directory, then rename), so a crashed run never
-leaves a truncated artifact.
+leaves a truncated artifact.  A stdout that cannot take the output (closed,
+a broken pipe, a full device) is a ``validation`` error, as an unwritable
+``--out`` is.  ``main`` flushes stdout and stderr once ``run`` returns and
+ends the process with ``os._exit``, skipping the interpreter's teardown,
+which does no work a command needs.
 
 CSV artifacts hold every float as its ``%.17e`` text (18 significant
 digits) and every integer as its ``%d`` text.  They are built and written
@@ -146,16 +150,31 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
+def _on_stdout(action) -> None:
+    """``action(sys.stdout)``.  As for an unwritable ``--out``, a stdout that
+    cannot take the output (closed, a broken pipe, a full device) is a
+    ValidationError."""
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValidationError("cannot write stdout: it is closed")
+    try:
+        action(sys.stdout)
+    except OSError as exc:
+        raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
 def _deliver(args: argparse.Namespace, chunks, summary: dict | None = None) -> None:
     """Write the artifact's byte ``chunks``; with a file target, the summary
     goes to stdout."""
     if args.out is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(chunks)
+        def write(stdout):
+            stdout.flush()
+            stdout.buffer.writelines(chunks)
+
+        _on_stdout(write)
     else:
         _write_atomic(args.out, chunks)
         if summary is not None:
-            sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+            _on_stdout(lambda stdout: stdout.write(json.dumps(summary, sort_keys=True) + "\n"))
 
 
 def _pow10_parts(k: int):
@@ -385,7 +404,7 @@ def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
     import numpy as np
 
     if spec == "random":
-        from .bell import MAX_SCHMIDT_RANK
+        from .limits import MAX_SCHMIDT_RANK
 
         dim = 3 if dim is None else dim
         if dim < 1:
@@ -493,11 +512,11 @@ def _cmd_dist(args: argparse.Namespace) -> None:
 
 
 def _cmd_limit(args: argparse.Namespace) -> None:
-    from .limits import (LimitState, default_real_grid, default_rotor_grid,
+    from .limits import (MAX_SCHMIDT_RANK, LimitState, default_real_grid, default_rotor_grid,
                          limit_density_alpha_half, limit_density_alpha_one)
 
     alpha = check_alpha(args.alpha)
-    coeffs = _parse_coeffs_vector(args.coeffs)
+    coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
     params = _derived(_load_povm(args.povm), alpha, None, None)
     phi = params.phi if args.phi is None else args.phi
 
@@ -519,8 +538,9 @@ def _cmd_limit(args: argparse.Namespace) -> None:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> None:
-    from .bell import (MAX_SCHMIDT_RANK, PAIR_NAMES, BellConfig, chsh_value, correlators,
-                       optimize_chsh, sign_overlap_table)
+    from .bell import (CHSH_SIGNS, PAIR_NAMES, BellConfig, correlators, optimize_chsh,
+                       sign_overlap_table)
+    from .limits import MAX_SCHMIDT_RANK
 
     coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
     if args.optimize:  # its value is chsh_value at its angles, bit for bit
@@ -530,11 +550,12 @@ def _cmd_chsh(args: argparse.Namespace) -> None:
         if len(angles) != 4:
             raise ValidationError("--angles needs phi_a,phi_a',phi_b,phi_b'")
     config = BellConfig(coeffs, *angles)
-    table = sign_overlap_table(config.k_max)
+    pairs = correlators(config, sign_overlap_table(config.k_max))
     payload = {
-        "value": value if args.optimize else chsh_value(config, table),
+        # chsh_value's signed sum, on the correlators already in hand
+        "value": value if args.optimize else float((CHSH_SIGNS * pairs).sum()),
         "angles": dict(zip(("phi_a", "phi_a_prime", "phi_b", "phi_b_prime"), angles)),
-        "correlators": dict(zip(PAIR_NAMES, correlators(config, table).tolist())),
+        "correlators": dict(zip(PAIR_NAMES, pairs.tolist())),
         "optimized": bool(args.optimize),
     }
     _deliver(args, [_json_bytes(payload)], summary={"value": payload["value"]})
@@ -562,7 +583,7 @@ def _cmd_local_model(args: argparse.Namespace) -> None:
 def _cmd_noise_sweep(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .bell import MAX_SCHMIDT_RANK
+    from .limits import MAX_SCHMIDT_RANK
     from .noise import noisy_chsh_sweep
 
     coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
@@ -806,11 +827,13 @@ def _cmd_selftest(args: argparse.Namespace) -> None:
     for name, check, budget in _selftest_checks():
         residual = float(check())
         if residual <= budget:
-            sys.stdout.write(f"ok   {name} (residual {residual:.3e} <= {budget:.0e})\n")
+            line = f"ok   {name} (residual {residual:.3e} <= {budget:.0e})\n"
         else:
             failures += 1
-            sys.stdout.write(f"FAIL {name} (residual {residual:.3e} > {budget:.0e})\n")
-    sys.stdout.write(f"{'all checks passed' if not failures else f'{failures} check(s) failed'}\n")
+            line = f"FAIL {name} (residual {residual:.3e} > {budget:.0e})\n"
+        _on_stdout(lambda stdout: stdout.write(line))
+    line = f"{'all checks passed' if not failures else f'{failures} check(s) failed'}\n"
+    _on_stdout(lambda stdout: stdout.write(line))
     if failures:
         raise NumericError(f"selftest: {failures} check(s) failed")
 
@@ -917,8 +940,13 @@ def _build_parser() -> _Parser:
 
 
 def _emit_error(exc: MacrobellError) -> None:
+    """The JSON error object on stderr; with no stderr to take it, nothing."""
     payload = {"error": getattr(exc, "code", "error"), "message": str(exc)}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    if sys.stderr is not None:  # None when fd 2 was closed when the process started
+        try:
+            sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        except OSError:
+            pass
 
 
 def run(argv=None) -> int:
@@ -940,7 +968,24 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run one command, flush stdout and stderr, and end the process with
+    ``os._exit``: module teardown and the final collection over numpy's
+    objects would do no work the command needs.  Every artifact is closed
+    before ``run`` returns.  An exception out of ``run`` (argparse's
+    ``SystemExit`` for ``--help`` among them) ends the process as usual."""
+    code = run()
+    try:
+        _on_stdout(lambda stdout: stdout.flush())
+    except ValidationError as exc:
+        if code == 0:  # an earlier failure has already been reported
+            _emit_error(exc)
+            code = 1
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

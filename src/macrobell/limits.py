@@ -66,6 +66,11 @@ ROTOR_ANGLE_MAX = math.pi + 1e-12
 #: Most floats of ``level_rows`` that a consumer holds at once, taking its points in blocks.
 ROW_BLOCK_FLOATS = 2**24
 
+#: Most levels of a Schmidt vector in the Bell layer and of a ``limit`` state:
+#: the levels of the largest clean sign table checked against a 40-digit
+#: closed form.
+MAX_SCHMIDT_RANK = 2001
+
 
 @dataclass(frozen=True)
 class GridDensity:

@@ -6,6 +6,9 @@ import json
 import math
 import os
 import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,12 +16,14 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from macrobell.cli import _CSV_BLOCK_ROWS, _csv_blocks, _fmt, _write_atomic, run
+from macrobell.bell import BellConfig, chsh_value
+from macrobell.cli import (_CSV_BLOCK_ROWS, _csv_blocks, _fmt, _parse_coeffs_vector,
+                           _write_atomic, run)
 from macrobell.errors import NumericError
 from macrobell.finite_n import DickeSuperposition, pmf_finite
 from macrobell.povm import derive_params, projective_from_bloch
 
-from conftest import CHSH_OPTIMUM
+from conftest import CHSH_OPTIMUM, src_env
 
 FLOAT_FIELD = re.compile(r"-?\d\.\d{17}e[+-]\d+")
 
@@ -188,14 +193,41 @@ class TestChsh:
         assert payload["value"] == pytest.approx(c["AB"] + c["AB'"] + c["A'B"] - c["A'B'"],
                                                  abs=1e-15)
 
+    # --angles used to build the Fourier series twice, once for the value and
+    # once for the correlators; the value is now their signed sum, bit for bit.
+    @pytest.mark.parametrize("coeffs", ["paper", "equal:8", "random40"])
+    def test_angles_value_is_chsh_value_from_one_series(self, capsys, monkeypatch, tmp_path,
+                                                        coeffs):
+        from macrobell import bell
+
+        if coeffs == "random40":
+            rng = np.random.default_rng(40)
+            coeffs = str(tmp_path / "c.json")
+            with open(coeffs, "w") as handle:
+                json.dump(rng.normal(size=(40, 2)).tolist(), handle)
+        series = []
+        build = bell._fourier_series
+
+        def counted(*args):
+            series.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(bell, "_fourier_series", counted)
+        angles = (0.3, 1.9, -0.7, 0.8)
+        payload = json.loads(run_ok(capsys, ["chsh", "--coeffs", coeffs, "--angles",
+                                             ",".join(map(repr, angles))]))
+        assert len(series) == 1
+        assert payload["value"] == chsh_value(BellConfig(_parse_coeffs_vector(coeffs), *angles))
+
 
 # equal:<d> used to build the d-vector before any level bound, so 10^12 levels
 # failed with numpy's MemoryError traceback and no JSON error.
 @pytest.mark.parametrize("argv, code", [
     (["chsh", "--optimize"], "cap_exceeded"),
     (["noise-sweep"], "cap_exceeded"),
+    (["limit"], "cap_exceeded"),
     (["dist", "--N", "10", "--povm", "sx"], "validation"),
-], ids=["chsh", "noise-sweep", "dist"])
+], ids=["chsh", "noise-sweep", "limit", "dist"])
 def test_huge_equal_state_is_refused_before_it_is_built(capsys, argv, code):
     payload = run_err(capsys, [*argv, "--coeffs", "equal:1000000000000"], 1)
     assert payload["error"] == code
@@ -320,6 +352,20 @@ class TestLimit:
             "--out", str(tmp_path / "l.csv")]))
         assert summary["points"] > 4001
         assert summary["integral"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_one_level_past_the_cap_is_refused(self, capsys):
+        # the test above holds the cap's 2001 levels
+        payload = run_err(capsys, ["limit", "--coeffs", "equal:2002", "--width", "0"], 1)
+        assert payload["error"] == "cap_exceeded"
+
+    def test_limit_loads_no_bell_layer(self, tmp_path):
+        script = ("import sys\n"
+                  "from macrobell.cli import run\n"
+                  f"assert run(['limit', '--coeffs', 'paper', '--out', {str(tmp_path / 'l.csv')!r}]) == 0\n"
+                  "print('macrobell.bell' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                check=True, env=src_env())
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_level_1000_past_the_seed_underflow(self, capsys, tmp_path):
         # The rows underflowed inside the level's band: integral 0.66, exit 2.
@@ -706,3 +752,96 @@ class TestPlumbing:
                         "--threads", "2"])
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+# --------------------------------------------------------------------------
+# the process: `python -m macrobell.cli` flushes stdout and stderr and ends
+# with os._exit, so main's flush is what delivers buffered output
+# --------------------------------------------------------------------------
+
+def buffered_env() -> dict:
+    """``src_env()`` with buffered stdio, as a user runs the command."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def cli_process(argv, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "macrobell.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=buffered_env())
+
+
+def assert_stdout_error(stderr: bytes):
+    payload = json.loads(stderr)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith("cannot write stdout: ")
+
+
+class TestProcess:
+    def test_stdout_is_the_bytes_run_writes(self, capsysbinary):
+        # well past one pipe buffer, so the process blocks on the reader
+        argv = ["dist", "--N", "10000", "--povm", "sx", "--state", "paper"]
+        assert run(argv) == 0
+        expected = capsysbinary.readouterr().out
+        assert len(expected) > 2**16
+        result = cli_process(argv)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected
+
+    def test_out_prints_one_summary_line(self, tmp_path):
+        out = tmp_path / "chsh.json"
+        result = cli_process(["chsh", "--coeffs", "paper", "--optimize", "--out", str(out)])
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.count(b"\n") == 1
+        assert json.loads(result.stdout) == {"value": json.loads(out.read_text())["value"]}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["channel", "--povm", "sx"], 0),
+        (["chsh", "--coeffs", "nope", "--optimize"], 1),
+        (["limit", "--coeffs", "equal:371", "--width", "0.3"], 2),
+    ], ids=["ok", "validation", "numeric"])
+    def test_exit_codes_and_error_object(self, argv, code):
+        result = cli_process(argv)
+        assert result.returncode == code
+        if code:
+            assert result.stdout == b""
+            assert set(json.loads(result.stderr)) == {"error", "message"}
+        else:
+            assert result.stderr == b""
+            assert json.loads(result.stdout)["mode"] == "half"
+
+    # A stdout that cannot take the output used to end in a BrokenPipeError or
+    # OSError traceback (AttributeError when closed), not in the JSON error.
+    def test_closed_pipe_is_a_validation_error(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = cli_process(["dist", "--N", "10000", "--povm", "sx", "--state", "paper"],
+                                 stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert_stdout_error(result.stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_a_validation_error(self, tmp_path):
+        out = tmp_path / "chsh.json"
+        with open("/dev/full", "wb") as full:
+            result = cli_process(["chsh", "--coeffs", "paper", "--optimize", "--out", str(out)],
+                                 stdout=full)
+        assert result.returncode == 1
+        assert_stdout_error(result.stderr)
+        assert json.loads(out.read_text())["optimized"] is True
+
+    @pytest.mark.parametrize("redirect, message", [(">&-", True), (">&- 2>&-", False)],
+                             ids=["stdout", "stdout-and-stderr"])
+    def test_closed_stdout_exits_1(self, tmp_path, redirect, message):
+        argv = [sys.executable, "-m", "macrobell.cli", "chsh", "--coeffs", "paper",
+                "--optimize", "--out", str(tmp_path / "chsh.json")]
+        result = subprocess.run(["sh", "-c", f"{shlex.join(argv)} {redirect}"],
+                                capture_output=True, env=buffered_env())
+        assert result.returncode == 1
+        if message:
+            assert_stdout_error(result.stderr)
+        else:  # with no stderr the failure is the exit code alone
+            assert result.stderr == b""

@@ -3,7 +3,7 @@ Layout table and its backticked calls name only such names, no module
 reaches into another module's private helpers or checks integers, finite
 reals or increasing grids outside ``errors``, no module but ``limits`` states
 the alpha = 1/2 level band, no module imports scipy, not even inside a
-function, and no command loads it."""
+function, and no command loads it; only ``cli.main`` ends the process."""
 
 import ast
 import importlib
@@ -129,7 +129,8 @@ def test_no_module_imports_scipy():
 
 def test_finite_n_calls_and_commands_load_no_scipy(tmp_path):
     script = f"""
-import runpy, sys
+import sys
+from macrobell.cli import run
 from macrobell.finite_n import DickeSuperposition, pmf_finite
 from macrobell.povm import derive_params, projective_from_bloch
 from macrobell.sampling import sample_outcomes
@@ -145,12 +146,9 @@ for argv in (["dist", "--N", "400", "--povm", "sx", "--coeffs", "paper"],
              ["converge", "--povm", "sx", "--state", "w", "--n-list", "10,20",
               "--n-samples", "50", "--seed", "3"],
              ["selftest"]):
-    sys.argv = ["macrobell", *argv, *(["--out", f"{{out}}/{{argv[0]}}.csv"]
-                                      if argv[0] != "selftest" else [])]
-    try:
-        runpy.run_module("macrobell.cli", run_name="__main__")
-    except SystemExit as exc:
-        assert exc.code == 0, (argv, exc.code)
+    # run(), not main(): main ends the process once its command is done
+    out_args = ["--out", f"{{out}}/{{argv[0]}}.csv"] if argv[0] != "selftest" else []
+    assert run([*argv, *out_args]) == 0, argv
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -171,3 +169,21 @@ def test_only_limits_states_the_level_band():
                           and ast.unparse(node.func).split(".")[-1] == "sqrt"
                           and [ast.unparse(arg) for arg in node.args] == ["k_max + 0.5"]]
     assert offenders == []
+
+
+def test_only_cli_main_ends_the_process():
+    # cli.main ends the process with os._exit once run() returns, so run()
+    # and every engine stay safe to call in one interpreter.
+    exits = {("os", "_exit"), ("sys", "exit")}
+    found = []
+    for path in sorted(Path(macrobell.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            scope = path.stem + (f".{top.name}" if hasattr(top, "name") else "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and (node.value.id, node.attr) in exits:
+                    found.append(f"{scope}: {node.value.id}.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and any(
+                        (node.module, alias.name) in exits for alias in node.names):
+                    found.append(f"{scope}: from {node.module} import")
+    assert found == ["cli.main: os._exit"]
