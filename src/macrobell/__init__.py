@@ -52,7 +52,6 @@ _EXPORTS = {
     "LatticePmf": "finite_n",
     "Moments": "finite_n",
     "char_fn_finite": "finite_n",
-    "lattice_char_fn": "finite_n",
     "pmf_finite": "finite_n",
     "rotated_weights": "finite_n",
     "moments_finite": "finite_n",
@@ -72,6 +71,7 @@ _EXPORTS = {
     "default_rotor_grid": "limits",
     "limit_density_alpha_half": "limits",
     "limit_charfn_alpha_half": "limits",
+    "lattice_char_fn": "limits",
     "limit_density_alpha_one": "limits",
     "rotor_pushforward": "limits",
     "verify_hermite_lemma": "limits",
@@ -104,26 +104,8 @@ _EXPORTS = {
     "scaling_exponent": "sampling",
 }
 
-__all__ = sorted(
-    [
-        "MacrobellError",
-        "ValidationError",
-        "NumericError",
-        "NotHermitianError",
-        "NotPositiveError",
-        "NotCompleteError",
-        "DuplicateOutcomeError",
-        "DegenerateOffDiagonalError",
-        "OffLatticeError",
-        "CapExceededError",
-        "InvalidLossError",
-        "SingularChannelError",
-        "GridTooNarrowError",
-        "NegativeDensityError",
-        "DivergentWidthError",
-        *_EXPORTS,
-    ]
-)
+#: the error classes imported above, then the lazy exports
+__all__ = sorted([name for name in globals() if name.endswith("Error")] + list(_EXPORTS))
 
 __version__ = "0.1.0"
 

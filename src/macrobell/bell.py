@@ -12,9 +12,11 @@ maximizes the CHSH combination over the four analyzer angles (up to
 coarse-graining branch against its separable hidden-variable construction.
 
 The clean sign table is a closed form at every level count.  A smoothed
-table contracts the Hermite rows of ``limits.level_rows`` against half-line
-``limits.gauss_legendre`` weights in one matrix product, and the rotor
-joints integrate by the trapezoid rule, so the module needs numpy alone.
+table moves the width onto the readout, int S (K^0 * N(0, s^2)) =
+int (S * N(0, s^2)) K^0: it is the clean table plus one matrix product of
+the width-0 ``limits.level_rows`` against ``limits.gauss_legendre`` weights
+times the readout's departure from the sign.  The rotor joints integrate by
+the trapezoid rule, so the module needs numpy alone.
 Every grid a caller passes goes through ``errors.check_grid`` (the rotor
 grids inside [0, ``limits.ROTOR_ANGLE_MAX``]); ``SignOverlapTable`` and
 ``JointGridDensity`` hold their finite arrays read-only.
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import (CapExceededError, ValidationError, check_grid, check_integer, check_real,
                      check_real_array, check_unit_vector)
-from .limits import (MAX_SCHMIDT_RANK, ROTOR_ANGLE_MAX, ROW_BLOCK_FLOATS, gauss_legendre,
-                     level_rows, real_half_width)
+from .limits import (MAX_SCHMIDT_RANK, ROTOR_ANGLE_MAX, gauss_legendre, level_rows,
+                     real_half_width)
 
 #: Number of coarse-search points per angle (step pi/36).
 COARSE_GRID_POINTS = 72
@@ -42,6 +44,9 @@ REFINE_VALUE_TOL = 1e-10
 #: Coarse-scan values within this of the maximum count as ties, so that
 #: rounding noise in the sign table cannot reorder them.
 SCAN_TIE_TOL = 1e-12
+
+#: Reach, in widths, of the Gaussian that smooths a readout.
+_SMOOTHING_REACH = 10.0
 
 #: Correlator pairs, in the order they enter the CHSH combination.
 PAIR_NAMES = ("AB", "AB'", "A'B", "A'B'")
@@ -88,50 +93,71 @@ def _clean_sign_table(k_max: int) -> np.ndarray:
     even, psi = k[2::2], np.zeros(k_max + 1)
     psi[::2] = (2.0 * math.pi) ** -0.25 * np.cumprod(np.r_[1.0, -np.sqrt((even - 1.0) / even)])
     slope = np.r_[0.0, np.sqrt(k[1:]) * psi[:-1]]
-    gap = k - k[:, None]
-    half = np.divide(2.0 * np.outer(psi, slope), gap, out=np.zeros(gap.shape), where=gap % 2 == 1)
+    half = np.zeros((k_max + 1, k_max + 1))
+    half[::2, 1::2] = 2.0 * np.outer(psi[::2], slope[1::2]) / (k[1::2] - k[::2, None])
     return half + half.T
+
+
+def _readout(x: np.ndarray, width: float, edge: float, ramp) -> np.ndarray:
+    """R = S * N(0, s^2) at the increasing points x >= 0, s = width > 0:
+    Phi((x - edge) / s) - Phi((-x - edge) / s) where S is +-1, plus the ramp
+    on [-edge, edge] against the Gaussian in 48-node Gauss-Legendre panels
+    of at most 20 s, each at the points within 10 s (all but 2e-23 of it);
+    only the panels that hold x - 10 s, x or x + 10 s of some point enter."""
+    def erfc(z):  # a list pass: np.vectorize costs about 1 us a point
+        return np.array([math.erfc(v) for v in z.tolist()])
+
+    reach, scale = _SMOOTHING_REACH * width, math.sqrt(2.0) * width
+    total = 0.5 * (erfc((edge - x) / scale) - erfc((edge + x) / scale))
+    if edge > 0.0:
+        t, w = gauss_legendre(48)
+        panels = math.ceil(edge / reach)
+        half = edge / panels
+        hits = np.floor((np.concatenate([x - reach, x, x + reach]) + edge) / (2.0 * half))
+        for panel in np.unique(np.clip(hits, 0, panels - 1)).tolist():
+            y = half * (2.0 * panel + 1.0 + t) - edge
+            near = slice(*np.searchsorted(x, [y[0] - reach, y[-1] + reach]))
+            gauss = np.exp(-np.subtract.outer(x[near], y) ** 2 / (2.0 * width * width))
+            total[near] += gauss @ (half * w * ramp(y)) / (math.sqrt(2.0 * math.pi) * width)
+    return total
 
 
 def _half_line_overlaps(k_max: int, width: float, edge: float, ramp,
                         nodes: int | None = None) -> np.ndarray:
-    # K_kl(x) S(x) with S odd is even iff k + l is odd: there the table is twice the
-    # half-line integral, elsewhere exactly 0.  The line is the levels' band, split where
-    # S reaches 1; each piece takes max(600, 2 k_max) nodes (600 held to 500 levels).
-    half_width = real_half_width(k_max, width)
+    # The width-0 kernels against the odd R = S * N(0, s^2): the clean table (R = sign)
+    # plus twice the half-line integral of R - 1 at odd k + l, which vanishes past
+    # edge + 10 s or the levels' band: max(600, 2 k_max) nodes (600 held to 500 levels).
+    knot = min(edge + _SMOOTHING_REACH * width, real_half_width(k_max))
     t, w = gauss_legendre(nodes or max(600, 2 * k_max))
-    knot = min(edge, half_width)
+    x = 0.5 * knot * (t + 1.0)
+    excess = (_readout(x, width, edge, ramp) if width > 0.0 else ramp(x)) - 1.0
+    rows = level_rows(k_max, x)
+    # sum_p K_kl(x_p) w_p (R(x_p) - 1), for even k against odd l
     table = np.zeros((k_max + 1, k_max + 1))
-    block = max(1, ROW_BLOCK_FLOATS // ((k_max + 1) * (k_max + 1 if width > 0.0 else 1)))
-    for lo, hi, smooth in ((0.0, knot, ramp), (knot, half_width, None)):
-        if hi > lo:
-            x = lo + 0.5 * (hi - lo) * (t + 1.0)
-            weights = 0.5 * (hi - lo) * w * (1.0 if smooth is None else smooth(x))
-            for i in range(0, x.size, block):
-                rows = level_rows(k_max, x[i:i + block], width)  # (d, Hermite nodes, points)
-                # sum_p K_kl(x_p) w_p sums row_k[j, p] w_p row_l[j, p] over (node j, point p),
-                # for even k against odd l
-                size = rows[0].size
-                table[::2, 1::2] += 2.0 * ((rows[::2] * weights[i:i + block]).reshape(-1, size)
-                                           @ rows[1::2].reshape(-1, size).T)
-    return table + table.T
+    table[::2, 1::2] = 2.0 * ((rows[::2] * (0.5 * knot * w * excess)) @ rows[1::2].T)
+    return _clean_sign_table(k_max) + table + table.T
 
 
 def sign_overlap_table(k_max: int, width: float = 0.0, edge: float = 0.0,
                        ramp=None) -> SignOverlapTable:
     """Overlaps of the width-smeared level kernels up to ``k_max`` against an
-    odd step S.
+    odd step S, ``ramp(x)`` on [0, edge] and 1 beyond (the sign when ``ramp``
+    is None): for the sign convolved with a noise density on [-edge, edge],
+    the sign integral of each kernel after that noise.
 
-    S is odd, equals ``ramp(x)`` on [0, edge] and 1 beyond; for the sign
-    convolved with a noise density on [-edge, edge], this is the sign
-    integral of each kernel after that noise.  At width = edge = 0 it is the
-    clean sign table, a closed form with no level cap.  Otherwise
-    max(600, 2 k_max) Gauss-Legendre nodes per piece integrate the rows of
-    ``level_rows`` (which caps the levels at width > 0) over the positive
-    half of the levels' band ``limits.real_half_width``.
+    At width = edge = 0 it is the clean sign table, a closed form.  Otherwise
+    it is that table plus max(600, 2 k_max) Gauss-Legendre nodes of the
+    width-0 ``level_rows`` against R - 1, R = S * N(0, width^2), on
+    [0, edge + 10 width] inside the levels' band ``limits.real_half_width``.
+    A width needs a finite band ``real_half_width(k_max, width)``.
     """
     k_max = check_integer(k_max, "k_max", 0)
     width, edge = check_real(width, "width", 0), check_real(edge, "edge", 0)
+    real_half_width(k_max, width)
+    if width < 1e-8:  # it moves the table by O(width^2), under 1e-16
+        width = 0.0
+    if ramp is None:
+        edge = 0.0
     if width == 0.0 and edge == 0.0:
         return SignOverlapTable(_clean_sign_table(k_max))
     return SignOverlapTable(_half_line_overlaps(k_max, width, edge, ramp))

@@ -39,8 +39,8 @@ import os
 import sys
 import tempfile
 
-from .errors import (CapExceededError, MacrobellError, NumericError, ValidationError, check_alpha,
-                     check_integer)
+from .errors import (DEFAULT_LATTICE_CAP, CapExceededError, MacrobellError, NumericError,
+                     ValidationError, check_alpha, check_integer)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -94,10 +94,21 @@ def _fmt(x: float) -> str:
 # --------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage through the normal error channel."""
+    """argparse that reports bad usage, and writes help, as every command does."""
 
     def error(self, message):
         raise ValidationError(message)
+
+    def print_help(self, file=None):
+        text = self.format_help()
+        _on_stdout(lambda stdout: (stdout.write(text), stdout.flush()))
+
+
+def _bounded(option: str, rows: int) -> None:
+    """Refuse ``option``, before anything is built, if it sizes more than
+    ``DEFAULT_LATTICE_CAP`` rows."""
+    if rows > DEFAULT_LATTICE_CAP:
+        raise CapExceededError(f"{option} gives {rows} rows; the cap is {DEFAULT_LATTICE_CAP}")
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -430,10 +441,8 @@ def _parse_coeffs_matrix(spec: str, seed: int | None, dim: int | None):
     return _normalized(mat, "joint coefficients").reshape(mat.shape)
 
 
-def _parse_range(spec: str):
-    """'start:stop:count' -> inclusive linspace."""
-    import numpy as np
-
+def _parse_range(spec: str) -> tuple[float, float, int]:
+    """'start:stop:count' -> (start, stop, count) of an inclusive linspace."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range {spec!r} must look like start:stop:count")
@@ -443,7 +452,7 @@ def _parse_range(spec: str):
         raise ValidationError(f"cannot parse range {spec!r}")
     if count < 1:
         raise ValidationError("range count must be at least 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def _parse_int_list(spec: str):
@@ -516,6 +525,7 @@ def _cmd_limit(args: argparse.Namespace) -> None:
                          limit_density_alpha_half, limit_density_alpha_one)
 
     alpha = check_alpha(args.alpha)
+    _bounded("--points", args.points or 0)
     coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
     params = _derived(_load_povm(args.povm), alpha, None, None)
     phi = params.phi if args.phi is None else args.phi
@@ -567,6 +577,7 @@ def _cmd_local_model(args: argparse.Namespace) -> None:
     from .bell import local_model_alpha_one
     from .limits import default_rotor_grid
 
+    _bounded("--points", (args.points or 0) ** 2)  # the joint's rows
     matrix = _parse_coeffs_matrix(args.coeffs, args.seed, args.dim)
     grids = None if args.points is None else (default_rotor_grid(args.points),) * 2
     result = local_model_alpha_one(matrix, args.phi_a, args.phi_b,
@@ -587,9 +598,10 @@ def _cmd_noise_sweep(args: argparse.Namespace) -> None:
     from .noise import noisy_chsh_sweep
 
     coeffs = _parse_coeffs_vector(args.coeffs, MAX_SCHMIDT_RANK, CapExceededError)
-    s_grid = _parse_range(args.s_grid)
-    eps_grid = _parse_range(args.eps_grid)
-    result = noisy_chsh_sweep(coeffs, s_grid, eps_grid, shape=args.shape)
+    s_range, eps_range = _parse_range(args.s_grid), _parse_range(args.eps_grid)
+    _bounded("--s-grid x --eps-grid", s_range[2] * eps_range[2])
+    result = noisy_chsh_sweep(coeffs, np.linspace(*s_range), np.linspace(*eps_range),
+                              shape=args.shape)
     eps_column, s_column = np.meshgrid(result.eps_grid, result.s_grid, indexing="ij")
     thresholds = {
         _fmt(eps): (None if math.isnan(t) else t)
@@ -624,6 +636,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     from .finite_n import DickeSuperposition
     from .sampling import sample_outcomes
 
+    _bounded("--n-samples", args.n_samples)
     alpha, povm, params, levels = _finite_inputs(args, args.n)
     batch = sample_outcomes(DickeSuperposition(args.n, *levels), povm, params, alpha,
                             args.n_samples, args.seed)
@@ -650,6 +663,7 @@ def _cmd_converge(args: argparse.Namespace) -> None:
     if args.mu is not None or args.tau is not None:
         raise ValidationError("converge compares with the limit law of the POVM's own mu "
                               "and tau; --mu and --tau apply to dist and sample")
+    _bounded("--n-samples", args.n_samples)
     n_values = _parse_int_list(args.n_list)
     alpha, povm, params, (coeffs, base_level) = _finite_inputs(args, min(n_values))
     states = [DickeSuperposition(n, coeffs, base_level) for n in n_values]
@@ -682,9 +696,9 @@ def _selftest_checks():
     from .finite_n import (DickeSuperposition, brute_force_char_fn,
                            brute_force_pmf, char_fn_finite, pmf_finite,
                            total_variation)
-    from .limits import (LimitState, default_real_grid, gauss_legendre, level_rows,
-                         limit_charfn_alpha_half, limit_density_alpha_half,
-                         limit_density_alpha_one, real_half_width, verify_hermite_lemma)
+    from .limits import (LimitState, gauss_legendre, level_rows, limit_charfn_alpha_half,
+                         limit_density_alpha_half, limit_density_alpha_one, real_half_width,
+                         verify_hermite_lemma)
     from .noise import loss_width, noisy_chsh_sweep
     from .povm import derive_params, projective_from_bloch
     from .sampling import sample_outcomes
@@ -706,7 +720,7 @@ def _selftest_checks():
         # the top level's band and its tail
         t, w = gauss_legendre(600)
         half = 0.5 * real_half_width(100)
-        rows = level_rows(100, half * (t + 1.0), 0.0)[:, 0]
+        rows = level_rows(100, half * (t + 1.0))
         quadrature = 2.0 * (rows * (half * w)) @ rows.T
         odd = np.add.outer(np.arange(101), np.arange(101)) % 2 == 1
         return float(np.max(np.abs(sign_overlap_table(100).values - quadrature)[odd]))
@@ -760,9 +774,9 @@ def _selftest_checks():
         return float(np.max(np.abs(limit_charfn_alpha_half(state, t) - direct)))
 
     def wide_kernel_high_level():
-        grid = default_real_grid(99, width=0.3)
-        kernel = np.sum(level_rows(99, grid, 0.3, 99)[0] ** 2, axis=0)
-        return abs(float(np.trapezoid(kernel, grid)) - 1.0)
+        # the width-0.3 law of level 370, past the former 369-level node rule
+        return abs(limit_density_alpha_half(LimitState(np.eye(371)[370], width=0.3)).integral()
+                   - 1.0)
 
     def chsh_paper():
         config = BellConfig(paper, 0.0, math.pi / 2.0, -math.pi / 4.0, math.pi / 4.0)

@@ -24,6 +24,10 @@ import numbers
 
 UNIT_NORM_ATOL = 1e-12
 
+#: Most rows one count may size (the finite-N lattice N * J; the CLI's grid rows,
+#: samples and sweep cells), refused with ``CapExceededError`` before anything is built.
+DEFAULT_LATTICE_CAP = 1 << 22
+
 
 class MacrobellError(Exception):
     """Base class for every error raised by this package."""

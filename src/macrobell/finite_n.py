@@ -28,7 +28,7 @@ interest.  Everything here is exact at finite N:
   binomials in log space, inverted by a discrete Fourier transform at
   O(N * levels^2) cost.  Its Dicke sums cancel for mid-ladder levels,
   where its guards raise from N of about 100,
-* the characteristic function of X (``lattice_char_fn`` of that PMF),
+* the characteristic function of X (``limits.lattice_char_fn`` of that PMF),
 * moments, and
 * an independent brute-force path (explicit 2^N state vectors) used as
   an oracle for small N.
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DEFAULT_LATTICE_CAP,
     CapExceededError,
     NegativeDensityError,
     NumericError,
@@ -60,7 +61,6 @@ __all__ = [
     "LatticePmf",
     "Moments",
     "char_fn_finite",
-    "lattice_char_fn",
     "pmf_finite",
     "rotated_weights",
     "moments_finite",
@@ -70,9 +70,6 @@ __all__ = [
     "DEFAULT_LATTICE_CAP",
     "BRUTE_FORCE_MAX_N",
 ]
-
-#: bound on N * (lattice steps per particle), i.e. on the lattice (and FFT) size
-DEFAULT_LATTICE_CAP = 1 << 22
 
 #: hard bound for the exponential-cost oracle
 BRUTE_FORCE_MAX_N = 14
@@ -665,50 +662,16 @@ def pmf_finite(state, povm, params, alpha):
     return LatticePmf(values=values, probs=p)
 
 
-def lattice_char_fn(values, weights, t):
-    """Fourier sum ``sum_m weights[m] exp(i t values[m])`` of a law on the
-    equally spaced points ``values``.
-
-    ``values`` is a strictly increasing 1-d array (one point or more), each
-    point within 1e-9 of the span of the line through the end points, so an
-    unequally spaced support such as that of ``brute_force_pmf`` raises
-    ``ValidationError``; ``weights`` is a 1-d value list of the same size,
-    the masses of the points (they sum to 1), so the value at ``t = 0`` is
-    exactly 1; ``t`` is a finite real or an array of them, and the result is
-    complex with the shape of ``t``.  With point index
-    ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, ``exp(i t x_m)`` factors
-    into ``exp(i t x_bB) * exp(i t (x_j - x_0))``, so the sum over m is a
-    (T x B) @ (B x L/B) product, taken as two real ones (cos and sin; a
-    complex one would promote the weights to complex), and a row-wise
-    dot: O(T sqrt(L)) exponentials and memory for T values of t.
-    """
-    t_arr = np.atleast_1d(check_real_array(t, "t"))
-    values = check_grid(values, "values", points=1)
-    off_line = float(np.max(np.abs(values - np.linspace(values[0], values[-1], values.size))))
-    if off_line > 1e-9 * (values[-1] - values[0]):
-        raise ValidationError(f"values must be a grid of equally spaced points; one lies "
-                              f"{off_line:.3e} off the line through the end points")
-    weights = check_real_array(weights, "weights", ndim=1)
-    if values.size != weights.size:
-        raise ValidationError(f"values and weights must have equal sizes, "
-                              f"got {values.size} and {weights.size}")
-    block = math.isqrt(weights.size - 1) + 1
-    blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
-    phase = np.outer(t_arr, values[:block] - values[0])
-    inner = np.cos(phase) @ blocks.T + 1j * (np.sin(phase) @ blocks.T)
-    sums = np.sum(np.exp(1j * np.outer(t_arr, values[::block])) * inner, axis=1)
-    sums = np.where(t_arr == 0.0, 1.0 + 0.0j, sums)
-    return complex(sums[0]) if np.ndim(t) == 0 else sums.reshape(np.shape(t))
-
-
 def char_fn_finite(state, povm, params, alpha, t):
-    """E[exp(i t X)]: ``lattice_char_fn`` of ``pmf_finite`` (same arguments).
+    """E[exp(i t X)]: ``limits.lattice_char_fn`` of ``pmf_finite`` (same arguments).
 
     Raises whatever ``pmf_finite`` raises: ``OffLatticeError`` or
     ``CapExceededError`` for incommensurate outcomes, and the inversion
     route's ``NumericError`` or ``NegativeDensityError`` for
     non-projective POVMs on mid-ladder states.
     """
+    from .limits import lattice_char_fn  # on call: no finite-N law needs limits
+
     pmf = pmf_finite(state, povm, params, alpha)
     return lattice_char_fn(pmf.values, pmf.probs, t)
 

@@ -6,11 +6,12 @@ is an oscillator-mode density smeared by a Gaussian of width
 Gaussian's times a Fourier sum of the unsmeared density.  For linear
 coarse graining the limit is a planar-rotor angle distribution on
 [0, pi].  This module provides those laws, the one representation of the
-smeared levels that every square-root quantity reads (``level_rows``:
-normalised Hermite rows at the nodes of one Gauss-Hermite rule, whose
-node sums are the level-pair kernels) and the band that holds them
-(``real_half_width``), the Gauss-Legendre rule of the sign tables
-(``gauss_legendre``), and a check of the smearing identity behind the rows.
+levels that every square-root quantity reads (``level_rows``: the
+oscillator wavefunctions; a width s is N(0, s^2) convolved into the readout
+or the law, never into the rows) and the band that holds them
+(``real_half_width``), the Fourier sum on a lattice (``lattice_char_fn``),
+the Gauss-Legendre rule of the sign tables (``gauss_legendre``), and a
+check of the smearing identity.
 
 A caller's grid passes ``errors.check_grid``: finite, 1-d, strictly
 increasing and inside its domain, [0, ``ROTOR_ANGLE_MAX``] for rotor angles
@@ -50,6 +51,7 @@ __all__ = [
     "default_rotor_grid",
     "limit_density_alpha_half",
     "limit_charfn_alpha_half",
+    "lattice_char_fn",
     "limit_density_alpha_one",
     "rotor_pushforward",
     "verify_hermite_lemma",
@@ -110,7 +112,8 @@ class GridDensity:
 @dataclass(frozen=True)
 class LimitState:
     """Level coefficients plus the (phi, width) pair of the measurement;
-    ``phi`` must be finite and ``width`` nonnegative."""
+    ``phi`` must be finite and ``width`` nonnegative, with a finite band
+    ``real_half_width(k_max, width)``."""
 
     coeffs: np.ndarray
     phi: float = 0.0
@@ -119,7 +122,7 @@ class LimitState:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", check_unit_vector(self.coeffs))
         check_real(self.phi, "phi")
-        check_real(self.width, "width", 0)
+        real_half_width(self.k_max, self.width)
 
     @property
     def k_max(self) -> int:
@@ -143,52 +146,36 @@ def hermite(k: int, x):
     return _hermite_rows(k, np.asarray(x, dtype=float))[k]
 
 
-def level_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
-    """Rows k_min..k_max of the width-s level kernels at the finite reals x,
-    shape (d, nodes) + x.shape.
+def level_rows(k_max: int, x, k_min: int = 0) -> np.ndarray:
+    """Oscillator wavefunctions <x|k> = (2 pi)^(-1/4) He_k(x) e^(-x^2/4) / sqrt(k!),
+    k = k_min..k_max (a padded base level needs just those), at the finite reals
+    x, shape (k_max - k_min + 1,) + x.shape, by the normalised recurrence.
 
-    ``d = k_max - k_min + 1``; a state supported on high levels only (a
-    padded base level) needs just those rows.  Kernel (k, l), <k| e_s(x) |l>,
-    is ``sum_j row_k[j] row_l[j]`` over the nodes j, exact at every width:
-    with a^2 = 1 + s^2 it is a Gaussian in x times the mean of the
-    degree-(k + l) polynomial He_k He_l / sqrt(k! l!) at
-    y ~ N(x / a^2, s^2 / a^2), which the (k_max + 1)-node Gauss-Hermite rule
-    integrates exactly.  Row k at node j is the normalised recurrence at
-    y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
-    (2 pi)^(-1/4) sqrt(w_j / (sqrt(pi) a)) e^(-x^2/(4 a^2)); squared, it is at
-    most the kernel <k| e_s(x) |k>, so nothing overflows, and past |x| = 53.2 a,
-    where the seed is no normal float, it is carried as a power of two, so
-    nothing underflows while the rows are not negligible.  At s = 0 the rule
-    is the one node t = 0, w = sqrt(pi), and row k is the oscillator
-    wavefunction <x|k> = (2 pi)^(-1/4) He_k(x) e^(-x^2/4) / sqrt(k!).  At
-    s > 0 level 370 and above raise NumericError, where numpy's Gauss-Hermite
-    rule degenerates.
+    A width enters the readout (``bell.sign_overlap_table``) or the law
+    (``limit_density_alpha_half``), never the rows.  Nothing overflows, and
+    past |x| = 53.2 the seed is carried as a power of two, so nothing
+    underflows while the rows are not negligible.
     """
     k_max = check_integer(k_max, "k_max", 0)
     k_min = check_integer(k_min, "k_min", 0, k_max)
-    s, x = check_real(s, "s", 0), check_real_array(x, "x")
-    alpha2 = 1.0 + s * s
-    nodes, weights = _hermgauss_cached(k_max + 1 if s > 0.0 else 1)
-    y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)
-    rows = np.empty((k_max - k_min + 1,) + y.shape)
-    # Past |x| = 53.2 a the seed leaves the normal floats, while high levels there
+    x = check_real_array(x, "x")
+    rows = np.empty((k_max - k_min + 1,) + x.shape)
+    # Past |x| = 53.2 the seed leaves the normal floats, while high levels there
     # are O(1): it is lifted into [1, 2) by 2^carry (the exponent capped at 1e5,
     # so carry fits an int), which the rows shed, exactly, as they grow.
-    exponent = 0.25 * x * x / alpha2
+    exponent = 0.25 * x * x
     carry = np.where(exponent > _SEED_EXPONENT_MAX,
                      np.ceil(np.minimum(exponent, 1e5) / math.log(2.0)), 0.0).astype(int)
-    seed = np.exp(carry * math.log(2.0) - exponent)
-    below, row = 0.0, np.multiply.outer(np.sqrt(weights / math.sqrt(np.pi * alpha2)),
-                                        (2.0 * np.pi) ** -0.25 * seed)
+    below, row = 0.0, (2.0 * np.pi) ** -0.25 * np.exp(carry * math.log(2.0) - exponent)
     carried = carry.any()
     for k in range(k_max + 1):
         if carried and k % 16 == 0:  # shed what the rows grew by; powers of two are exact
-            shed = np.minimum(carry, np.maximum(np.frexp(np.max(np.abs(row), axis=0))[1], 0))
+            shed = np.minimum(carry, np.maximum(np.frexp(np.abs(row))[1], 0))
             below, row, carry = below * np.exp2(-shed), row * np.exp2(-shed), carry - shed
             scale, carried = np.exp2(-carry), carry.any()
         if k >= k_min:
-            np.multiply(row, scale if carried else 1.0, out=rows[k - k_min])
-        below, row = row, (y * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
+            np.multiply(row, scale if carried else 1.0, out=rows[k - k_min, ...])
+        below, row = row, (x * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
     return rows
 
 
@@ -211,11 +198,15 @@ def _level_pair_coefficients(k_max: int) -> np.ndarray:
     return c
 
 
-def real_half_width(k_max: int, width: float = 0.0) -> float:
+def real_half_width(k_max: int, width: float = 0.0, name: str = "width") -> float:
     """Half-width of the band of every alpha = 1/2 grid, lattice and half-line: 12
-    past the top level's turning point 2 sqrt(k_max + 1/2), times sqrt(1 + width^2)."""
-    k_max, width = check_integer(k_max, "k_max", 0), check_real(width, "width", 0)
-    return (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
+    past the top level's turning point 2 sqrt(k_max + 1/2), times sqrt(1 + width^2).
+    A width whose band is no finite float raises ValidationError naming ``name``."""
+    k_max, width = check_integer(k_max, "k_max", 0), check_real(width, name, 0)
+    half = (2.0 * math.sqrt(k_max + 0.5) + 12.0) * math.sqrt(1.0 + width * width)
+    if half == math.inf:
+        raise ValidationError(f"{name} {width!r} gives no finite band at level {k_max}")
+    return half
 
 
 def default_real_grid(k_max: int, points: int | None = None, width: float = 0.0) -> np.ndarray:
@@ -241,10 +232,13 @@ def default_rotor_grid(points: int = 2001) -> np.ndarray:
 def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     """Limit density of X under square-root coarse graining.
 
-    ``P(x) = sum_{k,l} conj(b_k) b_l K_kl(x)`` with
-    ``b_k = c_k e^{i k (phi + pi)}`` and K the width-``state.width``
-    smeared kernel.  At width 0 this is a pure oscillator-mode density
-    |sum_k b_k <x|k>|^2.
+    At width 0 this is the oscillator-mode density |sum_k b_k <x|k>|^2 with
+    ``b_k = c_k e^{i k (phi + pi)}``, from ``level_rows``.  At width s > 0 it
+    is that density convolved with N(0, s^2), the inverse Fourier transform
+    of ``limit_charfn_alpha_half``: a trapezoid sum over t >= 0 with step
+    pi / (2 L), L the larger of the band ``real_half_width(k_max, s)`` and the
+    grid's reach (so its period is twice the density's span), up to
+    min(Omega, 13.6 / s), past which the characteristic function is below 1e-40.
 
     The extra pi in the phase factors: ``phi`` is stored as the argument
     of minus the off-diagonal scale element, while the level kernels are
@@ -258,25 +252,35 @@ def limit_density_alpha_half(state: LimitState, grid=None) -> GridDensity:
     if own_grid:
         grid = default_real_grid(state.k_max, width=state.width)
     grid = check_grid(grid, "grid")
-    b = state.coeffs * np.exp(1j * np.arange(state.coeffs.size) * (state.phi + np.pi))
-    # only the populated levels enter; as K_kl = sum_j row_k[j] row_l[j] over the
-    # nodes j, P is the sum of |sum_k b_k row_k[j]|^2, real and imaginary parts
-    low, high = np.flatnonzero(b)[[0, -1]]
-    parts = np.stack([b.real, b.imag])[:, low:high + 1]
-    block = max(1, ROW_BLOCK_FLOATS // ((high - low + 1) * (high + 1 if state.width > 0.0 else 1)))
-    density = np.concatenate([
-        np.sum(np.tensordot(parts, level_rows(high, grid[i:i + block], state.width, low),
-                            axes=1) ** 2, axis=(0, 1))
-        for i in range(0, grid.size, block)])
+    if state.width > 0.0:
+        reach = max(real_half_width(state.k_max, state.width), float(np.max(np.abs(grid))))
+        step = math.pi / (2.0 * reach)
+        top = min(2.0 * math.sqrt(2.0 * state.k_max + 1.0) + 12.0, 13.6 / state.width)
+        weights = limit_charfn_alpha_half(state, step * np.arange(math.floor(top / step) + 1))
+        weights[0] *= 0.5
+        per_point = 8 * (math.isqrt(weights.size - 1) + 1)  # floats of _cosine_sum's powers
+
+        def values(points):
+            return step / math.pi * _cosine_sum(step, weights, points)
+    else:
+        b = state.coeffs * np.exp(1j * np.arange(state.coeffs.size) * (state.phi + np.pi))
+        # only the populated levels enter: P is |sum_k b_k <x|k>|^2, real and imaginary parts
+        low, high = np.flatnonzero(b)[[0, -1]]
+        parts = np.stack([b.real, b.imag])[:, low:high + 1]
+        per_point = high - low + 1
+
+        def values(points):
+            return np.sum(np.tensordot(parts, level_rows(high, points, low), axes=1) ** 2, axis=0)
+    block = max(1, ROW_BLOCK_FLOATS // per_point)
+    density = np.concatenate([values(grid[i:i + block]) for i in range(0, grid.size, block)])
     worst = float(density.min())
     if not worst >= -1e-10:
         raise NegativeDensityError(f"density dipped to {worst:.3e}")
     density = np.clip(density, 0.0, None)
     edge = max(float(density[0]), float(density[-1]))
     if not edge <= BOUNDARY_MASS_TOL:
-        raise GridTooNarrowError(
-            f"density {edge:.3e} at the grid boundary exceeds {BOUNDARY_MASS_TOL:.0e}"
-        )
+        raise GridTooNarrowError(f"density {edge:.3e} at the grid boundary exceeds "
+                                 f"{BOUNDARY_MASS_TOL:.0e}")
     result = GridDensity(grid=grid, density=density, domain="real_line")
     # On its own grid the density must integrate to 1; a caller's grid
     # (say, a coarse one) is the caller's to judge.
@@ -296,8 +300,6 @@ def limit_charfn_alpha_half(state: LimitState, t):
     (exact grid points) up to 2 pi / (min(max|t|, Omega) + Omega), and
     |t| > Omega gives 0.
     """
-    from .finite_n import lattice_char_fn  # on call: finite_n is the heavier stack
-
     t_arr = check_real_array(t, "t")
     band = 2.0 * math.sqrt(2.0 * state.k_max + 1.0) + 12.0
     step = math.floor(2.0**21 * np.pi / (min(float(np.max(np.abs(t_arr), initial=0.0)), band)
@@ -308,6 +310,53 @@ def limit_charfn_alpha_half(state: LimitState, t):
     phi0 = np.where(np.abs(t_arr) <= band, lattice_char_fn(x, step * rho, t_arr), 0.0)
     values = np.exp(-0.5 * (state.width * t_arr) ** 2) * phi0
     return complex(values) if np.ndim(t) == 0 else values
+
+
+def lattice_char_fn(values, weights, t):
+    """Fourier sum ``sum_m weights[m] exp(i t values[m])`` of a law on the
+    equally spaced points ``values``.
+
+    ``values`` is strictly increasing, each point within 1e-9 of the span of
+    the line through the end points (else ``ValidationError``); ``weights``,
+    of the same size, are the masses of the points, so the value at ``t = 0``
+    is exactly 1; the result is complex with the shape of the finite reals
+    ``t``.  With ``m = b*B + j``, ``B ~ sqrt(L)`` for L points, it is a
+    (T x B) @ (B x L/B) product (cos and sin) and a row-wise dot.
+    """
+    t_arr = np.atleast_1d(check_real_array(t, "t"))
+    values = check_grid(values, "values", points=1)
+    off_line = float(np.max(np.abs(values - np.linspace(values[0], values[-1], values.size))))
+    if off_line > 1e-9 * (values[-1] - values[0]):
+        raise ValidationError(f"values must be a grid of equally spaced points; one lies "
+                              f"{off_line:.3e} off the line through the end points")
+    weights = check_real_array(weights, "weights", ndim=1)
+    if values.size != weights.size:
+        raise ValidationError(f"values and weights must have equal sizes, "
+                              f"got {values.size} and {weights.size}")
+    block = math.isqrt(weights.size - 1) + 1
+    blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
+    phase = np.outer(t_arr, values[:block] - values[0])
+    inner = np.cos(phase) @ blocks.T + 1j * (np.sin(phase) @ blocks.T)
+    sums = np.sum(np.exp(1j * np.outer(t_arr, values[::block])) * inner, axis=1)
+    sums = np.where(t_arr == 0.0, 1.0 + 0.0j, sums)
+    return complex(sums[0]) if np.ndim(t) == 0 else sums.reshape(np.shape(t))
+
+
+def _cosine_sum(step: float, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re sum_m weights[m] z^m at each x, z = e^(-i step x): with m = a B + b,
+    B = ceil(sqrt(M)), a (M/B x B) @ (B x size(x)) product of the powers z^b, times
+    the powers (z^B)^a, each a running product (off by about B ulps)."""
+    block = math.isqrt(weights.size - 1) + 1
+    blocks = np.pad(weights, (0, -weights.size % block)).reshape(-1, block)
+    inner = np.ones((block + 1, x.size), dtype=complex)
+    inner[1] = np.exp(-1j * step * x)
+    for b in range(2, block + 1):
+        np.multiply(inner[b - 1], inner[1], out=inner[b])
+    outer = np.ones((blocks.shape[0], x.size), dtype=complex)
+    for a in range(1, blocks.shape[0]):
+        np.multiply(outer[a - 1], inner[block], out=outer[a])
+    inner = blocks @ inner[:block]
+    return np.sum(outer.real * inner.real - outer.imag * inner.imag, axis=0)
 
 
 def limit_density_alpha_one(coeffs, phi: float, theta_grid=None) -> GridDensity:
@@ -351,19 +400,6 @@ def rotor_pushforward(rotor: GridDensity, x_grid=None) -> GridDensity:
     p_theta = np.interp(theta, rotor.grid, rotor.density)
     density = p_theta / np.abs(np.sin(theta))
     return GridDensity(grid=x, density=density, domain="real_line")
-
-
-@lru_cache(maxsize=8)
-def _hermgauss_cached(n_nodes: int):
-    """Gauss-Hermite nodes and weights, whose sum must be sqrt(pi) (numpy 2.4
-    returns all-zero weights at 371 nodes and non-finite ones from 372)."""
-    with np.errstate(all="ignore"):
-        nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-        total = float(weights.sum())
-    if not abs(total - math.sqrt(math.pi)) <= 1e-12:
-        raise NumericError(f"the {n_nodes}-node Gauss-Hermite rule for level {n_nodes - 1} "
-                           f"is degenerate: its weights sum to {total:.3g}")
-    return nodes, weights
 
 
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +454,7 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float) -> float:
           * He_m(x'/g) He_n(x'/g) / (m! n!)
 
     The left side is summed from the level-pair coefficient table, the
-    right side by the (m + n + 1)-node Gauss-Hermite rule after completing
+    right side by numpy's (m + n + 1)-node Gauss-Hermite rule after completing
     the square; the polynomial factor has degree m + n, so the rule is
     exact for it.
     """
@@ -434,16 +470,11 @@ def verify_hermite_lemma(m: int, n: int, beta: float, gamma: float) -> float:
     closed = (np.exp(-0.5 * u * u) * series / (math.sqrt(2.0 * np.pi) * alpha)
               / math.sqrt(math.factorial(m) * math.factorial(n)))
 
-    nodes, weights = _hermgauss_cached(m + n + 1)
+    nodes, weights = np.polynomial.hermite.hermgauss(m + n + 1)
     var = (beta * gamma / alpha) ** 2
     center = (gamma / alpha) ** 2 * x
     xp = center[:, None] + math.sqrt(2.0 * var) * nodes[None, :]
     integrand = hermite(m, xp / gamma) * hermite(n, xp / gamma)
-    convolved = (
-        np.exp(-0.5 * u * u)
-        * math.sqrt(2.0 * var)
-        / (2.0 * np.pi * beta * gamma)
-        * (integrand @ weights)
-        / (math.factorial(m) * math.factorial(n))
-    )
+    convolved = (np.exp(-0.5 * u * u) * math.sqrt(2.0 * var) / (2.0 * np.pi * beta * gamma)
+                 * (integrand @ weights) / (math.factorial(m) * math.factorial(n)))
     return float(np.max(np.abs(closed - convolved)))

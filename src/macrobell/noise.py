@@ -16,10 +16,11 @@ cells and reports where it drops to the classical boundary.  The sign of a
 noisy readout integrates like the clean readout against S, the sign
 convolved with the noise density, which has a closed form (``math.erf``
 for the truncated Gaussian); so each cell is one smoothed
-``bell.sign_overlap_table``, evaluated by
-``bell.chsh_value``, and no density is convolved.  Its widths ``s_grid``
-and noise bounds ``eps_grid`` are value lists, checked by
-``errors.check_real_array``: nonempty, 1-d, finite and >= 0, in any order.
+``bell.sign_overlap_table``, which convolves the width into S as well,
+evaluated by ``bell.chsh_value``, and no density is convolved.  Its widths
+``s_grid`` and noise bounds ``eps_grid`` are value lists, checked by
+``errors.check_real_array``: nonempty, 1-d, finite and >= 0, in any order;
+each width must give a finite band ``limits.real_half_width``.
 
 ``bell`` and ``finite_n`` are imported inside the one function that needs
 each, so the channel and loss-width routines load neither the Bell nor the
@@ -164,7 +165,8 @@ def noisy_limit_params(povm: SingleParticlePovm, noise: NoiseSpec,
 
 
 def _smoothed_sign(shape: str, eps: float):
-    """sign convolved with the noise density, on [0, eps]; it is 1 beyond eps."""
+    """sign convolved with the noise density, on [-eps, eps], where it is odd;
+    it is 1 beyond eps and -1 below -eps."""
     if shape == "uniform":
         return lambda x: x / eps
     # erf(x / (sigma sqrt 2)) / erf(sqrt 2) with sigma = eps / 2, on a scalar
@@ -196,11 +198,13 @@ def noisy_chsh_sweep(schmidt_coeffs, s_grid, eps_grid,
     lists ``s_grid`` and ``eps_grid`` as read-only float arrays.
     """
     from .bell import BellConfig, chsh_value, optimize_chsh, sign_overlap_table
+    from .limits import real_half_width
 
     if shape not in _SHAPES:
         raise ValidationError(f"shape must be one of {_SHAPES}, got {shape!r}")
     s_grid = check_real_array(s_grid, "s_grid", 0, ndim=1)
     eps_grid = check_real_array(eps_grid, "eps_grid", 0, ndim=1)
+    real_half_width(BellConfig(schmidt_coeffs).k_max, float(s_grid.max()), "s_grid")
 
     best = optimize_chsh(schmidt_coeffs)
     config = BellConfig(schmidt_coeffs, *best.angles)

@@ -4,12 +4,13 @@ oracles for the closed forms in ``bell`` and ``noise``.
 The package evaluates every sign-binned correlator from a sign table, in
 closed form or of half-line Gauss-Legendre overlaps, and classical readout
 noise through a closed-form smoothed sign.  These routes compute the same
-numbers on a sampled grid instead: the level-pair kernels formed point by
-point from ``limits.level_rows`` (and the sign tables contracted from
-them), the joint (x, y) readout density of a Schmidt pair, Simpson's rule
-split at the sign discontinuity, and the noise applied to sampled values by
-a cubic-spline convolution.  They use scipy, which the
-package itself does not need.
+numbers on a sampled grid instead: the width-s level-pair kernels formed
+point by point from Gauss-Hermite rows (``node_rule_rows``, the smearing
+kept on the rows rather than moved onto the readout or the law as the
+package does; and the sign tables contracted from them), the joint (x, y)
+readout density of a Schmidt pair, Simpson's rule split at the sign
+discontinuity, and the noise applied to sampled values by a cubic-spline
+convolution.  They use scipy, which the package itself does not need.
 """
 
 import math
@@ -21,16 +22,59 @@ from scipy.interpolate import CubicSpline
 from macrobell.bell import JointGridDensity
 from macrobell.errors import GridTooNarrowError, NegativeDensityError, ValidationError
 from macrobell.limits import (BOUNDARY_MASS_TOL, GridDensity, default_real_grid, gauss_legendre,
-                              level_rows, real_half_width)
+                              real_half_width)
 
 #: Gauss-Legendre node count for the classical-noise convolution.
 CONVOLUTION_NODES = 64
 
 
+#: Most levels ``node_rule_rows`` takes at s > 0: numpy's Gauss-Hermite rule has
+#: all-zero weights at 371 nodes (numpy 2.4) and non-finite ones from 372.
+NODE_RULE_MAX_LEVEL = 369
+
+
+def node_rule_rows(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
+    """Rows k_min..k_max of the width-s level kernels at the reals x, shape
+    (d, nodes) + x.shape: kernel (k, l) is ``sum_j row_k[j] row_l[j]``.
+
+    With a^2 = 1 + s^2 the kernel is a Gaussian in x times the mean of the
+    degree-(k + l) polynomial He_k He_l / sqrt(k! l!) at
+    y ~ N(x / a^2, s^2 / a^2), which the (k_max + 1)-node Gauss-Hermite rule
+    integrates exactly: row k at node j is the normalised recurrence at
+    y_j = x / a^2 + (s / a) sqrt(2) t_j, seeded by
+    (2 pi)^(-1/4) sqrt(w_j / (sqrt(pi) a)) e^(-x^2/(4 a^2)), carried as a power
+    of two past |x| = 53.2 a.  At s = 0 it is the one node t = 0, w = sqrt(pi).
+    """
+    if s > 0.0 and k_max > NODE_RULE_MAX_LEVEL:
+        raise ValueError(f"the node rule holds levels up to {NODE_RULE_MAX_LEVEL} at s > 0")
+    x = np.asarray(x, dtype=float)
+    alpha2 = 1.0 + s * s
+    nodes, weights = (np.polynomial.hermite.hermgauss(k_max + 1) if s > 0.0
+                      else (np.zeros(1), np.full(1, math.sqrt(math.pi))))
+    y = np.add.outer(s * math.sqrt(2.0 / alpha2) * nodes, x / alpha2)
+    rows = np.empty((k_max - k_min + 1,) + y.shape)
+    exponent = 0.25 * x * x / alpha2
+    carry = np.where(exponent > 708.0,
+                     np.ceil(np.minimum(exponent, 1e5) / math.log(2.0)), 0.0).astype(int)
+    seed = np.exp(carry * math.log(2.0) - exponent)
+    below, row = 0.0, np.multiply.outer(np.sqrt(weights / math.sqrt(np.pi * alpha2)),
+                                        (2.0 * np.pi) ** -0.25 * seed)
+    carried = carry.any()
+    for k in range(k_max + 1):
+        if carried and k % 16 == 0:  # shed what the rows grew by; powers of two are exact
+            shed = np.minimum(carry, np.maximum(np.frexp(np.max(np.abs(row), axis=0))[1], 0))
+            below, row, carry = below * np.exp2(-shed), row * np.exp2(-shed), carry - shed
+            scale, carried = np.exp2(-carry), carry.any()
+        if k >= k_min:
+            np.multiply(row, scale if carried else 1.0, out=rows[k - k_min])
+        below, row = row, (y * row - math.sqrt(k) * below) / math.sqrt(k + 1.0)
+    return rows
+
+
 def kernels(k_max: int, x, s: float, k_min: int = 0) -> np.ndarray:
     """Every <k| e_s(x) |l> for k_min <= k, l <= k_max, shape (d, d) + x.shape:
-    the node sums of ``level_rows``."""
-    rows = level_rows(k_max, x, s, k_min)
+    the node sums of ``node_rule_rows``."""
+    rows = node_rule_rows(k_max, x, s, k_min)
     return np.einsum("kj...,lj...->kl...", rows, rows)
 
 
@@ -43,10 +87,10 @@ def pair_kernel(k: int, l: int, x, s: float) -> np.ndarray:
 def half_line_table(k_max: int, width: float = 0.0, edge: float = 0.0, ramp=None,
                     nodes: int = 600) -> np.ndarray:
     """The values of a smoothed ``bell.sign_overlap_table`` from the
-    (d, d, P) stack of ``kernels``: the same half-line Gauss-Legendre points
-    and weights, contracted entry by entry instead of as one row product per
-    piece.  At width = edge = 0 it is a quadrature route to the closed-form
-    clean table."""
+    (d, d, P) stack of ``kernels``: S against the width-s kernels on the
+    width-s band, split at the edge, contracted entry by entry, where the
+    package takes the smoothed S against the width-0 rows.  At
+    width = edge = 0 it is a quadrature route to the closed-form clean table."""
     half_width = real_half_width(k_max, width)
     t, w = gauss_legendre(nodes)
     knot = min(edge, half_width)

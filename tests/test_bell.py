@@ -127,12 +127,11 @@ def test_sign_overlap_parity_zeros_exact():
 
 
 def test_sign_overlap_quadrature_stability():
-    # The smoothed tables integrate over [0, (2 sqrt(k_max + 1/2) + 12) sqrt(1 + s^2)],
-    # the top level's band and its tail, with max(600, 2 k_max) nodes per piece.
-    # Over [0, (12 + 2 k_max) sqrt(1 + s^2)], 600 and 1200 nodes were 0.24 apart at
-    # width 0 and k_max = 150; on the new line 600 nodes were 0.0048 off at 550.
-    # Measured against twice the nodes: at most 1.5e-14 at width 0 and 3.4e-15 at
-    # width 0.3.
+    # The smoothed tables are the clean closed form plus max(600, 2 k_max) nodes on
+    # [0, edge + 10 s] inside the band (2 sqrt(k_max + 1/2) + 12).  Over a former line
+    # [0, (12 + 2 k_max) sqrt(1 + s^2)], 600 and 1200 nodes were 0.24 apart at width 0
+    # and k_max = 150.  Measured against twice the nodes: at most 1.3e-16 (1.5e-14
+    # when the part past the edge was a second quadrature piece).
     for shape in ("uniform", "truncated_gaussian"):
         ramp = _smoothed_sign(shape, 0.2)
         for k_max, width in ((150, 0.0), (300, 0.0), (700, 0.0), (120, 0.3)):
@@ -141,20 +140,21 @@ def test_sign_overlap_quadrature_stability():
             assert np.max(np.abs(coarse - fine)) <= 1e-12, (shape, k_max, width)
 
 
+def test_widths_below_rounding_are_width_zero():
+    # Readout panels of 20 s lost the ramp to rounding at tiny widths: 7e-9 off the
+    # width-0 table at 1e-12, 1.3e-2 at 1e-300.  Below 1e-8 a width moves the table
+    # by O(s^2), under 1e-16, and is taken as 0.
+    ramp = _smoothed_sign("uniform", 0.2)
+    zero = sign_overlap_table(20, 0.0, 0.2, ramp).values
+    for width in (1e-300, 1e-12, 9e-9):
+        assert np.array_equal(sign_overlap_table(20, width, 0.2, ramp).values, zero)
+    assert np.array_equal(sign_overlap_table(20, 1e-12).values, sign_overlap_table(20).values)
+
+
 def test_sign_overlap_closed_forms_to_rounding():
     table = sign_overlap_table(6).values
     assert abs(table[0, 1] - math.sqrt(2.0 / math.pi)) <= 2e-15
     assert abs(table[1, 2] - 1.0 / math.sqrt(math.pi)) <= 2e-15
-
-
-def test_smoothed_table_is_the_same_in_blocks_of_points(monkeypatch):
-    # The rows of 21 levels at width 0.3 take 441 floats per point; a budget of
-    # 10^5 takes the 600 points of each piece in blocks of 226, 226 and 148.
-    ramp = _smoothed_sign("truncated_gaussian", 0.2)
-    whole = sign_overlap_table(20, 0.3, 0.2, ramp).values
-    monkeypatch.setattr(bell, "ROW_BLOCK_FLOATS", 10**5)
-    # the sum over points only regroups: 8.9e-16 measured, a few ulps of the largest 0.76
-    assert np.max(np.abs(sign_overlap_table(20, 0.3, 0.2, ramp).values - whole)) <= 4e-15
 
 
 def test_optimized_chsh_is_the_closed_form_to_rounding():

@@ -233,6 +233,59 @@ def test_huge_equal_state_is_refused_before_it_is_built(capsys, argv, code):
     assert payload["error"] == code
 
 
+# Each count that sizes an allocation is bounded at DEFAULT_LATTICE_CAP (2^22)
+# rows before anything is built.  10^11 used to end in numpy's
+# _ArrayMemoryError traceback, and 10^8 sweep cells ran for minutes.
+_CAP = 2**22
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["limit", "--alpha", "0.5", "--coeffs", "paper", "--points", str(_CAP + 1)], "--points"),
+    (["limit", "--alpha", "1", "--coeffs", "paper", "--points", str(_CAP + 1)], "--points"),
+    (["local-model", "--coeffs", "random", "--points", "2049"], "--points"),
+    (["sample", "--N", "100", "--povm", "sx", "--coeffs", "paper", "--seed", "1",
+      "--n-samples", str(_CAP + 1)], "--n-samples"),
+    (["converge", "--povm", "sx", "--state", "w", "--n-list", "10",
+      "--n-samples", str(_CAP + 1)], "--n-samples"),
+    (["noise-sweep", "--coeffs", "paper", "--s-grid", "0:0.5:2049",
+      "--eps-grid", "0:0.5:2048"], "--s-grid x --eps-grid"),
+], ids=["limit-half", "limit-one", "local-model", "sample", "converge", "noise-sweep"])
+def test_counts_past_the_cap_are_refused_before_anything_is_built(capsys, tmp_path, argv,
+                                                                  option):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        payload = run_err(capsys, [*argv, "--out", str(tmp_path / "out.csv")], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["error"] == "cap_exceeded"
+    assert payload["message"].startswith(f"{option} gives ")
+    assert peak < 2**20  # a row array at the cap alone is 32 MiB
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_counts_at_the_cap_pass_the_bound():
+    from macrobell.cli import _bounded
+
+    _bounded("--points", _CAP)
+    _bounded("--points", 2048**2)
+
+
+# A width whose band overflows reached numpy as a grid of nan and inf.
+@pytest.mark.parametrize("argv, name", [
+    (["limit", "--alpha", "0.5", "--coeffs", "paper", "--width", "1e200"], "width"),
+    (["noise-sweep", "--coeffs", "paper", "--s-grid", "0:1e308:3", "--eps-grid", "0:0.5:2"],
+     "s_grid"),
+], ids=["limit", "noise-sweep"])
+def test_width_without_a_finite_band_is_refused(capsys, argv, name):
+    payload = run_err(capsys, argv, 1)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"{name} ") and "finite band" in payload["message"]
+    assert len(payload["message"]) < 200
+
+
 # --dim 10^9 used to draw the d x d matrix first and fail with numpy's MemoryError.
 @pytest.mark.parametrize("dim", ["2002", "1000000000"])
 def test_local_model_dim_past_the_cap_is_refused(capsys, dim):
@@ -376,17 +429,15 @@ class TestLimit:
         assert summary["points"] == 4001
         assert summary["integral"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_overflowing_wide_kernels_are_a_numeric_error(self, capsys, tmp_path):
-        # Level 75 at width 0.3 overflowed the former Hermite series; the
-        # Gauss-Hermite rows hold it.  numpy's rule degenerates at level 370.
-        summary = run_ok(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 75 + "1",
+    @pytest.mark.parametrize("coeffs", ["0," * 75 + "1", "0," * 370 + "1", "equal:2000"],
+                             ids=["level75", "level370", "equal2000"])
+    def test_wide_kernels_past_the_former_node_cap(self, capsys, tmp_path, coeffs):
+        # Level 75 at width 0.3 overflowed a former Hermite series; Gauss-Hermite
+        # rows held it, but numpy's rule degenerates at 371 nodes, and level 370
+        # exited 2 with numeric.  The width now smooths the law, not the rows.
+        summary = run_ok(capsys, ["limit", "--alpha", "0.5", "--coeffs", coeffs,
                                   "--width", "0.3", "--out", str(tmp_path / "l.csv")])
         assert json.loads(summary)["integral"] == pytest.approx(1.0, abs=1e-9)
-        out = tmp_path / "high.csv"
-        payload = run_err(capsys, ["limit", "--alpha", "0.5", "--coeffs", "0," * 370 + "1",
-                                   "--width", "0.3", "--out", str(out)], 2)
-        assert payload["error"] == "numeric" and "level 370" in payload["message"]
-        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["0.5", "1"])
     def test_points_sets_the_row_count(self, capsys, alpha):
@@ -798,7 +849,7 @@ class TestProcess:
     @pytest.mark.parametrize("argv, code", [
         (["channel", "--povm", "sx"], 0),
         (["chsh", "--coeffs", "nope", "--optimize"], 1),
-        (["limit", "--coeffs", "equal:371", "--width", "0.3"], 2),
+        (["channel", "--povm", "sx", "--loss", "1e-13"], 2),
     ], ids=["ok", "validation", "numeric"])
     def test_exit_codes_and_error_object(self, argv, code):
         result = cli_process(argv)
@@ -832,6 +883,29 @@ class TestProcess:
         assert result.returncode == 1
         assert_stdout_error(result.stderr)
         assert json.loads(out.read_text())["optimized"] is True
+
+    # argparse wrote the help itself: on a closed pipe the process exited 120
+    # with a BrokenPipeError on stderr, or 0 with the help lost when unbuffered.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["chsh", "--help"]], ids=["top", "chsh"])
+    def test_help_on_a_closed_pipe_is_a_validation_error(self, argv, unbuffered):
+        env = buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "macrobell.cli", *argv],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert_stdout_error(result.stderr)
+
+    def test_help_goes_to_stdout(self):
+        result = cli_process(["chsh", "--help"])
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.startswith(b"usage: macrobell chsh")
 
     @pytest.mark.parametrize("redirect, message", [(">&-", True), (">&- 2>&-", False)],
                              ids=["stdout", "stdout-and-stderr"])

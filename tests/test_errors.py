@@ -13,9 +13,10 @@ from macrobell.cli import run
 from macrobell.errors import (InvalidLossError, ValidationError, check_alpha, check_grid,
                               check_integer, check_real, check_real_array, check_unit_vector)
 from macrobell.finite_n import (DickeSuperposition, LatticePmf, brute_force_char_fn,
-                                char_fn_finite, lattice_char_fn, moments_finite, pmf_finite)
+                                char_fn_finite, moments_finite, pmf_finite)
 from macrobell.limits import (GridDensity, LimitState, default_real_grid, default_rotor_grid,
-                              gauss_legendre, hermite, level_rows, limit_charfn_alpha_half,
+                              gauss_legendre, hermite, lattice_char_fn, level_rows,
+                              limit_charfn_alpha_half,
                               limit_density_alpha_half, limit_density_alpha_one,
                               real_half_width, rotor_pushforward, verify_hermite_lemma)
 from macrobell.noise import (NoiseSpec, dephase_povm, depolarize_povm, loss_char_fn_finite,
@@ -102,8 +103,8 @@ INTEGER_SITES = {
                                           [10, v, 40, 80]), 20),
     "order": ("order", lambda v: moments_finite(_W, _SX, _PARAMS, 0.5, order=v), 2),
     "hermite": ("k", lambda v: hermite(v, _X), 3),
-    "level_rows-k_max": ("k_max", lambda v: level_rows(v, _X, 0.0), 3),
-    "level_rows-k_min": ("k_min", lambda v: level_rows(3, _X, 0.3, v), 1),
+    "level_rows-k_max": ("k_max", lambda v: level_rows(v, _X), 3),
+    "level_rows-k_min": ("k_min", lambda v: level_rows(3, _X, v), 1),
     "real_half_width": ("k_max", real_half_width, 3),
     "default_real_grid-k_max": ("k_max", default_real_grid, 3),
     "default_real_grid-points": ("points", lambda v: default_real_grid(3, v), 11),
@@ -157,7 +158,6 @@ REAL_SITES = {
     "LimitState-phi": ("phi", lambda v: LimitState(_PAPER, phi=v), None),
     "LimitState-width": ("width", lambda v: LimitState(_PAPER, width=v), -0.1),
     "limit_density_alpha_one": ("phi", lambda v: limit_density_alpha_one(_PAPER, v), None),
-    "level_rows": ("s", lambda v: level_rows(2, _X, v), -0.1),
     "real_half_width": ("width", lambda v: real_half_width(3, v), -0.1),
     "limit_charfn_alpha_half": ("t", lambda v: limit_charfn_alpha_half(LimitState(_PAPER), v),
                                 None),
@@ -276,7 +276,7 @@ ARRAY_SITES = {
     "SignOverlapTable-entries": (
         "values", lambda v: SignOverlapTable([v, v, v]), "array", None),
     "SignOverlapTable-shape": ("values", SignOverlapTable, "table", None),
-    "level_rows-x": ("x", lambda v: level_rows(2, v, 0.3), "array", None),
+    "level_rows-x": ("x", lambda v: level_rows(2, v), "array", None),
     "limit_density_alpha_half": (
         "grid", lambda v: limit_density_alpha_half(LimitState(_PAPER), v), "grid", None),
     "limit_density_alpha_one": (
@@ -354,9 +354,9 @@ def test_accepted_array_inputs_stay_accepted():
     LatticePmf(np.array([0.0]), np.array([1.0]))
     LatticePmf(np.array([0.0, 1.0]), np.array([1.0 + 1e-17, -1e-17]))
     # level rows at a scalar, an int list and a 2-d array of points
-    assert level_rows(2, 0.5, 0.3).shape == (3, 3)
-    assert level_rows(2, [0, 1], 0.0).shape == (3, 1, 2)
-    assert level_rows(2, np.ones((2, 2)), 0.3).shape == (3, 3, 2, 2)
+    assert level_rows(2, 0.5).shape == (3,)
+    assert level_rows(2, [0, 1]).shape == (3, 2)
+    assert level_rows(2, np.ones((2, 2))).shape == (3, 2, 2)
 
 
 # At the parent, unequal sizes broadcast into a wrong sum, and a theta_grids

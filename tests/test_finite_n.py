@@ -21,11 +21,11 @@ from macrobell.finite_n import (
     brute_force_char_fn,
     brute_force_pmf,
     char_fn_finite,
-    lattice_char_fn,
     moments_finite,
     pmf_finite,
     total_variation,
 )
+from macrobell.limits import lattice_char_fn
 from macrobell.povm import (
     PAULI_X,
     PAULI_Z,

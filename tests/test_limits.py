@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrobell.errors import GridTooNarrowError, NumericError, ValidationError
-from macrobell.finite_n import lattice_char_fn
 from macrobell.limits import (
     BOUNDARY_MASS_TOL,
     GridDensity,
@@ -17,6 +16,7 @@ from macrobell.limits import (
     default_rotor_grid,
     gauss_legendre,
     hermite,
+    lattice_char_fn,
     level_rows,
     limit_charfn_alpha_half,
     limit_density_alpha_half,
@@ -26,7 +26,7 @@ from macrobell.limits import (
     verify_hermite_lemma,
 )
 
-from grid_oracles import kernels, pair_kernel
+from grid_oracles import kernels, node_rule_rows, pair_kernel
 
 PAPER = np.array([2 / math.sqrt(10), 1 / math.sqrt(2), 1 / math.sqrt(10)],
                  dtype=complex)
@@ -72,13 +72,13 @@ def test_hermite_low_orders():
 
 
 def wavefunction(k, x):
-    """<x|k>: the one width-0 row of level k."""
-    return level_rows(k, x, 0.0, k)[0, 0]
+    """<x|k>: the one row of level k."""
+    return level_rows(k, x, k)[0]
 
 
 def test_oscillator_wavefunctions_orthonormal():
     x = np.linspace(-25.0, 25.0, 6001)
-    psi = level_rows(4, x, 0.0)[:, 0]
+    psi = level_rows(4, x)
     gram = np.trapezoid(psi[:, None, :] * psi[None, :, :], x, axis=-1)
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
 
@@ -109,11 +109,12 @@ def test_wavefunctions_past_the_factorial_overflow(k):
 def test_rows_past_the_seed_underflow_against_a_40_digit_recurrence(k_max, x, s):
     # e^(-x^2/(4 a^2)) leaves the normal floats past |x| = 53.2 a, where level
     # 1000 (turning point 63.3) is O(0.1) at 55; those rows came out 0.  The
-    # same recurrence in 40 digits (numpy's Gauss-Hermite rule at s > 0)
-    # stands against each point's whole stack; measured at most 1.1e-13 of
-    # its largest entry.
+    # same recurrence in 40 digits (numpy's Gauss-Hermite rule at s > 0, where
+    # the rows are the test oracle's) stands against each point's whole stack;
+    # measured at most 1.1e-13 of its largest entry.
     mpmath = pytest.importorskip("mpmath")
-    rows = level_rows(k_max, np.array(x), s)
+    rows = (node_rule_rows(k_max, np.array(x), s) if s > 0.0
+            else level_rows(k_max, np.array(x))[:, None])
     nodes, weights = ((np.zeros(1), np.full(1, math.sqrt(math.pi))) if s == 0.0
                       else np.polynomial.hermite.hermgauss(k_max + 1))
     exact = np.empty(rows.shape)
@@ -137,30 +138,28 @@ def test_rows_past_the_seed_underflow_against_a_40_digit_recurrence(k_max, x, s)
 def test_top_row_at_a_point_past_the_seed_underflow():
     # A scalar x and k_min = k_max: level 1000 at 55 and level 2000 at 80,
     # inside their bands, were 0.0.  Values from the 40-digit recurrence.
-    assert level_rows(1000, 55.0, 0.0, 1000)[0, 0] == pytest.approx(0.012259420043312243,
-                                                                    rel=1e-12)
-    assert level_rows(2000, 80.0, 0.0, 2000)[0, 0] == pytest.approx(0.05972490861582093,
-                                                                    rel=1e-12)
+    assert level_rows(1000, 55.0, 1000)[0] == pytest.approx(0.012259420043312243, rel=1e-12)
+    assert level_rows(2000, 80.0, 2000)[0] == pytest.approx(0.05972490861582093, rel=1e-12)
 
 
 def unit_mass(kernel, x) -> bool:
     return bool(np.all(np.isfinite(kernel))) and abs(np.trapezoid(kernel, x) - 1.0) <= 1e-9
 
 
-def test_wide_kernels_at_high_levels_raise_numeric_error():
-    # The Gauss-Hermite rows hold levels 75 and 99 at width 0.3, where the
-    # former Hermite series overflowed; numpy's 371-node rule (level 370)
-    # has all-zero weights and is rejected before any row is built.
-    for k in (75, 99):
-        x = default_real_grid(k, width=0.3)
-        assert unit_mass(np.sum(level_rows(k, x, 0.3, k)[0] ** 2, axis=0), x)
-    with pytest.raises(NumericError, match="level 370"):
-        level_rows(370, np.linspace(-1.0, 1.0, 5), 0.3, 370)
+def test_wide_kernels_at_high_levels_have_unit_mass():
+    # The width-0.3 density of |k> is the kernel K_kk.  A former Hermite series
+    # overflowed at level 75; Gauss-Hermite rows held it, but numpy's 371-node
+    # rule (level 370) has all-zero weights, so the rows stopped at level 369.
+    for k in (75, 99, 370, 2000):
+        density = limit_density_alpha_half(LimitState(coeffs=np.eye(k + 1)[k], width=0.3))
+        assert unit_mass(density.density, density.grid), k
 
 
 def test_wide_kernels_match_quadrature_of_the_convolution():
     # The former Hermite series missed this by 3.8e-9 at levels 20-22 and
-    # width 0.3; the Gauss-Hermite rule is exact up to roundoff.
+    # width 0.3; the oracle's Gauss-Hermite rule is exact up to roundoff, and
+    # so is the density of (|k> + |l>) / sqrt(2), the inverse transform of its
+    # characteristic function: (K_kk + K_ll) / 2 + K_kl.
     from scipy.integrate import quad
 
     s = 0.3
@@ -172,6 +171,12 @@ def test_wide_kernels_match_quadrature_of_the_convolution():
 
     for k, l in ((20, 22), (21, 21)):
         kernel = pair_kernel(k, l, x, s)
+        coeffs = np.zeros(l + 1)
+        coeffs[[k, l]] = 1.0
+        state = LimitState(coeffs=coeffs / np.linalg.norm(coeffs), phi=-math.pi, width=s)
+        density = limit_density_alpha_half(state, x).density
+        mixed = (pair_kernel(k, k, x, s) + pair_kernel(l, l, x, s)) / 2.0 + kernel
+        assert np.max(np.abs(density - (kernel if k == l else mixed))) <= 1e-14
         for xi, value in zip(x, kernel):
             def integrand(y, xi=xi, k=k, l=l):
                 return (math.exp(-0.5 * ((xi - y) / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
@@ -188,8 +193,6 @@ def test_wide_kernels_match_quadrature_of_the_convolution():
 def test_kernels_reject_non_finite_widths(s):
     # Without the finite check of the former series a NaN width gave NaN
     # densities and no error.
-    with pytest.raises(ValidationError, match="finite s"):
-        level_rows(2, np.linspace(-5.0, 5.0, 11), s)
     with pytest.raises(ValidationError, match="finite s"):
         limit_density_alpha_half(LimitState(coeffs=[0.6, 0.8], width=s),
                                  grid=np.linspace(-10.0, 10.0, 101))
@@ -218,16 +221,21 @@ def test_wide_smearing_stays_inside_the_band():
 
 
 def test_density_is_the_same_in_blocks_of_points(monkeypatch):
-    # 12 levels at width 0.3 take 144 floats of rows per point; a budget of
-    # 5000 takes the 4001 points in 118 blocks of 34 (the last of 23).
+    # 12 levels take 12 floats of rows per point: a budget of 5000 takes the
+    # 4001 points of the width-0 grid in blocks of 416, bit for bit.  At width
+    # 0.3 a budget of 240 takes the 259-point lattice of the transform in
+    # blocks of 20 and the grid in blocks of 1 (128 floats of powers a point);
+    # the GEMMs of other shapes moved no value by more than 1.1e-16.
     import macrobell.limits as limits
 
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=12) + 1j * rng.normal(size=12)
-    state = LimitState(coeffs=coeffs / np.linalg.norm(coeffs), width=0.3)
-    whole = limit_density_alpha_half(state).density
-    monkeypatch.setattr(limits, "ROW_BLOCK_FLOATS", 5000)
-    assert np.array_equal(limit_density_alpha_half(state).density, whole)
+    for width, budget, tol in ((0.0, 5000, 0.0), (0.3, 240, 1e-15)):
+        state = LimitState(coeffs=coeffs / np.linalg.norm(coeffs), width=width)
+        whole = limit_density_alpha_half(state).density
+        monkeypatch.setattr(limits, "ROW_BLOCK_FLOATS", budget)
+        assert np.max(np.abs(limit_density_alpha_half(state).density - whole)) <= tol
+        monkeypatch.undo()
 
 
 def test_undersampled_default_grid_is_a_numeric_error(monkeypatch):
@@ -275,9 +283,12 @@ def test_smeared_series_approaches_wavefunction_products():
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_level_kernel_stack_entries_are_pair_kernels(s):
     x = np.linspace(-20.0, 20.0, 201)
-    rows = level_rows(7, x, s)
+    rows = node_rule_rows(7, x, s)
     assert rows.shape == (8, 8 if s > 0.0 else 1, x.size)
-    np.testing.assert_array_equal(level_rows(7, x, s, 3), rows[3:])
+    np.testing.assert_array_equal(node_rule_rows(7, x, s, 3), rows[3:])
+    np.testing.assert_array_equal(level_rows(7, x, 3), level_rows(7, x)[3:])
+    if s == 0.0:  # the oracle's one-node rows are the package's
+        np.testing.assert_array_equal(rows[:, 0], level_rows(7, x))
     stack = kernels(7, x, s)
     for k in range(8):
         for l in range(8):
@@ -358,8 +369,8 @@ def test_non_finite_caller_grids_are_validation_errors(call, bad):
 def test_nan_density_raises_numeric_error(monkeypatch, grid):
     import macrobell.limits as limits
 
-    def nan_rows(k_max, x, s, k_min=0):
-        return np.full((k_max - k_min + 1, 1, np.size(x)), np.nan)
+    def nan_rows(k_max, x, k_min=0):
+        return np.full((k_max - k_min + 1, np.size(x)), np.nan)
 
     monkeypatch.setattr(limits, "level_rows", nan_rows)
     with pytest.raises(NumericError):

@@ -3,7 +3,8 @@ Layout table and its backticked calls name only such names, no module
 reaches into another module's private helpers or checks integers, finite
 reals or increasing grids outside ``errors``, no module but ``limits`` states
 the alpha = 1/2 level band, no module imports scipy, not even inside a
-function, and no command loads it; only ``cli.main`` ends the process."""
+function, and no command loads it, nor numpy.polynomial outside the selftest;
+only ``cli.main`` ends the process."""
 
 import ast
 import importlib
@@ -154,6 +155,29 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             check=True, env=src_env())
     assert result.stdout.splitlines()[-1].split() == []
+
+
+def test_limit_sweep_and_converge_commands_load_no_numpy_polynomial(tmp_path):
+    # The width-0 density took numpy's one-node Gauss-Hermite rule, and every
+    # width > 0 quantity a (k_max + 1)-node one, so these commands loaded
+    # numpy.polynomial (about 3 ms a process); only verify_hermite_lemma needs it.
+    script = f"""
+import sys
+from macrobell.cli import run
+
+out = {str(tmp_path)!r}
+for argv in (["limit", "--alpha", "0.5", "--coeffs", "paper", "--width", "0"],
+             ["limit", "--alpha", "0.5", "--coeffs", "equal:8", "--width", "0.4"],
+             ["noise-sweep", "--coeffs", "paper", "--s-grid", "0:0.4:3", "--eps-grid", "0:0.4:2",
+              "--shape", "truncated_gaussian"],
+             ["converge", "--povm", "sx", "--state", "w", "--n-list", "10,20",
+              "--n-samples", "50", "--seed", "3"]):
+    assert run([*argv, "--out", f"{{out}}/{{argv[0]}}.csv"]) == 0, argv
+print("numpy.polynomial" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env=src_env())
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_only_limits_states_the_level_band():
